@@ -11,6 +11,7 @@ from .analytics import (
     Portfolio,
     frontier_report,
     population_summary,
+    predict,
     summary,
 )
 from .base import BaseEstimator, clone
@@ -49,7 +50,6 @@ from .mean_risk import (
     efficient_frontier,
     optimize,
     portfolio_risk,
-    predict,
 )
 from .measures import (
     DEFAULT_BETA,

@@ -43,6 +43,19 @@ class Portfolio:
         return summary(self)
 
 
+def predict(weights: np.ndarray, X: ReturnsMatrix, assets=(), name="portfolio") -> Portfolio:
+    """Realized portfolio return series under fixed weights."""
+    values = X.values if isinstance(X, ReturnsMatrix) else np.asarray(X, dtype=float)
+    x_assets = tuple(X.assets) if isinstance(X, ReturnsMatrix) else ()
+    if assets and x_assets and tuple(assets) != x_assets:
+        raise AssetMismatch(f"weights cover {tuple(assets)} but data has {x_assets}")
+    w = np.asarray(weights, dtype=float).ravel()
+    if w.size != values.shape[1]:
+        raise AssetMismatch(f"{w.size} weights vs {values.shape[1]} return columns")
+    dates = tuple(X.dates) if isinstance(X, ReturnsMatrix) else ()
+    return Portfolio(name=name, returns=values @ w, weights=w, dates=dates)
+
+
 @dataclass
 class MultiPeriodPortfolio:
     """Concatenated out-of-sample segments, each with its own weights."""

@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import inspect
 
+from .analytics import Portfolio, predict
+
 
 class BaseEstimator:
     """Parameter introspection in the fit/predict idiom.
@@ -47,6 +49,13 @@ class BaseEstimator:
         for head, sub_params in nested.items():
             getattr(self, head).set_params(**sub_params)
         return self
+
+    def predict(self, X) -> Portfolio:
+        """Realized returns of the fitted weights on X; assets are checked
+        against the fitted prior's when there is one."""
+        prior = getattr(self, "prior_", None)
+        return predict(self.weights_, X, assets=prior.assets if prior is not None else (),
+                       name=type(self).__name__)
 
     def __repr__(self):
         params = ", ".join(f"{k}={v!r}" for k, v in self.get_params(deep=False).items())

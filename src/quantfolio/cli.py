@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import summary
+from .analytics import predict, summary
 from .exceptions import (
     AssetMismatch,
     DegenerateSplit,
@@ -45,12 +45,7 @@ from .hierarchical import (
     StackingOptimization,
 )
 from .market_data import align, load_prices, prices_to_returns, time_split
-from .mean_risk import (
-    MeanRisk,
-    ObjectiveFunction,
-    efficient_frontier,
-    predict,
-)
+from .mean_risk import MeanRisk, ObjectiveFunction, efficient_frontier
 from .measures import DEFAULT_BETA, RiskMeasure, measure_value
 from .model_selection import CpcvConfig, WalkForwardConfig, cross_val_predict
 from .priors import BlackLitterman, EmpiricalPrior, FactorModel, ViewSet

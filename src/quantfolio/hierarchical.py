@@ -333,10 +333,6 @@ class EqualWeighted(BaseEstimator):
         self.weights_ = equal_weighted(values.shape[1])
         return self
 
-    def predict(self, X):
-        from .mean_risk import predict as _predict
-        return _predict(self.weights_, X, name=type(self).__name__)
-
 
 class InverseVolatility(BaseEstimator):
     def __init__(self, prior_estimator=None):
@@ -347,10 +343,6 @@ class InverseVolatility(BaseEstimator):
         self.prior_ = clone(est).fit(X, factors=factors).prior_
         self.weights_ = inverse_volatility(self.prior_)
         return self
-
-    def predict(self, X):
-        from .mean_risk import predict as _predict
-        return _predict(self.weights_, X, name=type(self).__name__)
 
 
 class HierarchicalRiskParity(BaseEstimator):
@@ -369,10 +361,6 @@ class HierarchicalRiskParity(BaseEstimator):
                             linkage=self.linkage, beta=self.beta)
         return self
 
-    def predict(self, X):
-        from .mean_risk import predict as _predict
-        return _predict(self.weights_, X, name=type(self).__name__)
-
 
 class NestedClustersOptimization(BaseEstimator):
     def __init__(self, inner_estimator=None, outer_estimator=None,
@@ -386,10 +374,6 @@ class NestedClustersOptimization(BaseEstimator):
         self.weights_ = nco(X, inner=self.inner_estimator, outer=self.outer_estimator,
                             k=self.k, linkage=self.linkage)
         return self
-
-    def predict(self, X):
-        from .mean_risk import predict as _predict
-        return _predict(self.weights_, X, name=type(self).__name__)
 
 
 class StackingOptimization(BaseEstimator):
@@ -407,7 +391,3 @@ class StackingOptimization(BaseEstimator):
         final = self.final_estimator if self.final_estimator is not None else MeanRisk()
         self.weights_ = stacking(self.estimators, final, X, self.cv, n_jobs=self.n_jobs)
         return self
-
-    def predict(self, X):
-        from .mean_risk import predict as _predict
-        return _predict(self.weights_, X, name=type(self).__name__)

@@ -2,19 +2,21 @@
 
 Builds on the reformulation layer to express each objective as a QP/LP,
 including weight constraints, L1/L2 regularization, risk caps, and
-efficient-frontier sweeps over return targets.
+efficient-frontier sweeps over return targets. All four objectives share one
+assembly path, `optimize`; MaximizeRatio adds a scale column and homogenizes
+the same constraint rows.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .analytics import Portfolio
-from .base import BaseEstimator
+from .analytics import predict  # noqa: F401  (public as quantfolio.mean_risk.predict)
+from .base import BaseEstimator, clone
 from .exceptions import (
     AssetMismatch,
     DimensionMismatch,
@@ -24,10 +26,9 @@ from .exceptions import (
     UnboundedProblem,
     UnsupportedMeasure,
 )
-from .market_data import ReturnsMatrix
 from .measures import DEFAULT_BETA, RiskMeasure, measure_value
 from .priors import EmpiricalPrior, Prior
-from .reformulations import LinExpr, ProblemBuilder, reformulate_risk
+from .reformulations import ProblemBuilder, reformulate_risk
 from .solver import SolverSettings, solve
 
 
@@ -36,6 +37,13 @@ class ObjectiveFunction(Enum):
     MAXIMIZE_RETURN = "maximize_return"
     MAXIMIZE_UTILITY = "maximize_utility"
     MAXIMIZE_RATIO = "maximize_ratio"
+
+
+def _require_finite(name, value):
+    """Reject anything but finite real numbers (scalars or arrays)."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise InvalidConfig(f"{name} must be finite real numbers, got {value!r}")
 
 
 @dataclass
@@ -55,6 +63,16 @@ class Constraints:
     linear_b: np.ndarray | None = None
     min_return: float | None = None
     risk_caps: list[tuple[RiskMeasure, float]] = field(default_factory=list)
+
+    def __post_init__(self):
+        _require_finite("budget", self.budget)
+        if self.min_return is not None:
+            _require_finite("min_return", self.min_return)
+        if (self.linear_A is None) != (self.linear_b is None):
+            raise InvalidConfig("linear_A and linear_b must be given together")
+        if self.linear_A is not None:
+            _require_finite("linear_A", self.linear_A)
+            _require_finite("linear_b", self.linear_b)
 
     def bounds(self, n: int, assets: tuple[str, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
         lb = np.broadcast_to(np.asarray(self.lower, dtype=float), (n,)).copy()
@@ -89,6 +107,8 @@ class ProblemSpec:
     frontier_size: int | None = None
 
     def __post_init__(self):
+        for name in ("l1_coef", "l2_coef", "risk_aversion"):
+            _require_finite(name, getattr(self, name))
         if self.l1_coef < 0 or self.l2_coef < 0:
             raise InvalidConfig("regularization coefficients must be >= 0")
         if self.risk_aversion < 0:
@@ -137,27 +157,61 @@ def _add_regularization(builder, spec, w_idx, lb):
             )
             return
         a = builder.add_variables(n, lb=0.0)
-        for j in range(n):
-            builder.add_ineq({int(w_idx[j]): 1.0, int(a[j]): -1.0}, 0.0)
-            builder.add_ineq({int(w_idx[j]): -1.0, int(a[j]): -1.0}, 0.0)
-        builder.add_cost({int(i): spec.l1_coef for i in a})
+        # ±w_j − a_j ≤ 0, the two rows of j adjacent
+        signs = np.repeat(np.eye(n), 2, axis=0)
+        signs[1::2] *= -1.0
+        builder.add_rows(np.concatenate([w_idx, a]),
+                         np.hstack([signs, -np.repeat(np.eye(n), 2, axis=0)]), 0.0)
+        builder.add_cost((a, np.full(n, spec.l1_coef)))
 
 
-def _apply_risk_caps(builder, spec, w_idx, t_idx=None):
-    for measure, bound in spec.constraints.risk_caps:
-        measure = _optimization_measure(measure)
-        if measure is RiskMeasure.VARIANCE:
+def _add_constraints(builder, spec, w_idx, lb, ub, t=None):
+    """Budget, linear, return-floor and risk-cap rows on the weights.
+
+    Given the ratio objective's scale column `t`, every row a·w (= or ≤) c
+    is homogenized into a·y − c·t (= or ≤) 0, and the finite box bounds
+    become rows of the same form.
+    """
+    c = spec.constraints
+    n = w_idx.size
+
+    def rows(cols, M, rhs, eq=False):
+        M, rhs = np.atleast_2d(M), np.atleast_1d(np.asarray(rhs, dtype=float))
+        if t is not None:
+            cols, M, rhs = np.append(cols, t), np.column_stack([M, -rhs]), 0.0
+        builder.add_rows(cols, M, rhs, eq)
+
+    rows(w_idx, np.ones(n), c.budget, eq=True)
+    if t is not None:
+        # −w_j ≤ −lb_j and w_j ≤ ub_j, the two rows of j adjacent
+        E = np.repeat(np.eye(n), 2, axis=0)
+        E[0::2] *= -1.0
+        limit = np.column_stack([-lb, ub]).ravel()
+        keep = np.isfinite(limit)
+        rows(w_idx, E[keep], limit[keep])
+    if c.linear_A is not None:
+        A = np.atleast_2d(np.asarray(c.linear_A, dtype=float))
+        b = np.asarray(c.linear_b, dtype=float).ravel()
+        if A.shape != (b.size, n):
+            raise DimensionMismatch(f"linear rows {A.shape} vs b {b.shape} on N={n}")
+        rows(w_idx, -A, -b)
+    if c.min_return is not None:
+        rows(w_idx, -spec.prior.mu, -c.min_return)
+    for measure, bound in c.risk_caps:
+        if _optimization_measure(measure) is RiskMeasure.VARIANCE:
             raise UnsupportedMeasure(
                 "variance/std-dev risk caps need a quadratic constraint, which "
                 "the LP/QP solver does not support; cap CVaR or MAD instead"
             )
-        block = _add_risk_block(builder, spec, measure, w_idx)
-        if t_idx is None:
-            builder.add_expr_leq(block.risk_expr, float(bound))
-        else:
-            expr = LinExpr(dict(block.risk_expr.coeffs), block.risk_expr.const)
-            expr.add(int(t_idx), -float(bound))
-            builder.add_expr_leq(expr, 0.0)
+        rows(*_add_risk_block(builder, spec, measure, w_idx).risk_expr, bound)
+
+
+def _add_risk_cost(builder, spec, w_idx, factor):
+    block = _add_risk_block(builder, spec, spec.risk_measure, w_idx)
+    if block.risk_expr is not None:
+        builder.add_cost(block.risk_expr, factor)
+    else:
+        builder.add_quadratic(block.quadratic[0], factor * block.quadratic[1])
 
 
 def _raise_for_status(res, spec):
@@ -167,16 +221,10 @@ def _raise_for_status(res, spec):
         detail = ""
         c = spec.constraints
         if c.min_return is not None:
-            relaxed = ProblemSpec(
-                objective=ObjectiveFunction.MAXIMIZE_RETURN,
-                risk_measure=spec.risk_measure,
-                prior=spec.prior,
-                constraints=Constraints(
-                    budget=c.budget, lower=c.lower, upper=c.upper,
-                    max_weight_per_asset=c.max_weight_per_asset,
-                    linear_A=c.linear_A, linear_b=c.linear_b,
-                ),
-                beta=spec.beta,
+            relaxed = replace(
+                spec, objective=ObjectiveFunction.MAXIMIZE_RETURN,
+                constraints=replace(c, min_return=None, risk_caps=[]),
+                l1_coef=0.0, l2_coef=0.0,
             )
             try:
                 w = optimize(relaxed)
@@ -197,126 +245,68 @@ def _raise_for_status(res, spec):
     )
 
 
-def _build_standard(spec: ProblemSpec):
-    """Shared assembly for the three non-ratio objectives."""
+def _assemble(spec: ProblemSpec):
+    """The spec's problem, its weight columns and the ratio scale column.
+
+    MaximizeRatio is solved homogenized over y = t·w with a scale column
+    t ≥ 0. Degree-1 measures: maximize mu'y subject to risk(y) <= 1 plus the
+    homogenized constraint cone. Variance / std dev: minimize y'Sigma y
+    subject to mu'y = 1 (classic tangency form, reported ratio is mean over
+    std dev). Recover w = y/t. The other objectives have no scale column
+    (t is None).
+    """
     prior = spec.prior
     n = prior.n_assets
-    c = spec.constraints
-    lb, ub = c.bounds(n, prior.assets)
+    lb, ub = spec.constraints.bounds(n, prior.assets)
+    ratio = spec.objective is ObjectiveFunction.MAXIMIZE_RATIO
 
     builder = ProblemBuilder()
-    w_idx = builder.add_variables(n)
-    for j in range(n):
-        builder.set_bounds(int(w_idx[j]), lb=float(lb[j]), ub=float(ub[j]))
-    builder.add_eq({int(i): 1.0 for i in w_idx}, c.budget)
-    if c.linear_A is not None:
-        A = np.atleast_2d(np.asarray(c.linear_A, dtype=float))
-        b = np.asarray(c.linear_b, dtype=float).ravel()
-        if A.shape != (b.size, n):
-            raise DimensionMismatch(f"linear rows {A.shape} vs b {b.shape} on N={n}")
-        for r in range(A.shape[0]):
-            builder.add_ineq(
-                {int(w_idx[j]): -float(A[r, j]) for j in range(n) if A[r, j] != 0.0},
-                -float(b[r]),
+    if ratio:
+        if spec.l1_coef > 0 or spec.l2_coef > 0:
+            warnings.warn(
+                "L1/L2 regularization is not scale-invariant and is ignored under "
+                "MaximizeRatio",
+                stacklevel=2,
             )
-    if c.min_return is not None:
-        builder.add_ineq(
-            {int(w_idx[j]): -float(prior.mu[j]) for j in range(n)}, -float(c.min_return)
-        )
-    _apply_risk_caps(builder, spec, w_idx)
-    _add_regularization(builder, spec, w_idx, lb)
-    return builder, w_idx
+        w_idx = builder.add_variables(n)
+        t = int(builder.add_variables(1, lb=0.0)[0])
+    else:
+        w_idx = builder.add_variables(n, lb, ub)
+        t = None
+    _add_constraints(builder, spec, w_idx, lb, ub, t)
+    if not ratio:
+        _add_regularization(builder, spec, w_idx, lb)
+
+    neg_mu = (w_idx, -prior.mu)
+    if spec.objective is ObjectiveFunction.MINIMIZE_RISK:
+        _add_risk_cost(builder, spec, w_idx, 1.0)
+    elif spec.objective is ObjectiveFunction.MAXIMIZE_RETURN:
+        builder.add_cost(neg_mu)
+    elif spec.objective is ObjectiveFunction.MAXIMIZE_UTILITY:
+        builder.add_cost(neg_mu)
+        _add_risk_cost(builder, spec, w_idx, spec.risk_aversion)
+    elif _optimization_measure(spec.risk_measure) is RiskMeasure.VARIANCE:
+        builder.add_rows(w_idx, prior.mu, 1.0, eq=True)
+        builder.add_quadratic(w_idx, prior.sigma)
+    else:
+        builder.add_rows(*_add_risk_block(builder, spec, spec.risk_measure, w_idx).risk_expr,
+                         1.0)
+        builder.add_cost(neg_mu)
+    return builder.build(), w_idx, t
 
 
 def optimize(spec: ProblemSpec, settings: SolverSettings | None = None) -> np.ndarray:
     """Solve the spec's objective; returns weights on the budget hyperplane."""
-    if spec.objective is ObjectiveFunction.MAXIMIZE_RATIO:
-        return _optimize_ratio(spec, settings)
-
-    prior = spec.prior
-    builder, w_idx = _build_standard(spec)
-    if spec.objective is ObjectiveFunction.MINIMIZE_RISK:
-        block = _add_risk_block(builder, spec, spec.risk_measure, w_idx)
-        if block.risk_expr is not None:
-            builder.add_expr_cost(block.risk_expr)
-        else:
-            builder.add_quadratic(*block.quadratic)
-    elif spec.objective is ObjectiveFunction.MAXIMIZE_RETURN:
-        builder.add_cost({int(w_idx[j]): -float(prior.mu[j]) for j in range(prior.n_assets)})
-    elif spec.objective is ObjectiveFunction.MAXIMIZE_UTILITY:
-        builder.add_cost({int(w_idx[j]): -float(prior.mu[j]) for j in range(prior.n_assets)})
-        block = _add_risk_block(builder, spec, spec.risk_measure, w_idx)
-        if block.risk_expr is not None:
-            builder.add_expr_cost(block.risk_expr, factor=spec.risk_aversion)
-        else:
-            builder.add_quadratic(block.quadratic[0], spec.risk_aversion * block.quadratic[1])
-    else:  # pragma: no cover - enum is closed
-        raise InvalidConfig(f"unknown objective {spec.objective}")
-
-    res = solve(builder.build(), settings)
+    # assembled in a helper so that the builder's row blocks are freed before the solve
+    problem, w_idx, t = _assemble(spec)
+    res = solve(problem, settings)
     _raise_for_status(res, spec)
-    return res.x[w_idx].copy()
-
-
-def _optimize_ratio(spec: ProblemSpec, settings: SolverSettings | None) -> np.ndarray:
-    """Homogenized ratio maximization; see module notes.
-
-    Degree-1 measures: maximize mu'y subject to risk(y) <= 1 plus the
-    homogenized constraint cone. Variance / std dev: minimize y'Sigma y
-    subject to mu'y = 1 (classic tangency form, reported ratio is
-    mean over std dev). Recover w = y/t.
-    """
-    if spec.l1_coef > 0 or spec.l2_coef > 0:
-        warnings.warn(
-            "L1/L2 regularization is not scale-invariant and is ignored under "
-            "MaximizeRatio",
-            stacklevel=2,
-        )
-    prior = spec.prior
-    n = prior.n_assets
-    c = spec.constraints
-    lb, ub = c.bounds(n, prior.assets)
-
-    builder = ProblemBuilder()
-    y_idx = builder.add_variables(n)
-    t_var = builder.add_variables(1, lb=0.0)
-    t = int(t_var[0])
-    builder.add_eq({**{int(i): 1.0 for i in y_idx}, t: -c.budget}, 0.0)
-    for j in range(n):
-        if np.isfinite(lb[j]):
-            builder.add_ineq({t: float(lb[j]), int(y_idx[j]): -1.0}, 0.0)
-        if np.isfinite(ub[j]):
-            builder.add_ineq({int(y_idx[j]): 1.0, t: -float(ub[j])}, 0.0)
-    if c.linear_A is not None:
-        A = np.atleast_2d(np.asarray(c.linear_A, dtype=float))
-        b = np.asarray(c.linear_b, dtype=float).ravel()
-        if A.shape != (b.size, n):
-            raise DimensionMismatch(f"linear rows {A.shape} vs b {b.shape} on N={n}")
-        for r in range(A.shape[0]):
-            row = {int(y_idx[j]): -float(A[r, j]) for j in range(n) if A[r, j] != 0.0}
-            row[t] = row.get(t, 0.0) + float(b[r])
-            builder.add_ineq(row, 0.0)
-    if c.min_return is not None:
-        row = {int(y_idx[j]): -float(prior.mu[j]) for j in range(n)}
-        row[t] = row.get(t, 0.0) + float(c.min_return)
-        builder.add_ineq(row, 0.0)
-    _apply_risk_caps(builder, spec, y_idx, t_idx=t)
-
-    measure = _optimization_measure(spec.risk_measure)
-    if measure is RiskMeasure.VARIANCE:
-        builder.add_eq({int(y_idx[j]): float(prior.mu[j]) for j in range(n)}, 1.0)
-        builder.add_quadratic(y_idx, prior.sigma)
-    else:
-        block = _add_risk_block(builder, spec, measure, y_idx)
-        builder.add_expr_leq(block.risk_expr, 1.0)
-        builder.add_cost({int(y_idx[j]): -float(prior.mu[j]) for j in range(n)})
-
-    res = solve(builder.build(), settings)
-    _raise_for_status(res, spec)
+    if t is None:
+        return res.x[w_idx].copy()
     t_val = float(res.x[t])
     if not np.isfinite(t_val) or t_val <= 1e-12:
         raise SolverFailure("ratio homogenization degenerate: scale variable vanished")
-    return (res.x[y_idx] / t_val).copy()
+    return (res.x[w_idx] / t_val).copy()
 
 
 def efficient_frontier(
@@ -329,17 +319,8 @@ def efficient_frontier(
     c = spec.constraints
 
     def sub_spec(objective, min_return=None):
-        cons = Constraints(
-            budget=c.budget, lower=c.lower, upper=c.upper,
-            max_weight_per_asset=c.max_weight_per_asset,
-            linear_A=c.linear_A, linear_b=c.linear_b,
-            min_return=min_return, risk_caps=list(c.risk_caps),
-        )
-        return ProblemSpec(
-            objective=objective, risk_measure=spec.risk_measure, prior=prior,
-            constraints=cons, l1_coef=spec.l1_coef, l2_coef=spec.l2_coef,
-            risk_aversion=spec.risk_aversion, beta=spec.beta,
-        )
+        return replace(spec, objective=objective,
+                       constraints=replace(c, min_return=min_return))
 
     w_min = optimize(sub_spec(ObjectiveFunction.MINIMIZE_RISK), settings)
     r_min = float(prior.mu @ w_min)
@@ -372,19 +353,6 @@ def portfolio_risk(weights: np.ndarray, spec: ProblemSpec) -> float:
     if spec.risk_measure is RiskMeasure.STANDARD_DEVIATION:
         return float(np.sqrt(weights @ spec.prior.sigma @ weights))
     return measure_value(spec.prior.scenarios @ weights, spec.risk_measure, beta=spec.beta)
-
-
-def predict(weights: np.ndarray, X: ReturnsMatrix, assets=(), name="portfolio") -> Portfolio:
-    """Realized portfolio return series under fixed weights."""
-    values = X.values if isinstance(X, ReturnsMatrix) else np.asarray(X, dtype=float)
-    x_assets = tuple(X.assets) if isinstance(X, ReturnsMatrix) else ()
-    if assets and x_assets and tuple(assets) != x_assets:
-        raise AssetMismatch(f"weights cover {tuple(assets)} but data has {x_assets}")
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.size != values.shape[1]:
-        raise AssetMismatch(f"{w.size} weights vs {values.shape[1]} return columns")
-    dates = tuple(X.dates) if isinstance(X, ReturnsMatrix) else ()
-    return Portfolio(name=name, returns=values @ w, weights=w, dates=dates)
 
 
 class MeanRisk(BaseEstimator):
@@ -439,10 +407,6 @@ class MeanRisk(BaseEstimator):
 
     def fit(self, X, factors=None):
         est = self.prior_estimator if self.prior_estimator is not None else EmpiricalPrior()
-        self.prior_ = est.fit(X, factors=factors).prior_
+        self.prior_ = clone(est).fit(X, factors=factors).prior_
         self.weights_ = optimize(self._spec(self.prior_))
         return self
-
-    def predict(self, X) -> Portfolio:
-        return predict(self.weights_, X, assets=self.prior_.assets,
-                       name=type(self).__name__)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
-from .base import BaseEstimator
+from .base import BaseEstimator, clone
 from .exceptions import (
     DateMisalignment,
     DimensionMismatch,
@@ -241,7 +241,7 @@ class BlackLitterman(PriorEstimator):
 
     def fit(self, X, factors=None):
         base_est = self.base_estimator if self.base_estimator is not None else EmpiricalPrior()
-        base = base_est.fit(X, factors=factors).prior_
+        base = clone(base_est).fit(X, factors=factors).prior_
         views = self.views if self.views is not None else ViewSet(P=np.zeros((0, base.n_assets)), Q=np.zeros(0))
         self.prior_ = black_litterman_prior(base, views)
         return self

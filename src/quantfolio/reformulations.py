@@ -1,15 +1,19 @@
 """Epigraph reformulations turning scenario risk measures into LP/QP blocks.
 
-Each reformulation registers auxiliary variables and linear constraints on a
-ProblemBuilder and returns the risk value as a linear expression (or a
-quadratic term for variance). Minimizing that expression over the auxiliaries
-with the weights held fixed reproduces the measures-module value exactly,
-which is the central correctness property tested against the measures module.
+Problems are assembled from dense row blocks: `ProblemBuilder.add_rows(cols,
+M, rhs)` records `M · x[cols] ≤ rhs` (or `=`), and `build()` writes every
+block into the dense `G`/`A_eq` with one slice assignment, in the order the
+blocks were added. Each reformulation adds its auxiliary variables and one
+vectorized row block, and returns the risk value as a `(cols, coefs)` linear
+term (or a quadratic term for variance). Minimizing that term over the
+auxiliaries with the weights held fixed reproduces the measures-module value
+exactly, which is the central correctness property tested against the
+measures module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,126 +22,78 @@ from .measures import DEFAULT_BETA, RiskMeasure
 from .solver import QpProblem
 
 
-@dataclass
-class LinExpr:
-    """Sparse linear expression Σ coeffs[i]·x_i + const."""
-
-    coeffs: dict[int, float] = field(default_factory=dict)
-    const: float = 0.0
-
-    def add(self, index: int, coef: float) -> "LinExpr":
-        self.coeffs[index] = self.coeffs.get(index, 0.0) + coef
-        return self
-
-    def scaled(self, factor: float) -> "LinExpr":
-        return LinExpr({i: c * factor for i, c in self.coeffs.items()}, self.const * factor)
-
-
 class ProblemBuilder:
-    """Incrementally assemble a QpProblem with dynamically added variables."""
+    """Incrementally assemble a QpProblem from variable and row blocks."""
 
-    def __init__(self, n_initial: int = 0):
-        self.n = n_initial
-        self._eq: list[tuple[dict[int, float], float]] = []
-        self._ineq: list[tuple[dict[int, float], float]] = []  # Σ c x ≤ rhs
+    def __init__(self):
+        self.n = 0
+        self._lb: list[np.ndarray] = []
+        self._ub: list[np.ndarray] = []
+        self._rows: dict[bool, list] = {True: [], False: []}  # eq -> [(cols, M, rhs)]
+        self._cost: list[tuple[np.ndarray, np.ndarray]] = []
         self._quad: list[tuple[np.ndarray, np.ndarray]] = []  # (indices, M): adds xᵀMx
-        self._cost: dict[int, float] = {}
-        self._lb: dict[int, float] = {}
-        self._ub: dict[int, float] = {}
 
-    def add_variables(self, count: int, lb: float = -np.inf, ub: float = np.inf) -> np.ndarray:
+    def add_variables(self, count: int, lb=-np.inf, ub=np.inf) -> np.ndarray:
+        """`count` new columns with scalar or per-variable bounds."""
         idx = np.arange(self.n, self.n + count)
         self.n += count
-        for i in idx:
-            if np.isfinite(lb):
-                self._lb[int(i)] = lb
-            if np.isfinite(ub):
-                self._ub[int(i)] = ub
+        self._lb.append(np.broadcast_to(np.asarray(lb, dtype=float), (count,)))
+        self._ub.append(np.broadcast_to(np.asarray(ub, dtype=float), (count,)))
         return idx
 
-    def set_bounds(self, index: int, lb: float = -np.inf, ub: float = np.inf):
-        if np.isfinite(lb):
-            self._lb[index] = lb
-        else:
-            self._lb.pop(index, None)
-        if np.isfinite(ub):
-            self._ub[index] = ub
-        else:
-            self._ub.pop(index, None)
+    def add_rows(self, cols, M, rhs, eq: bool = False):
+        """M · x[cols] = rhs if `eq`, else M · x[cols] ≤ rhs; one row per row of M."""
+        M = np.atleast_2d(np.asarray(M, dtype=float))
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (M.shape[0],))
+        self._rows[eq].append((np.asarray(cols, dtype=int), M, rhs))
 
-    def add_eq(self, coeffs: dict[int, float], rhs: float):
-        self._eq.append((dict(coeffs), rhs))
-
-    def add_ineq(self, coeffs: dict[int, float], rhs: float):
-        """Σ coeffs·x ≤ rhs"""
-        self._ineq.append((dict(coeffs), rhs))
-
-    def add_expr_leq(self, expr: LinExpr, rhs: float):
-        self.add_ineq(expr.coeffs, rhs - expr.const)
-
-    def add_cost(self, coeffs: dict[int, float]):
-        for i, c in coeffs.items():
-            self._cost[i] = self._cost.get(i, 0.0) + c
-
-    def add_expr_cost(self, expr: LinExpr, factor: float = 1.0):
-        self.add_cost({i: c * factor for i, c in expr.coeffs.items()})
+    def add_cost(self, expr: tuple[np.ndarray, np.ndarray], factor: float = 1.0):
+        """Adds factor · Σ coefs·x[cols] to the objective."""
+        cols, coefs = expr
+        self._cost.append((np.asarray(cols, dtype=int), np.asarray(coefs, dtype=float) * factor))
 
     def add_quadratic(self, indices: np.ndarray, M: np.ndarray):
         """Adds xᵀ M x (no ½ factor) over the given variable block."""
         self._quad.append((np.asarray(indices, dtype=int), np.asarray(M, dtype=float)))
 
-    @property
-    def n_inequalities(self) -> int:
-        return len(self._ineq)
-
     def build(self) -> QpProblem:
         n = self.n
         q = np.zeros(n)
-        for i, c in self._cost.items():
-            q[i] = c
+        for cols, coefs in self._cost:
+            q[cols] += coefs
         P = None
         if self._quad:
             P = np.zeros((n, n))
             for idx, M in self._quad:
                 P[np.ix_(idx, idx)] += 2.0 * (M + M.T) / 2  # solver uses ½xᵀPx
-        A_eq = b_eq = None
-        if self._eq:
-            A_eq = np.zeros((len(self._eq), n))
-            b_eq = np.zeros(len(self._eq))
-            for r, (coeffs, rhs) in enumerate(self._eq):
-                for i, c in coeffs.items():
-                    A_eq[r, i] = c
-                b_eq[r] = rhs
-        G = h = None
-        if self._ineq:
-            G = np.zeros((len(self._ineq), n))
-            h = np.zeros(len(self._ineq))
-            for r, (coeffs, rhs) in enumerate(self._ineq):
-                for i, c in coeffs.items():
-                    G[r, i] = c
-                h[r] = rhs
-        lb = np.full(n, -np.inf)
-        ub = np.full(n, np.inf)
-        for i, v in self._lb.items():
-            lb[i] = v
-        for i, v in self._ub.items():
-            ub[i] = v
+        A_eq, b_eq = _stack(self._rows[True], n)
+        G, h = _stack(self._rows[False], n)
+        lb = np.concatenate([np.zeros(0), *self._lb])
+        ub = np.concatenate([np.zeros(0), *self._ub])
         return QpProblem(q=q, P=P, A_eq=A_eq, b_eq=b_eq, G=G, h=h, lb=lb, ub=ub)
+
+
+def _stack(blocks, n: int):
+    """Dense (matrix, rhs) holding the row blocks in order; (None, None) if empty."""
+    m = sum(M.shape[0] for _, M, _ in blocks)
+    if m == 0:
+        return None, None
+    A = np.zeros((m, n))
+    b = np.empty(m)
+    r = 0
+    for cols, M, rhs in blocks:
+        A[r:r + M.shape[0], cols] = M
+        b[r:r + M.shape[0]] = rhs
+        r += M.shape[0]
+    return A, b
 
 
 @dataclass
 class RiskBlock:
     """Handle on a reformulated risk measure inside a builder."""
 
-    measure: RiskMeasure
-    aux_indices: np.ndarray
-    constraint_count: int
-    risk_expr: LinExpr | None  # None for variance (quadratic)
+    risk_expr: tuple[np.ndarray, np.ndarray] | None  # (cols, coefs); None for variance
     quadratic: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def aux_count(self) -> int:
-        return self.aux_indices.size
 
 
 def reformulate_risk(
@@ -156,13 +112,7 @@ def reformulate_risk(
     if measure is RiskMeasure.VARIANCE:
         if sigma is None:
             raise UnsupportedMeasure("variance reformulation requires sigma")
-        return RiskBlock(
-            measure=measure,
-            aux_indices=np.arange(0),
-            constraint_count=0,
-            risk_expr=None,
-            quadratic=(w_idx, np.asarray(sigma, dtype=float)),
-        )
+        return RiskBlock(None, quadratic=(w_idx, np.asarray(sigma, dtype=float)))
     if measure is RiskMeasure.STANDARD_DEVIATION:
         raise UnsupportedMeasure(
             "standard deviation has no LP/QP epigraph; optimize variance instead"
@@ -171,83 +121,50 @@ def reformulate_risk(
     if scenarios is None:
         raise UnsupportedMeasure(f"{measure} requires scenario returns")
     S = np.asarray(scenarios, dtype=float)
-    T = S.shape[0]
-    n_before = builder.n_inequalities
+    T, n = S.shape
 
     if measure is RiskMeasure.MEAN_ABSOLUTE_DEVIATION:
-        mean_row = S.mean(axis=0)
-        dev = S - mean_row  # r_t − mean, linear in w via (r_t − m)ᵀw
+        # u_t ≥ ±(r_t − m)ᵀw  →  ±(r_t − m)ᵀw − u_t ≤ 0; the two rows of t adjacent
         u = builder.add_variables(T, lb=0.0)
-        for t in range(T):
-            row = {int(i): float(dev[t, j]) for j, i in enumerate(w_idx) if dev[t, j] != 0.0}
-            # u_t ≥ (r_t − m)ᵀ w  →  (r_t − m)ᵀ w − u_t ≤ 0
-            builder.add_ineq({**row, int(u[t]): -1.0}, 0.0)
-            neg = {i: -c for i, c in row.items()}
-            builder.add_ineq({**neg, int(u[t]): -1.0}, 0.0)
-        expr = LinExpr({int(i): 1.0 / T for i in u})
-        count = builder.n_inequalities - n_before + T  # + nonnegativity bounds
-        return RiskBlock(measure, u, count, expr)
-
-    if measure is RiskMeasure.CVAR:
-        aux = builder.add_variables(1)  # alpha, free
-        z = builder.add_variables(T, lb=0.0)
-        alpha = int(aux[0])
-        for t in range(T):
-            row = {int(i): -float(S[t, j]) for j, i in enumerate(w_idx) if S[t, j] != 0.0}
-            # z_t ≥ −r_tᵀw − α  →  −r_tᵀw − α − z_t ≤ 0
-            builder.add_ineq({**row, alpha: -1.0, int(z[t]): -1.0}, 0.0)
-        expr = LinExpr({alpha: 1.0})
-        factor = 1.0 / ((1.0 - beta) * T)
-        for i in z:
-            expr.add(int(i), factor)
-        count = builder.n_inequalities - n_before + T
-        return RiskBlock(measure, np.concatenate([aux, z]), count, expr)
+        M = np.zeros((2 * T, n + T))
+        M[:, :n] = np.repeat(S - S.mean(axis=0), 2, axis=0)
+        M[1::2, :n] *= -1.0
+        M[np.arange(2 * T), n + np.arange(T).repeat(2)] = -1.0
+        builder.add_rows(np.concatenate([w_idx, u]), M, 0.0)
+        return RiskBlock((u, np.full(T, 1.0 / T)))
 
     if measure in (RiskMeasure.CDAR, RiskMeasure.MAX_DRAWDOWN):
         # Pairwise epigraph over drawdowns: dd_t = max_{s≤t} (C_s − C_t)ᵀ w,
-        # expanded as one row per (s, t) pair. This keeps every auxiliary
-        # uniquely determined at the optimum, which an operator-splitting
-        # solver needs; the chained-peak alternative is heavily degenerate.
-        # Row count is T(T+1)/2, so scenario counts are expected at desk scale.
+        # expanded as one row per (s, t) pair, t-major. This keeps every
+        # auxiliary uniquely determined at the optimum, which an
+        # operator-splitting solver needs; the chained-peak alternative is
+        # heavily degenerate. Row count is T(T+1)/2, so scenario counts are
+        # expected at desk scale.
         C = np.cumsum(S, axis=0)  # cumulative scenario returns, C_t ᵀ w linear
-        if measure is RiskMeasure.MAX_DRAWDOWN:
-            yv = builder.add_variables(1)
-            yi = int(yv[0])
-            for t in range(T):
-                for s in range(t + 1):
-                    diff = C[s] - C[t]
-                    row = {int(i): float(diff[j]) for j, i in enumerate(w_idx) if diff[j] != 0.0}
-                    # y ≥ (C_s − C_t)ᵀ w
-                    builder.add_ineq({**row, yi: -1.0}, 0.0)
-            builder.set_bounds(yi, lb=0.0)
-            expr = LinExpr({yi: 1.0})
-            count = builder.n_inequalities - n_before + 1
-            return RiskBlock(measure, yv, count, expr)
-        aux = builder.add_variables(1)  # alpha
-        z = builder.add_variables(T, lb=0.0)
-        alpha = int(aux[0])
-        for t in range(T):
-            for s in range(t + 1):
-                diff = C[s] - C[t]
-                row = {int(i): float(diff[j]) for j, i in enumerate(w_idx) if diff[j] != 0.0}
-                # z_t ≥ (C_s − C_t)ᵀ w − α
-                builder.add_ineq({**row, alpha: -1.0, int(z[t]): -1.0}, 0.0)
-        expr = LinExpr({alpha: 1.0})
-        factor = 1.0 / ((1.0 - beta) * T)
-        for i in z:
-            expr.add(int(i), factor)
-        count = builder.n_inequalities - n_before + T
-        return RiskBlock(measure, np.concatenate([aux, z]), count, expr)
+        t_of, s_of = np.tril_indices(T)
+        losses = C[s_of] - C[t_of]
+    else:  # CVaR and worst realization: one loss row −r_tᵀw per scenario
+        t_of = np.arange(T)
+        losses = -S
 
-    if measure is RiskMeasure.WORST_REALIZATION:
-        yv = builder.add_variables(1)
-        yi = int(yv[0])
-        for t in range(T):
-            row = {int(i): -float(S[t, j]) for j, i in enumerate(w_idx) if S[t, j] != 0.0}
-            # y ≥ −r_tᵀw
-            builder.add_ineq({**row, yi: -1.0}, 0.0)
-        expr = LinExpr({yi: 1.0})
-        count = builder.n_inequalities - n_before
-        return RiskBlock(measure, yv, count, expr)
+    if measure in (RiskMeasure.CVAR, RiskMeasure.CDAR):
+        # z_t ≥ L_rᵀw − α  →  L_rᵀw − α − z_t ≤ 0; risk α + Σz/((1−β)T)
+        aux = builder.add_variables(1)  # alpha, free
+        z = builder.add_variables(T, lb=0.0)
+        rows = losses.shape[0]
+        M = np.zeros((rows, n + 1 + T))
+        M[:, :n] = losses
+        M[:, n] = -1.0
+        M[np.arange(rows), n + 1 + t_of] = -1.0
+        builder.add_rows(np.concatenate([w_idx, aux, z]), M, 0.0)
+        factor = 1.0 / ((1.0 - beta) * T)
+        return RiskBlock((np.concatenate([aux, z]), np.concatenate([[1.0], np.full(T, factor)])))
+
+    if measure in (RiskMeasure.MAX_DRAWDOWN, RiskMeasure.WORST_REALIZATION):
+        # y ≥ L_rᵀw  →  [L | −1] ≤ 0
+        yv = builder.add_variables(1, lb=0.0 if measure is RiskMeasure.MAX_DRAWDOWN else -np.inf)
+        builder.add_rows(np.append(w_idx, yv), np.column_stack([losses, -np.ones(len(losses))]),
+                         0.0)
+        return RiskBlock((yv, np.ones(1)))
 
     raise UnsupportedMeasure(f"no reformulation for {measure}")

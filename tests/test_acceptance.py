@@ -111,11 +111,10 @@ def test_criterion_03_reformulation_consistency():
             for measure in measures:
                 builder = ProblemBuilder()
                 w_idx = builder.add_variables(3)
-                for i, wi in enumerate(w):
-                    builder.add_eq({int(w_idx[i]): 1.0}, float(wi))
+                builder.add_rows(w_idx, np.eye(3), w, eq=True)
                 block = reformulate_risk(builder, measure, scenarios, w_idx,
                                          beta=0.95)
-                builder.add_expr_cost(block.risk_expr)
+                builder.add_cost(block.risk_expr)
                 res = solve(builder.build())
                 assert res.status == "Optimal"
                 want = measure_value(series, measure, beta=0.95)

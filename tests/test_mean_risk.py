@@ -173,10 +173,9 @@ def _lp_block_objective(measure, scenarios, w, beta=0.95):
     n = scenarios.shape[1]
     builder = ProblemBuilder()
     w_idx = builder.add_variables(n)
-    for i, wi in enumerate(w):
-        builder.add_eq({int(w_idx[i]): 1.0}, float(wi))
+    builder.add_rows(w_idx, np.eye(n), w, eq=True)
     block = reformulate_risk(builder, measure, scenarios, w_idx, beta=beta)
-    builder.add_expr_cost(block.risk_expr)
+    builder.add_cost(block.risk_expr)
     res = solve(builder.build())
     assert res.status == "Optimal"
     return res.objective

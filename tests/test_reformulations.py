@@ -1,0 +1,97 @@
+"""Each vectorized epigraph block equals the same rows written one by one.
+
+The reference loops below build the rows in the documented order (MAD rows
+interleaved ±, drawdown pairs t-major with s ≤ t), so any change to the
+order or the values of a block shows here before it reaches a solve.
+"""
+
+import numpy as np
+import pytest
+
+from quantfolio.measures import RiskMeasure
+from quantfolio.reformulations import ProblemBuilder, reformulate_risk
+
+T, N, BETA = 6, 3, 0.9
+
+
+def _reference_rows(measure, S):
+    """(G, q, lb) of the block built row by row, weights in columns 0..N-1."""
+    rows, q, lb = [], {}, {}
+    C = np.cumsum(S, axis=0)
+
+    def row(entries):
+        rows.append(entries)
+
+    if measure is RiskMeasure.MEAN_ABSOLUTE_DEVIATION:
+        dev = S - S.mean(axis=0)
+        for t in range(T):
+            lb[N + t], q[N + t] = 0.0, 1.0 / T
+            row({**dict(enumerate(dev[t])), N + t: -1.0})
+            row({**dict(enumerate(-dev[t])), N + t: -1.0})
+    elif measure in (RiskMeasure.CVAR, RiskMeasure.CDAR):
+        q[N] = 1.0
+        for t in range(T):
+            lb[N + 1 + t], q[N + 1 + t] = 0.0, 1.0 / ((1.0 - BETA) * T)
+            pairs = [-S[t]] if measure is RiskMeasure.CVAR else [
+                C[s] - C[t] for s in range(t + 1)]
+            for loss in pairs:
+                row({**dict(enumerate(loss)), N: -1.0, N + 1 + t: -1.0})
+    else:
+        q[N] = 1.0
+        if measure is RiskMeasure.MAX_DRAWDOWN:
+            lb[N] = 0.0
+        for t in range(T):
+            pairs = [-S[t]] if measure is RiskMeasure.WORST_REALIZATION else [
+                C[s] - C[t] for s in range(t + 1)]
+            for loss in pairs:
+                row({**dict(enumerate(loss)), N: -1.0})
+    n = 1 + max(max(r) for r in rows)
+    G = np.zeros((len(rows), n))
+    for r, entries in enumerate(rows):
+        for col, coef in entries.items():
+            G[r, col] = coef
+    q_vec, lb_vec = np.zeros(n), np.full(n, -np.inf)
+    for col, coef in q.items():
+        q_vec[col] = coef
+    for col, bound in lb.items():
+        lb_vec[col] = bound
+    return G, q_vec, lb_vec
+
+
+@pytest.mark.parametrize("measure", [
+    RiskMeasure.MEAN_ABSOLUTE_DEVIATION, RiskMeasure.CVAR, RiskMeasure.CDAR,
+    RiskMeasure.MAX_DRAWDOWN, RiskMeasure.WORST_REALIZATION,
+])
+def test_block_equals_row_by_row_reference(measure):
+    S = np.random.default_rng(3).normal(0, 0.02, (T, N))
+    S[2, 1] = 0.0
+    builder = ProblemBuilder()
+    w_idx = builder.add_variables(N)
+    block = reformulate_risk(builder, measure, S, w_idx, beta=BETA)
+    builder.add_cost(block.risk_expr)
+    problem = builder.build()
+
+    G, q, lb = _reference_rows(measure, S)
+    np.testing.assert_array_equal(problem.G, G)
+    np.testing.assert_array_equal(problem.h, np.zeros(G.shape[0]))
+    np.testing.assert_array_equal(problem.q, q)
+    np.testing.assert_array_equal(problem.lb, lb)
+    np.testing.assert_array_equal(problem.ub, np.full(q.size, np.inf))
+    assert problem.A_eq is None and problem.P is None
+
+
+def test_build_writes_blocks_in_order():
+    builder = ProblemBuilder()
+    x = builder.add_variables(3, lb=np.array([0.0, -1.0, -np.inf]), ub=2.0)
+    builder.add_rows(x[[2, 0]], [[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0])
+    builder.add_rows(x[1:], [7.0, 8.0], 9.0)
+    builder.add_rows(x, np.ones(3), 1.0, eq=True)
+    builder.add_cost((x[:2], np.array([1.0, -1.0])), factor=2.0)
+    p = builder.build()
+    np.testing.assert_array_equal(p.G, [[2.0, 0.0, 1.0], [4.0, 0.0, 3.0], [0.0, 7.0, 8.0]])
+    np.testing.assert_array_equal(p.h, [5.0, 6.0, 9.0])
+    np.testing.assert_array_equal(p.A_eq, [[1.0, 1.0, 1.0]])
+    np.testing.assert_array_equal(p.b_eq, [1.0])
+    np.testing.assert_array_equal(p.q, [2.0, -2.0, 0.0])
+    np.testing.assert_array_equal(p.lb, [0.0, -1.0, -np.inf])
+    np.testing.assert_array_equal(p.ub, [2.0, 2.0, 2.0])
