@@ -16,24 +16,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import predict, summary
+from .analytics import frontier_report, predict, summary
+from .base import clone
 from .exceptions import (
     AssetMismatch,
-    DegenerateSplit,
     DimensionMismatch,
     EmptyCv,
-    EmptyIntersection,
-    EmptyPopulation,
-    EmptySeries,
     InfeasibleProblem,
     InvalidConfig,
     MalformedCsv,
     MissingCell,
-    NonMonotonicDates,
-    NonPositivePrice,
+    QuantfolioError,
     SolverFailure,
-    TooFewRows,
-    TooFewSamples,
     UnboundedProblem,
     UnsupportedMeasure,
 )
@@ -46,7 +40,7 @@ from .hierarchical import (
 )
 from .market_data import align, load_prices, prices_to_returns, time_split
 from .mean_risk import MeanRisk, ObjectiveFunction, efficient_frontier
-from .measures import DEFAULT_BETA, RiskMeasure, measure_value
+from .measures import DEFAULT_BETA, RiskMeasure
 from .model_selection import CpcvConfig, WalkForwardConfig, cross_val_predict
 from .priors import BlackLitterman, EmpiricalPrior, FactorModel, ViewSet
 from .svg import line_chart
@@ -56,12 +50,9 @@ EXIT_DATA = 3
 EXIT_SOLVER = 4
 
 _CONFIG_ERRORS = (InvalidConfig, UnsupportedMeasure, AssetMismatch, DimensionMismatch)
-_DATA_ERRORS = (
-    MalformedCsv, NonMonotonicDates, NonPositivePrice, MissingCell, TooFewRows,
-    EmptyIntersection, DegenerateSplit, TooFewSamples, EmptySeries, EmptyCv,
-    EmptyPopulation, FileNotFoundError, IsADirectoryError,
-)
 _SOLVER_ERRORS = (InfeasibleProblem, UnboundedProblem, SolverFailure)
+# every other QuantfolioError is a property of the data
+_DATA_ERRORS = (QuantfolioError, FileNotFoundError, IsADirectoryError)
 
 
 # ---------------------------------------------------------------------------
@@ -429,26 +420,18 @@ def cmd_frontier(cfg: dict, out: Path, threads: int) -> int:
 
     model = _build_model(section, X.assets, cfg.get("constraints"))
     prior_est = model.prior_estimator if model.prior_estimator is not None else EmpiricalPrior()
-    prior = prior_est.fit(X_train, factors=f_train).prior_
+    prior = clone(prior_est).fit(X_train, factors=f_train).prior_
     spec = model._spec(prior)
     points = efficient_frontier(spec, size)
 
+    # variance frontiers report the standard deviation, in return units
     measure = spec.risk_measure
-    rows = []
-    svg_train, svg_test = [], []
-    for idx, point in enumerate(points):
-        row = [float(point.expected_return)]
-        for X_part, bucket in ((X_train, svg_train), (X_test, svg_test)):
-            series = X_part.values @ point.weights
-            realized = float(series.mean())
-            if measure in (RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION):
-                risk = measure_value(series, RiskMeasure.STANDARD_DEVIATION)
-            else:
-                risk = measure_value(series, measure, beta=spec.beta)
-            row.extend([realized, float(risk)])
-            bucket.append((float(risk), realized))
-        row.extend(float(w) for w in point.weights)
-        rows.append(row)
+    if measure is RiskMeasure.VARIANCE:
+        measure = RiskMeasure.STANDARD_DEVIATION
+    report = frontier_report(points, X_train, X_test, risk_measure=measure, beta=spec.beta)
+    train, test = report[0::2], report[1::2]
+    rows = [[point.expected_return, tr["mean"], tr["risk"], te["mean"], te["risk"],
+             *point.weights] for point, tr, te in zip(points, train, test)]
 
     header = ["target_return", "realized_return_train", "risk_train",
               "realized_return_test", "risk_test"] + list(X.assets)
@@ -456,8 +439,8 @@ def cmd_frontier(cfg: dict, out: Path, threads: int) -> int:
     _write_csv(out / names.get("frontier_csv", "frontier.csv"), header, rows)
     chart = line_chart(
         [
-            ("train", [r for r, _ in svg_train], [m for _, m in svg_train]),
-            ("test", [r for r, _ in svg_test], [m for _, m in svg_test]),
+            ("train", [r["risk"] for r in train], [r["mean"] for r in train]),
+            ("test", [r["risk"] for r in test], [r["mean"] for r in test]),
         ],
         title="Efficient frontier",
         x_label="risk", y_label="mean return", markers=True,
@@ -618,12 +601,12 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except _SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except _DATA_ERRORS as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

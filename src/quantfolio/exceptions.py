@@ -103,5 +103,5 @@ class EmptyPopulation(QuantfolioError):
     pass
 
 
-class InvalidConfig(QuantfolioError):
-    pass
+class InvalidConfig(QuantfolioError, ValueError):
+    """A hyper-parameter or config value outside its domain."""

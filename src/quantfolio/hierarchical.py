@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.cluster.hierarchy
 
 from dataclasses import dataclass
 
@@ -44,12 +45,14 @@ class Dendrogram:
 
 
 def linkage_cluster(D: np.ndarray, method: str = "single") -> Dendrogram:
-    """Agglomerative clustering with Lance-Williams updates.
+    """Agglomerative clustering of a distance matrix by scipy's `linkage`.
 
-    Ties are broken by the lowest cluster-id pair (i, then j). At each merge
-    the child with the smaller mean distance to all other leaves is placed
-    first, so the seriation depends only on the distances, never on how the
-    leaves happen to be numbered; that keeps HRP permutation-equivariant.
+    Ward merges on squared distances and reports the square root as the
+    height. Exact ties follow scipy's merge order, which is deterministic but
+    depends on how the leaves are numbered. At each merge the child with the
+    smaller mean distance to all other leaves is placed first, so away from
+    ties the seriation depends only on the distances; that keeps HRP
+    permutation-equivariant.
     """
     if method not in ("single", "average", "ward"):
         raise InvalidConfig(f"unknown linkage method {method!r}")
@@ -60,52 +63,16 @@ def linkage_cluster(D: np.ndarray, method: str = "single") -> Dendrogram:
     if n == 1:
         return Dendrogram(merges=(), leaf_order=(0,))
 
-    # ward operates on squared distances internally
-    dist = {(i, j): (D[i, j] ** 2 if method == "ward" else D[i, j])
-            for i in range(n) for j in range(i + 1, n)}
+    Z = scipy.cluster.hierarchy.linkage(D[np.triu_indices(n, 1)], method=method)
     row_mean = D.sum(axis=1) / (n - 1)  # orientation score, label-free
-    sizes = {i: 1 for i in range(n)}
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    active = list(range(n))
     merges = []
-    next_id = n
-    for _ in range(n - 1):
-        best = None
-        for ai in range(len(active)):
-            for bi in range(ai + 1, len(active)):
-                i, j = active[ai], active[bi]
-                key = (i, j) if i < j else (j, i)
-                d = dist[key]
-                if best is None or d < best[0] - 1e-15 or (
-                    abs(d - best[0]) <= 1e-15 and (i, j) < best[1:]
-                ):
-                    best = (d, i, j)
-        d_best, a, b = best
-        height = float(np.sqrt(d_best)) if method == "ward" else float(d_best)
-        merges.append((a, b, height))
-        new = next_id
-        next_id += 1
-        na, nb = sizes[a], sizes[b]
-        for c in active:
-            if c in (a, b):
-                continue
-            dac = dist[(min(a, c), max(a, c))]
-            dbc = dist[(min(b, c), max(b, c))]
-            if method == "single":
-                dn = min(dac, dbc)
-            elif method == "average":
-                dn = (na * dac + nb * dbc) / (na + nb)
-            else:
-                nc = sizes[c]
-                dn = ((na + nc) * dac + (nb + nc) * dbc - nc * d_best) / (na + nb + nc)
-            dist[(c, new)] = dn
-        active = [c for c in active if c not in (a, b)] + [new]
-        sizes[new] = na + nb
-        ma, mb = members[a], members[b]
-        score_a = float(np.mean(row_mean[ma]))
-        score_b = float(np.mean(row_mean[mb]))
-        members[new] = ma + mb if score_a <= score_b else mb + ma
-    return Dendrogram(merges=tuple(merges), leaf_order=tuple(members[next_id - 1]))
+    for i, (a, b, height, _) in enumerate(Z):
+        a, b = int(a), int(b)
+        merges.append((a, b, float(height)))
+        ma, mb = members.pop(a), members.pop(b)
+        members[n + i] = ma + mb if row_mean[ma].mean() <= row_mean[mb].mean() else mb + ma
+    return Dendrogram(merges=tuple(merges), leaf_order=tuple(members[2 * n - 2]))
 
 
 def cut_clusters(dendrogram: Dendrogram, k: int) -> np.ndarray:
@@ -216,6 +183,8 @@ def nco(
     inter-cluster problem on the cluster return series."""
     from .mean_risk import MeanRisk  # local import to avoid a cycle
 
+    if k != "auto" and (isinstance(k, bool) or not isinstance(k, (int, np.integer))):
+        raise InvalidConfig(f"k must be an integer or 'auto', got {k!r}")
     values = X.values if isinstance(X, ReturnsMatrix) else np.asarray(X, dtype=float)
     n = values.shape[1]
     inner = inner if inner is not None else MeanRisk()

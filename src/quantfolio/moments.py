@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DecompositionFailure, SingularCovariance, TooFewSamples
+from .exceptions import DecompositionFailure, InvalidConfig, SingularCovariance, TooFewSamples
 from .market_data import ReturnsMatrix
 
 
@@ -75,7 +75,7 @@ def ew_moments(R, halflife: float) -> MomentEstimate:
     if T < 2:
         raise TooFewSamples("need T >= 2")
     if halflife <= 0:
-        raise ValueError("halflife must be positive")
+        raise InvalidConfig("halflife must be positive")
     t = np.arange(T, dtype=float)
     lam = np.power(2.0, -(T - 1 - t) / halflife)
     lam /= lam.sum()
@@ -157,7 +157,7 @@ def gerber(R, c: float = 0.5) -> MomentEstimate:
     if T < 2:
         raise TooFewSamples("need T >= 2")
     if c <= 0:
-        raise ValueError("threshold c must be positive")
+        raise InvalidConfig("threshold c must be positive")
     mu = X.mean(axis=0)
     std = X.std(axis=0, ddof=1)
     thresh = c * std

@@ -11,6 +11,7 @@ from .base import BaseEstimator, clone
 from .exceptions import (
     DateMisalignment,
     DimensionMismatch,
+    InvalidConfig,
     SingularSystem,
     TooFewSamples,
 )
@@ -77,9 +78,9 @@ class ViewSet:
             if omega.shape != (P.shape[0],) * 2:
                 raise DimensionMismatch("omega shape does not match view count")
             if P.shape[0] and np.diag(omega).min() <= 0:
-                raise ValueError("omega diagonal entries must be positive")
+                raise InvalidConfig("omega diagonal entries must be positive")
         if self.tau <= 0:
-            raise ValueError("tau must be positive")
+            raise InvalidConfig("tau must be positive")
 
     @property
     def n_views(self) -> int:
@@ -100,9 +101,9 @@ def empirical_prior(
 ) -> Prior:
     """Prior from historical returns; scenarios are the returns themselves."""
     if mean_estimator not in _MEAN_ESTIMATORS:
-        raise ValueError(f"mean_estimator must be one of {_MEAN_ESTIMATORS}")
+        raise InvalidConfig(f"mean_estimator must be one of {_MEAN_ESTIMATORS}")
     if cov_estimator not in _COV_ESTIMATORS:
-        raise ValueError(f"cov_estimator must be one of {_COV_ESTIMATORS}")
+        raise InvalidConfig(f"cov_estimator must be one of {_COV_ESTIMATORS}")
 
     base = moments.sample_moments(R)
     if mean_estimator == "ew" or cov_estimator == "ew":
@@ -144,7 +145,7 @@ def factor_model_prior(X: ReturnsMatrix, F: ReturnsMatrix, ridge_alpha: float = 
     if T < K + 2:
         raise TooFewSamples(f"need T > n_factors + 1, got T={T}, K={K}")
     if ridge_alpha < 0:
-        raise ValueError("ridge_alpha must be >= 0")
+        raise InvalidConfig("ridge_alpha must be >= 0")
 
     f_mean = Fv.mean(axis=0)
     x_mean = Xv.mean(axis=0)

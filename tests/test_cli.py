@@ -292,3 +292,35 @@ def test_stacking_config(tmp_path, short_prices_path):
     assert code == 0
     weights = json.loads((out / "weights.json").read_text())
     assert sum(weights.values()) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.fixture(scope="module")
+def constant_column_path(tmp_path_factory, short_prices_path):
+    """The short price file with AAPL's price frozen at its first value."""
+    lines = Path(short_prices_path).read_text().splitlines()
+    first = lines[1].split(",")[1]
+    rows = [lines[0]] + [",".join([r.split(",")[0], first] + r.split(",")[2:])
+                         for r in lines[1:]]
+    path = tmp_path_factory.mktemp("data") / "constant.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_zero_variance_asset_is_data_error(tmp_path, constant_column_path):
+    cfg = {"data": {"prices": constant_column_path}, "model": {"kind": "hrp"}}
+    code, _ = run(tmp_path, "optimize", cfg)
+    assert code == 3
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "mean_risk", "prior": {"cov_estimator": "bogus"}},
+    {"kind": "mean_risk", "prior": {"cov_estimator": "ew", "halflife": -1}},
+    {"kind": "nco", "k": "three"},
+    {"kind": "mean_risk", "prior": {
+        "kind": "black_litterman", "views": [{"picks": {"AAPL": 1.0}, "value": 0.0002}],
+        "tau": 0}},
+], ids=["cov_estimator", "halflife", "nco_k", "bl_tau"])
+def test_bad_hyper_parameter_is_config_error(tmp_path, short_prices_path, model):
+    cfg = {"data": {"prices": short_prices_path}, "model": model}
+    code, _ = run(tmp_path, "optimize", cfg)
+    assert code == 2
