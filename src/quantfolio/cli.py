@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import frontier_report, predict, summary
-from .base import clone
 from .exceptions import (
     AssetMismatch,
     DimensionMismatch,
@@ -30,6 +29,8 @@ from .exceptions import (
     SolverFailure,
     UnboundedProblem,
     UnsupportedMeasure,
+    require_finite,
+    require_int,
 )
 from .hierarchical import (
     EqualWeighted,
@@ -42,7 +43,7 @@ from .market_data import align, load_prices, prices_to_returns, time_split
 from .mean_risk import MeanRisk, ObjectiveFunction, efficient_frontier
 from .measures import DEFAULT_BETA, RiskMeasure
 from .model_selection import CpcvConfig, WalkForwardConfig, cross_val_predict
-from .priors import BlackLitterman, EmpiricalPrior, FactorModel, ViewSet
+from .priors import BlackLitterman, EmpiricalPrior, FactorModel, ViewSet, fit_prior
 from .svg import line_chart
 
 EXIT_CONFIG = 2
@@ -176,8 +177,8 @@ def load_config(path: str) -> dict:
         _validate_model(cfg["model"], "model")
     for i, sec in enumerate(cfg.get("models", [])):
         _validate_model(sec, f"models[{i}]")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
-        raise InvalidConfig("seed must be an integer")
+    if "seed" in cfg:
+        require_int("seed", cfg["seed"])
     return cfg
 
 
@@ -233,10 +234,11 @@ def _build_prior(section: dict | None, assets: tuple[str, ...]):
                 for name, coef in view["picks"].items():
                     if name not in index:
                         raise AssetMismatch(f"view picks unknown asset {name!r}")
-                    P[i, index[name]] = float(coef)
-                Q[i] = float(view["value"])
-            omega = np.asarray(section["omega"], dtype=float) if "omega" in section else None
-            views = ViewSet(P=P, Q=Q, omega=omega, tau=section.get("tau", 0.05))
+                    require_finite(f"view pick {name!r}", coef)
+                    P[i, index[name]] = coef
+                require_finite("view value", view["value"])
+                Q[i] = view["value"]
+            views = ViewSet(P=P, Q=Q, omega=section.get("omega"), tau=section.get("tau", 0.05))
         return BlackLitterman(views=views,
                               base_estimator=_build_prior(section.get("base"), assets))
     raise InvalidConfig(f"unknown prior kind {kind!r}")
@@ -411,7 +413,8 @@ def cmd_frontier(cfg: dict, out: Path, threads: int) -> int:
     if section.get("kind", "mean_risk") != "mean_risk":
         raise InvalidConfig("frontier requires a mean_risk model")
     size = section.get("frontier_size", 100)
-    if not isinstance(size, int) or size < 1:
+    require_int("frontier_size", size)
+    if size < 1:
         raise InvalidConfig("frontier_size must be an integer >= 1")
 
     X, factors = _load_data(cfg)
@@ -419,9 +422,7 @@ def cmd_frontier(cfg: dict, out: Path, threads: int) -> int:
     X_train, X_test, f_train = _split_rows(X, factors, fraction)
 
     model = _build_model(section, X.assets, cfg.get("constraints"))
-    prior_est = model.prior_estimator if model.prior_estimator is not None else EmpiricalPrior()
-    prior = clone(prior_est).fit(X_train, factors=f_train).prior_
-    spec = model._spec(prior)
+    spec = model._spec(fit_prior(model.prior_estimator, X_train, f_train))
     points = efficient_frontier(spec, size)
 
     # variance frontiers report the standard deviation, in return units

@@ -1,4 +1,6 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the config-value checks."""
+
+import numpy as np
 
 
 class QuantfolioError(Exception):
@@ -105,3 +107,23 @@ class EmptyPopulation(QuantfolioError):
 
 class InvalidConfig(QuantfolioError, ValueError):
     """A hyper-parameter or config value outside its domain."""
+
+
+def require_real(name, value):
+    """Reject anything but real numbers, ±inf allowed (scalars or arrays)."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or np.any(np.isnan(arr)):
+        raise InvalidConfig(f"{name} must be real numbers, got {value!r}")
+    return arr
+
+
+def require_finite(name, value):
+    """Reject anything but finite real numbers (scalars or arrays)."""
+    if not np.all(np.isfinite(require_real(name, value))):
+        raise InvalidConfig(f"{name} must be finite real numbers, got {value!r}")
+
+
+def require_int(name, value):
+    """Reject anything but an integer; a bool or a float such as 2.0 is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")

@@ -8,11 +8,11 @@ import scipy.cluster.hierarchy
 from dataclasses import dataclass
 
 from .base import BaseEstimator, clone
-from .exceptions import EmptyCv, InvalidConfig, ZeroVarianceAsset
+from .exceptions import EmptyCv, InvalidConfig, ZeroVarianceAsset, require_finite, require_int
 from .market_data import ReturnsMatrix
 from .measures import DEFAULT_BETA, RiskMeasure, measure_value
 from .model_selection import CpcvConfig, SplitPlan, cross_val_predict
-from .priors import EmpiricalPrior, Prior, PriorEstimator
+from .priors import Prior, PriorEstimator, fit_prior
 
 
 def corr_distance(sigma: np.ndarray) -> np.ndarray:
@@ -131,6 +131,9 @@ def hrp(
     beta: float = DEFAULT_BETA,
 ) -> np.ndarray:
     """Hierarchical Risk Parity: seriation plus recursive bisection."""
+    require_finite("beta", beta)
+    if not 0 < beta < 1:
+        raise InvalidConfig("beta must lie in (0, 1)")
     n = prior.n_assets
     if n == 1:
         return np.ones(1)
@@ -183,14 +186,14 @@ def nco(
     inter-cluster problem on the cluster return series."""
     from .mean_risk import MeanRisk  # local import to avoid a cycle
 
-    if k != "auto" and (isinstance(k, bool) or not isinstance(k, (int, np.integer))):
-        raise InvalidConfig(f"k must be an integer or 'auto', got {k!r}")
+    if k != "auto":
+        require_int("k (an integer or 'auto')", k)
     values = X.values if isinstance(X, ReturnsMatrix) else np.asarray(X, dtype=float)
     n = values.shape[1]
     inner = inner if inner is not None else MeanRisk()
     outer = outer if outer is not None else MeanRisk()
 
-    prior = EmpiricalPrior().fit(X).prior_
+    prior = fit_prior(None, X)
     if n < 2:
         raise InvalidConfig("NCO needs at least 2 assets")
     D = corr_distance(prior.sigma)
@@ -235,8 +238,7 @@ class _JitteredPrior(PriorEstimator):
         self.jitter = jitter
 
     def fit(self, X, factors=None):
-        base = self.base if self.base is not None else EmpiricalPrior()
-        p = clone(base).fit(X, factors=factors).prior_
+        p = fit_prior(self.base, X, factors)
         self.prior_ = Prior(
             mu=p.mu, sigma=p.sigma + self.jitter * np.eye(p.n_assets),
             scenarios=p.scenarios, assets=p.assets, source=p.source,
@@ -308,8 +310,7 @@ class InverseVolatility(BaseEstimator):
         self.prior_estimator = prior_estimator
 
     def fit(self, X, factors=None):
-        est = self.prior_estimator if self.prior_estimator is not None else EmpiricalPrior()
-        self.prior_ = clone(est).fit(X, factors=factors).prior_
+        self.prior_ = fit_prior(self.prior_estimator, X, factors)
         self.weights_ = inverse_volatility(self.prior_)
         return self
 
@@ -324,8 +325,7 @@ class HierarchicalRiskParity(BaseEstimator):
         self.beta = beta
 
     def fit(self, X, factors=None):
-        est = self.prior_estimator if self.prior_estimator is not None else EmpiricalPrior()
-        self.prior_ = clone(est).fit(X, factors=factors).prior_
+        self.prior_ = fit_prior(self.prior_estimator, X, factors)
         self.weights_ = hrp(self.prior_, risk_measure=self.risk_measure,
                             linkage=self.linkage, beta=self.beta)
         return self

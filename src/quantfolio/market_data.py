@@ -13,11 +13,13 @@ import numpy as np
 from .exceptions import (
     DegenerateSplit,
     EmptyIntersection,
+    InvalidConfig,
     MalformedCsv,
     MissingCell,
     NonMonotonicDates,
     NonPositivePrice,
     TooFewRows,
+    require_finite,
 )
 
 
@@ -184,8 +186,9 @@ def align(prices: PriceFrame, factor_prices: PriceFrame) -> tuple[PriceFrame, Pr
 
 def time_split(X: ReturnsMatrix, test_fraction: float) -> tuple[ReturnsMatrix, ReturnsMatrix]:
     """Chronological train/test split; test = trailing floor(T·fraction) rows, at least 1."""
+    require_finite("test_fraction", test_fraction)
     if not 0 < test_fraction < 1:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+        raise InvalidConfig(f"test_fraction must be in (0, 1), got {test_fraction}")
     T = X.n_periods
     n_test = max(1, int(T * test_fraction))
     n_train = T - n_test

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .analytics import predict  # noqa: F401  (public as quantfolio.mean_risk.predict)
-from .base import BaseEstimator, clone
+from .base import BaseEstimator
 from .exceptions import (
     AssetMismatch,
     DimensionMismatch,
@@ -25,11 +25,13 @@ from .exceptions import (
     SolverFailure,
     UnboundedProblem,
     UnsupportedMeasure,
+    require_finite,
+    require_real,
 )
 from .measures import DEFAULT_BETA, RiskMeasure, measure_value
-from .priors import EmpiricalPrior, Prior
+from .priors import Prior, fit_prior
 from .reformulations import ProblemBuilder, reformulate_risk
-from .solver import SolverSettings, solve
+from .solver import solve
 
 
 class ObjectiveFunction(Enum):
@@ -37,13 +39,6 @@ class ObjectiveFunction(Enum):
     MAXIMIZE_RETURN = "maximize_return"
     MAXIMIZE_UTILITY = "maximize_utility"
     MAXIMIZE_RATIO = "maximize_ratio"
-
-
-def _require_finite(name, value):
-    """Reject anything but finite real numbers (scalars or arrays)."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
-        raise InvalidConfig(f"{name} must be finite real numbers, got {value!r}")
 
 
 @dataclass
@@ -65,14 +60,19 @@ class Constraints:
     risk_caps: list[tuple[RiskMeasure, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        _require_finite("budget", self.budget)
+        require_finite("budget", self.budget)
+        # an infinite bound leaves that side of the box open
+        require_real("lower", self.lower)
+        require_real("upper", self.upper)
+        for name, cap in (self.max_weight_per_asset or {}).items():
+            require_real(f"weight cap of {name!r}", cap)
         if self.min_return is not None:
-            _require_finite("min_return", self.min_return)
+            require_finite("min_return", self.min_return)
         if (self.linear_A is None) != (self.linear_b is None):
             raise InvalidConfig("linear_A and linear_b must be given together")
         if self.linear_A is not None:
-            _require_finite("linear_A", self.linear_A)
-            _require_finite("linear_b", self.linear_b)
+            require_finite("linear_A", self.linear_A)
+            require_finite("linear_b", self.linear_b)
 
     def bounds(self, n: int, assets: tuple[str, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
         lb = np.broadcast_to(np.asarray(self.lower, dtype=float), (n,)).copy()
@@ -107,8 +107,8 @@ class ProblemSpec:
     frontier_size: int | None = None
 
     def __post_init__(self):
-        for name in ("l1_coef", "l2_coef", "risk_aversion"):
-            _require_finite(name, getattr(self, name))
+        for name in ("l1_coef", "l2_coef", "risk_aversion", "beta"):
+            require_finite(name, getattr(self, name))
         if self.l1_coef < 0 or self.l2_coef < 0:
             raise InvalidConfig("regularization coefficients must be >= 0")
         if self.risk_aversion < 0:
@@ -295,11 +295,11 @@ def _assemble(spec: ProblemSpec):
     return builder.build(), w_idx, t
 
 
-def optimize(spec: ProblemSpec, settings: SolverSettings | None = None) -> np.ndarray:
+def optimize(spec: ProblemSpec) -> np.ndarray:
     """Solve the spec's objective; returns weights on the budget hyperplane."""
     # assembled in a helper so that the builder's row blocks are freed before the solve
     problem, w_idx, t = _assemble(spec)
-    res = solve(problem, settings)
+    res = solve(problem)
     _raise_for_status(res, spec)
     if t is None:
         return res.x[w_idx].copy()
@@ -309,9 +309,7 @@ def optimize(spec: ProblemSpec, settings: SolverSettings | None = None) -> np.nd
     return (res.x[w_idx] / t_val).copy()
 
 
-def efficient_frontier(
-    spec: ProblemSpec, size: int, settings: SolverSettings | None = None
-) -> list[FrontierPoint]:
+def efficient_frontier(spec: ProblemSpec, size: int) -> list[FrontierPoint]:
     """Sweep MinimizeRisk over `size` equally spaced return targets."""
     if size < 1:
         raise InvalidConfig("frontier size must be >= 1")
@@ -322,16 +320,16 @@ def efficient_frontier(
         return replace(spec, objective=objective,
                        constraints=replace(c, min_return=min_return))
 
-    w_min = optimize(sub_spec(ObjectiveFunction.MINIMIZE_RISK), settings)
+    w_min = optimize(sub_spec(ObjectiveFunction.MINIMIZE_RISK))
     r_min = float(prior.mu @ w_min)
-    w_max = optimize(sub_spec(ObjectiveFunction.MAXIMIZE_RETURN), settings)
+    w_max = optimize(sub_spec(ObjectiveFunction.MAXIMIZE_RETURN))
     r_max = float(prior.mu @ w_max)
 
     targets = np.linspace(r_min, r_max, size) if size > 1 else np.array([r_min])
     points: list[FrontierPoint] = []
     for target in targets:
         try:
-            w = optimize(sub_spec(ObjectiveFunction.MINIMIZE_RISK, float(target)), settings)
+            w = optimize(sub_spec(ObjectiveFunction.MINIMIZE_RISK, float(target)))
         except (InfeasibleProblem, SolverFailure) as exc:
             warnings.warn(f"frontier point at target {target:.6g} dropped: {exc}",
                           stacklevel=2)
@@ -406,7 +404,6 @@ class MeanRisk(BaseEstimator):
         )
 
     def fit(self, X, factors=None):
-        est = self.prior_estimator if self.prior_estimator is not None else EmpiricalPrior()
-        self.prior_ = clone(est).fit(X, factors=factors).prior_
+        self.prior_ = fit_prior(self.prior_estimator, X, factors)
         self.weights_ = optimize(self._spec(self.prior_))
         return self

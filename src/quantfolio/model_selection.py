@@ -18,7 +18,7 @@ import numpy as np
 
 from .analytics import MultiPeriodPortfolio
 from .base import clone
-from .exceptions import EmptyCv, InvalidConfig
+from .exceptions import EmptyCv, InvalidConfig, require_finite, require_int
 from .market_data import ReturnsMatrix
 
 
@@ -88,6 +88,8 @@ def _from_ranges(ranges) -> np.ndarray:
 
 def walk_forward(T: int, train_size: int, test_size: int, expanding: bool = False) -> SplitPlan:
     """Rolling (or expanding) chronological splits; only full test windows count."""
+    require_int("train_size", train_size)
+    require_int("test_size", test_size)
     if train_size < 1 or test_size < 1:
         raise InvalidConfig("train_size and test_size must be >= 1")
     if T < train_size + test_size:
@@ -120,6 +122,9 @@ class CpcvConfig:
     embargo_fraction: float = 0.01
 
     def __post_init__(self):
+        for name in ("k", "p", "purge_horizon"):
+            require_int(name, getattr(self, name))
+        require_finite("embargo_fraction", self.embargo_fraction)
         if self.k < 2:
             raise InvalidConfig("k must be >= 2")
         if not 1 <= self.p < self.k:

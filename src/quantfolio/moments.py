@@ -6,7 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DecompositionFailure, InvalidConfig, SingularCovariance, TooFewSamples
+from .exceptions import (
+    DecompositionFailure,
+    InvalidConfig,
+    SingularCovariance,
+    TooFewSamples,
+    require_finite,
+    require_int,
+)
 from .market_data import ReturnsMatrix
 
 
@@ -74,6 +81,7 @@ def ew_moments(R, halflife: float) -> MomentEstimate:
     T, _ = X.shape
     if T < 2:
         raise TooFewSamples("need T >= 2")
+    require_finite("halflife", halflife)
     if halflife <= 0:
         raise InvalidConfig("halflife must be positive")
     t = np.arange(T, dtype=float)
@@ -156,6 +164,7 @@ def gerber(R, c: float = 0.5) -> MomentEstimate:
     T, N = X.shape
     if T < 2:
         raise TooFewSamples("need T >= 2")
+    require_finite("threshold c", c)
     if c <= 0:
         raise InvalidConfig("threshold c must be positive")
     mu = X.mean(axis=0)
@@ -185,6 +194,7 @@ def denoise_rmt(est: MomentEstimate, passes: int = 2) -> MomentEstimate:
     the final cutoff are replaced by their average; the diagonal is restored,
     so the covariance trace is preserved.
     """
+    require_int("passes", passes)
     sigma = est.sigma
     N = sigma.shape[0]
     T = est.sample_size

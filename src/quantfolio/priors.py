@@ -14,6 +14,7 @@ from .exceptions import (
     InvalidConfig,
     SingularSystem,
     TooFewSamples,
+    require_finite,
 )
 from .market_data import ReturnsMatrix
 from .moments import MomentEstimate
@@ -71,6 +72,7 @@ class ViewSet:
         if P.shape[0] != Q.size:
             raise DimensionMismatch(f"{P.shape[0]} pick rows vs {Q.size} view values")
         if self.omega is not None:
+            require_finite("omega", self.omega)
             omega = np.asarray(self.omega, dtype=float)
             if omega.ndim == 1:
                 omega = np.diag(omega)
@@ -79,6 +81,7 @@ class ViewSet:
                 raise DimensionMismatch("omega shape does not match view count")
             if P.shape[0] and np.diag(omega).min() <= 0:
                 raise InvalidConfig("omega diagonal entries must be positive")
+        require_finite("tau", self.tau)
         if self.tau <= 0:
             raise InvalidConfig("tau must be positive")
 
@@ -144,6 +147,7 @@ def factor_model_prior(X: ReturnsMatrix, F: ReturnsMatrix, ridge_alpha: float = 
     T, K = Fv.shape
     if T < K + 2:
         raise TooFewSamples(f"need T > n_factors + 1, got T={T}, K={K}")
+    require_finite("ridge_alpha", ridge_alpha)
     if ridge_alpha < 0:
         raise InvalidConfig("ridge_alpha must be >= 0")
 
@@ -241,8 +245,13 @@ class BlackLitterman(PriorEstimator):
         self.base_estimator = base_estimator
 
     def fit(self, X, factors=None):
-        base_est = self.base_estimator if self.base_estimator is not None else EmpiricalPrior()
-        base = clone(base_est).fit(X, factors=factors).prior_
+        base = fit_prior(self.base_estimator, X, factors)
         views = self.views if self.views is not None else ViewSet(P=np.zeros((0, base.n_assets)), Q=np.zeros(0))
         self.prior_ = black_litterman_prior(base, views)
         return self
+
+
+def fit_prior(estimator: PriorEstimator | None, X, factors=None) -> Prior:
+    """Prior of an unfitted copy of `estimator` (EmpiricalPrior() when None) fitted on X."""
+    est = EmpiricalPrior() if estimator is None else clone(estimator)
+    return est.fit(X, factors=factors).prior_

@@ -19,22 +19,18 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-
-@dataclass
-class SolverSettings:
-    eps_abs: float = 1e-8
-    eps_rel: float = 1e-8
-    eps_infeas: float = 1e-9
-    max_iterations: int = 20000
-    rho: float = 0.1
-    sigma: float = 1e-6
-    alpha: float = 1.6
-    check_interval: int = 25
-    adaptive_rho: bool = True
-    scaling_iterations: int = 10
-    polish: bool = True
-    polish_refine_steps: int = 8
-    polish_interval: int = 500  # attempt polish every this many iterations
+# Fixed solver constants, read at call time.
+EPS_ABS = 1e-8
+EPS_REL = 1e-8
+EPS_INFEAS = 1e-9
+MAX_ITERATIONS = 20000
+RHO = 0.1
+SIGMA = 1e-6
+ALPHA = 1.6
+CHECK_INTERVAL = 25
+SCALING_ITERATIONS = 10
+POLISH_REFINE_STEPS = 8
+POLISH_INTERVAL = 500  # attempt polish every this many iterations
 
 
 @dataclass
@@ -104,14 +100,14 @@ def _stack_problem(problem: QpProblem):
     return P, q, A, l, u
 
 
-def _ruiz_equilibrate(P, q, A, settings):
+def _ruiz_equilibrate(P, q, A):
     """Scale P, q, A so row/column infinity norms approach 1."""
     n = P.shape[0]
     m = A.shape[0]
     D = np.ones(n)
     E = np.ones(m)
     c = 1.0
-    for _ in range(settings.scaling_iterations):
+    for _ in range(SCALING_ITERATIONS):
         col_norms = np.maximum(
             np.abs(P).max(axis=0, initial=0.0), np.abs(A).max(axis=0, initial=0.0)
         )
@@ -133,9 +129,9 @@ def _ruiz_equilibrate(P, q, A, settings):
     return P, q, A, D, E, c
 
 
-def _factor_reduced(P, A, rho_vec, sigma):
+def _factor_reduced(P, A, rho_vec):
     """Factor P + σI + Aᵀ diag(ρ) A (SPD thanks to the σ shift)."""
-    M = P + sigma * np.eye(P.shape[0]) + (A.T * rho_vec) @ A
+    M = P + SIGMA * np.eye(P.shape[0]) + (A.T * rho_vec) @ A
     try:
         return ("cho", scipy.linalg.cho_factor(M, lower=True))
     except scipy.linalg.LinAlgError:
@@ -149,31 +145,26 @@ def _reduced_solve(factor, rhs):
     return scipy.linalg.lu_solve(data, rhs)
 
 
-def solve(problem: QpProblem, settings: SolverSettings | None = None) -> SolveResult:
+def solve(problem: QpProblem) -> SolveResult:
     """Solve a QP/LP; non-optimal outcomes are returned in-band via `status`."""
-    settings = settings or SolverSettings()
     P0, q0, A0, l, u = _stack_problem(problem)
     n = P0.shape[0]
     m = A0.shape[0]
 
-    if m == 0:
-        return _solve_unconstrained(P0, q0, settings)
-
-    P, q, A, D, E, c = _ruiz_equilibrate(P0.copy(), q0.copy(), A0.copy(), settings)
+    P, q, A, D, E, c = _ruiz_equilibrate(P0.copy(), q0.copy(), A0.copy())
     ls = l * E
     us = u * E
 
     eq_mask = np.isfinite(ls) & np.isfinite(us) & (np.abs(us - ls) < 1e-14)
-    rho_bar = settings.rho
+    rho_bar = RHO
     rho_vec = np.where(eq_mask, 1e3 * rho_bar, rho_bar)
-    factor = _factor_reduced(P, A, rho_vec, settings.sigma)
+    factor = _factor_reduced(P, A, rho_vec)
 
     x = np.zeros(n)
     z = np.zeros(m)
     y = np.zeros(m)
-    alpha = settings.alpha
     status = "MaxIterations"
-    iterations = settings.max_iterations
+    iterations = MAX_ITERATIONS
     r_prim = r_dual = np.inf
     xu = np.zeros(n)
     yu = np.zeros(m)
@@ -182,24 +173,23 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> SolveRe
     # stall breaker: degenerate LP tails crawl at a too-small rho while the
     # residual ratio looks balanced, so the ratio rule never fires; escalate
     # the penalty outright at fixed checkpoints if still unconverged
-    ci = settings.check_interval
     escalation_points = {
-        -(-(settings.max_iterations // f) // ci) * ci for f in (10, 4, 2)
+        -(-(MAX_ITERATIONS // f) // CHECK_INTERVAL) * CHECK_INTERVAL for f in (10, 4, 2)
     }
 
-    for k in range(1, settings.max_iterations + 1):
-        rhs = settings.sigma * x - q + A.T @ (rho_vec * z - y)
+    for k in range(1, MAX_ITERATIONS + 1):
+        rhs = SIGMA * x - q + A.T @ (rho_vec * z - y)
         x_tilde = _reduced_solve(factor, rhs)
         z_tilde = A @ x_tilde
         x_prev = x
         y_prev = y
-        x = alpha * x_tilde + (1.0 - alpha) * x_prev
-        z_relaxed = alpha * z_tilde + (1.0 - alpha) * z
+        x = ALPHA * x_tilde + (1.0 - ALPHA) * x_prev
+        z_relaxed = ALPHA * z_tilde + (1.0 - ALPHA) * z
         z_new = np.clip(z_relaxed + y / rho_vec, ls, us)
         y = y + rho_vec * (z_relaxed - z_new)
         z = z_new
 
-        if k % settings.check_interval == 0 or k == settings.max_iterations:
+        if k % CHECK_INTERVAL == 0 or k == MAX_ITERATIONS:
             # unscaled iterates
             xu = D * x
             zu = z / E
@@ -209,10 +199,10 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> SolveRe
             ATy = A0.T @ yu
             r_prim = np.abs(Ax - zu).max(initial=0.0)
             r_dual = np.abs(Px + q0 + ATy).max(initial=0.0)
-            eps_prim = settings.eps_abs + settings.eps_rel * max(
+            eps_prim = EPS_ABS + EPS_REL * max(
                 np.abs(Ax).max(initial=0.0), np.abs(zu).max(initial=0.0)
             )
-            eps_dual = settings.eps_abs + settings.eps_rel * max(
+            eps_dual = EPS_ABS + EPS_REL * max(
                 np.abs(Px).max(initial=0.0),
                 np.abs(ATy).max(initial=0.0),
                 np.abs(q0).max(initial=0.0),
@@ -223,8 +213,8 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> SolveRe
                 break
 
             # periodic active-set polish as an early exit
-            if settings.polish and k % settings.polish_interval == 0:
-                polished = _polish(P0, q0, A0, l, u, xu, yu, r_prim, r_dual, settings)
+            if k % POLISH_INTERVAL == 0:
+                polished = _polish(P0, q0, A0, l, u, xu, yu, r_prim, r_dual)
                 if polished is not None and polished[2] <= eps_prim and polished[3] <= eps_dual:
                     status = "Optimal"
                     iterations = k
@@ -232,30 +222,25 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> SolveRe
                     break
 
             dy = (y - y_prev) * E / c
-            if _primal_infeasible(A0, l, u, dy, settings.eps_infeas):
+            if _primal_infeasible(A0, l, u, dy, EPS_INFEAS):
                 status = "Infeasible"
                 iterations = k
                 break
             dx = D * (x - x_prev)
-            if _dual_infeasible(P0, q0, A0, l, u, dx, settings.eps_infeas):
+            if _dual_infeasible(P0, q0, A0, l, u, dx, EPS_INFEAS):
                 status = "Unbounded"
                 iterations = k
                 break
 
-            if settings.adaptive_rho and k in escalation_points:
+            if k in escalation_points:
                 rho_bar = float(min(rho_bar * 10.0, 1e6))
                 rho_vec = np.where(eq_mask, 1e3 * rho_bar, rho_bar)
-                factor = _factor_reduced(P, A, rho_vec, settings.sigma)
+                factor = _factor_reduced(P, A, rho_vec)
                 continue
 
             # penalty adaptation: rebalance rho when the scaled residual
             # ratio drifts; capped update count keeps runs deterministic
-            if (
-                settings.adaptive_rho
-                and rho_updates < 30
-                and k % (settings.check_interval * 4) == 0
-                and k < settings.max_iterations
-            ):
+            if rho_updates < 30 and k % (CHECK_INTERVAL * 4) == 0 and k < MAX_ITERATIONS:
                 prim_scale = max(np.abs(Ax).max(initial=0.0), np.abs(zu).max(initial=0.0), 1e-12)
                 dual_scale = max(
                     np.abs(Px).max(initial=0.0),
@@ -267,13 +252,13 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> SolveRe
                 if ratio > 5.0 or ratio < 0.2:
                     rho_bar = float(np.clip(rho_bar * ratio, 1e-6, 1e6))
                     rho_vec = np.where(eq_mask, 1e3 * rho_bar, rho_bar)
-                    factor = _factor_reduced(P, A, rho_vec, settings.sigma)
+                    factor = _factor_reduced(P, A, rho_vec)
                     rho_updates += 1
 
     if polish_result is not None:
         xu, yu, r_prim, r_dual = polish_result
-    elif status == "Optimal" and settings.polish:
-        polished = _polish(P0, q0, A0, l, u, xu, yu, r_prim, r_dual, settings)
+    elif status == "Optimal":
+        polished = _polish(P0, q0, A0, l, u, xu, yu, r_prim, r_dual)
         if polished is not None:
             xu, yu, r_prim, r_dual = polished
 
@@ -289,36 +274,6 @@ def solve(problem: QpProblem, settings: SolverSettings | None = None) -> SolveRe
         primal_residual=float(r_prim),
         dual_residual=float(r_dual),
         y=yu,
-    )
-
-
-def _solve_unconstrained(P, q, settings):
-    vals = np.linalg.eigvalsh(P) if P.size else np.array([0.0])
-    if P.size and vals.min() > 1e-12:
-        x = np.linalg.solve(P, -q)
-        return SolveResult(
-            x=x,
-            objective=float(0.5 * x @ P @ x + q @ x),
-            status="Optimal",
-            iterations=0,
-            primal_residual=0.0,
-            dual_residual=float(np.abs(P @ x + q).max(initial=0.0)),
-            y=np.zeros(0),
-        )
-    x, *_ = np.linalg.lstsq(P, -q, rcond=None)
-    if np.abs(P @ x + q).max(initial=0.0) <= settings.eps_abs * 10 + 1e-12:
-        return SolveResult(
-            x=x,
-            objective=float(0.5 * x @ P @ x + q @ x),
-            status="Optimal",
-            iterations=0,
-            primal_residual=0.0,
-            dual_residual=float(np.abs(P @ x + q).max(initial=0.0)),
-            y=np.zeros(0),
-        )
-    return SolveResult(
-        x=x, objective=float("nan"), status="Unbounded", iterations=0,
-        primal_residual=0.0, dual_residual=np.inf, y=np.zeros(0),
     )
 
 
@@ -411,7 +366,7 @@ def _dual_fit(P, q, A, xv, eq_mask, act_low, act_up):
     return y, rd
 
 
-def _polish_step(P, q, A, l, u, eq_mask, low, up, settings):
+def _polish_step(P, q, A, l, u, eq_mask, low, up):
     """Equality-solve the KKT system on a candidate active set."""
     n = P.shape[0]
     m = A.shape[0]
@@ -439,7 +394,7 @@ def _polish_step(P, q, A, l, u, eq_mask, low, up, settings):
     K0[:n, :n] -= delta * np.eye(n)
     if k:
         K0[n:, n:] += delta * np.eye(k)
-    for _ in range(settings.polish_refine_steps):
+    for _ in range(POLISH_REFINE_STEPS):
         sol = sol + scipy.linalg.lu_solve(lu, rhs - K0 @ sol)
     x_new = sol[:n]
     y_new = np.zeros(m)
@@ -450,7 +405,7 @@ def _polish_step(P, q, A, l, u, eq_mask, low, up, settings):
     return x_new, y_new
 
 
-def _polish(P, q, A, l, u, x, y, rp, rd, settings):
+def _polish(P, q, A, l, u, x, y, rp, rd):
     """Active-set polish: re-solve on a candidate active set and certify it.
 
     The first candidate set is read off the ADMM duals; later rounds re-detect
@@ -490,7 +445,7 @@ def _polish(P, q, A, l, u, x, y, rp, rd, settings):
                         dtype=int)
         sel = np.zeros(m, dtype=bool)
         sel[kept] = True
-        step = _polish_step(P, q, A, l, u, eq_mask, act_low & sel, act_up & sel, settings)
+        step = _polish_step(P, q, A, l, u, eq_mask, act_low & sel, act_up & sel)
         if step is None:
             continue
         x_new, _ = step

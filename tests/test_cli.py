@@ -319,8 +319,36 @@ def test_zero_variance_asset_is_data_error(tmp_path, constant_column_path):
     {"kind": "mean_risk", "prior": {
         "kind": "black_litterman", "views": [{"picks": {"AAPL": 1.0}, "value": 0.0002}],
         "tau": 0}},
-], ids=["cov_estimator", "halflife", "nco_k", "bl_tau"])
+    {"kind": "hrp", "risk_measure": "cvar", "beta": 1.5},
+], ids=["cov_estimator", "halflife", "nco_k", "bl_tau", "hrp_beta"])
 def test_bad_hyper_parameter_is_config_error(tmp_path, short_prices_path, model):
     cfg = {"data": {"prices": short_prices_path}, "model": model}
     code, _ = run(tmp_path, "optimize", cfg)
+    assert code == 2
+
+
+VIEWS = [{"picks": {"AAPL": 1.0}, "value": 0.0002}]
+
+
+@pytest.mark.parametrize("command, patch", [
+    ("optimize", {"model": {"kind": "mean_risk",
+                            "prior": {"cov_estimator": "ew", "halflife": "x"}}}),
+    ("optimize", {"model": {"kind": "mean_risk",
+                            "prior": {"cov_estimator": "gerber", "gerber_c": "x"}}}),
+    ("optimize", {"model": {"kind": "mean_risk",
+                            "prior": {"cov_estimator": "denoised", "rmt_passes": "x"}}}),
+    ("optimize", {"model": {"kind": "mean_risk", "prior": {
+        "kind": "black_litterman", "views": VIEWS, "tau": "x"}}}),
+    ("optimize", {"data": {"test_fraction": "x"}}),
+    ("backtest", {"cv": {"kind": "walk_forward", "train_size": "60", "test_size": 20}}),
+    ("backtest", {"cv": {"kind": "cpcv", "k": "8"}}),
+    ("backtest", {"cv": {"kind": "cpcv", "embargo_fraction": "x"}}),
+    ("optimize", {"constraints": {"max_weights": "x"}}),
+], ids=["halflife", "gerber_c", "rmt_passes", "bl_tau", "test_fraction",
+        "walk_forward_train_size", "cpcv_k", "cpcv_embargo_fraction", "max_weights"])
+def test_quoted_number_is_config_error(tmp_path, short_prices_path, command, patch):
+    cfg = {"data": {"prices": short_prices_path, **patch.get("data", {})},
+           "model": {"kind": "mean_risk"}}
+    cfg.update({k: v for k, v in patch.items() if k != "data"})
+    code, _ = run(tmp_path, command, cfg)
     assert code == 2

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from quantfolio.solver import QpProblem, SolverSettings, solve
+import quantfolio.solver
+from quantfolio.solver import QpProblem, solve
 
 from conftest import random_psd
 
@@ -99,12 +100,32 @@ def test_polish_reaches_tight_residuals(rng):
     assert res.dual_residual < 1e-8
 
 
-def test_settings_respected():
-    settings = SolverSettings(max_iterations=1, polish=False, adaptive_rho=False)
+def test_iteration_cap(monkeypatch):
+    monkeypatch.setattr(quantfolio.solver, "MAX_ITERATIONS", 1)
     res = solve(QpProblem(
         q=np.array([-1.0, -2.0]), P=np.eye(2),
         A_eq=np.ones((1, 2)), b_eq=np.array([1.0]),
         lb=np.zeros(2), ub=np.ones(2),
-    ), settings)
+    ))
     assert res.status == "MaxIterations"
-    assert res.iterations <= 1 + settings.check_interval
+    assert res.iterations == 1
+
+
+# Problems without a single constraint row go through the same ADMM loop;
+# the expected outcomes are those of the former closed-form path
+# (eigenvalue test, then a least-squares stationarity check).
+@pytest.mark.parametrize("P, q, status, x", [
+    # singular P, q in its range: the minimum-norm stationary point
+    (np.diag([1.0, 0.0, 4.0]), [-1.0, 0.0, 2.0], "Optimal", [1.0, 0.0, -0.5]),
+    # singular P, q outside its range
+    (np.diag([1.0, 0.0]), [-1.0, -1.0], "Unbounded", None),
+    # linear objective only
+    (None, [-1.0, 0.5], "Unbounded", None),
+    # all-zero objective
+    (np.zeros((3, 3)), [0.0, 0.0, 0.0], "Optimal", [0.0, 0.0, 0.0]),
+], ids=["singular_consistent", "singular_inconsistent", "linear_only", "all_zero"])
+def test_problem_without_rows(P, q, status, x):
+    res = solve(QpProblem(q=np.array(q), P=P))
+    assert res.status == status
+    if x is not None:
+        np.testing.assert_allclose(res.x, x, atol=1e-8)
