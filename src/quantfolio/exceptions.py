@@ -127,3 +127,9 @@ def require_int(name, value):
     """Reject anything but an integer; a bool or a float such as 2.0 is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+
+
+def require_bool(name, value):
+    """Reject anything but a boolean; the string "false" is not one."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidConfig(f"{name} must be true or false, got {value!r}")

@@ -10,6 +10,7 @@ the same constraint rows.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -64,6 +65,10 @@ class Constraints:
         # an infinite bound leaves that side of the box open
         require_real("lower", self.lower)
         require_real("upper", self.upper)
+        if self.max_weight_per_asset is not None and not isinstance(
+                self.max_weight_per_asset, Mapping):
+            raise InvalidConfig("max_weight_per_asset must map asset names to caps, "
+                                f"got {self.max_weight_per_asset!r}")
         for name, cap in (self.max_weight_per_asset or {}).items():
             require_real(f"weight cap of {name!r}", cap)
         if self.min_return is not None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analytics import MultiPeriodPortfolio
 from .base import clone
-from .exceptions import EmptyCv, InvalidConfig, require_finite, require_int
+from .exceptions import EmptyCv, InvalidConfig, require_bool, require_finite, require_int
 from .market_data import ReturnsMatrix
 
 
@@ -90,6 +90,7 @@ def walk_forward(T: int, train_size: int, test_size: int, expanding: bool = Fals
     """Rolling (or expanding) chronological splits; only full test windows count."""
     require_int("train_size", train_size)
     require_int("test_size", test_size)
+    require_bool("expanding", expanding)
     if train_size < 1 or test_size < 1:
         raise InvalidConfig("train_size and test_size must be >= 1")
     if T < train_size + test_size:

@@ -7,8 +7,12 @@ Problems are solved in the form
 
 with Ruiz equilibration, a reduced (normal-equations) linear system per
 iteration, and a periodic active-set polish that finishes the solve to
-near machine precision once the iterate is moderately accurate. Everything
-is dense and sequential, so results are bit-deterministic for fixed inputs.
+near machine precision once the iterate is moderately accurate. The
+matrix-vector products of the iterations and of the convergence and
+infeasibility checks run on CSR copies of the constraint matrix, built once
+per solve; scaling, the factorization and polish work on dense arrays.
+Everything runs sequentially, so results are bit-deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 # Fixed solver constants, read at call time.
 EPS_ABS = 1e-8
@@ -141,8 +146,10 @@ def _factor_reduced(P, A, rho_vec):
 def _reduced_solve(factor, rhs):
     kind, data = factor
     if kind == "cho":
-        return scipy.linalg.cho_solve(data, rhs)
-    return scipy.linalg.lu_solve(data, rhs)
+        # the LAPACK call inside cho_solve, without its per-call input checks
+        x, _ = scipy.linalg.lapack.dpotrs(data[0], rhs, lower=1)
+        return x
+    return scipy.linalg.lu_solve(data, rhs, check_finite=False)
 
 
 def solve(problem: QpProblem) -> SolveResult:
@@ -159,6 +166,10 @@ def solve(problem: QpProblem) -> SolveResult:
     rho_bar = RHO
     rho_vec = np.where(eq_mask, 1e3 * rho_bar, rho_bar)
     factor = _factor_reduced(P, A, rho_vec)
+    A_csr = scipy.sparse.csr_array(A)
+    AT_csr = A_csr.T.tocsr()
+    A0_csr = scipy.sparse.csr_array(A0)
+    A0T_csr = A0_csr.T.tocsr()
 
     x = np.zeros(n)
     z = np.zeros(m)
@@ -178,14 +189,14 @@ def solve(problem: QpProblem) -> SolveResult:
     }
 
     for k in range(1, MAX_ITERATIONS + 1):
-        rhs = SIGMA * x - q + A.T @ (rho_vec * z - y)
+        rhs = SIGMA * x - q + AT_csr @ (rho_vec * z - y)
         x_tilde = _reduced_solve(factor, rhs)
-        z_tilde = A @ x_tilde
+        z_tilde = A_csr @ x_tilde
         x_prev = x
         y_prev = y
         x = ALPHA * x_tilde + (1.0 - ALPHA) * x_prev
         z_relaxed = ALPHA * z_tilde + (1.0 - ALPHA) * z
-        z_new = np.clip(z_relaxed + y / rho_vec, ls, us)
+        z_new = np.minimum(np.maximum(z_relaxed + y / rho_vec, ls), us)
         y = y + rho_vec * (z_relaxed - z_new)
         z = z_new
 
@@ -194,9 +205,9 @@ def solve(problem: QpProblem) -> SolveResult:
             xu = D * x
             zu = z / E
             yu = (E * y) / c
-            Ax = A0 @ xu
+            Ax = A0_csr @ xu
             Px = P0 @ xu
-            ATy = A0.T @ yu
+            ATy = A0T_csr @ yu
             r_prim = np.abs(Ax - zu).max(initial=0.0)
             r_dual = np.abs(Px + q0 + ATy).max(initial=0.0)
             eps_prim = EPS_ABS + EPS_REL * max(
@@ -222,12 +233,12 @@ def solve(problem: QpProblem) -> SolveResult:
                     break
 
             dy = (y - y_prev) * E / c
-            if _primal_infeasible(A0, l, u, dy, EPS_INFEAS):
+            if _primal_infeasible(A0T_csr, l, u, dy, EPS_INFEAS):
                 status = "Infeasible"
                 iterations = k
                 break
             dx = D * (x - x_prev)
-            if _dual_infeasible(P0, q0, A0, l, u, dx, EPS_INFEAS):
+            if _dual_infeasible(P0, q0, A0_csr, l, u, dx, EPS_INFEAS):
                 status = "Unbounded"
                 iterations = k
                 break
@@ -277,12 +288,13 @@ def solve(problem: QpProblem) -> SolveResult:
     )
 
 
-def _primal_infeasible(A, l, u, dy, eps):
+def _primal_infeasible(AT, l, u, dy, eps):
+    """AT is the transposed constraint matrix."""
     norm = np.abs(dy).max(initial=0.0)
     if norm <= 1e-14:
         return False
     d = dy / norm
-    if np.abs(A.T @ d).max(initial=0.0) > eps:
+    if np.abs(AT @ d).max(initial=0.0) > eps:
         return False
     pos = np.clip(d, 0.0, None)
     neg = np.clip(d, None, 0.0)
@@ -316,21 +328,30 @@ def _primal_violation(A, l, u, xv):
 
 
 def _select_independent(rows, tol=1e-8):
-    """Greedy modified Gram-Schmidt; keeps a maximal independent row subset."""
-    basis: list[np.ndarray] = []
+    """Indices of a maximal independent subset of the rows of a 2-D array.
+
+    Greedy in row order: a row is kept when its component orthogonal to the
+    rows kept before it has norm above `tol` (relative to the row's norm).
+    """
+    n = rows.shape[1]
+    basis = np.empty((n, n))  # orthonormal basis of the kept rows, in its first k rows
+    k = 0
     keep = []
     for i, r in enumerate(rows):
         nr = np.linalg.norm(r)
         if nr <= 1e-14:
             continue
         v = r / nr
+        B = basis[:k]
         for _ in range(2):  # reorthogonalize for stability
-            for b in basis:
-                v = v - (v @ b) * b
+            v = v - B.T @ (B @ v)
         nv = np.linalg.norm(v)
         if nv > tol:
-            basis.append(v / nv)
+            basis[k] = v / nv
             keep.append(i)
+            k += 1
+            if k == n:  # the kept rows span the space: no later row is independent
+                break
     return keep
 
 
@@ -439,8 +460,7 @@ def _polish(P, q, A, l, u, x, y, rp, rd):
         # in descending dual magnitude, so strong-dual rows win the basis
         idx_act = np.flatnonzero(act_low | act_up)
         idx_act = idx_act[np.argsort(-np.abs(y[idx_act]), kind="stable")]
-        rows = [A[i] for i in idx_eq] + [A[i] for i in idx_act]
-        keep = _select_independent(rows)
+        keep = _select_independent(A[np.concatenate([idx_eq, idx_act])])
         kept = np.array([idx_act[j - idx_eq.size] for j in keep if j >= idx_eq.size],
                         dtype=int)
         sel = np.zeros(m, dtype=bool)

@@ -352,3 +352,15 @@ def test_quoted_number_is_config_error(tmp_path, short_prices_path, command, pat
     cfg.update({k: v for k, v in patch.items() if k != "data"})
     code, _ = run(tmp_path, command, cfg)
     assert code == 2
+
+
+@pytest.mark.parametrize("command, patch", [
+    ("backtest", {"cv": {"kind": "walk_forward", "train_size": 60, "test_size": 20,
+                         "expanding": "false"}}),
+    ("optimize", {"constraints": {"max_weight_per_asset": [0.1]}}),
+], ids=["walk_forward_expanding", "max_weight_per_asset"])
+def test_wrong_json_type_is_config_error(tmp_path, short_prices_path, command, patch):
+    # a quoted boolean must not pass on its truth value, nor a list for an object
+    cfg = {"data": {"prices": short_prices_path}, "model": {"kind": "mean_risk"}, **patch}
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2

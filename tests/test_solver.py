@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import quantfolio.solver
-from quantfolio.solver import QpProblem, solve
+from quantfolio.mean_risk import ObjectiveFunction, ProblemSpec, _assemble
+from quantfolio.measures import RiskMeasure
+from quantfolio.priors import Prior
+from quantfolio.solver import QpProblem, _select_independent, solve
 
 from conftest import random_psd
 
@@ -129,3 +132,65 @@ def test_problem_without_rows(P, q, status, x):
     assert res.status == status
     if x is not None:
         np.testing.assert_allclose(res.x, x, atol=1e-8)
+
+
+def _select_independent_loop(rows, tol=1e-8):
+    """Reference: the row-by-row modified Gram-Schmidt the vectorised version replaced."""
+    basis: list[np.ndarray] = []
+    keep = []
+    for i, r in enumerate(rows):
+        nr = np.linalg.norm(r)
+        if nr <= 1e-14:
+            continue
+        v = r / nr
+        for _ in range(2):  # reorthogonalize for stability
+            for b in basis:
+                v = v - (v @ b) * b
+        nv = np.linalg.norm(v)
+        if nv > tol:
+            basis.append(v / nv)
+            keep.append(i)
+    return keep
+
+
+def _candidate_rows(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    r = int(rng.integers(1, 3 * n))
+    if kind == "random":
+        return rng.normal(size=(r, n))
+    if kind == "rank_deficient":
+        rank = int(rng.integers(1, n))
+        return rng.normal(size=(r, rank)) @ rng.normal(size=(rank, n))
+    if kind == "duplicated":
+        base = rng.normal(size=(max(r // 2, 1), n))
+        rows = base[rng.integers(0, base.shape[0], r)]
+        rows[rng.random(r) < 0.2] = 0.0
+        return rows
+    # signed unit rows, as box and budget rows of the drawdown LPs look
+    return np.eye(n)[rng.integers(0, n, r)] * rng.choice([-1.0, 1.0], (r, 1))
+
+
+@pytest.mark.parametrize("kind", ["random", "rank_deficient", "duplicated", "signed_unit"])
+def test_select_independent_matches_loop(kind):
+    for seed in range(100):
+        rows = _candidate_rows(kind, seed)
+        assert _select_independent(rows) == _select_independent_loop(rows), seed
+
+
+def test_select_independent_skips_repeated_row():
+    # e1, e1, e2, e3: the repeat is dropped and the later independent rows kept
+    rows = np.eye(3)[[0, 0, 1, 2]]
+    assert _select_independent(rows) == _select_independent_loop(rows) == [0, 2, 3]
+
+
+def test_cdar_lp_repeats_exactly():
+    # a CDaR LP at T=120, N=10: 7,260 pairwise drawdown rows, about 9 % nonzero
+    rng = np.random.default_rng(0)
+    S = rng.normal(5e-4, 0.01, (120, 10)) + rng.normal(0.0, 0.01, (120, 1))
+    prior = Prior(mu=S.mean(axis=0), sigma=np.cov(S, rowvar=False), scenarios=S)
+    problem, _, _ = _assemble(ProblemSpec(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CDAR, prior))
+    first, second = solve(problem), solve(problem)
+    assert first.status == second.status == "Optimal"
+    assert first.iterations == second.iterations
+    assert np.array_equal(first.x, second.x)
