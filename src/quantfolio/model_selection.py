@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -209,6 +210,18 @@ def _take_rows(X: ReturnsMatrix, idx: np.ndarray) -> ReturnsMatrix:
     )
 
 
+_split_job = None  # set only in a forked worker, by _bind_split_job
+
+
+def _bind_split_job(fit_one):
+    global _split_job
+    _split_job = fit_one
+
+
+def _run_split(s_idx: int):
+    return _split_job(s_idx)
+
+
 def cross_val_predict(
     allocator,
     X: ReturnsMatrix,
@@ -219,9 +232,16 @@ def cross_val_predict(
     """Fit per split on train rows, predict test rows out of sample.
 
     Returns one MultiPeriodPortfolio for sequential plans (walk-forward), or a
-    list of per-path MultiPeriodPortfolios for CPCV plans. Results are
-    aggregated by split index, so thread count never changes the output.
+    list of per-path MultiPeriodPortfolios for CPCV plans. With n_jobs > 1 the
+    splits are fitted in up to n_jobs forked worker processes, or one by one
+    where the platform cannot fork. Results are aggregated by split index, so
+    the worker count never changes the output. A fork copies only the calling
+    thread, so avoid n_jobs > 1 while other threads of the program may hold
+    locks that the fits use.
     """
+    require_int("n_jobs", n_jobs)
+    if n_jobs < 1:
+        raise InvalidConfig(f"n_jobs must be >= 1, got {n_jobs}")
     if plan.n_splits == 0:
         raise EmptyCv("split plan is empty")
     label = name if name is not None else type(allocator).__name__
@@ -236,9 +256,20 @@ def cross_val_predict(
             raise type(exc)(f"split {s_idx}: {exc}") from exc
         return weights, X.values[test] @ weights
 
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(fit_one, range(plan.n_splits)))
+    workers = min(n_jobs, plan.n_splits)
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # Forked workers inherit X, the plan and fit_one without pickling them;
+        # only split indices, (weights, series) results and exceptions are
+        # pickled. fit_one is bound in each worker by the initializer, so a
+        # nested cross_val_predict in a worker binds its own job in its own
+        # workers. ADMM and the clustering hold the GIL, so threads would not
+        # run the fits in parallel.
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_bind_split_job,
+                                 initargs=(fit_one,)) as pool:
+            results = list(pool.map(_run_split, range(plan.n_splits),
+                                    chunksize=math.ceil(plan.n_splits / workers)))
     else:
         results = [fit_one(s) for s in range(plan.n_splits)]
 

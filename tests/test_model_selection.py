@@ -3,7 +3,12 @@ import pytest
 
 from quantfolio.analytics import MultiPeriodPortfolio
 from quantfolio.exceptions import EmptyCv, InvalidConfig
-from quantfolio.hierarchical import EqualWeighted, InverseVolatility
+from quantfolio.hierarchical import (
+    EqualWeighted,
+    HierarchicalRiskParity,
+    InverseVolatility,
+    StackingOptimization,
+)
 from quantfolio.model_selection import (
     CpcvConfig,
     SplitPlan,
@@ -150,18 +155,62 @@ def test_cross_val_predict_thread_count_is_neutral(rng):
         np.testing.assert_array_equal(a.returns, b.returns)
 
 
+def test_cross_val_predict_runs_sequentially_without_fork(rng, monkeypatch):
+    import quantfolio.model_selection as ms
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no worker pool without the fork start method")
+
+    X = make_returns(rng.normal(0.0005, 0.01, (200, 4)))
+    plan = cpcv(200, CpcvConfig(k=5, p=2, purge_horizon=1, embargo_fraction=0.01))
+    seq = cross_val_predict(InverseVolatility(), X, plan, n_jobs=1)
+    monkeypatch.setattr(ms.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(ms, "ProcessPoolExecutor", no_pool)
+    par = cross_val_predict(InverseVolatility(), X, plan, n_jobs=4)
+    for a, b in zip(seq, par):
+        np.testing.assert_array_equal(a.returns, b.returns)
+
+
 def test_cross_val_predict_empty_plan(rng):
     X = make_returns(rng.normal(0, 0.01, (30, 2)))
     with pytest.raises(EmptyCv):
         cross_val_predict(EqualWeighted(), X, SplitPlan())
 
 
-def test_cross_val_predict_error_names_split(rng):
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_cross_val_predict_error_names_split(rng, n_jobs):
     class Boom(EqualWeighted):
         def fit(self, X, factors=None):
             raise ValueError("nope")
 
     X = make_returns(rng.normal(0, 0.01, (100, 2)))
     plan = walk_forward(100, 50, 25)
-    with pytest.raises(ValueError, match="split 0"):
-        cross_val_predict(Boom(), X, plan)
+    with pytest.raises(ValueError, match="split 0: nope"):
+        cross_val_predict(Boom(), X, plan, n_jobs=n_jobs)
+
+
+@pytest.mark.parametrize("n_jobs", [0, -3, 2.5, "2", True, None])
+def test_cross_val_predict_rejects_bad_n_jobs(rng, n_jobs):
+    X = make_returns(rng.normal(0, 0.01, (100, 2)))
+    with pytest.raises(InvalidConfig, match="n_jobs"):
+        cross_val_predict(EqualWeighted(), X, walk_forward(100, 50, 25), n_jobs=n_jobs)
+
+
+def test_cross_val_predict_nested_pools_match_sequential(rng):
+    # a stacking allocator with its own worker pool, fitted inside the pool of
+    # the outer cross-validation: each level must run its own per-split job.
+    # The default mean-variance final stage weighs the bases by their
+    # out-of-sample series, so the inner pool's results reach the output.
+    X = make_returns(rng.normal(0.0005, 0.01, (160, 4)))
+    plan = cpcv(160, CpcvConfig(k=4, p=2, purge_horizon=1, embargo_fraction=0.01))
+    cv = CpcvConfig(k=3, p=1, purge_horizon=1, embargo_fraction=0.0)
+    bases = [("iv", InverseVolatility()), ("hrp", HierarchicalRiskParity())]
+
+    def run(n_jobs):
+        model = StackingOptimization(bases, cv=cv, n_jobs=n_jobs)
+        return cross_val_predict(model, X, plan, n_jobs=n_jobs)
+
+    seq, par = run(1), run(2)
+    assert len(seq) == len(par) == plan.n_paths
+    for a, b in zip(seq, par):
+        np.testing.assert_array_equal(a.returns, b.returns)
