@@ -344,18 +344,26 @@ def _model_name(section: dict, index: int | None = None) -> str:
 # data loading
 
 
+def _data_path(data: dict, key: str) -> Path:
+    # a Path, never a str: load_prices reads a str holding a comma as CSV text
+    path = data[key]
+    if not isinstance(path, str):
+        raise InvalidConfig(f"data.{key} must be a path string, got {path!r}")
+    return Path(path)
+
+
 def _load_data(cfg: dict):
     """Returns (X, factors) as ReturnsMatrix objects (factors may be None)."""
     data = cfg.get("data")
     if not data or "prices" not in data:
         raise InvalidConfig("config needs a data section with a 'prices' path")
-    prices = load_prices(data["prices"])
+    prices = load_prices(_data_path(data, "prices"))
     kind = data.get("returns_kind", "simple")
     if kind not in ("simple", "log"):
         raise InvalidConfig(f"returns_kind must be 'simple' or 'log', got {kind!r}")
     factors = None
     if "factors" in data:
-        factor_prices = load_prices(data["factors"])
+        factor_prices = load_prices(_data_path(data, "factors"))
         prices, factor_prices = align(prices, factor_prices)
         factors = prices_to_returns(factor_prices, kind=kind)
     return prices_to_returns(prices, kind=kind), factors

@@ -100,7 +100,10 @@ def _parse_date(text: str, row: int) -> datetime.date:
 def load_prices(source) -> PriceFrame:
     """Parse a CSV price history (`date,ASSET1,ASSET2,...`) into a PriceFrame.
 
-    `source` may be a path, bytes, str, or a readable file object.
+    `source` may be a path, bytes, str, or a readable file object. A str is
+    read as a file name only when it holds no comma and no newline; otherwise
+    it is CSV text. Pass a `pathlib.Path` to read a file whose name may
+    contain a comma.
     """
     if isinstance(source, bytes):
         stream = io.StringIO(source.decode("utf-8"))

@@ -109,7 +109,6 @@ class ProblemSpec:
     l2_coef: float = 0.0
     risk_aversion: float = 1.0
     beta: float = DEFAULT_BETA
-    frontier_size: int | None = None
 
     def __post_init__(self):
         for name in ("l1_coef", "l2_coef", "risk_aversion", "beta"):

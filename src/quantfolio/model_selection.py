@@ -68,6 +68,7 @@ class SplitPlan:
                 (item["split"], item["fold"]): item["path"] for item in payload["paths"]
             }
             plan.n_paths = 1 + max((p for p in plan.path_of.values()), default=-1)
+            plan.test_folds = _rebuild_test_folds(splits, plan.path_of)
         return plan
 
 
@@ -199,6 +200,26 @@ def cpcv(T: int, cfg: CpcvConfig) -> SplitPlan:
         test_folds.append(blocks)
     return SplitPlan(splits=splits, test_folds=test_folds, path_of=path_of,
                      n_paths=cfg.n_paths)
+
+
+def _rebuild_test_folds(splits, path_of) -> list[list[tuple[int, np.ndarray]]]:
+    """The CPCV fold blocks of each split, recovered from its test rows.
+
+    The folds are those of `cpcv`: k contiguous folds over the T rows, where k
+    counts the distinct folds and T is one past the largest test row.
+    """
+    T = 1 + max((int(test[-1]) for _, test in splits if test.size), default=-1)
+    k = len({fold for _, fold in path_of})
+    bounds = _fold_bounds(T, k) if k else []
+    test_folds = []
+    for s_idx, (_, test) in enumerate(splits):
+        folds = sorted(fold for s, fold in path_of if s == s_idx)
+        if any(not 0 <= fold < k for fold in folds):
+            raise InvalidConfig(f"split {s_idx}: fold ids must lie in [0, {k})")
+        if not np.array_equal(_from_ranges([bounds[fold] for fold in folds]), test):
+            raise InvalidConfig(f"split {s_idx}: its folds do not make up its test rows")
+        test_folds.append([(fold, np.arange(*bounds[fold])) for fold in folds])
+    return test_folds
 
 
 def _take_rows(X: ReturnsMatrix, idx: np.ndarray) -> ReturnsMatrix:

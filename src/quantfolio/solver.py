@@ -158,7 +158,7 @@ def solve(problem: QpProblem) -> SolveResult:
     n = P0.shape[0]
     m = A0.shape[0]
 
-    P, q, A, D, E, c = _ruiz_equilibrate(P0.copy(), q0.copy(), A0.copy())
+    P, q, A, D, E, c = _ruiz_equilibrate(P0, q0, A0)
     ls = l * E
     us = u * E
 
@@ -429,13 +429,13 @@ def _polish_step(P, q, A, l, u, eq_mask, low, up):
 def _polish(P, q, A, l, u, x, y, rp, rd):
     """Active-set polish: re-solve on a candidate active set and certify it.
 
-    The first candidate set is read off the ADMM duals; later rounds re-detect
-    the set from the tight constraints of the previous polished point. Each
-    round prunes the set to a linearly independent subset for the primal
-    KKT solve (optimal vertices of the drawdown LPs are degenerate, so the
-    raw set is often rank-deficient), then certifies the point with a
-    sign-constrained dual fit over the full tight set. Returns the best
-    (x, y, rp, rd) if it improves on the ADMM iterate, else None.
+    The candidate set is read off the ADMM iterate: rows within 1e-7
+    (relative) of a bound, unioned with rows whose dual is strong. It is
+    pruned to a linearly independent subset for the primal KKT solve
+    (optimal vertices of the drawdown LPs are degenerate, so the raw set is
+    often rank-deficient), and the polished point is certified with a
+    sign-constrained dual fit over the rows tight at it. Returns
+    (x, y, rp, rd) if it is no worse than the ADMM iterate, else None.
     """
     eq_mask = np.isfinite(l) & np.isfinite(u) & (np.abs(u - l) < 1e-14)
     has_l = np.isfinite(l) & ~eq_mask
@@ -445,41 +445,30 @@ def _polish(P, q, A, l, u, x, y, rp, rd):
     idx_eq = np.flatnonzero(eq_mask)
     m = A.shape[0]
 
-    best = None
-    seen: set[bytes] = set()
-    for tol in (1e-7, 1e-5, 1e-4):
-        # tight-slack rows unioned with strong-dual rows
-        act_low = has_l & ((np.abs(Ax - l) <= tol * (1.0 + np.abs(l))) | (y < -1e-4 * y_norm))
-        act_up = has_u & ((np.abs(u - Ax) <= tol * (1.0 + np.abs(u))) | (y > 1e-4 * y_norm))
-        key = np.packbits(act_low).tobytes() + np.packbits(act_up).tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
+    # tight-slack rows unioned with strong-dual rows
+    act_low = has_l & ((np.abs(Ax - l) <= 1e-7 * (1.0 + np.abs(l))) | (y < -1e-4 * y_norm))
+    act_up = has_u & ((np.abs(u - Ax) <= 1e-7 * (1.0 + np.abs(u))) | (y > 1e-4 * y_norm))
 
-        # prune to an independent subset: equality rows first, then candidates
-        # in descending dual magnitude, so strong-dual rows win the basis
-        idx_act = np.flatnonzero(act_low | act_up)
-        idx_act = idx_act[np.argsort(-np.abs(y[idx_act]), kind="stable")]
-        keep = _select_independent(A[np.concatenate([idx_eq, idx_act])])
-        kept = np.array([idx_act[j - idx_eq.size] for j in keep if j >= idx_eq.size],
-                        dtype=int)
-        sel = np.zeros(m, dtype=bool)
-        sel[kept] = True
-        step = _polish_step(P, q, A, l, u, eq_mask, act_low & sel, act_up & sel)
-        if step is None:
-            continue
-        x_new, _ = step
-        rp_new = _primal_violation(A, l, u, x_new)
-        # certify against the rows actually tight at x_new: complementary
-        # slackness then holds by construction
-        Axn = A @ x_new
-        fit_low = has_l & (np.abs(Axn - l) <= 1e-9 * (1.0 + np.abs(l)))
-        fit_up = has_u & (np.abs(u - Axn) <= 1e-9 * (1.0 + np.abs(u)))
-        y_new, rd_new = _dual_fit(P, q, A, x_new, eq_mask, fit_low, fit_up)
-        if best is None or max(rp_new, rd_new) < max(best[2], best[3]):
-            best = (x_new, y_new, rp_new, rd_new)
-        if max(rp_new, rd_new) < 1e-11:
-            break
-    if best is not None and max(best[2], best[3]) <= max(rp, rd) + 1e-12:
-        return best
+    # prune to an independent subset: equality rows first, then candidates
+    # in descending dual magnitude, so strong-dual rows win the basis
+    idx_act = np.flatnonzero(act_low | act_up)
+    idx_act = idx_act[np.argsort(-np.abs(y[idx_act]), kind="stable")]
+    keep = _select_independent(A[np.concatenate([idx_eq, idx_act])])
+    kept = np.array([idx_act[j - idx_eq.size] for j in keep if j >= idx_eq.size],
+                    dtype=int)
+    sel = np.zeros(m, dtype=bool)
+    sel[kept] = True
+    step = _polish_step(P, q, A, l, u, eq_mask, act_low & sel, act_up & sel)
+    if step is None:
+        return None
+    x_new, _ = step
+    rp_new = _primal_violation(A, l, u, x_new)
+    # certify against the rows actually tight at x_new: complementary
+    # slackness then holds by construction
+    Axn = A @ x_new
+    fit_low = has_l & (np.abs(Axn - l) <= 1e-9 * (1.0 + np.abs(l)))
+    fit_up = has_u & (np.abs(u - Axn) <= 1e-9 * (1.0 + np.abs(u)))
+    y_new, rd_new = _dual_fit(P, q, A, x_new, eq_mask, fit_low, fit_up)
+    if max(rp_new, rd_new) <= max(rp, rd) + 1e-12:
+        return x_new, y_new, rp_new, rd_new
     return None

@@ -93,6 +93,21 @@ def test_optimize_missing_prices_is_data_error(tmp_path):
     assert code == 3
 
 
+def test_data_paths_may_contain_a_comma(tmp_path, short_prices_path):
+    # a comma in a str source would make load_prices read it as CSV text
+    data_dir = tmp_path / "comma,dir"
+    data_dir.mkdir()
+    prices = data_dir / "prices.csv"
+    prices.write_bytes(Path(short_prices_path).read_bytes())
+    cfg = {
+        "data": {"prices": str(prices), "factors": str(prices)},
+        "model": {"kind": "mean_risk"},
+    }
+    code, out = run(tmp_path, "optimize", cfg)
+    assert code == 0
+    assert (out / "weights.json").exists()
+
+
 def test_optimize_infeasible_is_solver_error(tmp_path, short_prices_path):
     cfg = {
         "data": {"prices": short_prices_path},
@@ -358,9 +373,11 @@ def test_quoted_number_is_config_error(tmp_path, short_prices_path, command, pat
     ("backtest", {"cv": {"kind": "walk_forward", "train_size": 60, "test_size": 20,
                          "expanding": "false"}}),
     ("optimize", {"constraints": {"max_weight_per_asset": [0.1]}}),
-], ids=["walk_forward_expanding", "max_weight_per_asset"])
+    ("optimize", {"data": {"prices": 3}}),
+], ids=["walk_forward_expanding", "max_weight_per_asset", "prices_path"])
 def test_wrong_json_type_is_config_error(tmp_path, short_prices_path, command, patch):
-    # a quoted boolean must not pass on its truth value, nor a list for an object
+    # a quoted boolean must not pass on its truth value, a list for an object,
+    # nor a number for a path
     cfg = {"data": {"prices": short_prices_path}, "model": {"kind": "mean_risk"}, **patch}
     code, _ = run(tmp_path, command, cfg)
     assert code == 2

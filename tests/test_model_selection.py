@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -109,16 +111,34 @@ def test_cpcv_config_validation():
         CpcvConfig(k=5, p=1, embargo_fraction=1.5)
 
 
-def test_split_plan_json_roundtrip():
-    plan = cpcv(200, CpcvConfig(k=5, p=2, purge_horizon=2, embargo_fraction=0.01))
+def test_split_plan_json_roundtrip(rng):
+    plan = cpcv(203, CpcvConfig(k=5, p=2, purge_horizon=2, embargo_fraction=0.01))
     text = plan.to_json()
     back = SplitPlan.from_json(text)
+    assert back.to_json() == text
     assert back.n_splits == plan.n_splits
     assert back.n_paths == plan.n_paths
     for (a_tr, a_te), (b_tr, b_te) in zip(plan.splits, back.splits):
         np.testing.assert_array_equal(a_tr, b_tr)
         np.testing.assert_array_equal(a_te, b_te)
     assert back.path_of == plan.path_of
+    # the fold blocks are rebuilt, so the plan drives cross_val_predict again
+    X = make_returns(rng.normal(0.0005, 0.01, (203, 4)))
+    for a, b in zip(cross_val_predict(InverseVolatility(), X, plan),
+                    cross_val_predict(InverseVolatility(), X, back)):
+        assert a.name == b.name
+        assert [span for _, span in a.segments] == [span for _, span in b.segments]
+        for (w_a, _), (w_b, _) in zip(a.segments, b.segments):
+            np.testing.assert_array_equal(w_a, w_b)
+        np.testing.assert_array_equal(a.returns, b.returns)
+
+
+def test_split_plan_from_json_rejects_folds_off_test_rows():
+    payload = json.loads(cpcv(80, CpcvConfig(k=4, p=2)).to_json())
+    assert payload["splits"][0]["test"] == [[0, 40]]  # folds 0 and 1
+    payload["splits"][0]["test"] = [[0, 39]]
+    with pytest.raises(InvalidConfig, match="split 0"):
+        SplitPlan.from_json(json.dumps(payload))
 
 
 def test_config_plan_helpers():

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import quantfolio.solver
-from quantfolio.mean_risk import ObjectiveFunction, ProblemSpec, _assemble
+from quantfolio.mean_risk import Constraints, ObjectiveFunction, ProblemSpec, _assemble
 from quantfolio.measures import RiskMeasure
 from quantfolio.priors import Prior
 from quantfolio.solver import QpProblem, _select_independent, solve
 
 from conftest import random_psd
+from test_golden_weights import _cases, _prior
 
 
 def test_unconstrained_quadratic():
@@ -194,3 +195,21 @@ def test_cdar_lp_repeats_exactly():
     assert first.status == second.status == "Optimal"
     assert first.iterations == second.iterations
     assert np.array_equal(first.x, second.x)
+
+
+def test_failed_polish_makes_one_kkt_solve(monkeypatch):
+    # the LP of the golden case maximize_ratio/cvar/caps: its third periodic
+    # polish, at iteration 1,500, does not certify
+    objective, measure, cons, extra = _cases()["maximize_ratio/cvar/caps"]
+    problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
+                                          constraints=Constraints(**cons), **extra))
+    polish, polish_step = quantfolio.solver._polish, quantfolio.solver._polish_step
+    inputs = []
+    monkeypatch.setattr(quantfolio.solver, "_polish",
+                        lambda *args: inputs.append(args) or polish(*args))
+    assert solve(problem).status == "Optimal"
+    kkt_solves = []
+    monkeypatch.setattr(quantfolio.solver, "_polish_step",
+                        lambda *args: kkt_solves.append(1) or polish_step(*args))
+    assert polish(*inputs[2]) is None
+    assert len(kkt_solves) == 1
