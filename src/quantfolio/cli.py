@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import frontier_report, predict, summary
+from .analytics import frontier_report, population_summary, predict, summary
 from .exceptions import (
     AssetMismatch,
     DimensionMismatch,
@@ -41,7 +41,7 @@ from .hierarchical import (
 )
 from .market_data import align, load_prices, prices_to_returns, time_split
 from .mean_risk import MeanRisk, ObjectiveFunction, efficient_frontier
-from .measures import DEFAULT_BETA, RiskMeasure
+from .measures import RiskMeasure
 from .model_selection import CpcvConfig, WalkForwardConfig, cross_val_predict
 from .priors import BlackLitterman, EmpiricalPrior, FactorModel, ViewSet, fit_prior
 from .svg import line_chart
@@ -129,21 +129,45 @@ _TOP_KEYS = {"data", "model", "models", "constraints", "cv", "outputs",
 _DATA_KEYS = {"prices", "factors", "returns_kind", "test_fraction"}
 _CONSTRAINT_KEYS = {"budget", "min_weights", "max_weights",
                     "max_weight_per_asset", "min_return"}
-_CV_KEYS = {"kind", "train_size", "test_size", "expanding", "k", "p",
-            "purge_horizon", "embargo_fraction"}
-_MODEL_KEYS = {"kind", "name", "objective", "risk_measure", "beta", "l1_coef",
-               "l2_coef", "risk_aversion", "frontier_size", "prior",
-               "linkage", "k", "inner", "outer", "estimators",
-               "final_estimator", "cv", "constraints"}
-_PRIOR_KEYS = {"kind", "mean_estimator", "cov_estimator", "halflife",
-               "gerber_c", "rmt_passes", "ridge_alpha", "views", "tau",
-               "omega", "base"}
 _VIEW_KEYS = {"picks", "value"}
 _OUTPUT_KEYS = {"weights", "summary", "series", "frontier_csv", "frontier_svg",
                 "population_json", "population_csv", "audit", "chart"}
 
-_OBJECTIVES = {o.value: o for o in ObjectiveFunction}
-_MEASURES = {m.value: m for m in RiskMeasure}
+# section type -> kind -> (class, the config keys that kind takes besides "kind")
+_KINDS = {
+    "model": {
+        "mean_risk": (MeanRisk, {"name", "objective", "risk_measure", "beta", "l1_coef",
+                                 "l2_coef", "risk_aversion", "prior", "constraints",
+                                 "frontier_size"}),
+        "hrp": (HierarchicalRiskParity, {"name", "risk_measure", "linkage", "prior", "beta"}),
+        "nco": (NestedClustersOptimization, {"name", "inner", "outer", "k", "linkage"}),
+        "stacking": (StackingOptimization, {"name", "estimators", "final_estimator", "cv"}),
+        "equal_weighted": (EqualWeighted, {"name"}),
+        "inverse_volatility": (InverseVolatility, {"name", "prior"}),
+    },
+    "prior": {
+        "empirical": (EmpiricalPrior, {"mean_estimator", "cov_estimator", "halflife",
+                                       "gerber_c", "rmt_passes"}),
+        "factor_model": (FactorModel, {"ridge_alpha"}),
+        "black_litterman": (BlackLitterman, {"views", "tau", "omega", "base"}),
+    },
+    "cv": {
+        "walk_forward": (WalkForwardConfig, {"train_size", "test_size", "expanding"}),
+        "cpcv": (CpcvConfig, {"k", "p", "purge_horizon", "embargo_fraction"}),
+    },
+}
+# keys a kind cannot do without
+_REQUIRED = {"walk_forward": ("train_size", "test_size"), "stacking": ("estimators",)}
+# config key -> constructor parameter, where the two differ
+_RENAME = {"prior": "prior_estimator", "base": "base_estimator",
+           "inner": "inner_estimator", "outer": "outer_estimator"}
+# keys that hold one nested section -> its section type; "estimators" holds a
+# list of models
+_NESTED = {"prior": "prior", "base": "prior", "inner": "model", "outer": "model",
+           "final_estimator": "model", "cv": "cv"}
+# keys _build reads itself: no constructor takes them as they are
+_UNPASSED = {"kind", "name", "frontier_size", "constraints", "views", "tau", "omega"}
+_ENUMS = {"objective": ObjectiveFunction, "risk_measure": RiskMeasure}
 
 
 def _check_keys(section: dict, allowed: set[str], where: str):
@@ -165,172 +189,107 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"config {path} is not valid JSON: {exc}") from exc
     _check_keys(cfg, _TOP_KEYS, "config")
-    if "data" in cfg:
-        _check_keys(cfg["data"], _DATA_KEYS, "data")
-    if "constraints" in cfg:
-        _check_keys(cfg["constraints"], _CONSTRAINT_KEYS, "constraints")
-    if "cv" in cfg:
-        _check_keys(cfg["cv"], _CV_KEYS, "cv")
-    if "outputs" in cfg:
-        _check_keys(cfg["outputs"], _OUTPUT_KEYS, "outputs")
-    if "model" in cfg:
-        _validate_model(cfg["model"], "model")
+    for key, allowed in (("data", _DATA_KEYS), ("constraints", _CONSTRAINT_KEYS),
+                         ("outputs", _OUTPUT_KEYS)):
+        if key in cfg:
+            _check_keys(cfg[key], allowed, key)
+    for key in ("model", "cv"):
+        if key in cfg:
+            _check_section(cfg[key], key, key)
     for i, sec in enumerate(cfg.get("models", [])):
-        _validate_model(sec, f"models[{i}]")
+        _check_section(sec, "model", f"models[{i}]")
+    for i, kind in enumerate(cfg.get("benchmarks", [])):
+        _check_section({"kind": kind}, "model", f"benchmarks[{i}]")
     if "seed" in cfg:
         require_int("seed", cfg["seed"])
     return cfg
 
 
-def _validate_model(section: dict, where: str):
-    _check_keys(section, _MODEL_KEYS, where)
-    if "kind" not in section:
+def _check_section(section: dict, sort: str, where: str):
+    """Check a model, prior or cv section and the sections in it against
+    the keys of their kinds; a prior's kind defaults to empirical."""
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"{where} must be a JSON object")
+    if "kind" not in section and sort != "prior":
         raise InvalidConfig(f"{where}: missing 'kind'")
-    if "prior" in section:
-        _validate_prior(section["prior"], f"{where}.prior")
-    if "constraints" in section:
-        _check_keys(section["constraints"], _CONSTRAINT_KEYS, f"{where}.constraints")
-    if "cv" in section:
-        _check_keys(section["cv"], _CV_KEYS, f"{where}.cv")
-    for i, sub in enumerate(section.get("estimators", [])):
-        _validate_model(sub, f"{where}.estimators[{i}]")
-    for key in ("inner", "outer", "final_estimator"):
-        if key in section:
-            _validate_model(section[key], f"{where}.{key}")
-
-
-def _validate_prior(section: dict, where: str):
-    _check_keys(section, _PRIOR_KEYS, where)
-    for i, view in enumerate(section.get("views", [])):
-        _check_keys(view, _VIEW_KEYS, f"{where}.views[{i}]")
-        if "picks" not in view or "value" not in view:
-            raise InvalidConfig(f"{where}.views[{i}] needs 'picks' and 'value'")
-    if "base" in section:
-        _validate_prior(section["base"], f"{where}.base")
-
-
-def _build_prior(section: dict | None, assets: tuple[str, ...]):
-    if section is None:
-        return None
     kind = section.get("kind", "empirical")
-    if kind == "empirical":
-        return EmpiricalPrior(
-            mean_estimator=section.get("mean_estimator", "sample"),
-            cov_estimator=section.get("cov_estimator", "sample"),
-            halflife=section.get("halflife", 60.0),
-            gerber_c=section.get("gerber_c", 0.5),
-            rmt_passes=section.get("rmt_passes", 2),
-        )
-    if kind == "factor_model":
-        return FactorModel(ridge_alpha=section.get("ridge_alpha", 0.1))
-    if kind == "black_litterman":
-        views = None
-        if "views" in section:
-            index = {a: j for j, a in enumerate(assets)}
-            rows = section["views"]
-            P = np.zeros((len(rows), len(assets)))
-            Q = np.zeros(len(rows))
-            for i, view in enumerate(rows):
-                for name, coef in view["picks"].items():
-                    if name not in index:
-                        raise AssetMismatch(f"view picks unknown asset {name!r}")
-                    require_finite(f"view pick {name!r}", coef)
-                    P[i, index[name]] = coef
-                require_finite("view value", view["value"])
-                Q[i] = view["value"]
-            views = ViewSet(P=P, Q=Q, omega=section.get("omega"), tau=section.get("tau", 0.05))
-        return BlackLitterman(views=views,
-                              base_estimator=_build_prior(section.get("base"), assets))
-    raise InvalidConfig(f"unknown prior kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS[sort]:
+        raise InvalidConfig(f"{where}: unknown {sort} kind {kind!r}")
+    _check_keys(section, _KINDS[sort][kind][1] | {"kind"}, where)
+    for key in _REQUIRED.get(kind, ()):
+        if key not in section:
+            raise InvalidConfig(f"{where}: a {kind} {sort} needs {key!r}")
+    for key, value in section.items():
+        if key == "estimators":
+            if not isinstance(value, list) or not value:
+                raise InvalidConfig(f"{where}.estimators must be a non-empty list")
+            for i, sub in enumerate(value):
+                _check_section(sub, "model", f"{where}.estimators[{i}]")
+        elif key in _NESTED:
+            _check_section(value, _NESTED[key], f"{where}.{key}")
+        elif key == "constraints":
+            _check_keys(value, _CONSTRAINT_KEYS, f"{where}.constraints")
+        elif key == "views":
+            if not isinstance(value, list):
+                raise InvalidConfig(f"{where}.views must be a list")
+            for i, view in enumerate(value):
+                _check_keys(view, _VIEW_KEYS, f"{where}.views[{i}]")
+                if not isinstance(view.get("picks"), dict) or "value" not in view:
+                    raise InvalidConfig(f"{where}.views[{i}] needs a 'picks' object and 'value'")
 
 
-def _build_cv(section: dict):
-    kind = section.get("kind")
-    if kind == "walk_forward":
-        if "train_size" not in section or "test_size" not in section:
-            raise InvalidConfig("walk_forward cv needs train_size and test_size")
-        return WalkForwardConfig(
-            train_size=section["train_size"],
-            test_size=section["test_size"],
-            expanding=section.get("expanding", False),
-        )
-    if kind == "cpcv":
-        return CpcvConfig(
-            k=section.get("k", 10),
-            p=section.get("p", 2),
-            purge_horizon=section.get("purge_horizon", 1),
-            embargo_fraction=section.get("embargo_fraction", 0.01),
-        )
-    raise InvalidConfig(f"cv kind must be 'walk_forward' or 'cpcv', got {kind!r}")
+def _view_set(section: dict, assets: tuple[str, ...]) -> ViewSet:
+    index = {a: j for j, a in enumerate(assets)}
+    rows = section.get("views", [])
+    P = np.zeros((len(rows), len(assets)))
+    Q = np.zeros(len(rows))
+    for i, view in enumerate(rows):
+        for name, coef in view["picks"].items():
+            if name not in index:
+                raise AssetMismatch(f"view picks unknown asset {name!r}")
+            require_finite(f"view pick {name!r}", coef)
+            P[i, index[name]] = coef
+        require_finite("view value", view["value"])
+        Q[i] = view["value"]
+    return ViewSet(P=P, Q=Q, **{k: section[k] for k in ("omega", "tau") if k in section})
+
+
+def _build(sort: str, section: dict, assets: tuple[str, ...], constraints: dict | None = None):
+    """Instantiate a section that load_config has checked.
+
+    Only the keys the section gives reach the constructor, so every default
+    lives there. `constraints` is the top-level constraints section: it
+    applies to a mean_risk model that has no `constraints` key of its own.
+    """
+    kind = section.get("kind", "empirical")
+    params = {}
+    for key, value in section.items():
+        if key in _UNPASSED:
+            continue
+        if key == "estimators":
+            value = [(_model_name(sub, i), _build("model", sub, assets))
+                     for i, sub in enumerate(value)]
+        elif key in _NESTED:
+            value = _build(_NESTED[key], value, assets)
+        elif key in _ENUMS:
+            try:
+                value = _ENUMS[key](value)
+            except ValueError:
+                raise InvalidConfig(f"unknown {key} {value!r}") from None
+        params[_RENAME.get(key, key)] = value
+    if kind == "mean_risk":
+        params.update(section.get("constraints", constraints) or {})
+    if kind == "black_litterman" and not {"views", "tau", "omega"}.isdisjoint(section):
+        params["views"] = _view_set(section, assets)
+    return _KINDS[sort][kind][0](**params)
 
 
 def _build_model(section: dict, assets: tuple[str, ...], constraints: dict | None = None):
-    """Instantiate an allocator from its config section.
+    return _build("model", section, assets, constraints)
 
-    `constraints` is the top-level constraints section; a model-local
-    `constraints` key overrides it.
-    """
-    kind = section["kind"]
-    cons = section.get("constraints", constraints) or {}
-    if kind == "mean_risk":
-        objective = section.get("objective", "minimize_risk")
-        measure = section.get("risk_measure", "variance")
-        if objective not in _OBJECTIVES:
-            raise InvalidConfig(f"unknown objective {objective!r}")
-        if measure not in _MEASURES:
-            raise InvalidConfig(f"unknown risk_measure {measure!r}")
-        return MeanRisk(
-            objective=_OBJECTIVES[objective],
-            risk_measure=_MEASURES[measure],
-            prior_estimator=_build_prior(section.get("prior"), assets),
-            budget=cons.get("budget", 1.0),
-            min_weights=cons.get("min_weights", 0.0),
-            max_weights=cons.get("max_weights", 1.0),
-            max_weight_per_asset=cons.get("max_weight_per_asset"),
-            min_return=cons.get("min_return"),
-            l1_coef=section.get("l1_coef", 0.0),
-            l2_coef=section.get("l2_coef", 0.0),
-            risk_aversion=section.get("risk_aversion", 1.0),
-            beta=section.get("beta", DEFAULT_BETA),
-        )
-    if kind == "hrp":
-        measure = section.get("risk_measure", "variance")
-        if measure not in _MEASURES:
-            raise InvalidConfig(f"unknown risk_measure {measure!r}")
-        return HierarchicalRiskParity(
-            risk_measure=_MEASURES[measure],
-            linkage=section.get("linkage", "single"),
-            prior_estimator=_build_prior(section.get("prior"), assets),
-            beta=section.get("beta", DEFAULT_BETA),
-        )
-    if kind == "nco":
-        return NestedClustersOptimization(
-            inner_estimator=(_build_model(section["inner"], assets)
-                             if "inner" in section else None),
-            outer_estimator=(_build_model(section["outer"], assets)
-                             if "outer" in section else None),
-            k=section.get("k", "auto"),
-            linkage=section.get("linkage", "single"),
-        )
-    if kind == "stacking":
-        subs = section.get("estimators") or []
-        if not subs:
-            raise InvalidConfig("stacking model needs a non-empty 'estimators' list")
-        estimators = [
-            (sub.get("name", f"{sub['kind']}_{i}"), _build_model(sub, assets))
-            for i, sub in enumerate(subs)
-        ]
-        final = (_build_model(section["final_estimator"], assets)
-                 if "final_estimator" in section else None)
-        kwargs = {}
-        if "cv" in section:
-            kwargs["cv"] = _build_cv(section["cv"])
-        return StackingOptimization(estimators=estimators, final_estimator=final, **kwargs)
-    if kind == "equal_weighted":
-        return EqualWeighted()
-    if kind == "inverse_volatility":
-        return InverseVolatility(prior_estimator=_build_prior(section.get("prior"), assets))
-    raise InvalidConfig(f"unknown model kind {kind!r}")
+
+def _build_cv(section: dict):
+    return _build("cv", section, ())
 
 
 def _model_name(section: dict, index: int | None = None) -> str:
@@ -418,7 +377,7 @@ def cmd_frontier(cfg: dict, out: Path, threads: int) -> int:
     section = cfg.get("model")
     if not section:
         raise InvalidConfig("frontier needs a 'model' section")
-    if section.get("kind", "mean_risk") != "mean_risk":
+    if section["kind"] != "mean_risk":
         raise InvalidConfig("frontier requires a mean_risk model")
     size = section.get("frontier_size", 100)
     require_int("frontier_size", size)
@@ -486,11 +445,7 @@ def cmd_backtest(cfg: dict, out: Path, threads: int) -> int:
         result = cross_val_predict(model, X, plan, n_jobs=threads, name=name)
         portfolios.extend(result if isinstance(result, list) else [result])
 
-    rows = []
-    for port in portfolios:
-        row = {"name": port.name}
-        row.update(_summary_obj(port))
-        rows.append(row)
+    rows = population_summary(portfolios)
     names = cfg.get("outputs", {})
     _write_json(out / names.get("population_json", "population_summary.json"),
                 {"portfolios": rows})

@@ -12,7 +12,7 @@ from .exceptions import EmptyCv, InvalidConfig, ZeroVarianceAsset, require_finit
 from .market_data import ReturnsMatrix
 from .measures import DEFAULT_BETA, RiskMeasure, measure_value
 from .model_selection import CpcvConfig, SplitPlan, cross_val_predict
-from .priors import Prior, PriorEstimator, fit_prior
+from .priors import Prior, fit_prior
 
 
 def corr_distance(sigma: np.ndarray) -> np.ndarray:
@@ -229,23 +229,6 @@ def nco(
     return intra @ inter
 
 
-class _JitteredPrior(PriorEstimator):
-    """Adds a tiny diagonal to the covariance so degenerate (identical-column)
-    final-stage problems stay solvable."""
-
-    def __init__(self, base=None, jitter: float = 1e-12):
-        self.base = base
-        self.jitter = jitter
-
-    def fit(self, X, factors=None):
-        p = fit_prior(self.base, X, factors)
-        self.prior_ = Prior(
-            mu=p.mu, sigma=p.sigma + self.jitter * np.eye(p.n_assets),
-            scenarios=p.scenarios, assets=p.assets, source=p.source,
-        )
-        return self
-
-
 def stacking(
     estimators: list[tuple[str, object]],
     final_estimator,
@@ -259,8 +242,6 @@ def stacking(
     series per path; paths are averaged into a single out-of-sample series per
     base. The output is sum_k c_k * w_k rescaled to sum to 1.
     """
-    from .mean_risk import MeanRisk  # local import to avoid a cycle
-
     if not estimators:
         raise InvalidConfig("stacking needs at least one base estimator")
     plan = cv if isinstance(cv, SplitPlan) else cv.plan(X.n_periods)
@@ -283,10 +264,7 @@ def stacking(
         values=np.column_stack(oos_columns), kind="simple",
     )
 
-    final = clone(final_estimator)
-    if isinstance(final, MeanRisk):
-        final.prior_estimator = _JitteredPrior(final.prior_estimator)
-    c = np.asarray(final.fit(synthetic).weights_, dtype=float)
+    c = np.asarray(clone(final_estimator).fit(synthetic).weights_, dtype=float)
 
     base_weights = np.column_stack([
         np.asarray(clone(est).fit(X).weights_, dtype=float) for _, est in estimators

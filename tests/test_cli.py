@@ -1,4 +1,5 @@
 import json
+import sys
 import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
@@ -374,10 +375,176 @@ def test_quoted_number_is_config_error(tmp_path, short_prices_path, command, pat
                          "expanding": "false"}}),
     ("optimize", {"constraints": {"max_weight_per_asset": [0.1]}}),
     ("optimize", {"data": {"prices": 3}}),
-], ids=["walk_forward_expanding", "max_weight_per_asset", "prices_path"])
+    ("optimize", {"model": {"kind": "mean_risk", "prior": {
+        "kind": "black_litterman", "views": [{"picks": [1.0], "value": 0.0002}]}}}),
+    ("optimize", {"model": {"kind": "mean_risk", "prior": {
+        "kind": "black_litterman", "views": 3}}}),
+], ids=["walk_forward_expanding", "max_weight_per_asset", "prices_path", "view_picks",
+        "views"])
 def test_wrong_json_type_is_config_error(tmp_path, short_prices_path, command, patch):
     # a quoted boolean must not pass on its truth value, a list for an object,
-    # nor a number for a path
+    # nor a number for a list or a path
     cfg = {"data": {"prices": short_prices_path}, "model": {"kind": "mean_risk"}, **patch}
     code, _ = run(tmp_path, command, cfg)
     assert code == 2
+
+
+@pytest.mark.parametrize("command, patch", [
+    ("optimize", {"model": {"kind": "hrp", "constraints": {"max_weights": 0.12}}}),
+    ("optimize", {"model": {"kind": "equal_weighted", "prior": {"cov_estimator": "ew"}}}),
+    ("optimize", {"model": {"kind": "mean_risk", "linkage": "ward"}}),
+    ("optimize", {"model": {"kind": "inverse_volatility", "frontier_size": 5}}),
+    ("optimize", {"model": {"kind": "mean_risk",
+                            "prior": {"kind": "factor_model", "halflife": 30.0}}}),
+    ("backtest", {"cv": {"kind": "walk_forward", "train_size": 60, "test_size": 20,
+                         "k": 4}}),
+], ids=["hrp_constraints", "equal_weighted_prior", "mean_risk_linkage",
+        "inverse_volatility_frontier_size", "factor_model_halflife", "walk_forward_k"])
+def test_key_of_another_kind_is_config_error(tmp_path, short_prices_path, command, patch):
+    # each key is valid for some kind, but the kind it is given to does not take it
+    cfg = {"data": {"prices": short_prices_path, "factors": short_prices_path},
+           "model": {"kind": "mean_risk"}, **patch}
+    if command == "backtest":
+        del cfg["data"]["factors"]
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert not out.exists()
+
+
+def _readme_example(command):
+    """The JSON example under README's `### <command>` heading."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"\n### {command}\n", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+@pytest.mark.parametrize("command", ["optimize", "backtest"])
+def test_readme_example_runs(tmp_path, short_prices_path, command):
+    cfg = _readme_example(command)
+    cfg["data"]["prices"] = short_prices_path
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 0
+
+
+def test_black_litterman_tau_without_views(tmp_path, short_prices_path):
+    # with no views the posterior covariance is (1 + tau) * sigma
+    weights = []
+    for name, extra in (("default_tau", {}), ("tau", {"tau": 3.0})):
+        cfg = {"data": {"prices": short_prices_path},
+               "model": {"kind": "mean_risk", "objective": "maximize_utility",
+                         "risk_aversion": 100.0,
+                         "prior": {"kind": "black_litterman", **extra}}}
+        code, out = run(tmp_path, "optimize", cfg, name=name)
+        assert code == 0
+        weights.append(json.loads((out / "weights.json").read_text()))
+    assert weights[0] != weights[1]
+
+
+# ---------------------------------------------------------------------------
+# config section -> estimator, pinned by repr in golden_cli_estimators.json.
+# Regenerate the fixture only when a change is meant to move the mapping:
+#
+#     PYTHONPATH=src python tests/test_cli.py --write
+
+ESTIMATORS_FIXTURE = Path(__file__).with_name("golden_cli_estimators.json")
+PIN_ASSETS = ("AAPL", "MSFT", "AMZN")
+PIN_TOP_CONSTRAINTS = {"max_weights": 0.6, "min_return": 0.0001}
+PIN_VIEWS = [{"picks": {"AAPL": 1.0, "MSFT": -1.0}, "value": 0.001}]
+
+
+def _with_each(label, section, optional):
+    """`section` alone, then `section` plus each optional key in turn."""
+    yield label, section
+    for key, value in optional.items():
+        yield f"{label}+{key}", {**section, key: value}
+
+
+MODEL_PINS = [
+    *_with_each("mean_risk", {"kind": "mean_risk"}, {
+        "name": "mv", "objective": "maximize_utility", "risk_measure": "cvar",
+        "beta": 0.9, "l1_coef": 0.001, "l2_coef": 0.01, "risk_aversion": 2.0,
+        "frontier_size": 7, "prior": {"cov_estimator": "ledoit_wolf"},
+        "constraints": {"budget": 1.0, "min_weights": -0.1, "max_weights": 0.4,
+                        "max_weight_per_asset": {"AAPL": 0.2}, "min_return": 0.0002},
+    }),
+    ("mean_risk+empty_constraints", {"kind": "mean_risk", "constraints": {}}),
+    *_with_each("hrp", {"kind": "hrp"}, {
+        "name": "tree", "risk_measure": "cvar", "linkage": "ward", "beta": 0.9,
+        "prior": {"kind": "empirical", "cov_estimator": "gerber", "gerber_c": 0.7},
+    }),
+    *_with_each("nco", {"kind": "nco"}, {
+        "name": "clusters", "k": 2, "linkage": "average",
+        "inner": {"kind": "mean_risk", "risk_measure": "cvar"}, "outer": {"kind": "hrp"},
+    }),
+    *_with_each("stacking", {"kind": "stacking", "estimators": [
+        {"kind": "equal_weighted"}, {"kind": "mean_risk", "name": "mv"}]}, {
+        "name": "stack", "final_estimator": {"kind": "mean_risk", "objective": "maximize_ratio"},
+        "cv": {"kind": "walk_forward", "train_size": 60, "test_size": 20},
+    }),
+    *_with_each("equal_weighted", {"kind": "equal_weighted"}, {"name": "ew"}),
+    *_with_each("inverse_volatility", {"kind": "inverse_volatility"}, {
+        "name": "iv", "prior": {"kind": "factor_model"},
+    }),
+]
+PRIOR_PINS = [
+    ("empirical_without_kind", {}),
+    *_with_each("empirical", {"kind": "empirical"}, {
+        "mean_estimator": "bayes_stein", "cov_estimator": "ew", "halflife": 30.0,
+        "gerber_c": 0.7, "rmt_passes": 3,
+    }),
+    *_with_each("factor_model", {"kind": "factor_model"}, {"ridge_alpha": 0.5}),
+    *_with_each("black_litterman", {"kind": "black_litterman"}, {
+        "base": {"kind": "empirical", "cov_estimator": "ledoit_wolf"},
+    }),
+    # tau and omega belong to a view set, so they are pinned together with views
+    *_with_each("black_litterman_views", {"kind": "black_litterman", "views": PIN_VIEWS}, {
+        "tau": 0.1, "omega": [0.0004],
+        "base": {"kind": "empirical", "cov_estimator": "ledoit_wolf"},
+    }),
+]
+CV_PINS = [
+    *_with_each("walk_forward", {"kind": "walk_forward", "train_size": 60, "test_size": 20},
+                {"expanding": True}),
+    *_with_each("cpcv", {"kind": "cpcv"}, {
+        "k": 6, "p": 3, "purge_horizon": 2, "embargo_fraction": 0.05,
+    }),
+]
+
+
+def _pin_builds():
+    """Case id -> a call that builds the case the way the commands do."""
+    from quantfolio import cli
+
+    builds = {}
+    for label, section in MODEL_PINS:
+        for top_id, top in (("no_top", None), ("top", PIN_TOP_CONSTRAINTS)):
+            builds[f"model/{label}/{top_id}"] = (
+                lambda s=section, t=top: cli._build_model(s, PIN_ASSETS, t))
+    for label, section in PRIOR_PINS:
+        builds[f"prior/{label}"] = lambda s=section: cli._build_model(
+            {"kind": "inverse_volatility", "prior": s}, PIN_ASSETS)
+    for label, section in CV_PINS:
+        builds[f"cv/{label}"] = lambda s=section: cli._build_cv(s)
+    return builds
+
+
+PIN_BUILDS = _pin_builds()
+
+
+@pytest.fixture(scope="module")
+def golden_estimators():
+    return json.loads(ESTIMATORS_FIXTURE.read_text())
+
+
+def test_estimator_fixture_covers_every_case(golden_estimators):
+    assert set(golden_estimators) == set(PIN_BUILDS)
+
+
+@pytest.mark.parametrize("case", sorted(PIN_BUILDS))
+def test_config_builds_pinned_estimator(golden_estimators, case):
+    assert repr(PIN_BUILDS[case]()) == golden_estimators[case]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    ESTIMATORS_FIXTURE.write_text(json.dumps(
+        {case: repr(build()) for case, build in sorted(PIN_BUILDS.items())}, indent=1) + "\n")

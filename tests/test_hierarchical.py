@@ -175,12 +175,15 @@ def test_stacking_single_base_reproduces_it(rng):
     np.testing.assert_allclose(w, np.full(4, 0.25), atol=1e-12)
 
 
-def test_stacking_identical_bases_average(rng):
+@pytest.mark.parametrize("final", [EqualWeighted(), MeanRisk()],
+                         ids=["equal_weighted", "mean_risk"])
+def test_stacking_identical_bases_average(rng, final):
+    # identical base series make the MeanRisk final stage's covariance singular
     X = make_returns(rng.normal(0.0005, 0.01, (150, 4)))
     plan = walk_forward(150, 60, 30)
     w_base = InverseVolatility().fit(X).weights_
     w = stacking([("a", InverseVolatility()), ("b", InverseVolatility())],
-                 EqualWeighted(), X, plan)
+                 final, X, plan)
     np.testing.assert_allclose(w, w_base, atol=1e-10)
 
 
