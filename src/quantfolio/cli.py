@@ -441,8 +441,7 @@ def cmd_backtest(cfg: dict, out: Path, threads: int) -> int:
         named.append((bench, _build_model({"kind": bench}, X.assets)))
 
     portfolios = []
-    for name, model in named:
-        result = cross_val_predict(model, X, plan, n_jobs=threads, name=name)
+    for result in cross_val_predict(named, X, plan, n_jobs=threads):
         portfolios.extend(result if isinstance(result, list) else [result])
 
     rows = population_summary(portfolios)

@@ -92,22 +92,34 @@ def cut_clusters(dendrogram: Dendrogram, k: int) -> np.ndarray:
 
 
 def silhouette_score(D: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette over samples, computed on a precomputed distance matrix."""
+    """Mean silhouette over samples, computed on a precomputed distance matrix.
+
+    One product `D @ onehot(labels)` gives every sample's distance sum to
+    every cluster. A sample alone in its cluster scores 0, as does one whose
+    mean distances to its own and to the nearest other cluster are both 0.
+    """
     D = np.asarray(D, dtype=float)
     labels = np.asarray(labels, dtype=int)
     n = labels.size
-    uniq = np.unique(labels)
+    if labels.ndim != 1 or D.shape != (n, n):
+        raise InvalidConfig(f"silhouette needs an n x n distance matrix and n labels, "
+                            f"got {D.shape} and {labels.shape}")
+    uniq, cluster, counts = np.unique(labels, return_inverse=True, return_counts=True)
     if uniq.size < 2:
         raise InvalidConfig("silhouette needs at least 2 clusters")
+    rows = np.arange(n)
+    onehot = np.zeros((n, uniq.size))
+    onehot[rows, cluster] = 1.0
+    sums = D @ onehot
+    own = counts[cluster]
+    a = (sums[rows, cluster] - np.diag(D)) / np.maximum(own - 1, 1)
+    means = sums / counts
+    means[rows, cluster] = np.inf
+    b = means.min(axis=1)
+    scale = np.maximum(a, b)
     scores = np.zeros(n)
-    for i in range(n):
-        same = labels == labels[i]
-        if same.sum() == 1:
-            scores[i] = 0.0
-            continue
-        a = D[i, same & (np.arange(n) != i)].mean()
-        b = min(D[i, labels == other].mean() for other in uniq if other != labels[i])
-        scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
+    scored = (own > 1) & (scale > 0)
+    scores[scored] = (b[scored] - a[scored]) / scale[scored]
     return float(scores.mean())
 
 
@@ -201,7 +213,8 @@ def nco(
     if k == "auto":
         candidates = range(2, min(10, n - 1) + 1)
         k = max(candidates,
-                key=lambda kk: (silhouette_score(D, cut_clusters(tree, kk)), -kk))
+                key=lambda kk: (silhouette_score(D, cut_clusters(tree, kk)), -kk),
+                default=1)  # fewer than 3 assets leave no cut to score
     labels = cut_clusters(tree, int(k))
     n_clusters = int(labels.max()) + 1
 
@@ -250,8 +263,7 @@ def stacking(
 
     oos_columns = []
     dates = None
-    for name, est in estimators:
-        result = cross_val_predict(est, X, plan, n_jobs=n_jobs, name=name)
+    for result in cross_val_predict(list(estimators), X, plan, n_jobs=n_jobs):
         if isinstance(result, list):
             series = np.mean([p.returns for p in result], axis=0)
             dates = result[0].dates

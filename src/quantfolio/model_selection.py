@@ -1,8 +1,9 @@
 """Time-aware split generation and out-of-sample portfolio assembly.
 
 Walk-forward and combinatorial purged cross-validation (CPCV) emit SplitPlans
-of index arrays; cross_val_predict turns a plan plus an allocator into
-out-of-sample MultiPeriodPortfolios with a strict no-leakage guarantee.
+of index arrays; cross_val_predict turns a plan plus an allocator, or a list of
+named allocators, into out-of-sample MultiPeriodPortfolios with a strict
+no-leakage guarantee.
 """
 
 from __future__ import annotations
@@ -239,8 +240,8 @@ def _bind_split_job(fit_one):
     _split_job = fit_one
 
 
-def _run_split(s_idx: int):
-    return _split_job(s_idx)
+def _run_split(task: int):
+    return _split_job(task)
 
 
 def cross_val_predict(
@@ -253,34 +254,44 @@ def cross_val_predict(
     """Fit per split on train rows, predict test rows out of sample.
 
     Returns one MultiPeriodPortfolio for sequential plans (walk-forward), or a
-    list of per-path MultiPeriodPortfolios for CPCV plans. With n_jobs > 1 the
-    splits are fitted in up to n_jobs forked worker processes, or one by one
-    where the platform cannot fork. Results are aggregated by split index, so
-    the worker count never changes the output. A fork copies only the calling
-    thread, so avoid n_jobs > 1 while other threads of the program may hold
-    locks that the fits use.
+    list of per-path MultiPeriodPortfolios for CPCV plans. `allocator` may
+    also be a list of (name, allocator) pairs; the result is then a list with
+    one such result per pair, in order, and `name` is not used.
+
+    With n_jobs > 1 every (allocator, split) fit of the call runs in one pool
+    of up to n_jobs forked worker processes, or one by one where the platform
+    cannot fork. Results are aggregated by task index, so the worker count
+    never changes the output, and a failing fit raises the error of the first
+    failing (allocator, split) in sequential order. A fork copies only the
+    calling thread, so avoid n_jobs > 1 while other threads of the program
+    may hold locks that the fits use.
     """
     require_int("n_jobs", n_jobs)
     if n_jobs < 1:
         raise InvalidConfig(f"n_jobs must be >= 1, got {n_jobs}")
     if plan.n_splits == 0:
         raise EmptyCv("split plan is empty")
-    label = name if name is not None else type(allocator).__name__
+    single = not isinstance(allocator, list)
+    pairs = ([(name if name is not None else type(allocator).__name__, allocator)]
+             if single else allocator)
 
-    def fit_one(s_idx: int):
+    def fit_one(task: int):
+        a_idx, s_idx = divmod(task, plan.n_splits)
         train, test = plan.splits[s_idx]
         try:
-            est = clone(allocator)
+            est = clone(pairs[a_idx][1])
             est.fit(_take_rows(X, train))
             weights = np.asarray(est.weights_, dtype=float)
         except Exception as exc:
             raise type(exc)(f"split {s_idx}: {exc}") from exc
         return weights, X.values[test] @ weights
 
-    workers = min(n_jobs, plan.n_splits)
+    # tasks run allocator-major: task a * n_splits + s fits pair a on split s
+    n_tasks = len(pairs) * plan.n_splits
+    workers = min(n_jobs, n_tasks)
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # Forked workers inherit X, the plan and fit_one without pickling them;
-        # only split indices, (weights, series) results and exceptions are
+        # only task indices, (weights, series) results and exceptions are
         # pickled. fit_one is bound in each worker by the initializer, so a
         # nested cross_val_predict in a worker binds its own job in its own
         # workers. ADMM and the clustering hold the GIL, so threads would not
@@ -289,11 +300,20 @@ def cross_val_predict(
                                  mp_context=multiprocessing.get_context("fork"),
                                  initializer=_bind_split_job,
                                  initargs=(fit_one,)) as pool:
-            results = list(pool.map(_run_split, range(plan.n_splits),
+            results = list(pool.map(_run_split, range(n_tasks),
                                     chunksize=math.ceil(plan.n_splits / workers)))
     else:
-        results = [fit_one(s) for s in range(plan.n_splits)]
+        results = [fit_one(task) for task in range(n_tasks)]
 
+    predictions = [
+        _assemble(label, X, plan, results[a_idx * plan.n_splits:(a_idx + 1) * plan.n_splits])
+        for a_idx, (label, _) in enumerate(pairs)
+    ]
+    return predictions[0] if single else predictions
+
+
+def _assemble(label: str, X: ReturnsMatrix, plan: SplitPlan, results):
+    """One allocator's out-of-sample portfolios from its per-split results."""
     if plan.path_of is None:
         segments = []
         returns = []

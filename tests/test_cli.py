@@ -109,6 +109,18 @@ def test_data_paths_may_contain_a_comma(tmp_path, short_prices_path):
     assert (out / "weights.json").exists()
 
 
+def test_optimize_nco_on_two_assets(tmp_path, short_prices_path):
+    rows = Path(short_prices_path).read_text().splitlines()
+    prices = tmp_path / "two.csv"
+    prices.write_text("\n".join(",".join(row.split(",")[:3]) for row in rows) + "\n")
+    cfg = {"data": {"prices": str(prices)}, "model": {"kind": "nco"}}
+    code, out = run(tmp_path, "optimize", cfg)
+    assert code == 0
+    weights = json.loads((out / "weights.json").read_text())
+    assert set(weights) == {"AAPL", "MSFT"}
+    assert sum(weights.values()) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_optimize_infeasible_is_solver_error(tmp_path, short_prices_path):
     cfg = {
         "data": {"prices": short_prices_path},
@@ -228,14 +240,17 @@ def test_backtest_cpcv_paths(tmp_path, short_prices_path):
 
 
 def test_backtest_thread_count_neutral(tmp_path, short_prices_path):
+    # every (model, split) fit of the backtest, the default equal-weighted
+    # benchmark included, runs in one worker pool
     cfg = {
         "data": {"prices": short_prices_path},
-        "model": {"kind": "mean_risk", "risk_measure": "variance"},
+        "models": [{"kind": "mean_risk", "risk_measure": "variance"},
+                   {"kind": "hrp"}, {"kind": "nco"}],
         "cv": {"kind": "cpcv", "k": 4, "p": 2,
                "purge_horizon": 1, "embargo_fraction": 0.01},
     }
     code_a, out_a = run(tmp_path, "backtest", cfg, name="t1", threads=1)
-    code_b, out_b = run(tmp_path, "backtest", cfg, name="t4", threads=4)
+    code_b, out_b = run(tmp_path, "backtest", cfg, name="t3", threads=3)
     assert code_a == code_b == 0
     assert read_outputs(out_a) == read_outputs(out_b)
 

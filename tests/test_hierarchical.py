@@ -77,6 +77,59 @@ def test_cut_clusters_block_structure():
     assert silhouette_score(D, labels) > 0.5
 
 
+def _silhouette_loop(D, labels):
+    """Reference: the per-sample loop over assets and clusters."""
+    D = np.asarray(D, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n = labels.size
+    uniq = np.unique(labels)
+    scores = np.zeros(n)
+    for i in range(n):
+        same = labels == labels[i]
+        if same.sum() == 1:
+            continue
+        a = D[i, same & (np.arange(n) != i)].mean()
+        b = min(D[i, labels == other].mean() for other in uniq if other != labels[i])
+        scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
+    return float(scores.mean())
+
+
+def test_silhouette_hand_case():
+    # samples 0 and 1: a = 0.1, b = 0.9, s = 8/9; the singleton scores 0
+    D = np.array([[0.0, 0.1, 0.9], [0.1, 0.0, 0.9], [0.9, 0.9, 0.0]])
+    assert silhouette_score(D, [0, 0, 1]) == pytest.approx(16 / 27, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_silhouette_matches_reference_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = 9
+    D = rng.uniform(0.0, 1.0, (n, n))
+    D = (D + D.T) / 2
+    cases = [
+        (D - np.diag(np.diag(D)), rng.integers(0, 3, n)),
+        (D, rng.integers(0, 4, n)),  # nonzero diagonal
+        (D, np.array([0, 0, 5, 5, 5, 9, 0, 5, 9])),  # non-contiguous labels
+        (D, np.array([2, 0, 0, 1, 1, 1, 7, 0, 1])),  # singleton clusters
+        (np.zeros((n, n)), np.array([0, 0, 1, 1, 1, 2, 2, 2, 2])),  # max(a, b) == 0
+        (D[:3, :3], np.array([0, 0, 5])),
+    ]
+    for dist, labels in cases:
+        assert silhouette_score(dist, labels) == pytest.approx(
+            _silhouette_loop(dist, labels), abs=1e-14)
+
+
+@pytest.mark.parametrize("D, labels", [
+    (np.zeros((3, 3)), [0, 1]),
+    (np.zeros((3, 3)), [0, 1, 1, 0]),
+    (np.zeros((3, 2)), [0, 1, 1]),
+    (np.zeros((4, 4)), [[0, 1], [1, 0]]),
+], ids=["short_labels", "long_labels", "non_square", "2d_labels"])
+def test_silhouette_rejects_mismatched_input(D, labels):
+    with pytest.raises(InvalidConfig):
+        silhouette_score(D, labels)
+
+
 def test_hrp_two_asset_inverse_variance():
     # [DERIVED] uncorrelated diag(1, 3): weights (0.75, 0.25)
     prior = make_prior([0.0, 0.0], np.diag([1.0, 3.0]))
@@ -166,6 +219,12 @@ def test_nco_auto_k_runs(rng):
     X = make_returns(rng.normal(0.0005, 0.01, (150, 6)))
     w = nco(X)
     assert w.sum() == pytest.approx(1.0, abs=1e-8)
+
+
+def test_nco_auto_k_on_two_assets_is_one_cluster(rng):
+    X = make_returns(rng.normal(0.0005, 0.01, (120, 2)))
+    w = NestedClustersOptimization().fit(X).weights_
+    np.testing.assert_allclose(w, MeanRisk().fit(X).weights_, atol=1e-12)
 
 
 def test_stacking_single_base_reproduces_it(rng):

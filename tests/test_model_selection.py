@@ -191,6 +191,76 @@ def test_cross_val_predict_runs_sequentially_without_fork(rng, monkeypatch):
         np.testing.assert_array_equal(a.returns, b.returns)
 
 
+def _assert_same_result(a, b):
+    if isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same_result(x, y)
+        return
+    assert a.name == b.name
+    assert a.dates == b.dates
+    np.testing.assert_array_equal(a.returns, b.returns)
+    assert len(a.segments) == len(b.segments)
+    for (w_a, span_a), (w_b, span_b) in zip(a.segments, b.segments):
+        np.testing.assert_array_equal(w_a, w_b)
+        assert span_a == span_b
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2, 3])
+@pytest.mark.parametrize("make_plan", [
+    lambda T: walk_forward(T, 60, 20),
+    lambda T: cpcv(T, CpcvConfig(k=4, p=2, purge_horizon=1, embargo_fraction=0.01)),
+], ids=["walk_forward", "cpcv"])
+def test_cross_val_predict_list_matches_per_allocator_calls(rng, make_plan, n_jobs):
+    X = make_returns(rng.normal(0.0005, 0.01, (160, 4)))
+    plan = make_plan(X.n_periods)
+    pairs = [("iv", InverseVolatility()), ("hrp", HierarchicalRiskParity()),
+             ("ew", EqualWeighted())]
+    results = cross_val_predict(pairs, X, plan, n_jobs=n_jobs)
+    assert len(results) == len(pairs)
+    for (name, allocator), result in zip(pairs, results):
+        _assert_same_result(result, cross_val_predict(allocator, X, plan, name=name))
+
+
+def test_cross_val_predict_list_forks_one_pool(rng, monkeypatch):
+    import quantfolio.model_selection as ms
+
+    pools = []
+    real_pool = ms.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(ms, "ProcessPoolExecutor", counting_pool)
+    X = make_returns(rng.normal(0.0005, 0.01, (160, 4)))
+    plan = cpcv(160, CpcvConfig(k=4, p=2, purge_horizon=1, embargo_fraction=0.01))
+    pairs = [("iv", InverseVolatility()), ("hrp", HierarchicalRiskParity()),
+             ("ew", EqualWeighted())]
+    cross_val_predict(pairs, X, plan, n_jobs=2)
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2, 3])
+def test_cross_val_predict_list_raises_first_failure_in_order(rng, n_jobs):
+    class FailsFromRow100(EqualWeighted):
+        def fit(self, X, factors=None):
+            if X.n_periods >= 100:
+                raise ValueError("late")
+            return super().fit(X)
+
+    class AlwaysFails(EqualWeighted):
+        def fit(self, X, factors=None):
+            raise ValueError("always")
+
+    X = make_returns(rng.normal(0, 0.01, (200, 2)))
+    plan = walk_forward(200, 50, 25, expanding=True)  # train sizes 50, 75, 100, ...
+    pairs = [("ew", EqualWeighted()), ("late", FailsFromRow100()),
+             ("always", AlwaysFails())]
+    with pytest.raises(ValueError, match="^split 2: late$"):
+        cross_val_predict(pairs, X, plan, n_jobs=n_jobs)
+
+
 def test_cross_val_predict_empty_plan(rng):
     X = make_returns(rng.normal(0, 0.01, (30, 2)))
     with pytest.raises(EmptyCv):
