@@ -272,6 +272,17 @@ def _assemble(spec: ProblemSpec):
                 "MaximizeRatio",
                 stacklevel=2,
             )
+        # the ratio and w = y/t do not depend on the unit of returns: solve in
+        # a unit where the scenarios' std is about 1, since on decimal returns
+        # the scale column t ≈ 1/risk leaves the LP badly scaled and stalling
+        std = float(np.std(prior.scenarios)) if prior.scenarios.size else 0.0
+        s = 10.0 ** -round(np.log10(std)) if std > 0 else 1.0
+        c = spec.constraints
+        prior = replace(prior, mu=s * prior.mu, sigma=s * s * prior.sigma,
+                        scenarios=s * prior.scenarios)
+        spec = replace(spec, prior=prior, constraints=replace(
+            c, min_return=None if c.min_return is None else s * c.min_return,
+            risk_caps=[(measure, s * bound) for measure, bound in c.risk_caps]))
         w_idx = builder.add_variables(n)
         t = int(builder.add_variables(1, lb=0.0)[0])
     else:

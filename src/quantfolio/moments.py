@@ -99,7 +99,7 @@ def bayes_stein(est: MomentEstimate) -> MomentEstimate:
     mu, sigma, T = est.mu, est.sigma, est.sample_size
     N = mu.size
     if N < 2:
-        raise ValueError("need at least 2 assets")
+        raise InvalidConfig("Bayes-Stein shrinkage needs at least 2 assets")
     ones = np.ones(N)
     sigma_inv_ones = _solve_with_jitter(sigma, ones)
     w_gmv = sigma_inv_ones / (ones @ sigma_inv_ones)

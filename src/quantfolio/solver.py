@@ -9,10 +9,13 @@ with Ruiz equilibration, a reduced (normal-equations) linear system per
 iteration, and a periodic active-set polish that finishes the solve to
 near machine precision once the iterate is moderately accurate. The
 matrix-vector products of the iterations and of the convergence and
-infeasibility checks run on CSR copies of the constraint matrix, built once
-per solve; scaling, the factorization and polish work on dense arrays.
-Everything runs sequentially, so results are bit-deterministic for fixed
-inputs.
+infeasibility checks run on one CSR copy of the scaled constraint matrix
+(and its transpose), built once per solve. The checks judge unscaled
+residuals by rescaling vectors with the Ruiz factors: A₀x = (Ax)/E,
+P₀x = (Px)/(cD) and A₀ᵀy = (Aᵀy)/(cD). One residual function judges ADMM
+iterates and polished points alike. Scaling and the factorization work on
+dense arrays; polish works on the dense unscaled problem. Everything runs
+sequentially, so results are bit-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -168,8 +171,19 @@ def solve(problem: QpProblem) -> SolveResult:
     factor = _factor_reduced(P, A, rho_vec)
     A_csr = scipy.sparse.csr_array(A)
     AT_csr = A_csr.T.tocsr()
-    A0_csr = scipy.sparse.csr_array(A0)
-    A0T_csr = A0_csr.T.tocsr()
+
+    def residuals(x, z, y):
+        """Unscaled primal and dual residuals of the scaled point (x, z, y),
+        with the magnitudes their tolerances scale by."""
+        Ax = (A_csr @ x) / E
+        zu = z / E
+        Px = (P @ x) / (c * D)
+        ATy = (AT_csr @ y) / (c * D)
+        prim_scale = max(np.abs(Ax).max(initial=0.0), np.abs(zu).max(initial=0.0))
+        dual_scale = max(np.abs(Px).max(initial=0.0), np.abs(ATy).max(initial=0.0),
+                         np.abs(q0).max(initial=0.0))
+        return (np.abs(Ax - zu).max(initial=0.0), np.abs(Px + q0 + ATy).max(initial=0.0),
+                prim_scale, dual_scale)
 
     x = np.zeros(n)
     z = np.zeros(m)
@@ -180,7 +194,6 @@ def solve(problem: QpProblem) -> SolveResult:
     xu = np.zeros(n)
     yu = np.zeros(m)
     rho_updates = 0
-    polish_result = None
     # stall breaker: degenerate LP tails crawl at a too-small rho while the
     # residual ratio looks balanced, so the ratio rule never fires; escalate
     # the penalty outright at fixed checkpoints if still unconverged
@@ -201,44 +214,35 @@ def solve(problem: QpProblem) -> SolveResult:
         z = z_new
 
         if k % CHECK_INTERVAL == 0 or k == MAX_ITERATIONS:
-            # unscaled iterates
             xu = D * x
-            zu = z / E
             yu = (E * y) / c
-            Ax = A0_csr @ xu
-            Px = P0 @ xu
-            ATy = A0T_csr @ yu
-            r_prim = np.abs(Ax - zu).max(initial=0.0)
-            r_dual = np.abs(Px + q0 + ATy).max(initial=0.0)
-            eps_prim = EPS_ABS + EPS_REL * max(
-                np.abs(Ax).max(initial=0.0), np.abs(zu).max(initial=0.0)
-            )
-            eps_dual = EPS_ABS + EPS_REL * max(
-                np.abs(Px).max(initial=0.0),
-                np.abs(ATy).max(initial=0.0),
-                np.abs(q0).max(initial=0.0),
-            )
-            if r_prim <= eps_prim and r_dual <= eps_dual:
+            r_prim, r_dual, prim_scale, dual_scale = residuals(x, z, y)
+            eps_prim = EPS_ABS + EPS_REL * prim_scale
+            eps_dual = EPS_ABS + EPS_REL * dual_scale
+            converged = r_prim <= eps_prim and r_dual <= eps_dual
+
+            # active-set polish: finishes a converged iterate, and every
+            # POLISH_INTERVAL iterations is an early exit if it certifies
+            if converged or k % POLISH_INTERVAL == 0:
+                polished = _polish(P0, q0, A0, l, u, xu, yu)
+                if polished is not None:
+                    xs = polished[0] / D
+                    rp, rd, _, _ = residuals(xs, np.clip(A_csr @ xs, ls, us),
+                                             c * polished[1] / E)
+                    if max(rp, rd) <= max(r_prim, r_dual) + 1e-12 and (
+                            converged or (rp <= eps_prim and rd <= eps_dual)):
+                        (xu, yu), r_prim, r_dual = polished, rp, rd
+                        converged = True
+            if converged:
                 status = "Optimal"
                 iterations = k
                 break
 
-            # periodic active-set polish as an early exit
-            if k % POLISH_INTERVAL == 0:
-                polished = _polish(P0, q0, A0, l, u, xu, yu, r_prim, r_dual)
-                if polished is not None and polished[2] <= eps_prim and polished[3] <= eps_dual:
-                    status = "Optimal"
-                    iterations = k
-                    polish_result = polished
-                    break
-
-            dy = (y - y_prev) * E / c
-            if _primal_infeasible(A0T_csr, l, u, dy, EPS_INFEAS):
+            if _primal_infeasible(AT_csr, D, E, c, l, u, y - y_prev, EPS_INFEAS):
                 status = "Infeasible"
                 iterations = k
                 break
-            dx = D * (x - x_prev)
-            if _dual_infeasible(P0, q0, A0_csr, l, u, dx, EPS_INFEAS):
+            if _dual_infeasible(P, A_csr, D, E, c, q0, l, u, x - x_prev, EPS_INFEAS):
                 status = "Unbounded"
                 iterations = k
                 break
@@ -252,26 +256,13 @@ def solve(problem: QpProblem) -> SolveResult:
             # penalty adaptation: rebalance rho when the scaled residual
             # ratio drifts; capped update count keeps runs deterministic
             if rho_updates < 30 and k % (CHECK_INTERVAL * 4) == 0 and k < MAX_ITERATIONS:
-                prim_scale = max(np.abs(Ax).max(initial=0.0), np.abs(zu).max(initial=0.0), 1e-12)
-                dual_scale = max(
-                    np.abs(Px).max(initial=0.0),
-                    np.abs(ATy).max(initial=0.0),
-                    np.abs(q0).max(initial=0.0),
-                    1e-12,
-                )
-                ratio = np.sqrt((r_prim / prim_scale) / max(r_dual / dual_scale, 1e-16))
+                ratio = np.sqrt((r_prim / max(prim_scale, 1e-12))
+                                / max(r_dual / max(dual_scale, 1e-12), 1e-16))
                 if ratio > 5.0 or ratio < 0.2:
                     rho_bar = float(np.clip(rho_bar * ratio, 1e-6, 1e6))
                     rho_vec = np.where(eq_mask, 1e3 * rho_bar, rho_bar)
                     factor = _factor_reduced(P, A, rho_vec)
                     rho_updates += 1
-
-    if polish_result is not None:
-        xu, yu, r_prim, r_dual = polish_result
-    elif status == "Optimal":
-        polished = _polish(P0, q0, A0, l, u, xu, yu, r_prim, r_dual)
-        if polished is not None:
-            xu, yu, r_prim, r_dual = polished
 
     if status == "Optimal":
         objective = float(0.5 * xu @ P0 @ xu + q0 @ xu)
@@ -288,13 +279,14 @@ def solve(problem: QpProblem) -> SolveResult:
     )
 
 
-def _primal_infeasible(AT, l, u, dy, eps):
-    """AT is the transposed constraint matrix."""
+def _primal_infeasible(AT, D, E, c, l, u, dy, eps):
+    """Farkas test on the scaled dual step `dy`; AT is the scaled Aᵀ."""
+    dy = dy * E / c
     norm = np.abs(dy).max(initial=0.0)
     if norm <= 1e-14:
         return False
     d = dy / norm
-    if np.abs(AT @ d).max(initial=0.0) > eps:
+    if np.abs((AT @ (d / E)) / D).max(initial=0.0) > eps:
         return False
     pos = np.clip(d, 0.0, None)
     neg = np.clip(d, None, 0.0)
@@ -306,25 +298,21 @@ def _primal_infeasible(AT, l, u, dy, eps):
     return support < -eps
 
 
-def _dual_infeasible(P, q, A, l, u, dx, eps):
+def _dual_infeasible(P, A, D, E, c, q0, l, u, dx, eps):
+    """Recession-direction test on the scaled primal step `dx`; P, A are scaled."""
+    dx = D * dx
     norm = np.abs(dx).max(initial=0.0)
     if norm <= 1e-14:
         return False
     d = dx / norm
-    if np.abs(P @ d).max(initial=0.0) > eps:
+    if np.abs((P @ (d / D)) / (c * D)).max(initial=0.0) > eps:
         return False
-    if q @ d > -eps:
+    if q0 @ d > -eps:
         return False
-    Ad = A @ d
+    Ad = (A @ (d / D)) / E
     ok_upper = np.where(np.isfinite(u), Ad <= eps, True)
     ok_lower = np.where(np.isfinite(l), Ad >= -eps, True)
     return bool(np.all(ok_upper & ok_lower))
-
-
-def _primal_violation(A, l, u, xv):
-    Axv = A @ xv
-    rp = float(np.maximum(Axv - u, 0.0).max(initial=0.0))
-    return max(rp, float(np.maximum(l - Axv, 0.0).max(initial=0.0)))
 
 
 def _select_independent(rows, tol=1e-8):
@@ -357,40 +345,31 @@ def _select_independent(rows, tol=1e-8):
 
 def _dual_fit(P, q, A, xv, eq_mask, act_low, act_up):
     """Sign-constrained least-squares dual: y free on equalities, y≥0 on upper-
-    active rows, y≤0 on lower-active rows. Returns (y, stationarity residual);
-    a near-zero residual certifies optimality of a primal-feasible xv."""
+    active rows, y≤0 on lower-active rows. Returns y, or None if the fit
+    fails; a near-zero stationarity residual of (xv, y) certifies optimality
+    of a primal-feasible xv."""
     g = -(P @ xv + q)
-    cols = []
-    meta = []  # (constraint row, sign)
-    for i in np.flatnonzero(eq_mask):
-        cols.append(A[i])
-        meta.append((i, 1.0))
-        cols.append(-A[i])
-        meta.append((i, -1.0))
-    for i in np.flatnonzero(act_up):
-        cols.append(A[i])
-        meta.append((i, 1.0))
-    for i in np.flatnonzero(act_low):
-        cols.append(-A[i])
-        meta.append((i, -1.0))
+    eq = np.flatnonzero(eq_mask)
+    up = np.flatnonzero(act_up)
+    low = np.flatnonzero(act_low)
+    # an equality row enters as a (+, -) column pair
+    rows = np.concatenate([np.repeat(eq, 2), up, low])
+    signs = np.concatenate([np.tile([1.0, -1.0], eq.size), np.ones(up.size),
+                            -np.ones(low.size)])
     y = np.zeros(A.shape[0])
-    if not cols:
-        return y, float(np.abs(g).max(initial=0.0))
-    B = np.column_stack(cols)
+    if not rows.size:
+        return y
     try:
-        z, _ = scipy.optimize.nnls(B, g)
+        z, _ = scipy.optimize.nnls((A[rows] * signs[:, None]).T, g)
     except (RuntimeError, ValueError):
-        return y, np.inf
-    for (i, s), zi in zip(meta, z):
-        y[i] += s * zi
-    rd = float(np.abs(P @ xv + q + A.T @ y).max(initial=0.0))
-    return y, rd
+        return None
+    np.add.at(y, rows, signs * z)
+    return y
 
 
 def _polish_step(P, q, A, l, u, eq_mask, low, up):
-    """Equality-solve the KKT system on a candidate active set."""
+    """Equality-solve the KKT system on a candidate active set; returns x or None."""
     n = P.shape[0]
-    m = A.shape[0]
     active = eq_mask | low | up
     idx = np.flatnonzero(active)
     A_red = A[idx]
@@ -418,24 +397,21 @@ def _polish_step(P, q, A, l, u, eq_mask, low, up):
     for _ in range(POLISH_REFINE_STEPS):
         sol = sol + scipy.linalg.lu_solve(lu, rhs - K0 @ sol)
     x_new = sol[:n]
-    y_new = np.zeros(m)
-    if k:
-        y_new[idx] = sol[n:]
     if not np.all(np.isfinite(x_new)):
         return None
-    return x_new, y_new
+    return x_new
 
 
-def _polish(P, q, A, l, u, x, y, rp, rd):
-    """Active-set polish: re-solve on a candidate active set and certify it.
+def _polish(P, q, A, l, u, x, y):
+    """Active-set polish: re-solve on a candidate active set and fit its dual.
 
     The candidate set is read off the ADMM iterate: rows within 1e-7
     (relative) of a bound, unioned with rows whose dual is strong. It is
     pruned to a linearly independent subset for the primal KKT solve
     (optimal vertices of the drawdown LPs are degenerate, so the raw set is
-    often rank-deficient), and the polished point is certified with a
-    sign-constrained dual fit over the rows tight at it. Returns
-    (x, y, rp, rd) if it is no worse than the ADMM iterate, else None.
+    often rank-deficient), and the dual is a sign-constrained fit over the
+    rows tight at the polished point, so complementary slackness holds by
+    construction. Returns the candidate (x, y), or None; `solve` judges it.
     """
     eq_mask = np.isfinite(l) & np.isfinite(u) & (np.abs(u - l) < 1e-14)
     has_l = np.isfinite(l) & ~eq_mask
@@ -458,17 +434,11 @@ def _polish(P, q, A, l, u, x, y, rp, rd):
                     dtype=int)
     sel = np.zeros(m, dtype=bool)
     sel[kept] = True
-    step = _polish_step(P, q, A, l, u, eq_mask, act_low & sel, act_up & sel)
-    if step is None:
+    x_new = _polish_step(P, q, A, l, u, eq_mask, act_low & sel, act_up & sel)
+    if x_new is None:
         return None
-    x_new, _ = step
-    rp_new = _primal_violation(A, l, u, x_new)
-    # certify against the rows actually tight at x_new: complementary
-    # slackness then holds by construction
     Axn = A @ x_new
     fit_low = has_l & (np.abs(Axn - l) <= 1e-9 * (1.0 + np.abs(l)))
     fit_up = has_u & (np.abs(u - Axn) <= 1e-9 * (1.0 + np.abs(u)))
-    y_new, rd_new = _dual_fit(P, q, A, x_new, eq_mask, fit_low, fit_up)
-    if max(rp_new, rd_new) <= max(rp, rd) + 1e-12:
-        return x_new, y_new, rp_new, rd_new
-    return None
+    y_new = _dual_fit(P, q, A, x_new, eq_mask, fit_low, fit_up)
+    return None if y_new is None else (x_new, y_new)

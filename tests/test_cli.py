@@ -121,6 +121,17 @@ def test_optimize_nco_on_two_assets(tmp_path, short_prices_path):
     assert sum(weights.values()) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_optimize_bayes_stein_on_one_asset_is_config_error(tmp_path, short_prices_path):
+    rows = Path(short_prices_path).read_text().splitlines()
+    prices = tmp_path / "one.csv"
+    prices.write_text("\n".join(",".join(row.split(",")[:2]) for row in rows) + "\n")
+    cfg = {"data": {"prices": str(prices)},
+           "model": {"kind": "mean_risk",
+                     "prior": {"kind": "empirical", "mean_estimator": "bayes_stein"}}}
+    code, _ = run(tmp_path, "optimize", cfg)
+    assert code == 2
+
+
 def test_optimize_infeasible_is_solver_error(tmp_path, short_prices_path):
     cfg = {
         "data": {"prices": short_prices_path},

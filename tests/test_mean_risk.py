@@ -100,6 +100,42 @@ def test_ratio_invariant_to_return_scale():
     np.testing.assert_allclose(w1, w2, atol=1e-6)
 
 
+def _decimal_draw(seed):
+    """T=40, N=5 decimal-scale returns: N(1e-3, 0.01) plus an N(0, 0.005) factor."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(1e-3, 0.01, (40, 5)) + rng.normal(0.0, 0.005, (40, 1))
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+@pytest.mark.parametrize("measure", [RiskMeasure.CVAR, RiskMeasure.MEAN_ABSOLUTE_DEVIATION,
+                                     RiskMeasure.WORST_REALIZATION])
+def test_ratio_on_decimal_returns_matches_percent_fit(measure, seed):
+    # these homogenized LPs stalled at MaxIterations on decimal returns
+    X = _decimal_draw(seed)
+    w = MeanRisk(ObjectiveFunction.MAXIMIZE_RATIO, measure).fit(X).weights_
+    w_percent = MeanRisk(ObjectiveFunction.MAXIMIZE_RATIO, measure).fit(100 * X).weights_
+    np.testing.assert_allclose(w, w_percent, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("decimal, percent", [
+    (dict(min_return=0.0032), dict(min_return=0.32)),
+    (dict(risk_caps=[(RiskMeasure.MEAN_ABSOLUTE_DEVIATION, 0.0065)]),
+     dict(risk_caps=[(RiskMeasure.MEAN_ABSOLUTE_DEVIATION, 0.65)])),
+], ids=["min_return", "mad_cap"])
+def test_ratio_floor_and_cap_on_decimal_returns(decimal, percent):
+    # the floor and the cap bind, and rescale with the returns
+    X = _decimal_draw(2)
+    w = MeanRisk(ObjectiveFunction.MAXIMIZE_RATIO, RiskMeasure.CVAR, **decimal).fit(X).weights_
+    w_percent = MeanRisk(ObjectiveFunction.MAXIMIZE_RATIO, RiskMeasure.CVAR,
+                         **percent).fit(100 * X).weights_
+    np.testing.assert_allclose(w, w_percent, rtol=0, atol=1e-10)
+    if "min_return" in decimal:
+        assert X.mean(axis=0) @ w == pytest.approx(decimal["min_return"], abs=1e-12)
+    else:
+        mad = measure_value(X @ w, RiskMeasure.MEAN_ABSOLUTE_DEVIATION)
+        assert mad == pytest.approx(decimal["risk_caps"][0][1], abs=1e-12)
+
+
 def test_l2_regularization_pulls_toward_equal_weights():
     prior = make_prior([0.0, 0.0], np.diag([1.0, 4.0]))
     base = optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior))

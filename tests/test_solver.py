@@ -5,7 +5,7 @@ import quantfolio.solver
 from quantfolio.mean_risk import Constraints, ObjectiveFunction, ProblemSpec, _assemble
 from quantfolio.measures import RiskMeasure
 from quantfolio.priors import Prior
-from quantfolio.solver import QpProblem, _select_independent, solve
+from quantfolio.solver import QpProblem, _select_independent, _stack_problem, solve
 
 from conftest import random_psd
 from test_golden_weights import _cases, _prior
@@ -198,18 +198,58 @@ def test_cdar_lp_repeats_exactly():
 
 
 def test_failed_polish_makes_one_kkt_solve(monkeypatch):
-    # the LP of the golden case maximize_ratio/cvar/caps: its third periodic
-    # polish, at iteration 1,500, does not certify
+    # the LP of the golden case maximize_ratio/cvar/caps: its periodic polishes
+    # before iteration 3,000 do not certify, and none repeats its KKT solve
     objective, measure, cons, extra = _cases()["maximize_ratio/cvar/caps"]
     problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
                                           constraints=Constraints(**cons), **extra))
     polish, polish_step = quantfolio.solver._polish, quantfolio.solver._polish_step
-    inputs = []
+    polishes, kkt_solves = [], []
     monkeypatch.setattr(quantfolio.solver, "_polish",
-                        lambda *args: inputs.append(args) or polish(*args))
-    assert solve(problem).status == "Optimal"
-    kkt_solves = []
+                        lambda *args: polishes.append(1) or polish(*args))
     monkeypatch.setattr(quantfolio.solver, "_polish_step",
                         lambda *args: kkt_solves.append(1) or polish_step(*args))
-    assert polish(*inputs[2]) is None
-    assert len(kkt_solves) == 1
+    res = solve(problem)
+    assert (res.status, res.iterations) == ("Optimal", 3000)
+    assert len(polishes) == 3000 // quantfolio.solver.POLISH_INTERVAL
+    assert len(kkt_solves) == len(polishes)
+
+
+@pytest.mark.parametrize("case", ["maximize_ratio/cvar/caps", "maximize_ratio/variance/short",
+                                  "minimize_risk/cdar", "maximize_utility/mad/l1+mixed"])
+def test_polished_residuals_match_unscaled_recomputation(case):
+    # the solver measures residuals through the scaled matrices; recompute
+    # them from the returned point on the unscaled problem
+    objective, measure, cons, extra = _cases()[case]
+    problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
+                                          constraints=Constraints(**cons), **extra))
+    res = solve(problem)
+    assert res.status == "Optimal"
+    P0, q0, A0, l, u = _stack_problem(problem)
+    Ax = A0 @ res.x
+    r_prim = max(np.maximum(Ax - u, 0.0).max(initial=0.0),
+                 np.maximum(l - Ax, 0.0).max(initial=0.0))
+    Px, ATy = P0 @ res.x, A0.T @ res.y
+    r_dual = np.abs(Px + q0 + ATy).max()
+    prim_scale = np.abs(Ax).max()
+    dual_scale = max(np.abs(Px).max(), np.abs(ATy).max(), np.abs(q0).max())
+    # a polished point, far inside the ADMM tolerance of 1e-8
+    assert max(res.primal_residual, res.dual_residual) < 1e-12
+    assert abs(res.primal_residual - r_prim) <= 1e-12 * prim_scale
+    assert abs(res.dual_residual - r_dual) <= 1e-12 * dual_scale
+
+
+def test_admm_dual_residual_matches_unscaled_recomputation(monkeypatch):
+    # an unpolished ADMM iterate: its dual residual is far from zero, so a
+    # wrong rescaling of the scaled products shows
+    monkeypatch.setattr(quantfolio.solver, "MAX_ITERATIONS", 100)
+    objective, measure, cons, extra = _cases()["maximize_utility/mad/l1+mixed"]
+    problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
+                                          constraints=Constraints(**cons), **extra))
+    res = solve(problem)
+    assert res.status == "MaxIterations"
+    P0, q0, A0, _, _ = _stack_problem(problem)
+    Px, ATy = P0 @ res.x, A0.T @ res.y
+    dual_scale = max(np.abs(Px).max(), np.abs(ATy).max(), np.abs(q0).max())
+    assert res.dual_residual > 1e-6 * dual_scale
+    assert abs(res.dual_residual - np.abs(Px + q0 + ATy).max()) <= 1e-12 * dual_scale
