@@ -8,7 +8,7 @@ import numpy as np
 
 from . import measures
 from .exceptions import AssetMismatch, EmptyPopulation, TooFewSamples
-from .market_data import ReturnsMatrix
+from .market_data import ReturnsMatrix, returns_values
 from .measures import RiskMeasure
 
 PERIODS_PER_YEAR = 252
@@ -45,7 +45,7 @@ class Portfolio:
 
 def predict(weights: np.ndarray, X: ReturnsMatrix, assets=(), name="portfolio") -> Portfolio:
     """Realized portfolio return series under fixed weights."""
-    values = X.values if isinstance(X, ReturnsMatrix) else np.asarray(X, dtype=float)
+    values = returns_values(X)
     x_assets = tuple(X.assets) if isinstance(X, ReturnsMatrix) else ()
     if assets and x_assets and tuple(assets) != x_assets:
         raise AssetMismatch(f"weights cover {tuple(assets)} but data has {x_assets}")
@@ -57,26 +57,10 @@ def predict(weights: np.ndarray, X: ReturnsMatrix, assets=(), name="portfolio") 
 
 
 @dataclass
-class MultiPeriodPortfolio:
+class MultiPeriodPortfolio(Portfolio):
     """Concatenated out-of-sample segments, each with its own weights."""
 
-    name: str
     segments: list[tuple[np.ndarray, tuple]] = field(default_factory=list)
-    returns: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    dates: tuple = ()
-    periods_per_year: int = PERIODS_PER_YEAR
-
-    def __post_init__(self):
-        self.returns = np.asarray(self.returns, dtype=float).ravel()
-        if not np.all(np.isfinite(self.returns)):
-            raise ValueError("portfolio returns must be finite")
-
-    @property
-    def n_periods(self) -> int:
-        return self.returns.size
-
-    def summary(self) -> dict[str, float]:
-        return summary(self)
 
 
 @dataclass
@@ -136,7 +120,7 @@ def frontier_report(
     for idx, point in enumerate(points):
         w = np.asarray(point.weights, dtype=float)
         for label, X in datasets:
-            values = X.values if isinstance(X, ReturnsMatrix) else np.asarray(X, dtype=float)
+            values = returns_values(X)
             if values.shape[1] != w.size:
                 raise AssetMismatch(
                     f"{w.size} weights vs {values.shape[1]} columns in {label} data"

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import frontier_report, population_summary, predict, summary
+from .analytics import Portfolio, frontier_report, population_summary, predict, summary
 from .exceptions import (
     AssetMismatch,
     DimensionMismatch,
@@ -124,14 +124,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 # ---------------------------------------------------------------------------
 # config parsing (strict: unknown keys are fatal)
 
-_TOP_KEYS = {"data", "model", "models", "constraints", "cv", "outputs",
-             "benchmarks", "inputs", "seed"}
+_TOP_KEYS = {"data", "model", "models", "constraints", "cv", "benchmarks", "inputs", "seed"}
 _DATA_KEYS = {"prices", "factors", "returns_kind", "test_fraction"}
 _CONSTRAINT_KEYS = {"budget", "min_weights", "max_weights",
                     "max_weight_per_asset", "min_return"}
 _VIEW_KEYS = {"picks", "value"}
-_OUTPUT_KEYS = {"weights", "summary", "series", "frontier_csv", "frontier_svg",
-                "population_json", "population_csv", "audit", "chart"}
 
 # section type -> kind -> (class, the config keys that kind takes besides "kind")
 _KINDS = {
@@ -189,8 +186,7 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"config {path} is not valid JSON: {exc}") from exc
     _check_keys(cfg, _TOP_KEYS, "config")
-    for key, allowed in (("data", _DATA_KEYS), ("constraints", _CONSTRAINT_KEYS),
-                         ("outputs", _OUTPUT_KEYS)):
+    for key, allowed in (("data", _DATA_KEYS), ("constraints", _CONSTRAINT_KEYS)):
         if key in cfg:
             _check_keys(cfg[key], allowed, key)
     for key in ("model", "cv"):
@@ -358,18 +354,15 @@ def cmd_optimize(cfg: dict, out: Path, threads: int) -> int:
     port_train = predict(weights, X_train, name=name)
     port_test = predict(weights, X_test, name=name)
 
-    names = cfg.get("outputs", {})
-    _write_json(out / names.get("weights", "weights.json"),
-                {a: float(w) for a, w in zip(X.assets, weights)})
-    _write_json(out / names.get("summary", "summary.json"),
+    _write_json(out / "weights.json", {a: float(w) for a, w in zip(X.assets, weights)})
+    _write_json(out / "summary.json",
                 {"train": _summary_obj(port_train), "test": _summary_obj(port_test)})
     # series files carry full-precision returns so report round-trips exactly
     series_obj = {
         "train": {"name": name, "returns": [float(r) for r in port_train.returns]},
         "test": {"name": name, "returns": [float(r) for r in port_test.returns]},
     }
-    _write_text(out / names.get("series", "series.json"),
-                json.dumps(series_obj, indent=2) + "\n")
+    _write_text(out / "series.json", json.dumps(series_obj, indent=2) + "\n")
     return 0
 
 
@@ -403,8 +396,7 @@ def cmd_frontier(cfg: dict, out: Path, threads: int) -> int:
 
     header = ["target_return", "realized_return_train", "risk_train",
               "realized_return_test", "risk_test"] + list(X.assets)
-    names = cfg.get("outputs", {})
-    _write_csv(out / names.get("frontier_csv", "frontier.csv"), header, rows)
+    _write_csv(out / "frontier.csv", header, rows)
     chart = line_chart(
         [
             ("train", [r["risk"] for r in train], [r["mean"] for r in train]),
@@ -413,7 +405,7 @@ def cmd_frontier(cfg: dict, out: Path, threads: int) -> int:
         title="Efficient frontier",
         x_label="risk", y_label="mean return", markers=True,
     )
-    _write_text(out / names.get("frontier_svg", "frontier.svg"), chart)
+    _write_text(out / "frontier.svg", chart)
     return 0
 
 
@@ -445,12 +437,9 @@ def cmd_backtest(cfg: dict, out: Path, threads: int) -> int:
         portfolios.extend(result if isinstance(result, list) else [result])
 
     rows = population_summary(portfolios)
-    names = cfg.get("outputs", {})
-    _write_json(out / names.get("population_json", "population_summary.json"),
-                {"portfolios": rows})
+    _write_json(out / "population_summary.json", {"portfolios": rows})
     header = list(rows[0].keys())
-    _write_csv(out / names.get("population_csv", "population_summary.csv"),
-               header, [[row[k] for k in header] for row in rows])
+    _write_csv(out / "population_summary.csv", header, [[row[k] for k in header] for row in rows])
 
     audit = []
     for port in portfolios:
@@ -465,7 +454,7 @@ def cmd_backtest(cfg: dict, out: Path, threads: int) -> int:
                 for weights, span in port.segments
             ],
         })
-    _write_json(out / names.get("audit", "weights_audit.json"),
+    _write_json(out / "weights_audit.json",
                 {"splits": json.loads(plan.to_json()), "portfolios": audit})
 
     chart_series = []
@@ -475,7 +464,7 @@ def cmd_backtest(cfg: dict, out: Path, threads: int) -> int:
                              [float(v) for v in wealth]))
     chart = line_chart(chart_series, title="Cumulative return (out of sample)",
                        x_label="period", y_label="cumulative return")
-    _write_text(out / names.get("chart", "cumulative_returns.svg"), chart)
+    _write_text(out / "cumulative_returns.svg", chart)
     return 0
 
 
@@ -496,6 +485,8 @@ def _load_series_file(path: str) -> dict:
                 f"input {path}, entry {label!r}: expected {{'name', 'returns'}}"
             )
         values = entry["returns"]
+        if any(isinstance(v, bool) for v in values):
+            raise MalformedCsv(f"input {path}, entry {label!r}: a return is a boolean")
         if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
             raise MissingCell(f"input {path}, entry {label!r}: non-finite return value")
     return payload
@@ -503,9 +494,8 @@ def _load_series_file(path: str) -> dict:
 
 def cmd_report(cfg: dict, out: Path, threads: int) -> int:
     inputs = cfg.get("inputs")
-    if not inputs:
-        raise InvalidConfig("report needs a non-empty 'inputs' list")
-    from .analytics import Portfolio
+    if not inputs or not isinstance(inputs, list) or not all(isinstance(p, str) for p in inputs):
+        raise InvalidConfig(f"report needs a non-empty 'inputs' list of paths, got {inputs!r}")
 
     for path in inputs:
         payload = _load_series_file(path)

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.cluster.hierarchy
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .base import BaseEstimator, clone
 from .exceptions import EmptyCv, InvalidConfig, ZeroVarianceAsset, require_finite, require_int
-from .market_data import ReturnsMatrix
+from .market_data import ReturnsMatrix, returns_values
 from .measures import DEFAULT_BETA, RiskMeasure, measure_value
 from .model_selection import CpcvConfig, SplitPlan, cross_val_predict
 from .priors import Prior, fit_prior
@@ -200,7 +200,7 @@ def nco(
 
     if k != "auto":
         require_int("k (an integer or 'auto')", k)
-    values = X.values if isinstance(X, ReturnsMatrix) else np.asarray(X, dtype=float)
+    values = returns_values(X)
     n = values.shape[1]
     inner = inner if inner is not None else MeanRisk()
     outer = outer if outer is not None else MeanRisk()
@@ -224,20 +224,16 @@ def nco(
         if cols.size == 1:
             intra[cols[0], c] = 1.0
             continue
-        sub = ReturnsMatrix(
-            dates=X.dates, assets=tuple(X.assets[i] for i in cols),
-            values=values[:, cols], kind=X.kind,
-        ) if isinstance(X, ReturnsMatrix) else values[:, cols]
+        sub = X.take(cols=cols) if isinstance(X, ReturnsMatrix) else values[:, cols]
         est = clone(inner).fit(sub)
         intra[cols, c] = np.asarray(est.weights_, dtype=float)
 
     if n_clusters == 1:
         return intra[:, 0].copy()
-    reduced_values = values @ intra
-    reduced = ReturnsMatrix(
-        dates=X.dates, assets=tuple(f"cluster_{c}" for c in range(n_clusters)),
-        values=reduced_values, kind=X.kind,
-    ) if isinstance(X, ReturnsMatrix) else reduced_values
+    reduced = values @ intra
+    if isinstance(X, ReturnsMatrix):
+        reduced = replace(X, assets=tuple(f"cluster_{c}" for c in range(n_clusters)),
+                          values=reduced)
     inter = np.asarray(clone(outer).fit(reduced).weights_, dtype=float)
     return intra @ inter
 
@@ -257,6 +253,9 @@ def stacking(
     """
     if not estimators:
         raise InvalidConfig("stacking needs at least one base estimator")
+    names = tuple(name for name, _ in estimators)
+    if "" in names or len(set(names)) != len(names):
+        raise InvalidConfig(f"stacking estimator names must be distinct and non-empty: {names!r}")
     plan = cv if isinstance(cv, SplitPlan) else cv.plan(X.n_periods)
     if plan.n_splits == 0:
         raise EmptyCv("stacking cv plan is empty")
@@ -272,7 +271,7 @@ def stacking(
             dates = result.dates
         oos_columns.append(series)
     synthetic = ReturnsMatrix(
-        dates=dates, assets=tuple(name for name, _ in estimators),
+        dates=dates, assets=names,
         values=np.column_stack(oos_columns), kind="simple",
     )
 
@@ -290,8 +289,7 @@ _DEFAULT_STACKING_CV = CpcvConfig(k=5, p=1, purge_horizon=1, embargo_fraction=0.
 
 class EqualWeighted(BaseEstimator):
     def fit(self, X, factors=None):
-        values = X.values if isinstance(X, ReturnsMatrix) else np.asarray(X, dtype=float)
-        self.weights_ = equal_weighted(values.shape[1])
+        self.weights_ = equal_weighted(returns_values(X).shape[1])
         return self
 
 

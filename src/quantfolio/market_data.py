@@ -6,7 +6,7 @@ import csv
 import datetime
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,12 +24,14 @@ from .exceptions import (
 
 
 @dataclass(frozen=True)
-class PriceFrame:
-    """T×N positive prices on a strictly increasing date axis."""
+class _Panel:
+    """T×N values on a strictly increasing date axis, one distinct name per column."""
 
     dates: tuple[datetime.date, ...]
     assets: tuple[str, ...]
     values: np.ndarray
+
+    _noun = "value"  # names the values in the non-finite message
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -38,13 +40,13 @@ class PriceFrame:
             raise MalformedCsv(
                 f"shape {values.shape} does not match {len(self.dates)} dates × {len(self.assets)} assets"
             )
+        if "" in self.assets or len(set(self.assets)) != len(self.assets):
+            raise MalformedCsv(f"asset names must be distinct and non-empty, got {self.assets!r}")
         for a, b in zip(self.dates, self.dates[1:]):
             if a >= b:
                 raise NonMonotonicDates(f"dates not strictly increasing at {b}")
         if not np.all(np.isfinite(values)):
-            raise MissingCell("non-finite price")
-        if values.size and values.min() <= 0:
-            raise NonPositivePrice(f"minimum price {values.min()} is not > 0")
+            raise MissingCell(f"non-finite {self._noun}")
 
     @property
     def n_periods(self) -> int:
@@ -53,41 +55,51 @@ class PriceFrame:
     @property
     def n_assets(self) -> int:
         return len(self.assets)
+
+    def take(self, rows=slice(None), cols=slice(None)):
+        """The panel restricted to `rows` and `cols`, each a slice or an index array."""
+
+        def pick(labels, idx):
+            return labels[idx] if isinstance(idx, slice) else tuple(labels[i] for i in idx)
+
+        return replace(self, dates=pick(self.dates, rows), assets=pick(self.assets, cols),
+                       values=self.values[rows][:, cols])
 
 
 @dataclass(frozen=True)
-class ReturnsMatrix:
-    """T×N per-period returns; `kind` records the convention used to build them."""
+class PriceFrame(_Panel):
+    """T×N positive prices on a strictly increasing date axis."""
 
-    dates: tuple[datetime.date, ...]
-    assets: tuple[str, ...]
-    values: np.ndarray
-    kind: str = "simple"
+    _noun = "price"
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
+        super().__post_init__()
+        if self.values.size and self.values.min() <= 0:
+            raise NonPositivePrice(f"minimum price {self.values.min()} is not > 0")
+
+
+@dataclass(frozen=True)
+class ReturnsMatrix(_Panel):
+    """T×N per-period returns; `kind` records the convention used to build them."""
+
+    kind: str = "simple"
+
+    _noun = "return"
+
+    def __post_init__(self):
         if self.kind not in ("simple", "log"):
             raise ValueError(f"kind must be 'simple' or 'log', got {self.kind!r}")
-        if values.shape != (len(self.dates), len(self.assets)):
-            raise MalformedCsv(
-                f"shape {values.shape} does not match {len(self.dates)} dates × {len(self.assets)} assets"
-            )
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise NonMonotonicDates(f"dates not strictly increasing at {b}")
-        if not np.all(np.isfinite(values)):
-            raise MissingCell("non-finite return")
-        if self.kind == "simple" and values.size and values.min() <= -1:
+        super().__post_init__()
+        if self.kind == "simple" and self.values.size and self.values.min() <= -1:
             raise NonPositivePrice("simple return ≤ −1 implies non-positive price")
 
-    @property
-    def n_periods(self) -> int:
-        return len(self.dates)
 
-    @property
-    def n_assets(self) -> int:
-        return len(self.assets)
+def returns_values(X) -> np.ndarray:
+    """The T×N values of a ReturnsMatrix or of a 2-D array."""
+    values = X.values if isinstance(X, ReturnsMatrix) else np.asarray(X, dtype=float)
+    if values.ndim != 2:
+        raise ValueError("expected a T×N matrix")
+    return values
 
 
 def _parse_date(text: str, row: int) -> datetime.date:
@@ -175,16 +187,8 @@ def align(prices: PriceFrame, factor_prices: PriceFrame) -> tuple[PriceFrame, Pr
     common = set(prices.dates) & set(factor_prices.dates)
     if not common:
         raise EmptyIntersection("no common dates between the two frames")
-
-    def restrict(frame: PriceFrame) -> PriceFrame:
-        keep = [i for i, d in enumerate(frame.dates) if d in common]
-        return PriceFrame(
-            dates=tuple(frame.dates[i] for i in keep),
-            assets=frame.assets,
-            values=frame.values[keep],
-        )
-
-    return restrict(prices), restrict(factor_prices)
+    return tuple(frame.take([i for i, d in enumerate(frame.dates) if d in common])
+                 for frame in (prices, factor_prices))
 
 
 def time_split(X: ReturnsMatrix, test_fraction: float) -> tuple[ReturnsMatrix, ReturnsMatrix]:
@@ -197,10 +201,4 @@ def time_split(X: ReturnsMatrix, test_fraction: float) -> tuple[ReturnsMatrix, R
     n_train = T - n_test
     if n_train < 1:
         raise DegenerateSplit(f"T={T} leaves no training rows for test_fraction={test_fraction}")
-
-    def slice_rows(lo: int, hi: int) -> ReturnsMatrix:
-        return ReturnsMatrix(
-            dates=X.dates[lo:hi], assets=X.assets, values=X.values[lo:hi], kind=X.kind
-        )
-
-    return slice_rows(0, n_train), slice_rows(n_train, T)
+    return X.take(slice(0, n_train)), X.take(slice(n_train, T))

@@ -223,15 +223,6 @@ def _rebuild_test_folds(splits, path_of) -> list[list[tuple[int, np.ndarray]]]:
     return test_folds
 
 
-def _take_rows(X: ReturnsMatrix, idx: np.ndarray) -> ReturnsMatrix:
-    return ReturnsMatrix(
-        dates=tuple(X.dates[i] for i in idx),
-        assets=X.assets,
-        values=X.values[idx],
-        kind=X.kind,
-    )
-
-
 _split_job = None  # set only in a forked worker, by _bind_split_job
 
 
@@ -280,7 +271,7 @@ def cross_val_predict(
         train, test = plan.splits[s_idx]
         try:
             est = clone(pairs[a_idx][1])
-            est.fit(_take_rows(X, train))
+            est.fit(X.take(train))
             weights = np.asarray(est.weights_, dtype=float)
         except Exception as exc:
             raise type(exc)(f"split {s_idx}: {exc}") from exc

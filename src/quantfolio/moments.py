@@ -14,7 +14,7 @@ from .exceptions import (
     require_finite,
     require_int,
 )
-from .market_data import ReturnsMatrix
+from .market_data import returns_values
 
 
 @dataclass(frozen=True)
@@ -33,17 +33,15 @@ class MomentEstimate:
         n = mu.size
         if sigma.shape != (n, n):
             raise ValueError(f"sigma shape {sigma.shape} does not match mu length {n}")
-        if np.abs(sigma - sigma.T).max(initial=0.0) > 1e-12:
-            raise ValueError("sigma not symmetric within 1e-12")
-        if n and np.linalg.eigvalsh(sigma).min() < -1e-10:
-            raise ValueError("sigma not PSD within tolerance")
+        check_covariance(sigma)
 
 
-def _values(R) -> np.ndarray:
-    X = R.values if isinstance(R, ReturnsMatrix) else np.asarray(R, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("expected a T×N matrix")
-    return X
+def check_covariance(sigma: np.ndarray):
+    """Reject a square sigma that is not symmetric within 1e-12 or not PSD within 1e-10."""
+    if np.abs(sigma - sigma.T).max(initial=0.0) > 1e-12:
+        raise InvalidConfig("sigma not symmetric within 1e-12")
+    if sigma.size and np.linalg.eigvalsh(sigma).min() < -1e-10:
+        raise InvalidConfig("sigma not PSD within tolerance")
 
 
 def _solve_with_jitter(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -60,7 +58,7 @@ def _solve_with_jitter(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def sample_moments(R) -> MomentEstimate:
     """Column means and unbiased (T−1) sample covariance."""
-    X = _values(R)
+    X = returns_values(R)
     T = X.shape[0]
     if T < 2:
         raise TooFewSamples("need T >= 2")
@@ -77,7 +75,7 @@ def ew_moments(R, halflife: float) -> MomentEstimate:
     Weights decay by a factor of 2 per `halflife` periods, most recent
     observation heaviest; correction divides by 1 − Σλ².
     """
-    X = _values(R)
+    X = returns_values(R)
     T, _ = X.shape
     if T < 2:
         raise TooFewSamples("need T >= 2")
@@ -119,7 +117,7 @@ def ledoit_wolf(R) -> tuple[MomentEstimate, float]:
     The intensity follows the asymptotically optimal closed form for the
     scaled-identity target; the shrunk matrix keeps the sample trace.
     """
-    X = _values(R)
+    X = returns_values(R)
     T, N = X.shape
     if T < 2:
         raise TooFewSamples("need T >= 2")
@@ -160,7 +158,7 @@ def _clip_to_psd_correlation(G: np.ndarray) -> np.ndarray:
 
 def gerber(R, c: float = 0.5) -> MomentEstimate:
     """Comovement covariance counting only joint moves beyond c standard deviations."""
-    X = _values(R)
+    X = returns_values(R)
     T, N = X.shape
     if T < 2:
         raise TooFewSamples("need T >= 2")

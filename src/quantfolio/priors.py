@@ -16,7 +16,7 @@ from .exceptions import (
     TooFewSamples,
     require_finite,
 )
-from .market_data import ReturnsMatrix
+from .market_data import ReturnsMatrix, returns_values
 from .moments import MomentEstimate
 
 
@@ -26,7 +26,8 @@ class Prior:
 
     Scenario-based risk measures (CVaR, CDaR, MAD, worst realization) read
     `scenarios`; moment-based ones read `mu`/`sigma`. The scenario column
-    means need not equal `mu`.
+    means need not equal `mu`. `sigma` must be symmetric PSD, as the convex
+    solves assume.
     """
 
     mu: np.ndarray
@@ -49,6 +50,7 @@ class Prior:
             raise DimensionMismatch(f"scenarios shape {scenarios.shape} vs N={n}")
         if self.assets and len(self.assets) != n:
             raise DimensionMismatch("asset list length does not match mu")
+        moments.check_covariance(sigma)
 
     @property
     def n_assets(self) -> int:
@@ -126,7 +128,7 @@ def empirical_prior(
     else:
         sigma = moments.denoise_rmt(base, passes=rmt_passes).sigma
 
-    X = R.values if isinstance(R, ReturnsMatrix) else np.asarray(R, dtype=float)
+    X = returns_values(R)
     assets = tuple(R.assets) if isinstance(R, ReturnsMatrix) else ()
     return Prior(mu=mu, sigma=sigma, scenarios=X, assets=assets, source="empirical")
 
@@ -137,8 +139,8 @@ def factor_model_prior(X: ReturnsMatrix, F: ReturnsMatrix, ridge_alpha: float = 
     sigma = B Σ_F Bᵀ + diag(residual variances); scenarios are the
     factor-implied reconstructions a + F Bᵀ, residuals excluded.
     """
-    Xv = X.values if isinstance(X, ReturnsMatrix) else np.asarray(X, dtype=float)
-    Fv = F.values if isinstance(F, ReturnsMatrix) else np.asarray(F, dtype=float)
+    Xv = returns_values(X)
+    Fv = returns_values(F)
     if isinstance(X, ReturnsMatrix) and isinstance(F, ReturnsMatrix):
         if X.dates != F.dates:
             raise DateMisalignment("asset and factor returns must share the date axis")

@@ -72,6 +72,7 @@ def test_multi_period_portfolio_summary(rng):
     mpp = MultiPeriodPortfolio(name="wf", returns=r)
     assert mpp.summary() == summary(mpp)
     assert mpp.n_periods == 60
+    assert isinstance(mpp, Portfolio) and mpp.segments == [] and mpp.weights is None
 
 
 def test_population_summary_preserves_order(rng):

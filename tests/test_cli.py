@@ -299,6 +299,54 @@ def test_report_nonfinite_series_is_data_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("inputs", ["o1/series.json", [1], [["a.json"]]])
+def test_report_inputs_must_be_a_list_of_paths(tmp_path, inputs):
+    code, _ = run(tmp_path, "report", {"inputs": inputs})
+    assert code == 2
+
+
+def test_report_boolean_returns_is_data_error(tmp_path):
+    bad = tmp_path / "series.json"
+    bad.write_text('{"train": {"name": "x", "returns": [0.01, true, false]}}')
+    code, _ = run(tmp_path, "report", {"inputs": [str(bad)]})
+    assert code == 3
+
+
+def test_outputs_section_is_config_error(tmp_path, short_prices_path):
+    cfg = {"data": {"prices": short_prices_path}, "model": {"kind": "mean_risk"},
+           "outputs": {"weights": "w.json"}}
+    code, out = run(tmp_path, "optimize", cfg)
+    assert code == 2
+    assert not out.exists()
+
+
+def test_repeated_asset_name_is_data_error(tmp_path, short_prices_path):
+    # one weight per name once hid a column: two entries for three columns
+    lines = Path(short_prices_path).read_text().splitlines()[:41]
+    rows = [",".join(r.split(",")[:4]) for r in lines]
+    rows[0] = "date,A,A,B"
+    path = tmp_path / "repeated.csv"
+    path.write_text("\n".join(rows) + "\n")
+    code, out = run(tmp_path, "optimize", {"data": {"prices": str(path)},
+                                           "model": {"kind": "mean_risk"}})
+    assert code == 3
+    assert not (out / "weights.json").exists()
+
+
+def test_stacking_repeated_estimator_name_is_config_error(tmp_path, short_prices_path):
+    cfg = {
+        "data": {"prices": short_prices_path},
+        "model": {
+            "kind": "stacking",
+            "estimators": [{"kind": "equal_weighted", "name": "x"},
+                           {"kind": "inverse_volatility", "name": "x"}],
+            "cv": {"kind": "walk_forward", "train_size": 60, "test_size": 30},
+        },
+    }
+    code, _ = run(tmp_path, "optimize", cfg)
+    assert code == 2
+
+
 def test_black_litterman_config(tmp_path, short_prices_path):
     cfg = {
         "data": {"prices": short_prices_path},

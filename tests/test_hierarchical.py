@@ -261,6 +261,15 @@ def test_stacking_needs_estimators(rng):
         stacking([], EqualWeighted(), X, walk_forward(60, 30, 15))
 
 
+@pytest.mark.parametrize("names", [("a", "a"), ("a", "")])
+def test_stacking_rejects_repeated_or_empty_names(rng, names):
+    # the names label the columns of the final stage's returns
+    X = make_returns(rng.normal(0, 0.01, (60, 2)))
+    estimators = [(name, EqualWeighted()) for name in names]
+    with pytest.raises(InvalidConfig):
+        stacking(estimators, EqualWeighted(), X, walk_forward(60, 30, 15))
+
+
 def test_estimator_wrappers_fit_predict(rng):
     X = make_returns(rng.normal(0.0005, 0.01, (130, 5)))
     for est in (EqualWeighted(), InverseVolatility(), HierarchicalRiskParity(),

@@ -15,6 +15,7 @@ from quantfolio.exceptions import (
 )
 from quantfolio.market_data import (
     PriceFrame,
+    ReturnsMatrix,
     align,
     load_prices,
     prices_to_returns,
@@ -63,6 +64,8 @@ def test_load_prices_trailing_blank_line_ok():
     ("date,AAA\n2020-01-01,1\n2020-01-01,2\n", NonMonotonicDates),  # duplicate
     ("date,AAA\n2020-01-01,0\n", NonPositivePrice),
     ("date,AAA\n2020-01-01,-3\n", NonPositivePrice),
+    ("date,A,A,B\n2020-01-01,1,2,3\n", MalformedCsv),  # repeated asset name
+    ("date,A, ,B\n2020-01-01,1,2,3\n", MalformedCsv),  # empty asset name
 ])
 def test_load_prices_rejects(text, exc):
     with pytest.raises(exc):
@@ -148,3 +151,34 @@ def test_time_split_bad_fraction():
     rm = make_returns(np.zeros((10, 2)))
     with pytest.raises(ValueError):
         time_split(rm, 1.0)
+
+
+@pytest.mark.parametrize("assets", [("a", "a"), ("a", "")])
+def test_returns_matrix_rejects_repeated_or_empty_names(assets):
+    rm = make_returns(np.zeros((3, 2)))
+    with pytest.raises(MalformedCsv):
+        ReturnsMatrix(dates=rm.dates, assets=assets, values=rm.values)
+
+
+def test_take_slices_rows_and_columns():
+    rm = make_returns(np.arange(12.0).reshape(4, 3) / 100, kind="log")
+    sub = rm.take(np.array([1, 3]), np.array([2, 0]))
+    assert sub.dates == (rm.dates[1], rm.dates[3])
+    assert sub.assets == ("A2", "A0")
+    np.testing.assert_array_equal(sub.values, rm.values[[1, 3]][:, [2, 0]])
+    assert sub.kind == "log" and type(sub) is ReturnsMatrix
+    head = rm.take(slice(0, 2))
+    assert head.dates == rm.dates[:2] and head.assets == rm.assets
+    assert rm.take(cols=[1]).values.shape == (4, 1)
+
+
+def test_take_validates_like_the_constructor():
+    rm = make_returns(np.zeros((3, 2)))
+    with pytest.raises(NonMonotonicDates):
+        rm.take([2, 0])
+    with pytest.raises(MalformedCsv):
+        rm.take(cols=[0, 0])
+
+
+def test_returns_matrix_is_not_a_price_frame():
+    assert not isinstance(make_returns(np.zeros((2, 2))), PriceFrame)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from quantfolio.exceptions import DateMisalignment, DimensionMismatch
-from quantfolio.moments import sample_moments
+from quantfolio.exceptions import DateMisalignment, DimensionMismatch, InvalidConfig
+from quantfolio.moments import MomentEstimate, sample_moments
 from quantfolio.priors import (
     BlackLitterman,
     EmpiricalPrior,
@@ -148,3 +148,16 @@ def test_prior_estimators_fit_interface(rng):
     assert bl.prior_.n_assets == 3
     # estimator params round-trip through get/set
     assert "views" in bl.get_params()
+
+
+@pytest.mark.parametrize("sigma", [
+    [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # eigenvalues -1, 1, 3
+    [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # not symmetric
+])
+def test_prior_and_moments_reject_non_covariance_sigma(sigma):
+    # an indefinite sigma once reached the solver, which reported a non-minimal
+    # variance as Optimal
+    with pytest.raises(InvalidConfig):
+        make_prior(np.zeros(3), sigma)
+    with pytest.raises(ValueError):
+        MomentEstimate(mu=np.zeros(3), sigma=np.array(sigma), sample_size=10)
