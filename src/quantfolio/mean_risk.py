@@ -218,29 +218,31 @@ def _add_risk_cost(builder, spec, w_idx, factor):
         builder.add_quadratic(block.quadratic[0], factor * block.quadratic[1])
 
 
+def _infeasible_detail(spec) -> str:
+    """Why the spec has no solution, read off the maximum expected return
+    over its weight constraints; empty when that says nothing."""
+    c = spec.constraints
+    ratio = spec.objective is ObjectiveFunction.MAXIMIZE_RATIO
+    if c.min_return is None and not ratio:
+        return ""
+    try:
+        r_max = float(spec.prior.mu @ optimize(replace(
+            spec, objective=ObjectiveFunction.MAXIMIZE_RETURN, l1_coef=0.0, l2_coef=0.0,
+            constraints=replace(c, min_return=None, risk_caps=[]))))
+    except (InfeasibleProblem, UnboundedProblem, SolverFailure):
+        return ""
+    if c.min_return is not None and r_max < c.min_return - 1e-12:
+        return f": min_return={c.min_return} exceeds the maximum achievable return {r_max:.6g}"
+    if ratio and r_max <= 0.0:
+        return f": no feasible portfolio has a positive expected return (maximum {r_max:.6g})"
+    return ""
+
+
 def _raise_for_status(res, spec):
     if res.status == "Optimal":
         return
     if res.status == "Infeasible":
-        detail = ""
-        c = spec.constraints
-        if c.min_return is not None:
-            relaxed = replace(
-                spec, objective=ObjectiveFunction.MAXIMIZE_RETURN,
-                constraints=replace(c, min_return=None, risk_caps=[]),
-                l1_coef=0.0, l2_coef=0.0,
-            )
-            try:
-                w = optimize(relaxed)
-                r_max = float(spec.prior.mu @ w)
-                if r_max < c.min_return - 1e-12:
-                    detail = (
-                        f": min_return={c.min_return} exceeds the maximum "
-                        f"achievable return {r_max:.6g}"
-                    )
-            except (InfeasibleProblem, UnboundedProblem, SolverFailure):
-                pass
-        raise InfeasibleProblem(f"constraint set is infeasible{detail}")
+        raise InfeasibleProblem(f"constraint set is infeasible{_infeasible_detail(spec)}")
     if res.status == "Unbounded":
         raise UnboundedProblem("objective unbounded over the feasible set")
     raise SolverFailure(
@@ -320,6 +322,10 @@ def optimize(spec: ProblemSpec) -> np.ndarray:
         return res.x[w_idx].copy()
     t_val = float(res.x[t])
     if not np.isfinite(t_val) or t_val <= 1e-12:
+        # the ratio LP's optimum is y = t = 0 when no portfolio earns a positive return
+        detail = _infeasible_detail(spec)
+        if detail:
+            raise InfeasibleProblem(f"constraint set is infeasible{detail}")
         raise SolverFailure("ratio homogenization degenerate: scale variable vanished")
     return (res.x[w_idx] / t_val).copy()
 

@@ -37,7 +37,10 @@ class MomentEstimate:
 
 
 def check_covariance(sigma: np.ndarray):
-    """Reject a square sigma that is not symmetric within 1e-12 or not PSD within 1e-10."""
+    """Reject a square sigma that has a non-finite entry, is not symmetric
+    within 1e-12 or is not PSD within 1e-10."""
+    if not np.all(np.isfinite(sigma)):
+        raise InvalidConfig("sigma has non-finite entries")
     if np.abs(sigma - sigma.T).max(initial=0.0) > 1e-12:
         raise InvalidConfig("sigma not symmetric within 1e-12")
     if sigma.size and np.linalg.eigvalsh(sigma).min() < -1e-10:

@@ -1,11 +1,11 @@
 """Epigraph reformulations turning scenario risk measures into LP/QP blocks.
 
-Problems are assembled from dense row blocks: `ProblemBuilder.add_rows(cols,
-M, rhs)` records `M · x[cols] ≤ rhs` (or `=`), and `build()` writes every
-block into the dense `G`/`A_eq` with one slice assignment, in the order the
-blocks were added. Each reformulation adds its auxiliary variables and one
-vectorized row block, and returns the risk value as a `(cols, coefs)` linear
-term (or a quadratic term for variance). Minimizing that term over the
+Problems are assembled from row blocks: `ProblemBuilder.add_rows(cols, M,
+rhs)` records `M · x[cols] ≤ rhs` (or `=`) for a dense or `scipy.sparse` M,
+and `build()` writes every block into one CSR `G` and one CSR `A_eq`, in the
+order the blocks were added. Each reformulation adds its auxiliary variables
+and one sparse row block, and returns the risk value as a `(cols, coefs)`
+linear term (or a quadratic term for variance). Minimizing that term over the
 auxiliaries with the weights held fixed reproduces the measures-module value
 exactly, which is the central correctness property tested against the
 measures module.
@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .exceptions import UnsupportedMeasure
 from .measures import DEFAULT_BETA, RiskMeasure
-from .solver import QpProblem
+from .solver import QpProblem, unit_rows
 
 
 class ProblemBuilder:
@@ -29,7 +30,7 @@ class ProblemBuilder:
         self.n = 0
         self._lb: list[np.ndarray] = []
         self._ub: list[np.ndarray] = []
-        self._rows: dict[bool, list] = {True: [], False: []}  # eq -> [(cols, M, rhs)]
+        self._rows: dict[bool, list] = {True: [], False: []}  # eq -> [(cols, COO M, rhs)]
         self._cost: list[tuple[np.ndarray, np.ndarray]] = []
         self._quad: list[tuple[np.ndarray, np.ndarray]] = []  # (indices, M): adds xᵀMx
 
@@ -42,8 +43,12 @@ class ProblemBuilder:
         return idx
 
     def add_rows(self, cols, M, rhs, eq: bool = False):
-        """M · x[cols] = rhs if `eq`, else M · x[cols] ≤ rhs; one row per row of M."""
-        M = np.atleast_2d(np.asarray(M, dtype=float))
+        """M · x[cols] = rhs if `eq`, else M · x[cols] ≤ rhs; one row per row of M.
+
+        M is dense (a 1-D M is one row) or `scipy.sparse`.
+        """
+        M = scipy.sparse.coo_array(M if scipy.sparse.issparse(M) else np.atleast_2d(M),
+                                   dtype=float)
         rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (M.shape[0],))
         self._rows[eq].append((np.asarray(cols, dtype=int), M, rhs))
 
@@ -74,18 +79,15 @@ class ProblemBuilder:
 
 
 def _stack(blocks, n: int):
-    """Dense (matrix, rhs) holding the row blocks in order; (None, None) if empty."""
-    m = sum(M.shape[0] for _, M, _ in blocks)
-    if m == 0:
+    """CSR (matrix, rhs) holding the row blocks in order; (None, None) if empty."""
+    starts = np.cumsum([0] + [M.shape[0] for _, M, _ in blocks])
+    if starts[-1] == 0:
         return None, None
-    A = np.zeros((m, n))
-    b = np.empty(m)
-    r = 0
-    for cols, M, rhs in blocks:
-        A[r:r + M.shape[0], cols] = M
-        b[r:r + M.shape[0]] = rhs
-        r += M.shape[0]
-    return A, b
+    row = np.concatenate([M.row + r for (_, M, _), r in zip(blocks, starts)])
+    col = np.concatenate([cols[M.col] for cols, M, _ in blocks])
+    val = np.concatenate([M.data for _, M, _ in blocks])
+    A = scipy.sparse.csr_array((val, (row, col)), shape=(starts[-1], n))
+    return A, np.concatenate([rhs for _, _, rhs in blocks])
 
 
 @dataclass
@@ -121,16 +123,15 @@ def reformulate_risk(
     if scenarios is None:
         raise UnsupportedMeasure(f"{measure} requires scenario returns")
     S = np.asarray(scenarios, dtype=float)
-    T, n = S.shape
+    T = S.shape[0]
 
     if measure is RiskMeasure.MEAN_ABSOLUTE_DEVIATION:
         # u_t ≥ ±(r_t − m)ᵀw  →  ±(r_t − m)ᵀw − u_t ≤ 0; the two rows of t adjacent
         u = builder.add_variables(T, lb=0.0)
-        M = np.zeros((2 * T, n + T))
-        M[:, :n] = np.repeat(S - S.mean(axis=0), 2, axis=0)
-        M[1::2, :n] *= -1.0
-        M[np.arange(2 * T), n + np.arange(T).repeat(2)] = -1.0
-        builder.add_rows(np.concatenate([w_idx, u]), M, 0.0)
+        dev = np.repeat(S - S.mean(axis=0), 2, axis=0)
+        dev[1::2] *= -1.0
+        builder.add_rows(np.concatenate([w_idx, u]),
+                         scipy.sparse.hstack([dev, -unit_rows(T, np.arange(T).repeat(2))]), 0.0)
         return RiskBlock((u, np.full(T, 1.0 / T)))
 
     if measure in (RiskMeasure.CDAR, RiskMeasure.MAX_DRAWDOWN):
@@ -151,11 +152,7 @@ def reformulate_risk(
         # z_t ≥ L_rᵀw − α  →  L_rᵀw − α − z_t ≤ 0; risk α + Σz/((1−β)T)
         aux = builder.add_variables(1)  # alpha, free
         z = builder.add_variables(T, lb=0.0)
-        rows = losses.shape[0]
-        M = np.zeros((rows, n + 1 + T))
-        M[:, :n] = losses
-        M[:, n] = -1.0
-        M[np.arange(rows), n + 1 + t_of] = -1.0
+        M = scipy.sparse.hstack([losses, -np.ones((len(losses), 1)), -unit_rows(T, t_of)])
         builder.add_rows(np.concatenate([w_idx, aux, z]), M, 0.0)
         factor = 1.0 / ((1.0 - beta) * T)
         return RiskBlock((np.concatenate([aux, z]), np.concatenate([[1.0], np.full(T, factor)])))

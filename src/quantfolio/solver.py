@@ -1,4 +1,4 @@
-"""Dense operator-splitting (ADMM) solver for convex QPs and LPs.
+"""Operator-splitting (ADMM) solver for convex QPs and LPs.
 
 Problems are solved in the form
 
@@ -8,14 +8,15 @@ Problems are solved in the form
 with Ruiz equilibration, a reduced (normal-equations) linear system per
 iteration, and a periodic active-set polish that finishes the solve to
 near machine precision once the iterate is moderately accurate. The
-matrix-vector products of the iterations and of the convergence and
-infeasibility checks run on one CSR copy of the scaled constraint matrix
-(and its transpose), built once per solve. The checks judge unscaled
-residuals by rescaling vectors with the Ruiz factors: A₀x = (Ax)/E,
-P₀x = (Px)/(cD) and A₀ᵀy = (Aᵀy)/(cD). One residual function judges ADMM
-iterates and polished points alike. Scaling and the factorization work on
-dense arrays; polish works on the dense unscaled problem. Everything runs
-sequentially, so results are bit-deterministic for fixed inputs.
+constraint matrix A is CSR throughout: A_eq, G and the box rows are stacked
+as CSR, Ruiz scaling rescales its stored values, and the iterations and the
+convergence and infeasibility checks run on that scaled CSR and one
+transpose. The checks judge unscaled residuals by rescaling vectors with
+the Ruiz factors: A₀x = (Ax)/E, P₀x = (Px)/(cD) and A₀ᵀy = (Aᵀy)/(cD). One
+residual function judges ADMM iterates and polished points alike. The only
+dense arrays are P, the n×n reduced matrix and its factor, and the rows of
+the unscaled A that a polish selects. Everything runs sequentially, so
+results are bit-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -43,13 +44,16 @@ POLISH_INTERVAL = 500  # attempt polish every this many iterations
 
 @dataclass
 class QpProblem:
-    """min ½xᵀPx + qᵀx s.t. A_eq x = b_eq, G x ≤ h, lb ≤ x ≤ ub."""
+    """min ½xᵀPx + qᵀx s.t. A_eq x = b_eq, G x ≤ h, lb ≤ x ≤ ub.
+
+    `A_eq` and `G` may be dense 2-D arrays or `scipy.sparse` matrices.
+    """
 
     q: np.ndarray
     P: np.ndarray | None = None
-    A_eq: np.ndarray | None = None
+    A_eq: np.ndarray | scipy.sparse.sparray | None = None
     b_eq: np.ndarray | None = None
-    G: np.ndarray | None = None
+    G: np.ndarray | scipy.sparse.sparray | None = None
     h: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
@@ -69,61 +73,54 @@ class SolveResult:
     y: np.ndarray = field(default=None, repr=False)
 
 
+def unit_rows(n: int, idx: np.ndarray) -> scipy.sparse.csr_array:
+    """CSR rows of the n×n identity picked by `idx`: row r is e_idx[r]."""
+    return scipy.sparse.csr_array((np.ones(idx.size), idx, np.arange(idx.size + 1)),
+                                  shape=(idx.size, n))
+
+
 def _stack_problem(problem: QpProblem):
+    """P, q, and the CSR rows A = [A_eq; G; box] with their bounds l ≤ Ax ≤ u."""
     n = problem.dimensions()
     q = np.asarray(problem.q, dtype=float).ravel()
     P = np.zeros((n, n)) if problem.P is None else np.asarray(problem.P, dtype=float)
     P = (P + P.T) / 2
 
-    rows, lower, upper = [], [], []
-    if problem.A_eq is not None and np.asarray(problem.A_eq).size:
-        A_eq = np.atleast_2d(np.asarray(problem.A_eq, dtype=float))
+    blocks = []
+    if problem.A_eq is not None:
         b_eq = np.asarray(problem.b_eq, dtype=float).ravel()
-        rows.append(A_eq)
-        lower.append(b_eq)
-        upper.append(b_eq)
-    if problem.G is not None and np.asarray(problem.G).size:
-        G = np.atleast_2d(np.asarray(problem.G, dtype=float))
+        blocks.append((problem.A_eq, b_eq, b_eq))
+    if problem.G is not None:
         h = np.asarray(problem.h, dtype=float).ravel()
-        rows.append(G)
-        lower.append(np.full(h.size, -np.inf))
-        upper.append(h)
+        blocks.append((problem.G, np.full(h.size, -np.inf), h))
     lb = np.full(n, -np.inf) if problem.lb is None else np.asarray(problem.lb, dtype=float)
     ub = np.full(n, np.inf) if problem.ub is None else np.asarray(problem.ub, dtype=float)
-    box = np.isfinite(lb) | np.isfinite(ub)
-    if box.any():
-        I = np.eye(n)[box]
-        rows.append(I)
-        lower.append(lb[box])
-        upper.append(ub[box])
-
-    if rows:
-        A = np.vstack(rows)
-        l = np.concatenate(lower)
-        u = np.concatenate(upper)
-    else:
-        A = np.zeros((0, n))
-        l = np.zeros(0)
-        u = np.zeros(0)
-    return P, q, A, l, u
+    box = np.flatnonzero(np.isfinite(lb) | np.isfinite(ub))
+    blocks.append((unit_rows(n, box), lb[box], ub[box]))
+    rows, lower, upper = zip(*blocks)
+    A = scipy.sparse.vstack([scipy.sparse.csr_array(M, dtype=float) for M in rows],
+                            format="csr")
+    return P, q, A, np.concatenate(lower), np.concatenate(upper)
 
 
 def _ruiz_equilibrate(P, q, A):
-    """Scale P, q, A so row/column infinity norms approach 1."""
-    n = P.shape[0]
-    m = A.shape[0]
+    """Scale P, q and the CSR A (its pattern kept) so row/column ∞-norms approach 1."""
+    m, n = A.shape
+    row = np.repeat(np.arange(m), np.diff(A.indptr))
+    col = A.indices
+    a = A.data
     D = np.ones(n)
     E = np.ones(m)
     c = 1.0
     for _ in range(SCALING_ITERATIONS):
-        col_norms = np.maximum(
-            np.abs(P).max(axis=0, initial=0.0), np.abs(A).max(axis=0, initial=0.0)
-        )
-        row_norms = np.abs(A).max(axis=1, initial=0.0) if m else np.zeros(0)
+        col_norms = np.abs(P).max(axis=0, initial=0.0)
+        row_norms = np.zeros(m)
+        np.maximum.at(col_norms, col, np.abs(a))
+        np.maximum.at(row_norms, row, np.abs(a))
         d = 1.0 / np.sqrt(np.where(col_norms > 1e-12, col_norms, 1.0))
         e = 1.0 / np.sqrt(np.where(row_norms > 1e-12, row_norms, 1.0))
         P = P * d[:, None] * d[None, :]
-        A = A * e[:, None] * d[None, :]
+        a = a * e[row] * d[col]
         q = q * d
         D *= d
         E *= e
@@ -134,12 +131,14 @@ def _ruiz_equilibrate(P, q, A):
         P = P * gamma
         q = q * gamma
         c *= gamma
-    return P, q, A, D, E, c
+    return P, q, scipy.sparse.csr_array((a, col, A.indptr), shape=A.shape), D, E, c
 
 
-def _factor_reduced(P, A, rho_vec):
-    """Factor P + σI + Aᵀ diag(ρ) A (SPD thanks to the σ shift)."""
-    M = P + SIGMA * np.eye(P.shape[0]) + (A.T * rho_vec) @ A
+def _factor_reduced(P, A, AT, rho_vec):
+    """Factor P + σI + Aᵀ diag(ρ) A (SPD by the σ shift) from the CSR A and its AT."""
+    A_rho = scipy.sparse.csr_array((A.data * np.repeat(rho_vec, np.diff(A.indptr)),
+                                    A.indices, A.indptr), shape=A.shape)
+    M = P + SIGMA * np.eye(P.shape[0]) + (AT @ A_rho).toarray()
     try:
         return ("cho", scipy.linalg.cho_factor(M, lower=True))
     except scipy.linalg.LinAlgError:
@@ -158,8 +157,7 @@ def _reduced_solve(factor, rhs):
 def solve(problem: QpProblem) -> SolveResult:
     """Solve a QP/LP; non-optimal outcomes are returned in-band via `status`."""
     P0, q0, A0, l, u = _stack_problem(problem)
-    n = P0.shape[0]
-    m = A0.shape[0]
+    m, n = A0.shape
 
     P, q, A, D, E, c = _ruiz_equilibrate(P0, q0, A0)
     ls = l * E
@@ -168,17 +166,16 @@ def solve(problem: QpProblem) -> SolveResult:
     eq_mask = np.isfinite(ls) & np.isfinite(us) & (np.abs(us - ls) < 1e-14)
     rho_bar = RHO
     rho_vec = np.where(eq_mask, 1e3 * rho_bar, rho_bar)
-    factor = _factor_reduced(P, A, rho_vec)
-    A_csr = scipy.sparse.csr_array(A)
-    AT_csr = A_csr.T.tocsr()
+    AT = A.T.tocsr()
+    factor = _factor_reduced(P, A, AT, rho_vec)
 
     def residuals(x, z, y):
         """Unscaled primal and dual residuals of the scaled point (x, z, y),
         with the magnitudes their tolerances scale by."""
-        Ax = (A_csr @ x) / E
+        Ax = (A @ x) / E
         zu = z / E
         Px = (P @ x) / (c * D)
-        ATy = (AT_csr @ y) / (c * D)
+        ATy = (AT @ y) / (c * D)
         prim_scale = max(np.abs(Ax).max(initial=0.0), np.abs(zu).max(initial=0.0))
         dual_scale = max(np.abs(Px).max(initial=0.0), np.abs(ATy).max(initial=0.0),
                          np.abs(q0).max(initial=0.0))
@@ -202,9 +199,9 @@ def solve(problem: QpProblem) -> SolveResult:
     }
 
     for k in range(1, MAX_ITERATIONS + 1):
-        rhs = SIGMA * x - q + AT_csr @ (rho_vec * z - y)
+        rhs = SIGMA * x - q + AT @ (rho_vec * z - y)
         x_tilde = _reduced_solve(factor, rhs)
-        z_tilde = A_csr @ x_tilde
+        z_tilde = A @ x_tilde
         x_prev = x
         y_prev = y
         x = ALPHA * x_tilde + (1.0 - ALPHA) * x_prev
@@ -227,7 +224,7 @@ def solve(problem: QpProblem) -> SolveResult:
                 polished = _polish(P0, q0, A0, l, u, xu, yu)
                 if polished is not None:
                     xs = polished[0] / D
-                    rp, rd, _, _ = residuals(xs, np.clip(A_csr @ xs, ls, us),
+                    rp, rd, _, _ = residuals(xs, np.clip(A @ xs, ls, us),
                                              c * polished[1] / E)
                     if max(rp, rd) <= max(r_prim, r_dual) + 1e-12 and (
                             converged or (rp <= eps_prim and rd <= eps_dual)):
@@ -238,11 +235,11 @@ def solve(problem: QpProblem) -> SolveResult:
                 iterations = k
                 break
 
-            if _primal_infeasible(AT_csr, D, E, c, l, u, y - y_prev, EPS_INFEAS):
+            if _primal_infeasible(AT, D, E, c, l, u, y - y_prev, EPS_INFEAS):
                 status = "Infeasible"
                 iterations = k
                 break
-            if _dual_infeasible(P, A_csr, D, E, c, q0, l, u, x - x_prev, EPS_INFEAS):
+            if _dual_infeasible(P, A, D, E, c, q0, l, u, x - x_prev, EPS_INFEAS):
                 status = "Unbounded"
                 iterations = k
                 break
@@ -250,7 +247,7 @@ def solve(problem: QpProblem) -> SolveResult:
             if k in escalation_points:
                 rho_bar = float(min(rho_bar * 10.0, 1e6))
                 rho_vec = np.where(eq_mask, 1e3 * rho_bar, rho_bar)
-                factor = _factor_reduced(P, A, rho_vec)
+                factor = _factor_reduced(P, A, AT, rho_vec)
                 continue
 
             # penalty adaptation: rebalance rho when the scaled residual
@@ -261,7 +258,7 @@ def solve(problem: QpProblem) -> SolveResult:
                 if ratio > 5.0 or ratio < 0.2:
                     rho_bar = float(np.clip(rho_bar * ratio, 1e-6, 1e6))
                     rho_vec = np.where(eq_mask, 1e3 * rho_bar, rho_bar)
-                    factor = _factor_reduced(P, A, rho_vec)
+                    factor = _factor_reduced(P, A, AT, rho_vec)
                     rho_updates += 1
 
     if status == "Optimal":
@@ -360,7 +357,7 @@ def _dual_fit(P, q, A, xv, eq_mask, act_low, act_up):
     if not rows.size:
         return y
     try:
-        z, _ = scipy.optimize.nnls((A[rows] * signs[:, None]).T, g)
+        z, _ = scipy.optimize.nnls((A[rows].toarray() * signs[:, None]).T, g)
     except (RuntimeError, ValueError):
         return None
     np.add.at(y, rows, signs * z)
@@ -372,17 +369,16 @@ def _polish_step(P, q, A, l, u, eq_mask, low, up):
     n = P.shape[0]
     active = eq_mask | low | up
     idx = np.flatnonzero(active)
-    A_red = A[idx]
+    A_red = A[idx].toarray()
     rhs_red = np.where(eq_mask[idx] | low[idx], l[idx], u[idx])
 
     k = idx.size
     delta = 1e-9
     K = np.zeros((n + k, n + k))
     K[:n, :n] = P + delta * np.eye(n)
-    if k:
-        K[:n, n:] = A_red.T
-        K[n:, :n] = A_red
-        K[n:, n:] = -delta * np.eye(k)
+    K[:n, n:] = A_red.T
+    K[n:, :n] = A_red
+    K[n:, n:] = -delta * np.eye(k)
     rhs = np.concatenate([-q, rhs_red])
     try:
         lu = scipy.linalg.lu_factor(K)
@@ -392,8 +388,7 @@ def _polish_step(P, q, A, l, u, eq_mask, low, up):
     # iterative refinement against the unregularized KKT system
     K0 = K.copy()
     K0[:n, :n] -= delta * np.eye(n)
-    if k:
-        K0[n:, n:] += delta * np.eye(k)
+    K0[n:, n:] += delta * np.eye(k)
     for _ in range(POLISH_REFINE_STEPS):
         sol = sol + scipy.linalg.lu_solve(lu, rhs - K0 @ sol)
     x_new = sol[:n]
@@ -429,7 +424,7 @@ def _polish(P, q, A, l, u, x, y):
     # in descending dual magnitude, so strong-dual rows win the basis
     idx_act = np.flatnonzero(act_low | act_up)
     idx_act = idx_act[np.argsort(-np.abs(y[idx_act]), kind="stable")]
-    keep = _select_independent(A[np.concatenate([idx_eq, idx_act])])
+    keep = _select_independent(A[np.concatenate([idx_eq, idx_act])].toarray())
     kept = np.array([idx_act[j - idx_eq.size] for j in keep if j >= idx_eq.size],
                     dtype=int)
     sel = np.zeros(m, dtype=bool)

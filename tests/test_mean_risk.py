@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,23 @@ def test_min_return_infeasible_names_constraint():
     cons = Constraints(min_return=99.0)
     with pytest.raises(InfeasibleProblem, match="min_return"):
         optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior, constraints=cons))
+
+
+@pytest.mark.parametrize("measure", list(RiskMeasure))
+def test_ratio_without_positive_return_is_infeasible(measure):
+    # all five asset means are negative, so every long-only portfolio loses
+    # on average and the return/risk ratio has no maximizer (the CLI maps
+    # InfeasibleProblem to exit code 4)
+    rng = np.random.default_rng(1)
+    S = rng.normal(5e-4, 0.01, (60, 5)) + rng.normal(0.0, 0.01, (60, 1))
+    best = S.mean(axis=0).max()
+    assert best < 0
+    model = MeanRisk(objective=ObjectiveFunction.MAXIMIZE_RATIO, risk_measure=measure)
+    with pytest.raises(InfeasibleProblem,
+                       match="no feasible portfolio has a positive expected return") as exc:
+        model.fit(S)
+    quoted = float(re.search(r"\(maximum (\S+)\)", str(exc.value)).group(1))
+    assert quoted == pytest.approx(best, rel=1e-5)
 
 
 def test_budget_outside_bounds_rejected():

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from quantfolio.exceptions import TooFewSamples
+from quantfolio.exceptions import InvalidConfig, TooFewSamples
 from quantfolio.moments import (
     MomentEstimate,
     bayes_stein,
@@ -11,6 +13,7 @@ from quantfolio.moments import (
     ledoit_wolf,
     sample_moments,
 )
+from quantfolio.priors import Prior
 
 from conftest import make_returns
 
@@ -160,3 +163,15 @@ def test_estimators_produce_symmetric_psd(rng):
     for sigma in candidates:
         np.testing.assert_allclose(sigma, sigma.T, atol=1e-12)
         assert np.linalg.eigvalsh(sigma).min() >= -1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sigma_rejected(bad):
+    sigma = np.array([[bad, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        # rejected before any arithmetic on the bad entry can warn
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidConfig, match="non-finite"):
+            MomentEstimate(mu=np.zeros(2), sigma=sigma, sample_size=3)
+        with pytest.raises(InvalidConfig, match="non-finite"):
+            Prior(mu=np.zeros(2), sigma=sigma, scenarios=np.zeros((3, 2)))

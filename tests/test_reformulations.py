@@ -72,7 +72,7 @@ def test_block_equals_row_by_row_reference(measure):
     problem = builder.build()
 
     G, q, lb = _reference_rows(measure, S)
-    np.testing.assert_array_equal(problem.G, G)
+    np.testing.assert_array_equal(problem.G.toarray(), G)
     np.testing.assert_array_equal(problem.h, np.zeros(G.shape[0]))
     np.testing.assert_array_equal(problem.q, q)
     np.testing.assert_array_equal(problem.lb, lb)
@@ -88,9 +88,10 @@ def test_build_writes_blocks_in_order():
     builder.add_rows(x, np.ones(3), 1.0, eq=True)
     builder.add_cost((x[:2], np.array([1.0, -1.0])), factor=2.0)
     p = builder.build()
-    np.testing.assert_array_equal(p.G, [[2.0, 0.0, 1.0], [4.0, 0.0, 3.0], [0.0, 7.0, 8.0]])
+    np.testing.assert_array_equal(p.G.toarray(),
+                                  [[2.0, 0.0, 1.0], [4.0, 0.0, 3.0], [0.0, 7.0, 8.0]])
     np.testing.assert_array_equal(p.h, [5.0, 6.0, 9.0])
-    np.testing.assert_array_equal(p.A_eq, [[1.0, 1.0, 1.0]])
+    np.testing.assert_array_equal(p.A_eq.toarray(), [[1.0, 1.0, 1.0]])
     np.testing.assert_array_equal(p.b_eq, [1.0])
     np.testing.assert_array_equal(p.q, [2.0, -2.0, 0.0])
     np.testing.assert_array_equal(p.lb, [0.0, -1.0, -np.inf])
