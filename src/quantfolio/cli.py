@@ -64,8 +64,7 @@ def _fmt(value: float) -> str:
     """12 significant digits, '.' decimal, no locale dependence."""
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite value {value}")
-    text = f"{value:.12g}"
-    return "-0" if text == "-0" else text
+    return f"{value:.12g}"
 
 
 def _json_dumps(obj, indent: int = 0) -> str:
@@ -336,10 +335,6 @@ def _split_rows(X, factors, fraction: float):
 # commands
 
 
-def _summary_obj(port) -> dict:
-    return {k: float(v) for k, v in summary(port).items()}
-
-
 def cmd_optimize(cfg: dict, out: Path, threads: int) -> int:
     if "model" not in cfg:
         raise InvalidConfig("optimize needs a 'model' section")
@@ -356,7 +351,7 @@ def cmd_optimize(cfg: dict, out: Path, threads: int) -> int:
 
     _write_json(out / "weights.json", {a: float(w) for a, w in zip(X.assets, weights)})
     _write_json(out / "summary.json",
-                {"train": _summary_obj(port_train), "test": _summary_obj(port_test)})
+                {"train": summary(port_train), "test": summary(port_test)})
     # series files carry full-precision returns so report round-trips exactly
     series_obj = {
         "train": {"name": name, "returns": [float(r) for r in port_train.returns]},
@@ -503,7 +498,7 @@ def cmd_report(cfg: dict, out: Path, threads: int) -> int:
         for label, entry in payload.items():
             port = Portfolio(name=str(entry.get("name", label)),
                              returns=np.asarray(entry["returns"], dtype=float))
-            result[label] = _summary_obj(port)
+            result[label] = summary(port)
         stem = Path(path).stem
         _write_json(out / f"{stem}_summary.json", result)
     return 0

@@ -10,7 +10,8 @@ from dataclasses import dataclass, replace
 from .base import BaseEstimator, clone
 from .exceptions import EmptyCv, InvalidConfig, ZeroVarianceAsset, require_finite, require_int
 from .market_data import ReturnsMatrix, returns_values
-from .measures import DEFAULT_BETA, RiskMeasure, measure_value
+from .mean_risk import MeanRisk
+from .measures import DEFAULT_BETA, RiskMeasure, risk_of_weights
 from .model_selection import CpcvConfig, SplitPlan, cross_val_predict
 from .priors import Prior, fit_prior
 
@@ -124,16 +125,12 @@ def silhouette_score(D: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _side_risk(side, prior, risk_measure, beta):
-    """Risk of a side's internal inverse-variance mini-portfolio."""
+    """Risk of a side's internal inverse-variance mini-portfolio, clipped at 0."""
     sub_sigma = prior.sigma[np.ix_(side, side)]
     ivp = 1.0 / np.diag(sub_sigma)
     ivp /= ivp.sum()
-    if risk_measure is RiskMeasure.VARIANCE:
-        return float(ivp @ sub_sigma @ ivp)
-    if risk_measure is RiskMeasure.STANDARD_DEVIATION:
-        return float(np.sqrt(ivp @ sub_sigma @ ivp))
-    series = prior.scenarios[:, side] @ ivp
-    return measure_value(series, risk_measure, beta=beta)
+    risk = risk_of_weights(ivp, sub_sigma, prior.scenarios[:, side], risk_measure, beta=beta)
+    return max(risk, 0.0)
 
 
 def hrp(
@@ -142,7 +139,14 @@ def hrp(
     linkage: str = "single",
     beta: float = DEFAULT_BETA,
 ) -> np.ndarray:
-    """Hierarchical Risk Parity: seriation plus recursive bisection."""
+    """Hierarchical Risk Parity: seriation plus recursive bisection.
+
+    Each bisection splits weight in inverse proportion to the two sides'
+    risks, each clipped at 0 first: CVaR and worst realization are negative on
+    scenarios that never lose. A side at 0 takes the whole split, the limit of
+    inverse-risk allocation; two sides at 0 split evenly. So every weight
+    lies in [0, 1].
+    """
     require_finite("beta", beta)
     if not 0 < beta < 1:
         raise InvalidConfig("beta must lie in (0, 1)")
@@ -196,8 +200,6 @@ def nco(
 ) -> np.ndarray:
     """Nested Clustering Optimization: intra-cluster fits, then a reduced
     inter-cluster problem on the cluster return series."""
-    from .mean_risk import MeanRisk  # local import to avoid a cycle
-
     if k != "auto":
         require_int("k (an integer or 'auto')", k)
     values = returns_values(X)
@@ -342,7 +344,6 @@ class StackingOptimization(BaseEstimator):
         self.n_jobs = n_jobs
 
     def fit(self, X, factors=None):
-        from .mean_risk import MeanRisk
         if not self.estimators:
             raise InvalidConfig("StackingOptimization needs base estimators")
         final = self.final_estimator if self.final_estimator is not None else MeanRisk()

@@ -29,7 +29,7 @@ from .exceptions import (
     require_finite,
     require_real,
 )
-from .measures import DEFAULT_BETA, RiskMeasure, measure_value
+from .measures import DEFAULT_BETA, RiskMeasure, risk_of_weights
 from .priors import Prior, fit_prior
 from .reformulations import ProblemBuilder, reformulate_risk
 from .solver import solve
@@ -367,11 +367,8 @@ def efficient_frontier(spec: ProblemSpec, size: int) -> list[FrontierPoint]:
 
 def portfolio_risk(weights: np.ndarray, spec: ProblemSpec) -> float:
     """Realized risk of `weights` under the spec's measure and prior."""
-    if spec.risk_measure is RiskMeasure.VARIANCE:
-        return float(weights @ spec.prior.sigma @ weights)
-    if spec.risk_measure is RiskMeasure.STANDARD_DEVIATION:
-        return float(np.sqrt(weights @ spec.prior.sigma @ weights))
-    return measure_value(spec.prior.scenarios @ weights, spec.risk_measure, beta=spec.beta)
+    return risk_of_weights(weights, spec.prior.sigma, spec.prior.scenarios,
+                           spec.risk_measure, beta=spec.beta)
 
 
 class MeanRisk(BaseEstimator):

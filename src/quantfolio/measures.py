@@ -1,7 +1,10 @@
 """Scalar risk and reward measures on realized return series.
 
 Sign convention: risk measures return positive loss magnitudes, so that
-"risk ≤ cap" constraints read naturally.
+"risk ≤ cap" constraints read naturally. `measure_value` evaluates any measure
+on a return series; `risk_of_weights` evaluates one on the weights of a
+portfolio, given a covariance and scenario matrix, and is the one risk
+function of both `mean_risk.portfolio_risk` and HRP's bisection.
 """
 
 from __future__ import annotations
@@ -98,14 +101,13 @@ def mean_absolute_deviation(values) -> float:
     return float(np.abs(r - r.mean()).mean())
 
 
-def dispersion(values, which: RiskMeasure) -> float:
-    if which is RiskMeasure.VARIANCE:
-        return variance(values)
-    if which is RiskMeasure.STANDARD_DEVIATION:
-        return standard_deviation(values)
-    if which is RiskMeasure.MEAN_ABSOLUTE_DEVIATION:
-        return mean_absolute_deviation(values)
-    raise ValueError(f"{which} is not a dispersion measure")
+# the measures that take neither `beta` nor `compounded`
+_PLAIN_MEASURES = {
+    RiskMeasure.VARIANCE: variance,
+    RiskMeasure.STANDARD_DEVIATION: standard_deviation,
+    RiskMeasure.MEAN_ABSOLUTE_DEVIATION: mean_absolute_deviation,
+    RiskMeasure.WORST_REALIZATION: worst_realization,
+}
 
 
 def measure_value(
@@ -115,18 +117,22 @@ def measure_value(
     compounded: bool = False,
 ) -> float:
     """Evaluate any supported risk measure on a realized return series."""
-    if measure in (
-        RiskMeasure.VARIANCE,
-        RiskMeasure.STANDARD_DEVIATION,
-        RiskMeasure.MEAN_ABSOLUTE_DEVIATION,
-    ):
-        return dispersion(values, measure)
+    if measure in _PLAIN_MEASURES:
+        return _PLAIN_MEASURES[measure](values)
     if measure is RiskMeasure.CVAR:
         return cvar(values, beta=beta)
     if measure is RiskMeasure.CDAR:
         return cdar(values, beta=beta, compounded=compounded)
     if measure is RiskMeasure.MAX_DRAWDOWN:
         return max_drawdown(values, compounded=compounded)
-    if measure is RiskMeasure.WORST_REALIZATION:
-        return worst_realization(values)
     raise ValueError(f"unknown measure {measure}")
+
+
+def risk_of_weights(weights, sigma, scenarios, measure: RiskMeasure,
+                    beta: float = DEFAULT_BETA) -> float:
+    """Risk of portfolio `weights`: variance and standard deviation read
+    `sigma`; every other measure is `measure_value` of `scenarios @ weights`."""
+    if measure in (RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION):
+        var = float(weights @ sigma @ weights)
+        return var if measure is RiskMeasure.VARIANCE else math.sqrt(var)
+    return measure_value(scenarios @ weights, measure, beta=beta)

@@ -3,7 +3,9 @@
 Walk-forward and combinatorial purged cross-validation (CPCV) emit SplitPlans
 of index arrays; cross_val_predict turns a plan plus an allocator, or a list of
 named allocators, into out-of-sample MultiPeriodPortfolios with a strict
-no-leakage guarantee.
+no-leakage guarantee. Each fit, in a worker process or in the caller, returns
+only its weight vector; the caller then builds every path, pricing each
+(split, test block) once.
 """
 
 from __future__ import annotations
@@ -268,24 +270,22 @@ def cross_val_predict(
 
     def fit_one(task: int):
         a_idx, s_idx = divmod(task, plan.n_splits)
-        train, test = plan.splits[s_idx]
         try:
             est = clone(pairs[a_idx][1])
-            est.fit(X.take(train))
-            weights = np.asarray(est.weights_, dtype=float)
+            est.fit(X.take(plan.splits[s_idx][0]))
+            return np.asarray(est.weights_, dtype=float)
         except Exception as exc:
             raise type(exc)(f"split {s_idx}: {exc}") from exc
-        return weights, X.values[test] @ weights
 
     # tasks run allocator-major: task a * n_splits + s fits pair a on split s
     n_tasks = len(pairs) * plan.n_splits
     workers = min(n_jobs, n_tasks)
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # Forked workers inherit X, the plan and fit_one without pickling them;
-        # only task indices, (weights, series) results and exceptions are
-        # pickled. fit_one is bound in each worker by the initializer, so a
-        # nested cross_val_predict in a worker binds its own job in its own
-        # workers. ADMM and the clustering hold the GIL, so threads would not
+        # only task indices, weight vectors and exceptions are pickled. fit_one
+        # is bound in each worker by the initializer, so a nested
+        # cross_val_predict in a worker binds its own job in its own workers.
+        # ADMM and the clustering hold the GIL, so threads would not
         # run the fits in parallel.
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("fork"),
@@ -303,40 +303,34 @@ def cross_val_predict(
     return predictions[0] if single else predictions
 
 
-def _assemble(label: str, X: ReturnsMatrix, plan: SplitPlan, results):
-    """One allocator's out-of-sample portfolios from its per-split results."""
-    if plan.path_of is None:
-        segments = []
-        returns = []
-        for (_, test), (weights, series) in zip(plan.splits, results):
-            segments.append((weights, (X.dates[test[0]], X.dates[test[-1]])))
-            returns.append(series)
-        return MultiPeriodPortfolio(
-            name=label,
-            segments=segments,
-            returns=np.concatenate(returns),
-            dates=tuple(X.dates[i] for s in plan.splits for i in s[1]),
-        )
+def _assemble(label: str, X: ReturnsMatrix, plan: SplitPlan, weights):
+    """One allocator's out-of-sample portfolios from its per-split weights.
 
-    # CPCV: assemble each path from one test occurrence of every fold
+    Each (split, test block) is priced once. A plan without paths has one
+    block per split, all on path 0, kept in split order; a CPCV block lies on
+    path `path_of[(split, fold)]`, and each path's blocks are sorted by start
+    and must cover every row exactly once.
+    """
+    has_paths = plan.path_of is not None
+    paths = [[] for _ in range(plan.n_paths if has_paths else 1)]
+    for s_idx, ((_, test), w) in enumerate(zip(plan.splits, weights)):
+        if has_paths:
+            for fold, idx in plan.test_folds[s_idx]:
+                paths[plan.path_of[(s_idx, fold)]].append((idx, w))
+        else:
+            paths[0].append((test, w))
+
     portfolios = []
-    for path in range(plan.n_paths):
-        values = np.full(X.n_periods, np.nan)
-        segments = []
-        for s_idx, blocks in enumerate(plan.test_folds):
-            weights, _ = results[s_idx]
-            for fold, idx in blocks:
-                if plan.path_of[(s_idx, fold)] != path:
-                    continue
-                values[idx] = X.values[idx] @ weights
-                segments.append((weights, (X.dates[idx[0]], X.dates[idx[-1]])))
-        if np.any(np.isnan(values)):
-            raise EmptyCv(f"path {path} does not cover every sample")
-        segments.sort(key=lambda item: item[1][0])
+    for path, blocks in enumerate(paths):
+        if has_paths:
+            blocks.sort(key=lambda block: block[0][0])
+        rows = np.concatenate([idx for idx, _ in blocks] or [np.zeros(0, dtype=int)])
+        if has_paths and not np.array_equal(rows, np.arange(X.n_periods)):
+            raise EmptyCv(f"path {path} does not cover every sample exactly once")
         portfolios.append(MultiPeriodPortfolio(
-            name=f"{label}_path{path}",
-            segments=segments,
-            returns=values,
-            dates=tuple(X.dates),
+            name=f"{label}_path{path}" if has_paths else label,
+            segments=[(w, (X.dates[idx[0]], X.dates[idx[-1]])) for idx, w in blocks],
+            returns=np.concatenate([X.values[idx] @ w for idx, w in blocks]),
+            dates=tuple(X.dates[i] for i in rows),
         ))
-    return portfolios
+    return portfolios if has_paths else portfolios[0]

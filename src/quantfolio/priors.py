@@ -34,7 +34,6 @@ class Prior:
     sigma: np.ndarray
     scenarios: np.ndarray
     assets: tuple[str, ...] = ()
-    source: str = "empirical"
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float).ravel()
@@ -111,26 +110,21 @@ def empirical_prior(
         raise InvalidConfig(f"cov_estimator must be one of {_COV_ESTIMATORS}")
 
     base = moments.sample_moments(R)
-    if mean_estimator == "ew" or cov_estimator == "ew":
-        ew = moments.ew_moments(R, halflife=halflife)
-
-    mu = {"sample": lambda: base.mu,
-          "ew": lambda: ew.mu,
-          "bayes_stein": lambda: moments.bayes_stein(base).mu}[mean_estimator]()
-    if cov_estimator == "sample":
-        sigma = base.sigma
-    elif cov_estimator == "ew":
-        sigma = ew.sigma
-    elif cov_estimator == "ledoit_wolf":
-        sigma = moments.ledoit_wolf(R)[0].sigma
-    elif cov_estimator == "gerber":
-        sigma = moments.gerber(R, c=gerber_c).sigma
-    else:
-        sigma = moments.denoise_rmt(base, passes=rmt_passes).sigma
+    estimates = {
+        "sample": lambda: base,
+        "ew": lambda: moments.ew_moments(R, halflife=halflife),
+        "bayes_stein": lambda: moments.bayes_stein(base),
+        "ledoit_wolf": lambda: moments.ledoit_wolf(R)[0],
+        "gerber": lambda: moments.gerber(R, c=gerber_c),
+        "denoised": lambda: moments.denoise_rmt(base, passes=rmt_passes),
+    }
+    # one call per named estimate, also when mu and sigma name the same one
+    picked = {name: estimates[name]() for name in dict.fromkeys((mean_estimator, cov_estimator))}
+    mu, sigma = picked[mean_estimator].mu, picked[cov_estimator].sigma
 
     X = returns_values(R)
     assets = tuple(R.assets) if isinstance(R, ReturnsMatrix) else ()
-    return Prior(mu=mu, sigma=sigma, scenarios=X, assets=assets, source="empirical")
+    return Prior(mu=mu, sigma=sigma, scenarios=X, assets=assets)
 
 
 def factor_model_prior(X: ReturnsMatrix, F: ReturnsMatrix, ridge_alpha: float = 0.1) -> Prior:
@@ -168,8 +162,7 @@ def factor_model_prior(X: ReturnsMatrix, F: ReturnsMatrix, ridge_alpha: float = 
     sigma = B.T @ sigma_f @ B + np.diag(resid_var)
     mu = a + f_mean @ B
     assets = tuple(X.assets) if isinstance(X, ReturnsMatrix) else ()
-    return Prior(mu=mu, sigma=(sigma + sigma.T) / 2, scenarios=fitted, assets=assets,
-                 source="factor")
+    return Prior(mu=mu, sigma=(sigma + sigma.T) / 2, scenarios=fitted, assets=assets)
 
 
 def black_litterman_prior(base: Prior, views: ViewSet) -> Prior:
@@ -179,7 +172,7 @@ def black_litterman_prior(base: Prior, views: ViewSet) -> Prior:
     tau = views.tau
     if views.n_views == 0:
         return Prior(mu=pi, sigma=(1.0 + tau) * sigma, scenarios=base.scenarios,
-                     assets=base.assets, source="black_litterman")
+                     assets=base.assets)
     P, Q = views.P, views.Q
     if P.shape[1] != N:
         raise DimensionMismatch(f"pick matrix has {P.shape[1]} columns for N={N}")
@@ -199,7 +192,7 @@ def black_litterman_prior(base: Prior, views: ViewSet) -> Prior:
     sigma_post = sigma + M
     sigma_post = (sigma_post + sigma_post.T) / 2
     return Prior(mu=mu_post, sigma=sigma_post, scenarios=base.scenarios,
-                 assets=base.assets, source="black_litterman")
+                 assets=base.assets)
 
 
 class PriorEstimator(BaseEstimator):

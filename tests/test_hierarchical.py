@@ -19,6 +19,7 @@ from quantfolio.hierarchical import (
     stacking,
 )
 from quantfolio.mean_risk import MeanRisk
+from quantfolio.measures import RiskMeasure
 from quantfolio.model_selection import CpcvConfig, walk_forward
 
 from conftest import make_prior, make_returns, random_psd
@@ -184,6 +185,24 @@ def test_hrp_permutation_invariance(rng):
     prior_p = make_prior(np.zeros(6), sigma[np.ix_(perm, perm)])
     w_p = hrp(prior_p)
     np.testing.assert_allclose(w_p, w[perm], atol=1e-12)
+
+
+@pytest.mark.parametrize("measure", [RiskMeasure.CVAR, RiskMeasure.WORST_REALIZATION])
+def test_hrp_weights_stay_in_unit_interval_when_a_side_never_loses(measure):
+    # two years of monthly returns that seldom lose: some sides have a
+    # negative CVaR and worst realization, which unclipped gave a weight < 0
+    X = np.random.default_rng(0).normal(0.01, 0.01, (24, 6))
+    w = HierarchicalRiskParity(risk_measure=measure).fit(X).weights_
+    assert np.all((w >= 0) & (w <= 1))
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_hrp_side_that_never_loses_takes_the_split():
+    # [DERIVED] two uncorrelated assets; asset 0 never loses, so its CVaR is
+    # negative, clipped to 0, and it takes the whole weight
+    scenarios = np.array([[0.02, -0.01], [0.01, 0.01], [0.03, -0.02], [0.02, 0.02]])
+    prior = make_prior([0.0, 0.0], np.diag([1.0, 1.0]), scenarios=scenarios)
+    np.testing.assert_array_equal(hrp(prior, risk_measure=RiskMeasure.CVAR), [1.0, 0.0])
 
 
 def test_hrp_zero_variance_rejected():

@@ -11,6 +11,7 @@ from quantfolio.measures import (
     max_drawdown,
     mean_absolute_deviation,
     measure_value,
+    risk_of_weights,
     standard_deviation,
     variance,
     worst_realization,
@@ -97,6 +98,25 @@ def test_measure_value_dispatch(rng):
     ]
     for measure, expected in pairs:
         assert measure_value(r, measure) == pytest.approx(expected, abs=1e-15)
+
+
+def test_measure_value_rejects_unknown_measure():
+    with pytest.raises(ValueError, match="unknown measure"):
+        measure_value(SERIES, "cvar")
+
+
+def test_risk_of_weights_reads_sigma_or_scenarios(rng):
+    scenarios = rng.normal(0, 0.02, (60, 3))
+    sigma = np.diag([1.0, 2.0, 3.0])  # unrelated to the scenarios on purpose
+    w = np.array([0.5, 0.3, 0.2])
+    var = 0.25 + 2 * 0.09 + 3 * 0.04
+    assert risk_of_weights(w, sigma, scenarios, RiskMeasure.VARIANCE) == pytest.approx(var)
+    assert risk_of_weights(w, sigma, scenarios, RiskMeasure.STANDARD_DEVIATION) == \
+        pytest.approx(np.sqrt(var))
+    for measure in (RiskMeasure.MEAN_ABSOLUTE_DEVIATION, RiskMeasure.CVAR,
+                    RiskMeasure.WORST_REALIZATION, RiskMeasure.CDAR):
+        assert risk_of_weights(w, sigma, scenarios, measure, beta=0.9) == \
+            measure_value(scenarios @ w, measure, beta=0.9)
 
 
 def test_translation_invariance_of_dispersion(rng):

@@ -166,6 +166,18 @@ def test_cross_val_predict_cpcv_paths(rng):
         assert path.n_periods == 120  # every path covers all folds
 
 
+def test_cross_val_predict_cpcv_path_missing_a_fold_raises(rng):
+    X = make_returns(rng.normal(0.0005, 0.01, (40, 3)))
+    plan = cpcv(40, CpcvConfig(k=4, p=2, purge_horizon=0, embargo_fraction=0.0))
+    plan.path_of[(0, 0)] = 1  # path 0 loses fold 0, which path 1 now has twice
+    with pytest.raises(EmptyCv, match="^path 0 does not cover every sample"):
+        cross_val_predict(EqualWeighted(), X, plan)
+    plan = cpcv(40, CpcvConfig(k=4, p=2, purge_horizon=0, embargo_fraction=0.0))
+    plan.n_paths += 1  # a path that no block lies on
+    with pytest.raises(EmptyCv, match="^path 3 does not cover every sample"):
+        cross_val_predict(EqualWeighted(), X, plan)
+
+
 def test_cross_val_predict_thread_count_is_neutral(rng):
     X = make_returns(rng.normal(0.0005, 0.01, (200, 4)))
     plan = cpcv(200, CpcvConfig(k=5, p=2, purge_horizon=1, embargo_fraction=0.01))
