@@ -191,6 +191,9 @@ def load_config(path: str) -> dict:
     for key in ("model", "cv"):
         if key in cfg:
             _check_section(cfg[key], key, key)
+    for key in ("models", "benchmarks"):
+        if not isinstance(cfg.get(key, []), list):
+            raise InvalidConfig(f"{key} must be a JSON list, got {cfg[key]!r}")
     for i, sec in enumerate(cfg.get("models", [])):
         _check_section(sec, "model", f"models[{i}]")
     for i, kind in enumerate(cfg.get("benchmarks", [])):

@@ -80,8 +80,12 @@ class Constraints:
             require_finite("linear_b", self.linear_b)
 
     def bounds(self, n: int, assets: tuple[str, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-        lb = np.broadcast_to(np.asarray(self.lower, dtype=float), (n,)).copy()
-        ub = np.broadcast_to(np.asarray(self.upper, dtype=float), (n,)).copy()
+        lb, ub = np.asarray(self.lower, dtype=float), np.asarray(self.upper, dtype=float)
+        for name, bound in (("lower weight bound (min_weights)", lb),
+                            ("upper weight bound (max_weights)", ub)):
+            if bound.ndim and bound.shape != (n,):
+                raise DimensionMismatch(f"{name} has shape {bound.shape}, not () or ({n},)")
+        lb, ub = np.broadcast_to(lb, (n,)).copy(), np.broadcast_to(ub, (n,)).copy()
         if self.max_weight_per_asset:
             if not assets:
                 raise InvalidConfig("named weight caps need a prior with asset names")

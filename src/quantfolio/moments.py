@@ -126,7 +126,8 @@ def ledoit_wolf(R) -> tuple[MomentEstimate, float]:
         raise TooFewSamples("need T >= 2")
     mu = X.mean(axis=0)
     Xc = X - mu
-    S = Xc.T @ Xc / T  # biased MLE used for the intensity formula
+    XtX = Xc.T @ Xc
+    S = XtX / T  # biased MLE used for the intensity formula
     m = np.trace(S) / N
     d2 = float(np.sum((S - m * np.eye(N)) ** 2)) / N
     if d2 <= 0:
@@ -139,9 +140,10 @@ def ledoit_wolf(R) -> tuple[MomentEstimate, float]:
         delta = b2 / d2
     delta = min(max(delta, 0.0), 1.0)
 
-    sample = sample_moments(X)
-    target = (np.trace(sample.sigma) / N) * np.eye(N)
-    sigma = (1.0 - delta) * sample.sigma + delta * target
+    sample = XtX / (T - 1)  # the unbiased sample covariance, as in `sample_moments`
+    sample = (sample + sample.T) / 2
+    target = (np.trace(sample) / N) * np.eye(N)
+    sigma = (1.0 - delta) * sample + delta * target
     return MomentEstimate(mu=mu, sigma=(sigma + sigma.T) / 2, sample_size=T), delta
 
 

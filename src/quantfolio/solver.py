@@ -12,11 +12,15 @@ constraint matrix A is CSR throughout: A_eq, G and the box rows are stacked
 as CSR, Ruiz scaling rescales its stored values, and the iterations and the
 convergence and infeasibility checks run on that scaled CSR and one
 transpose. The checks judge unscaled residuals by rescaling vectors with
-the Ruiz factors: A₀x = (Ax)/E, P₀x = (Px)/(cD) and A₀ᵀy = (Aᵀy)/(cD). One
-residual function judges ADMM iterates and polished points alike. The only
-dense arrays are P, the n×n reduced matrix and its factor, and the rows of
-the unscaled A that a polish selects. Everything runs sequentially, so
-results are bit-deterministic for fixed inputs.
+the Ruiz factors: A₀x = (Ax)/E, P₀x = (Px)/(cD) and A₀ᵀy = (Aᵀy)/(cD),
+defined once in `solve` (`A0x`, `P0x`, `A0Ty`) and used by the residual
+function and both infeasibility certificates. One residual function judges
+ADMM iterates and polished points alike. Equality rows (|u − l| < 1e-14)
+are found once, on the caller's bounds; they get the stiffer penalty and
+always enter the polish. The only dense arrays are P, the n×n reduced
+matrix and its factor, and the rows of the unscaled A that a polish
+selects. Everything runs sequentially, so results are bit-deterministic for
+fixed inputs.
 """
 
 from __future__ import annotations
@@ -135,61 +139,63 @@ def _ruiz_equilibrate(P, q, A):
 
 
 def _factor_reduced(P, A, AT, rho_vec):
-    """Factor P + σI + Aᵀ diag(ρ) A (SPD by the σ shift) from the CSR A and its AT."""
+    """Factor P + σI + Aᵀ diag(ρ) A (SPD by the σ shift) from the CSR A and its AT;
+    returns the function that solves the reduced system for a right-hand side."""
     A_rho = scipy.sparse.csr_array((A.data * np.repeat(rho_vec, np.diff(A.indptr)),
                                     A.indices, A.indptr), shape=A.shape)
     M = P + SIGMA * np.eye(P.shape[0]) + (AT @ A_rho).toarray()
     try:
-        return ("cho", scipy.linalg.cho_factor(M, lower=True))
+        L, _ = scipy.linalg.cho_factor(M, lower=True)
     except scipy.linalg.LinAlgError:
-        return ("lu", scipy.linalg.lu_factor(M))
-
-
-def _reduced_solve(factor, rhs):
-    kind, data = factor
-    if kind == "cho":
-        # the LAPACK call inside cho_solve, without its per-call input checks
-        x, _ = scipy.linalg.lapack.dpotrs(data[0], rhs, lower=1)
-        return x
-    return scipy.linalg.lu_solve(data, rhs, check_finite=False)
+        lu = scipy.linalg.lu_factor(M)
+        return lambda rhs: scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+    # the LAPACK call inside cho_solve, without its per-call input checks
+    return lambda rhs: scipy.linalg.lapack.dpotrs(L, rhs, lower=1)[0]
 
 
 def solve(problem: QpProblem) -> SolveResult:
     """Solve a QP/LP; non-optimal outcomes are returned in-band via `status`."""
     P0, q0, A0, l, u = _stack_problem(problem)
     m, n = A0.shape
+    eq_mask = np.isfinite(l) & np.isfinite(u) & (np.abs(u - l) < 1e-14)
 
     P, q, A, D, E, c = _ruiz_equilibrate(P0, q0, A0)
     ls = l * E
     us = u * E
-
-    eq_mask = np.isfinite(ls) & np.isfinite(us) & (np.abs(us - ls) < 1e-14)
-    rho_bar = RHO
-    rho_vec = np.where(eq_mask, 1e3 * rho_bar, rho_bar)
     AT = A.T.tocsr()
-    factor = _factor_reduced(P, A, AT, rho_vec)
+
+    # the unscaled products at a scaled point: A₀ at D x, P₀ at D x, A₀ᵀ at E y / c
+    def A0x(x):
+        return (A @ x) / E
+
+    def P0x(x):
+        return (P @ x) / (c * D)
+
+    def A0Ty(y):
+        return (AT @ y) / (c * D)
+
+    def penalty(rho_bar):
+        """ρ per row (equality rows 1e3 times stiffer) and its reduced-system solve."""
+        rho_vec = np.where(eq_mask, 1e3 * rho_bar, rho_bar)
+        return rho_vec, _factor_reduced(P, A, AT, rho_vec)
 
     def residuals(x, z, y):
         """Unscaled primal and dual residuals of the scaled point (x, z, y),
         with the magnitudes their tolerances scale by."""
-        Ax = (A @ x) / E
-        zu = z / E
-        Px = (P @ x) / (c * D)
-        ATy = (AT @ y) / (c * D)
-        prim_scale = max(np.abs(Ax).max(initial=0.0), np.abs(zu).max(initial=0.0))
+        Ax, Px, ATy = A0x(x), P0x(x), A0Ty(y)
+        z = z / E
+        prim_scale = max(np.abs(Ax).max(initial=0.0), np.abs(z).max(initial=0.0))
         dual_scale = max(np.abs(Px).max(initial=0.0), np.abs(ATy).max(initial=0.0),
                          np.abs(q0).max(initial=0.0))
-        return (np.abs(Ax - zu).max(initial=0.0), np.abs(Px + q0 + ATy).max(initial=0.0),
+        return (np.abs(Ax - z).max(initial=0.0), np.abs(Px + q0 + ATy).max(initial=0.0),
                 prim_scale, dual_scale)
 
+    rho_bar = RHO
+    rho_vec, solve_reduced = penalty(rho_bar)
     x = np.zeros(n)
     z = np.zeros(m)
     y = np.zeros(m)
     status = "MaxIterations"
-    iterations = MAX_ITERATIONS
-    r_prim = r_dual = np.inf
-    xu = np.zeros(n)
-    yu = np.zeros(m)
     rho_updates = 0
     # stall breaker: degenerate LP tails crawl at a too-small rho while the
     # residual ratio looks balanced, so the ratio rule never fires; escalate
@@ -200,7 +206,7 @@ def solve(problem: QpProblem) -> SolveResult:
 
     for k in range(1, MAX_ITERATIONS + 1):
         rhs = SIGMA * x - q + AT @ (rho_vec * z - y)
-        x_tilde = _reduced_solve(factor, rhs)
+        x_tilde = solve_reduced(rhs)
         z_tilde = A @ x_tilde
         x_prev = x
         y_prev = y
@@ -221,7 +227,7 @@ def solve(problem: QpProblem) -> SolveResult:
             # active-set polish: finishes a converged iterate, and every
             # POLISH_INTERVAL iterations is an early exit if it certifies
             if converged or k % POLISH_INTERVAL == 0:
-                polished = _polish(P0, q0, A0, l, u, xu, yu)
+                polished = _polish(P0, q0, A0, l, u, eq_mask, xu, yu)
                 if polished is not None:
                     xs = polished[0] / D
                     rp, rd, _, _ = residuals(xs, np.clip(A @ xs, ls, us),
@@ -230,36 +236,29 @@ def solve(problem: QpProblem) -> SolveResult:
                             converged or (rp <= eps_prim and rd <= eps_dual)):
                         (xu, yu), r_prim, r_dual = polished, rp, rd
                         converged = True
+
             if converged:
                 status = "Optimal"
-                iterations = k
-                break
-
-            if _primal_infeasible(AT, D, E, c, l, u, y - y_prev, EPS_INFEAS):
+            elif _primal_infeasible(A0Ty, l, u, y - y_prev, (y - y_prev) * E / c,
+                                    EPS_INFEAS):
                 status = "Infeasible"
-                iterations = k
-                break
-            if _dual_infeasible(P, A, D, E, c, q0, l, u, x - x_prev, EPS_INFEAS):
+            elif _dual_infeasible(P0x, A0x, q0, l, u, x - x_prev, D * (x - x_prev),
+                                  EPS_INFEAS):
                 status = "Unbounded"
-                iterations = k
-                break
-
-            if k in escalation_points:
+            elif k in escalation_points:
                 rho_bar = float(min(rho_bar * 10.0, 1e6))
-                rho_vec = np.where(eq_mask, 1e3 * rho_bar, rho_bar)
-                factor = _factor_reduced(P, A, AT, rho_vec)
-                continue
-
+                rho_vec, solve_reduced = penalty(rho_bar)
             # penalty adaptation: rebalance rho when the scaled residual
             # ratio drifts; capped update count keeps runs deterministic
-            if rho_updates < 30 and k % (CHECK_INTERVAL * 4) == 0 and k < MAX_ITERATIONS:
+            elif rho_updates < 30 and k % (CHECK_INTERVAL * 4) == 0 and k < MAX_ITERATIONS:
                 ratio = np.sqrt((r_prim / max(prim_scale, 1e-12))
                                 / max(r_dual / max(dual_scale, 1e-12), 1e-16))
                 if ratio > 5.0 or ratio < 0.2:
                     rho_bar = float(np.clip(rho_bar * ratio, 1e-6, 1e6))
-                    rho_vec = np.where(eq_mask, 1e3 * rho_bar, rho_bar)
-                    factor = _factor_reduced(P, A, AT, rho_vec)
+                    rho_vec, solve_reduced = penalty(rho_bar)
                     rho_updates += 1
+            if status != "MaxIterations":
+                break
 
     if status == "Optimal":
         objective = float(0.5 * xu @ P0 @ xu + q0 @ xu)
@@ -269,21 +268,21 @@ def solve(problem: QpProblem) -> SolveResult:
         x=xu,
         objective=objective,
         status=status,
-        iterations=iterations,
+        iterations=k,
         primal_residual=float(r_prim),
         dual_residual=float(r_dual),
         y=yu,
     )
 
 
-def _primal_infeasible(AT, D, E, c, l, u, dy, eps):
-    """Farkas test on the scaled dual step `dy`; AT is the scaled Aᵀ."""
-    dy = dy * E / c
-    norm = np.abs(dy).max(initial=0.0)
+def _primal_infeasible(A0Ty, l, u, dy, dy0, eps):
+    """Farkas test on a dual step: `dy` scaled, `dy0` the same step unscaled,
+    and `A0Ty` the unscaled Aᵀ product at a scaled dual."""
+    norm = np.abs(dy0).max(initial=0.0)
     if norm <= 1e-14:
         return False
-    d = dy / norm
-    if np.abs((AT @ (d / E)) / D).max(initial=0.0) > eps:
+    d = dy0 / norm
+    if np.abs(A0Ty(dy)).max(initial=0.0) > eps * norm:
         return False
     pos = np.clip(d, 0.0, None)
     neg = np.clip(d, None, 0.0)
@@ -295,18 +294,17 @@ def _primal_infeasible(AT, D, E, c, l, u, dy, eps):
     return support < -eps
 
 
-def _dual_infeasible(P, A, D, E, c, q0, l, u, dx, eps):
-    """Recession-direction test on the scaled primal step `dx`; P, A are scaled."""
-    dx = D * dx
-    norm = np.abs(dx).max(initial=0.0)
+def _dual_infeasible(P0x, A0x, q0, l, u, dx, dx0, eps):
+    """Recession-direction test on a primal step: `dx` scaled, `dx0` the same
+    step unscaled, and `P0x`, `A0x` the unscaled products at a scaled point."""
+    norm = np.abs(dx0).max(initial=0.0)
     if norm <= 1e-14:
         return False
-    d = dx / norm
-    if np.abs((P @ (d / D)) / (c * D)).max(initial=0.0) > eps:
+    if np.abs(P0x(dx)).max(initial=0.0) > eps * norm:
         return False
-    if q0 @ d > -eps:
+    if q0 @ (dx0 / norm) > -eps:
         return False
-    Ad = (A @ (d / D)) / E
+    Ad = A0x(dx) / norm
     ok_upper = np.where(np.isfinite(u), Ad <= eps, True)
     ok_lower = np.where(np.isfinite(l), Ad >= -eps, True)
     return bool(np.all(ok_upper & ok_lower))
@@ -364,22 +362,17 @@ def _dual_fit(P, q, A, xv, eq_mask, act_low, act_up):
     return y
 
 
-def _polish_step(P, q, A, l, u, eq_mask, low, up):
-    """Equality-solve the KKT system on a candidate active set; returns x or None."""
+def _polish_step(P, q, A_act, b_act):
+    """Equality-solve the KKT system on the active rows A_act x = b_act; returns x or None."""
     n = P.shape[0]
-    active = eq_mask | low | up
-    idx = np.flatnonzero(active)
-    A_red = A[idx].toarray()
-    rhs_red = np.where(eq_mask[idx] | low[idx], l[idx], u[idx])
-
-    k = idx.size
+    k = A_act.shape[0]
     delta = 1e-9
     K = np.zeros((n + k, n + k))
     K[:n, :n] = P + delta * np.eye(n)
-    K[:n, n:] = A_red.T
-    K[n:, :n] = A_red
+    K[:n, n:] = A_act.T
+    K[n:, :n] = A_act
     K[n:, n:] = -delta * np.eye(k)
-    rhs = np.concatenate([-q, rhs_red])
+    rhs = np.concatenate([-q, b_act])
     try:
         lu = scipy.linalg.lu_factor(K)
     except (scipy.linalg.LinAlgError, ValueError):
@@ -397,24 +390,23 @@ def _polish_step(P, q, A, l, u, eq_mask, low, up):
     return x_new
 
 
-def _polish(P, q, A, l, u, x, y):
+def _polish(P, q, A, l, u, eq_mask, x, y):
     """Active-set polish: re-solve on a candidate active set and fit its dual.
 
-    The candidate set is read off the ADMM iterate: rows within 1e-7
-    (relative) of a bound, unioned with rows whose dual is strong. It is
-    pruned to a linearly independent subset for the primal KKT solve
-    (optimal vertices of the drawdown LPs are degenerate, so the raw set is
-    often rank-deficient), and the dual is a sign-constrained fit over the
-    rows tight at the polished point, so complementary slackness holds by
-    construction. Returns the candidate (x, y), or None; `solve` judges it.
+    The candidate set is read off the ADMM iterate: the equality rows
+    `eq_mask`, plus rows within 1e-7 (relative) of a bound, unioned with rows
+    whose dual is strong. The inequality candidates are pruned to a linearly
+    independent subset for the primal KKT solve (optimal vertices of the
+    drawdown LPs are degenerate, so the raw set is often rank-deficient), and
+    the dual is a sign-constrained fit over the rows tight at the polished
+    point, so complementary slackness holds by construction. Returns the
+    candidate (x, y), or None; `solve` judges it.
     """
-    eq_mask = np.isfinite(l) & np.isfinite(u) & (np.abs(u - l) < 1e-14)
     has_l = np.isfinite(l) & ~eq_mask
     has_u = np.isfinite(u) & ~eq_mask
     y_norm = max(np.abs(y).max(initial=0.0), 1e-12)
     Ax = A @ x
     idx_eq = np.flatnonzero(eq_mask)
-    m = A.shape[0]
 
     # tight-slack rows unioned with strong-dual rows
     act_low = has_l & ((np.abs(Ax - l) <= 1e-7 * (1.0 + np.abs(l))) | (y < -1e-4 * y_norm))
@@ -424,12 +416,14 @@ def _polish(P, q, A, l, u, x, y):
     # in descending dual magnitude, so strong-dual rows win the basis
     idx_act = np.flatnonzero(act_low | act_up)
     idx_act = idx_act[np.argsort(-np.abs(y[idx_act]), kind="stable")]
-    keep = _select_independent(A[np.concatenate([idx_eq, idx_act])].toarray())
-    kept = np.array([idx_act[j - idx_eq.size] for j in keep if j >= idx_eq.size],
-                    dtype=int)
-    sel = np.zeros(m, dtype=bool)
-    sel[kept] = True
-    x_new = _polish_step(P, q, A, l, u, eq_mask, act_low & sel, act_up & sel)
+    idx = np.concatenate([idx_eq, idx_act])
+    rows = A[idx].toarray()
+    kept = np.arange(idx.size) < idx_eq.size  # every equality row stays
+    kept[_select_independent(rows)] = True
+    sel = np.flatnonzero(kept)
+    sel = sel[np.argsort(idx[sel])]  # the KKT system takes its rows in row order
+    b = np.where(eq_mask | act_low, l, u)[idx[sel]]
+    x_new = _polish_step(P, q, rows[sel], b)
     if x_new is None:
         return None
     Axn = A @ x_new

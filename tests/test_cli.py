@@ -622,3 +622,37 @@ def test_config_builds_pinned_estimator(golden_estimators, case):
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     ESTIMATORS_FIXTURE.write_text(json.dumps(
         {case: repr(build()) for case, build in sorted(PIN_BUILDS.items())}, indent=1) + "\n")
+
+
+@pytest.mark.parametrize("constraints, message", [
+    ({"min_weights": [0, 0]}, "lower weight bound (min_weights) has shape (2,), not () or (10,)"),
+    ({"max_weights": [[1]]}, "upper weight bound (max_weights) has shape (1, 1), not () or (10,)"),
+], ids=["min_weights", "max_weights"])
+def test_weight_bound_of_wrong_shape_is_config_error(tmp_path, short_prices_path, capsys,
+                                                     constraints, message):
+    cfg = {"data": {"prices": short_prices_path}, "model": {"kind": "mean_risk"},
+           "constraints": constraints}
+    code, _ = run(tmp_path, "optimize", cfg)
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("models", "hrp"), ("benchmarks", "equal_weighted")])
+def test_models_and_benchmarks_must_be_lists(tmp_path, short_prices_path, capsys, key, value):
+    # a string must not be read one character at a time
+    cfg = {"data": {"prices": short_prices_path}, "models": [{"kind": "hrp"}],
+           "cv": {"kind": "cpcv", "k": 4, "p": 2}, key: value}
+    code, out = run(tmp_path, "backtest", cfg)
+    assert code == 2
+    assert f"config error: {key} must be a JSON list, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unbounded_problem_is_solver_error(tmp_path, short_prices_path, capsys):
+    # the JSON literals -Infinity and Infinity open both sides of the box
+    cfg = {"data": {"prices": short_prices_path},
+           "model": {"kind": "mean_risk", "objective": "maximize_return"},
+           "constraints": {"min_weights": float("-inf"), "max_weights": float("inf")}}
+    code, _ = run(tmp_path, "optimize", cfg)
+    assert code == 4
+    assert "solver error: objective unbounded" in capsys.readouterr().err

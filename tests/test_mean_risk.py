@@ -3,11 +3,15 @@ import re
 import numpy as np
 import pytest
 
+import quantfolio.solver
 from quantfolio.base import clone
 from quantfolio.exceptions import (
     AssetMismatch,
+    DimensionMismatch,
     InfeasibleProblem,
     InvalidConfig,
+    SolverFailure,
+    UnboundedProblem,
     UnsupportedMeasure,
 )
 from quantfolio.measures import RiskMeasure, measure_value
@@ -21,6 +25,7 @@ from quantfolio.mean_risk import (
     portfolio_risk,
     predict,
 )
+from quantfolio.priors import EmpiricalPrior
 from quantfolio.reformulations import ProblemBuilder, reformulate_risk
 from quantfolio.solver import solve
 
@@ -299,3 +304,44 @@ def test_predict_asset_mismatch(rng):
     X = make_returns(rng.normal(0, 0.01, (30, 3)))
     with pytest.raises(AssetMismatch):
         predict(np.array([0.5, 0.5]), X)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(min_weights=[0.0, 0.0]), "lower weight bound (min_weights) has shape (2,)"),
+    (dict(max_weights=[[1.0]]), "upper weight bound (max_weights) has shape (1, 1)"),
+], ids=["min_weights", "max_weights"])
+def test_weight_bound_of_wrong_shape_is_dimension_mismatch(rng, kwargs, message):
+    # a bound is a number or one entry per asset; numpy would broadcast (1,) silently
+    X = make_returns(rng.normal(0.0005, 0.01, (60, 5)))
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{message}, not () or (5,)")):
+        MeanRisk(**kwargs).fit(X)
+
+
+def test_unbounded_return_raises(rng):
+    # with both sides of the box open, the budget row alone cannot bound the return
+    X = make_returns(rng.normal(0.0005, 0.01, (60, 5)))
+    model = MeanRisk(objective=ObjectiveFunction.MAXIMIZE_RETURN,
+                     min_weights=-np.inf, max_weights=np.inf)
+    with pytest.raises(UnboundedProblem):
+        model.fit(X)
+
+
+def test_solver_stop_raises_solver_failure(rng, monkeypatch):
+    monkeypatch.setattr(quantfolio.solver, "MAX_ITERATIONS", 1)
+    X = make_returns(rng.normal(0.0005, 0.01, (60, 5)))
+    with pytest.raises(SolverFailure, match="status MaxIterations after 1 iterations"):
+        MeanRisk().fit(X)
+
+
+def test_set_params_plain_and_nested_keys():
+    model = MeanRisk(prior_estimator=EmpiricalPrior())
+    assert model.set_params(l2_coef=0.5, prior_estimator__cov_estimator="ledoit_wolf") is model
+    assert model.l2_coef == 0.5
+    assert model.prior_estimator.cov_estimator == "ledoit_wolf"
+    assert model.get_params()["prior_estimator__cov_estimator"] == "ledoit_wolf"
+    twin = clone(model)
+    assert twin.l2_coef == 0.5
+    assert twin.prior_estimator.cov_estimator == "ledoit_wolf"
+    assert twin.prior_estimator is not model.prior_estimator
+    with pytest.raises(ValueError, match="unknown parameter 'l3_coef' for MeanRisk"):
+        model.set_params(l3_coef=1.0)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 import quantfolio.solver
@@ -281,3 +282,26 @@ def test_admm_dual_residual_matches_unscaled_recomputation(monkeypatch):
     dual_scale = max(np.abs(Px).max(), np.abs(ATy).max(), np.abs(q0).max())
     assert res.dual_residual > 1e-6 * dual_scale
     assert abs(res.dual_residual - np.abs(Px + q0 + ATy).max()) <= 1e-12 * dual_scale
+
+
+@pytest.mark.parametrize("case", ["minimize_risk/variance", "maximize_utility/cvar",
+                                  "minimize_risk/cvar", "maximize_ratio/variance/short"])
+def test_lu_fallback_matches_cholesky(case, monkeypatch):
+    # when the Cholesky factorization of the reduced matrix fails, its LU
+    # factors solve the same systems to the same iterates
+    objective, measure, cons, extra = _cases()[case]
+    problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
+                                          constraints=Constraints(**cons), **extra))
+    cholesky = solve(problem)
+    failures = []
+
+    def cho_factor(*args, **kwargs):
+        failures.append(1)
+        raise scipy.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", cho_factor)
+    lu = solve(problem)
+    assert failures
+    assert (lu.status, lu.iterations) == (cholesky.status, cholesky.iterations)
+    assert lu.status == "Optimal"
+    assert np.array_equal(lu.x, cholesky.x)
