@@ -6,8 +6,13 @@ Problems are solved in the form
     subject to  l ≤ A x ≤ u
 
 with Ruiz equilibration, a reduced (normal-equations) linear system per
-iteration, and a periodic active-set polish that finishes the solve to
-near machine precision once the iterate is moderately accurate. The
+iteration, and an active-set polish that finishes the solve to near machine
+precision once the iterate is moderately accurate. A polish is tried when
+ADMM converges and every POLISH_INTERVAL iterations; a QP (nonzero P) also
+tries one at the checks CHECK_INTERVAL·2^j below POLISH_INTERVAL (25, 50,
+100, 200, 400), since its active set is usually known within the first few
+checks. An LP keeps the plain interval: on the drawdown LPs the early
+attempts certify nothing and only add KKT solves. The
 constraint matrix A is CSR throughout: A_eq, G and the box rows are stacked
 as CSR, Ruiz scaling rescales its stored values, and the iterations and the
 convergence and infeasibility checks run on that scaled CSR and one
@@ -43,7 +48,8 @@ ALPHA = 1.6
 CHECK_INTERVAL = 25
 SCALING_ITERATIONS = 10
 POLISH_REFINE_STEPS = 8
-POLISH_INTERVAL = 500  # attempt polish every this many iterations
+# attempt polish every this many iterations; a QP also at CHECK_INTERVAL·2^j below it
+POLISH_INTERVAL = 500
 
 
 @dataclass
@@ -203,6 +209,13 @@ def solve(problem: QpProblem) -> SolveResult:
     escalation_points = {
         -(-(MAX_ITERATIONS // f) // CHECK_INTERVAL) * CHECK_INTERVAL for f in (10, 4, 2)
     }
+    # a QP also polishes at the doubling checks CHECK_INTERVAL·2^j below
+    # POLISH_INTERVAL; an LP keeps the plain interval
+    early_polish = set()
+    k_polish = CHECK_INTERVAL if P0.any() else POLISH_INTERVAL
+    while k_polish < POLISH_INTERVAL:
+        early_polish.add(k_polish)
+        k_polish *= 2
 
     for k in range(1, MAX_ITERATIONS + 1):
         rhs = SIGMA * x - q + AT @ (rho_vec * z - y)
@@ -224,9 +237,10 @@ def solve(problem: QpProblem) -> SolveResult:
             eps_dual = EPS_ABS + EPS_REL * dual_scale
             converged = r_prim <= eps_prim and r_dual <= eps_dual
 
-            # active-set polish: finishes a converged iterate, and every
-            # POLISH_INTERVAL iterations is an early exit if it certifies
-            if converged or k % POLISH_INTERVAL == 0:
+            # active-set polish: finishes a converged iterate, and at the
+            # early QP checks and every POLISH_INTERVAL iterations is an
+            # early exit if it certifies
+            if converged or k % POLISH_INTERVAL == 0 or k in early_polish:
                 polished = _polish(P0, q0, A0, l, u, eq_mask, xu, yu)
                 if polished is not None:
                     xs = polished[0] / D

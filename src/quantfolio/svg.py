@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
@@ -127,16 +129,18 @@ def line_chart(
 
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
+        # px and py on whole arrays give each point's doubles, and one
+        # %-template per series formats them as _fmt does one at a time
+        cx = px(np.asarray(xs, dtype=float))
+        cy = py(np.asarray(ys, dtype=float))
+        coords = tuple(np.column_stack((cx, cy)).ravel().tolist())
+        pts = " ".join(["%.2f,%.2f"] * cx.size) % coords
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        if markers:
-            for x, y in zip(xs, ys):
-                out.append(
-                    f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="2.5" '
-                    f'fill="{color}"/>'
-                )
+        if markers and cx.size:
+            circle = f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{color}"/>'
+            out.append("\n".join([circle] * cx.size) % coords)
 
     # legend, top-right inside the frame
     lx = MARGIN_LEFT + plot_w - 170

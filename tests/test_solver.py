@@ -244,6 +244,32 @@ def test_failed_polish_makes_one_kkt_solve(monkeypatch):
     assert len(kkt_solves) == len(polishes)
 
 
+@pytest.mark.parametrize("case, polished_at", [
+    ("maximize_ratio/variance", [25]),
+    ("minimize_risk/variance/l1+l2+short", [25, 50, 100]),
+])
+def test_qp_polishes_on_doubling_checks(case, polished_at, monkeypatch):
+    # a QP also polishes at the checks CHECK_INTERVAL·2^j below POLISH_INTERVAL
+    # and stops at the first polish that certifies; each ADMM iteration makes
+    # one reduced-system solve, so their count is the iteration of a polish
+    objective, measure, cons, extra = _cases()[case]
+    problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
+                                          constraints=Constraints(**cons), **extra))
+    polish, factor = quantfolio.solver._polish, quantfolio.solver._factor_reduced
+    reduced_solves, polished_at_k = [], []
+
+    def counted_factor(*args):
+        solve_reduced = factor(*args)
+        return lambda rhs: reduced_solves.append(1) or solve_reduced(rhs)
+
+    monkeypatch.setattr(quantfolio.solver, "_factor_reduced", counted_factor)
+    monkeypatch.setattr(quantfolio.solver, "_polish",
+                        lambda *args: polished_at_k.append(len(reduced_solves)) or polish(*args))
+    res = solve(problem)
+    assert (res.status, res.iterations) == ("Optimal", polished_at[-1])
+    assert polished_at_k == polished_at
+
+
 @pytest.mark.parametrize("case", ["maximize_ratio/cvar/caps", "maximize_ratio/variance/short",
                                   "minimize_risk/cdar", "maximize_utility/mad/l1+mixed"])
 def test_polished_residuals_match_unscaled_recomputation(case):

@@ -1,8 +1,10 @@
+import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from quantfolio.svg import line_chart
+from quantfolio.svg import PALETTE, line_chart
 
 NS = "{http://www.w3.org/2000/svg}"
 
@@ -72,3 +74,67 @@ def test_empty_series_rejected():
         line_chart([])
     with pytest.raises(ValueError):
         line_chart([("a", [], [])])
+
+
+def _per_point_series_lines(series, width=720, height=480, markers=False):
+    """The polyline and circle lines of `line_chart`, one px/py and one
+    f-string per point."""
+    xs_all = [x for _, xs, _ in series for x in xs]
+    ys_all = [y for _, _, ys in series for y in ys]
+    x_lo, x_hi = min(xs_all), max(xs_all)
+    y_lo, y_hi = min(ys_all), max(ys_all)
+    if x_hi == x_lo:
+        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_pad, y_pad = 0.04 * (x_hi - x_lo), 0.04 * (y_hi - y_lo)
+    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
+    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    plot_w, plot_h = width - 72 - 24, height - 40 - 52
+
+    def px(x):
+        return 72 + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(y):
+        return 40 + (y_hi - y) / (y_hi - y_lo) * plot_h
+
+    lines = []
+    for i, (_, xs, ys) in enumerate(series):
+        color = PALETTE[i % len(PALETTE)]
+        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        lines.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                     'stroke-width="1.5"/>')
+        if markers:
+            lines += [f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" fill="{color}"/>'
+                      for x, y in zip(xs, ys)]
+    return lines, [c for _, xs, ys in series for x, y in zip(xs, ys) for c in (px(x), py(y))]
+
+
+def _edge_y(edge):
+    """The y whose pixel row is nearest `edge` when the ys span [-1, 1] at
+    height 492, where line_chart's py is 40 + (y_hi - y) / (2 y_hi) * 400."""
+    y_hi = 1.0 + 0.04 * 2.0
+    y = y_hi - (edge - 40) * 2 * y_hi / 400
+    # a step of one ulp in y moves py by one to three ulps
+    candidates = y + np.spacing(y) * np.arange(-64, 65)
+    return float(min(candidates, key=lambda c: abs(40 + (y_hi - c) / (2 * y_hi) * 400 - edge)))
+
+
+# ys whose py lies within an ulp or two of a rounding edge m.xx5 of "%.2f"
+EDGE_YS = [_edge_y(m + 0.005) for m in range(60, 420, 30)]
+
+
+@pytest.mark.parametrize("markers", [False, True])
+@pytest.mark.parametrize("xs_kind", ["int", "float"])
+def test_series_match_per_point_formatting(xs_kind, markers):
+    n = len(EDGE_YS) + 2
+    xs = list(range(-3, n - 3)) if xs_kind == "int" else [0.37 * i - 1.1 for i in range(n)]
+    series = [("edges", xs, [-1.0, 1.0] + EDGE_YS),
+              ("negative", xs[::2], [-0.5 - 0.013 * i for i in range(len(xs[::2]))]),
+              ("empty", [], [])]
+    text = line_chart(series, height=492, markers=markers)
+    expected, coords = _per_point_series_lines(series, height=492, markers=markers)
+    # some coordinates sit within 1e-13 of a .xx5 rounding edge
+    assert sum(abs(c - (math.floor(c * 100) + 0.5) / 100) < 1e-13 for c in coords) >= 10
+    assert [line for line in text.splitlines()
+            if line.startswith(("<polyline", "<circle"))] == expected
