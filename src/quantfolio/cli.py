@@ -68,21 +68,32 @@ def _fmt(value: float) -> str:
 
 
 def _json_dumps(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_json_dumps(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_json_dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        values, brackets = list(obj.values()), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    else:
+        return _json_scalar(obj)
+    if not values:
+        return brackets
+    inner = "  " * (indent + 1)
+    heads = [inner] * len(values)
+    if brackets == "{}":
+        # every key in one json.dumps call, one to a line: an encoded key holds no newline
+        keys = json.dumps([str(k) for k in obj], separators=("\n", ""))[1:-1].split("\n")
+        heads = [f"{inner}{k}: " for k in keys]
+    if all(isinstance(v, float) for v in values):
+        # a container of floats, such as a weights dict: one %-template
+        # formats them all as _fmt does one at a time
+        if not all(map(math.isfinite, values)):
+            _fmt(next(v for v in values if not math.isfinite(v)))
+        body = ",\n".join([h.replace("%", "%%") + "%.12g" for h in heads]) % tuple(values)
+    else:
+        body = ",\n".join([h + _json_dumps(v, indent + 1) for h, v in zip(heads, values)])
+    return f"{brackets[0]}\n{body}\n{'  ' * indent}{brackets[1]}"
+
+
+def _json_scalar(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):

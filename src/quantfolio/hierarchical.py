@@ -124,15 +124,6 @@ def silhouette_score(D: np.ndarray, labels: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def _side_risk(side, prior, risk_measure, beta):
-    """Risk of a side's internal inverse-variance mini-portfolio, clipped at 0."""
-    sub_sigma = prior.sigma[np.ix_(side, side)]
-    ivp = 1.0 / np.diag(sub_sigma)
-    ivp /= ivp.sum()
-    risk = risk_of_weights(ivp, sub_sigma, prior.scenarios[:, side], risk_measure, beta=beta)
-    return max(risk, 0.0)
-
-
 def hrp(
     prior: Prior,
     risk_measure: RiskMeasure = RiskMeasure.VARIANCE,
@@ -146,6 +137,12 @@ def hrp(
     scenarios that never lose. A side at 0 takes the whole split, the limit of
     inverse-risk allocation; two sides at 0 split evenly. So every weight
     lies in [0, 1].
+
+    The bisection tree depends only on the leaf order, so every split is
+    listed first. Each side's inverse-variance portfolio is one column of an
+    n×k matrix, one `risk_of_weights` call gives all k side risks, and a
+    leaf's weight is the product of the split factors of the sides it lies
+    on, root first.
     """
     require_finite("beta", beta)
     if not 0 < beta < 1:
@@ -156,24 +153,39 @@ def hrp(
     if np.any(np.diag(prior.sigma) <= 0):
         raise ZeroVarianceAsset("HRP needs strictly positive asset variances")
     tree = linkage_cluster(corr_distance(prior.sigma), method=linkage)
-    order = list(tree.leaf_order)
+    order = np.array(tree.leaf_order)
 
-    weights = np.ones(n)
-    stack = [order]
+    # splits as positions lo < mid < hi in the leaf order, parents first
+    splits = []
+    stack = [(0, n)]
     while stack:
-        items = stack.pop()
-        if len(items) < 2:
-            continue
-        mid = len(items) // 2
-        left, right = items[:mid], items[mid:]
-        risk_l = _side_risk(left, prior, risk_measure, beta)
-        risk_r = _side_risk(right, prior, risk_measure, beta)
-        total = risk_l + risk_r
-        alpha = 1.0 - risk_l / total if total > 0 else 0.5
-        weights[left] *= alpha
-        weights[right] *= 1.0 - alpha
-        stack.append(left)
-        stack.append(right)
+        lo, hi = stack.pop()
+        if hi - lo > 1:
+            mid = lo + (hi - lo) // 2
+            splits.append((lo, mid, hi))
+            stack += [(lo, mid), (mid, hi)]
+    lo, mid, hi = np.array(splits).T[:, :, None]
+    pos = np.arange(n)
+    # row 2s holds split s's left side, row 2s + 1 its right side
+    sides = np.empty((2 * len(splits), n), dtype=bool)
+    sides[0::2] = (lo <= pos) & (pos < mid)
+    sides[1::2] = (mid <= pos) & (pos < hi)
+
+    # each side's inverse-variance portfolio, normalised in leaf order as
+    # the bisection has always summed it
+    ivp = np.where(sides, 1.0 / np.diag(prior.sigma)[order], 0.0)
+    ivp /= ivp.sum(axis=1, keepdims=True)
+    columns = np.empty((n, sides.shape[0]))
+    columns[order] = ivp.T  # one column per side, in the assets' own order
+    risk = np.maximum(risk_of_weights(columns, prior.sigma, prior.scenarios,
+                                      risk_measure, beta=beta), 0.0)
+    risk_l, risk_r = risk[0::2], risk[1::2]
+    total = risk_l + risk_r
+    alpha = 1.0 - np.divide(risk_l, total, out=np.full(total.size, 0.5), where=total > 0)
+    factors = np.column_stack([alpha, 1.0 - alpha]).ravel()
+    # a leaf's weight is the product of its sides' factors, root first
+    weights = np.empty(n)
+    weights[order] = np.prod(np.where(sides, factors[:, None], 1.0), axis=0)
     return weights / weights.sum()
 
 

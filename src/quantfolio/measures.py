@@ -4,7 +4,11 @@ Sign convention: risk measures return positive loss magnitudes, so that
 "risk ≤ cap" constraints read naturally. `measure_value` evaluates any measure
 on a return series; `risk_of_weights` evaluates one on the weights of a
 portfolio, given a covariance and scenario matrix, and is the one risk
-function of both `mean_risk.portfolio_risk` and HRP's bisection.
+function of both `mean_risk.portfolio_risk` and HRP's bisection. Every
+measure is computed down axis 0, so `risk_of_weights` also takes an n×k
+matrix of k portfolios and returns their k risks from one matrix product and
+one pass of the measure over the T×k series; HRP gets all its bisection risks
+that way.
 """
 
 from __future__ import annotations
@@ -32,11 +36,66 @@ DEFAULT_BETA = 0.95
 
 def _as_series(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise EmptySeries("empty return series")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("return series contains non-finite values")
+    _check_series(arr)
     return arr
+
+
+def _check_series(r: np.ndarray):
+    if r.size == 0:
+        raise EmptySeries("empty return series")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("return series contains non-finite values")
+
+
+# The measures below run down axis 0: a 1-D series gives one value, a T×k
+# matrix the k values of its columns by the same arithmetic.
+
+def _cvar(r: np.ndarray, beta: float):
+    if not 0 < beta < 1:
+        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    losses = np.sort(-r, axis=0)[::-1]
+    T = losses.shape[0]
+    m = (1.0 - beta) * T
+    if m >= T:
+        return losses.mean(axis=0)
+    k = math.floor(m)
+    tail = losses[:k].sum(axis=0) + (m - k) * losses[k]
+    return tail / m
+
+
+def _drawdowns(r: np.ndarray, compounded: bool) -> np.ndarray:
+    if compounded:
+        wealth = np.cumprod(1.0 + r, axis=0)
+        peak = np.maximum.accumulate(wealth, axis=0)
+        return 1.0 - wealth / peak
+    cumulative = np.cumsum(r, axis=0)
+    peak = np.maximum.accumulate(cumulative, axis=0)
+    return peak - cumulative
+
+
+def _variance(r: np.ndarray):
+    if r.shape[0] < 2:
+        raise TooFewSamples("variance needs at least 2 samples")
+    return r.var(ddof=1, axis=0)
+
+
+def _measure(r: np.ndarray, measure: RiskMeasure, beta: float, compounded: bool):
+    """Any supported measure of the series `r` (or of each column of `r`)."""
+    if measure is RiskMeasure.VARIANCE:
+        return _variance(r)
+    if measure is RiskMeasure.STANDARD_DEVIATION:
+        return np.sqrt(_variance(r))
+    if measure is RiskMeasure.MEAN_ABSOLUTE_DEVIATION:
+        return np.abs(r - r.mean(axis=0)).mean(axis=0)
+    if measure is RiskMeasure.WORST_REALIZATION:
+        return -r.min(axis=0)
+    if measure is RiskMeasure.CVAR:
+        return _cvar(r, beta)
+    if measure is RiskMeasure.CDAR:
+        return _cvar(-_drawdowns(r, compounded), beta)
+    if measure is RiskMeasure.MAX_DRAWDOWN:
+        return _drawdowns(r, compounded).max(axis=0)
+    raise ValueError(f"unknown measure {measure}")
 
 
 def cvar(values, beta: float = DEFAULT_BETA) -> float:
@@ -45,69 +104,37 @@ def cvar(values, beta: float = DEFAULT_BETA) -> float:
     Uses the exact Rockafellar–Uryasev value with fractional tail weighting,
     so it coincides with the optimum of the LP reformulation.
     """
-    r = _as_series(values)
-    if not 0 < beta < 1:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-    losses = np.sort(-r)[::-1]
-    T = losses.size
-    m = (1.0 - beta) * T
-    if m >= T:
-        return float(losses.mean())
-    k = math.floor(m)
-    tail = losses[:k].sum() + (m - k) * losses[k]
-    return float(tail / m)
+    return float(_cvar(_as_series(values), beta))
 
 
 def drawdown_path(values, compounded: bool = False) -> np.ndarray:
     """Per-period drawdowns from the running peak (peak taken over observed periods)."""
-    r = _as_series(values)
-    if compounded:
-        wealth = np.cumprod(1.0 + r)
-        peak = np.maximum.accumulate(wealth)
-        return 1.0 - wealth / peak
-    cumulative = np.cumsum(r)
-    peak = np.maximum.accumulate(cumulative)
-    return peak - cumulative
+    return _drawdowns(_as_series(values), compounded)
 
 
 def cdar(values, beta: float = DEFAULT_BETA, compounded: bool = False) -> float:
     """Conditional drawdown-at-risk: CVaR of the drawdown path."""
-    dd = drawdown_path(values, compounded=compounded)
-    return cvar(-dd, beta=beta)
+    return measure_value(values, RiskMeasure.CDAR, beta=beta, compounded=compounded)
 
 
 def max_drawdown(values, compounded: bool = False) -> float:
-    return float(drawdown_path(values, compounded=compounded).max())
+    return measure_value(values, RiskMeasure.MAX_DRAWDOWN, compounded=compounded)
 
 
 def worst_realization(values) -> float:
-    r = _as_series(values)
-    return float(-r.min())
+    return measure_value(values, RiskMeasure.WORST_REALIZATION)
 
 
 def variance(values) -> float:
-    r = _as_series(values)
-    if r.size < 2:
-        raise TooFewSamples("variance needs at least 2 samples")
-    return float(r.var(ddof=1))
+    return measure_value(values, RiskMeasure.VARIANCE)
 
 
 def standard_deviation(values) -> float:
-    return math.sqrt(variance(values))
+    return measure_value(values, RiskMeasure.STANDARD_DEVIATION)
 
 
 def mean_absolute_deviation(values) -> float:
-    r = _as_series(values)
-    return float(np.abs(r - r.mean()).mean())
-
-
-# the measures that take neither `beta` nor `compounded`
-_PLAIN_MEASURES = {
-    RiskMeasure.VARIANCE: variance,
-    RiskMeasure.STANDARD_DEVIATION: standard_deviation,
-    RiskMeasure.MEAN_ABSOLUTE_DEVIATION: mean_absolute_deviation,
-    RiskMeasure.WORST_REALIZATION: worst_realization,
-}
+    return measure_value(values, RiskMeasure.MEAN_ABSOLUTE_DEVIATION)
 
 
 def measure_value(
@@ -117,22 +144,25 @@ def measure_value(
     compounded: bool = False,
 ) -> float:
     """Evaluate any supported risk measure on a realized return series."""
-    if measure in _PLAIN_MEASURES:
-        return _PLAIN_MEASURES[measure](values)
-    if measure is RiskMeasure.CVAR:
-        return cvar(values, beta=beta)
-    if measure is RiskMeasure.CDAR:
-        return cdar(values, beta=beta, compounded=compounded)
-    if measure is RiskMeasure.MAX_DRAWDOWN:
-        return max_drawdown(values, compounded=compounded)
-    raise ValueError(f"unknown measure {measure}")
+    return float(_measure(_as_series(values), measure, beta, compounded))
 
 
 def risk_of_weights(weights, sigma, scenarios, measure: RiskMeasure,
-                    beta: float = DEFAULT_BETA) -> float:
+                    beta: float = DEFAULT_BETA):
     """Risk of portfolio `weights`: variance and standard deviation read
-    `sigma`; every other measure is `measure_value` of `scenarios @ weights`."""
+    `sigma`; every other measure is `measure_value` of `scenarios @ weights`.
+
+    `weights` may also be an n×k matrix whose columns are k portfolios: then
+    one product with `sigma` or `scenarios` and one pass of the measure down
+    the k columns return the k risks as an array, each equal to the 1-D call
+    on its column up to rounding. A 1-D `weights` returns a float.
+    """
+    W = np.asarray(weights, dtype=float)
     if measure in (RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION):
-        var = float(weights @ sigma @ weights)
-        return var if measure is RiskMeasure.VARIANCE else math.sqrt(var)
-    return measure_value(scenarios @ weights, measure, beta=beta)
+        var = W @ sigma @ W if W.ndim == 1 else np.einsum("ij,ij->j", W, sigma @ W)
+        risk = var if measure is RiskMeasure.VARIANCE else np.sqrt(var)
+    else:
+        series = scenarios @ W
+        _check_series(series)
+        risk = _measure(series, measure, beta, False)
+    return float(risk) if W.ndim == 1 else risk

@@ -26,10 +26,23 @@ always enter the polish. The only dense arrays are P, the n×n reduced
 matrix and its factor, and the rows of the unscaled A that a polish
 selects. Everything runs sequentially, so results are bit-deterministic for
 fixed inputs.
+
+On the small QPs of a backtest a polish costs more in Python calls than in
+arithmetic, so it makes few of them: `_dense_rows` gathers the candidate and
+dual-fit rows straight from the CSR arrays with a handful of vectorised
+index operations, `_select_independent` normalises every candidate row in
+one operation before its greedy loop, and the KKT system is factored and
+refined by LAPACK's `dgetrf`/`dgetrs` directly (the routines inside
+`lu_factor`/`lu_solve`, without their per-call checks), as the reduced
+system is solved by `dpotrs`. After the KKT solve, each kept row with a
+single nonzero a (a box row, or a one-variable row of G) sets its variable to
+b / a exactly, never to -0.0, so a variable at its bound carries no solver
+noise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -324,6 +337,18 @@ def _dual_infeasible(P0x, A0x, q0, l, u, dx, dx0, eps):
     return bool(np.all(ok_upper & ok_lower))
 
 
+def _dense_rows(A, idx):
+    """Dense copy of the rows `idx` of the CSR matrix A, in the order of `idx`
+    (repeats allowed): `A[idx].toarray()` without building the CSR slice.
+    A holds no duplicate entries, as every CSR this module builds."""
+    counts = A.indptr[idx + 1] - A.indptr[idx]
+    # the positions in A.data of each picked row's entries, row after row
+    pos = np.repeat(A.indptr[idx + 1] - np.cumsum(counts), counts) + np.arange(counts.sum())
+    out = np.zeros((idx.size, A.shape[1]))
+    out[np.repeat(np.arange(idx.size), counts), A.indices[pos]] = A.data[pos]
+    return out
+
+
 def _select_independent(rows, tol=1e-8):
     """Indices of a maximal independent subset of the rows of a 2-D array.
 
@@ -331,18 +356,17 @@ def _select_independent(rows, tol=1e-8):
     rows kept before it has norm above `tol` (relative to the row's norm).
     """
     n = rows.shape[1]
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    nonzero = np.flatnonzero(norms > 1e-14)
+    units = rows[nonzero] / norms[nonzero, None]
     basis = np.empty((n, n))  # orthonormal basis of the kept rows, in its first k rows
     k = 0
     keep = []
-    for i, r in enumerate(rows):
-        nr = np.linalg.norm(r)
-        if nr <= 1e-14:
-            continue
-        v = r / nr
+    for i, v in zip(nonzero.tolist(), units):
         B = basis[:k]
         for _ in range(2):  # reorthogonalize for stability
             v = v - B.T @ (B @ v)
-        nv = np.linalg.norm(v)
+        nv = math.sqrt(v.dot(v))  # np.linalg.norm's own arithmetic
         if nv > tol:
             basis[k] = v / nv
             keep.append(i)
@@ -369,7 +393,7 @@ def _dual_fit(P, q, A, xv, eq_mask, act_low, act_up):
     if not rows.size:
         return y
     try:
-        z, _ = scipy.optimize.nnls((A[rows].toarray() * signs[:, None]).T, g)
+        z, _ = scipy.optimize.nnls((_dense_rows(A, rows) * signs[:, None]).T, g)
     except (RuntimeError, ValueError):
         return None
     np.add.at(y, rows, signs * z)
@@ -387,17 +411,17 @@ def _polish_step(P, q, A_act, b_act):
     K[n:, :n] = A_act
     K[n:, n:] = -delta * np.eye(k)
     rhs = np.concatenate([-q, b_act])
-    try:
-        lu = scipy.linalg.lu_factor(K)
-    except (scipy.linalg.LinAlgError, ValueError):
-        return None
-    sol = scipy.linalg.lu_solve(lu, rhs)
-    # iterative refinement against the unregularized KKT system
+    # iterative refinement runs against the unregularized KKT system
     K0 = K.copy()
     K0[:n, :n] -= delta * np.eye(n)
     K0[n:, n:] += delta * np.eye(k)
+    # the LAPACK calls inside lu_factor and lu_solve, without their per-call checks
+    lu, piv, info = scipy.linalg.lapack.dgetrf(K)
+    if info != 0:  # a zero pivot: K is singular
+        return None
+    sol = scipy.linalg.lapack.dgetrs(lu, piv, rhs)[0]
     for _ in range(POLISH_REFINE_STEPS):
-        sol = sol + scipy.linalg.lu_solve(lu, rhs - K0 @ sol)
+        sol = sol + scipy.linalg.lapack.dgetrs(lu, piv, rhs - K0 @ sol)[0]
     x_new = sol[:n]
     if not np.all(np.isfinite(x_new)):
         return None
@@ -431,15 +455,21 @@ def _polish(P, q, A, l, u, eq_mask, x, y):
     idx_act = np.flatnonzero(act_low | act_up)
     idx_act = idx_act[np.argsort(-np.abs(y[idx_act]), kind="stable")]
     idx = np.concatenate([idx_eq, idx_act])
-    rows = A[idx].toarray()
+    rows = _dense_rows(A, idx)
     kept = np.arange(idx.size) < idx_eq.size  # every equality row stays
     kept[_select_independent(rows)] = True
     sel = np.flatnonzero(kept)
     sel = sel[np.argsort(idx[sel])]  # the KKT system takes its rows in row order
+    rows = rows[sel]
     b = np.where(eq_mask | act_low, l, u)[idx[sel]]
-    x_new = _polish_step(P, q, rows[sel], b)
+    x_new = _polish_step(P, q, rows, b)
     if x_new is None:
         return None
+    # a kept row a·x_j = b with one nonzero fixes x_j at b / a exactly (+ 0.0
+    # turns a -0.0 into 0.0), so bounds hold without solver noise
+    single = np.flatnonzero(np.count_nonzero(rows, axis=1) == 1)
+    cols = np.argmax(rows[single] != 0, axis=1)
+    x_new[cols] = b[single] / rows[single, cols] + 0.0
     Axn = A @ x_new
     fit_low = has_l & (np.abs(Axn - l) <= 1e-9 * (1.0 + np.abs(l)))
     fit_up = has_u & (np.abs(u - Axn) <= 1e-9 * (1.0 + np.abs(u)))

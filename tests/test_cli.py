@@ -4,8 +4,10 @@ import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from quantfolio import cli
 from quantfolio.cli import main
 
 DATA = resources.files("quantfolio").joinpath("data/sample_prices.csv")
@@ -656,3 +658,55 @@ def test_unbounded_problem_is_solver_error(tmp_path, short_prices_path, capsys):
     code, _ = run(tmp_path, "optimize", cfg)
     assert code == 4
     assert "solver error: objective unbounded" in capsys.readouterr().err
+
+
+def _json_dumps_per_value(obj, indent=0):
+    """The JSON writer's format, one value at a time."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{json.dumps(str(k))}: {_json_dumps_per_value(v, indent + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{_json_dumps_per_value(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return f"{float(obj):.12g}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    assert obj is None
+    return "null"
+
+
+def test_json_dumps_matches_per_value_reference():
+    rng = np.random.default_rng(0)
+    floats = (rng.normal(size=40) * 10.0 ** rng.integers(-40, 40, 40)).tolist()
+    obj = {
+        "weights": {f"A{i}": w for i, w in enumerate(floats)},
+        "odd keys": {"100%": 0.5, "%s %d %%": -0.0, 'say "hi"': 1e-30, "tab\tnew\nline": 2.0,
+                     "é": np.float64(1 / 3), 7: 1.5e300},
+        "series": floats[:9] + [np.float64(-2.5e-17)],
+        "mixed": [1, True, False, None, "text", 0.1, -0.0, np.int64(4), (1, 2.5), [], {}],
+        "nested": {"a": [{"b": [[0.0, 1e-30], {"c": None}]}], "empty": {}, "none": None},
+        "splits": [[0, 125], [250, 1000]],
+    }
+    assert cli._json_dumps(obj) == _json_dumps_per_value(obj)
+    assert cli._json_dumps([]) == "[]" and cli._json_dumps({}) == "{}"
+    assert cli._json_dumps(0.25) == "0.25"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("container", ["dict", "list", "mixed"])
+def test_json_dumps_rejects_non_finite_values(bad, container):
+    obj = {"dict": {"a": 0.5, "b": bad}, "list": [0.5, 1.0, bad],
+           "mixed": [1, {"x": [0.5, "s", bad]}]}[container]
+    with pytest.raises(ValueError, match=f"non-finite value {bad}"):
+        cli._json_dumps(obj)

@@ -19,7 +19,7 @@ from quantfolio.hierarchical import (
     stacking,
 )
 from quantfolio.mean_risk import MeanRisk
-from quantfolio.measures import RiskMeasure
+from quantfolio.measures import RiskMeasure, risk_of_weights
 from quantfolio.model_selection import CpcvConfig, walk_forward
 
 from conftest import make_prior, make_returns, random_psd
@@ -203,6 +203,45 @@ def test_hrp_side_that_never_loses_takes_the_split():
     scenarios = np.array([[0.02, -0.01], [0.01, 0.01], [0.03, -0.02], [0.02, 0.02]])
     prior = make_prior([0.0, 0.0], np.diag([1.0, 1.0]), scenarios=scenarios)
     np.testing.assert_array_equal(hrp(prior, risk_measure=RiskMeasure.CVAR), [1.0, 0.0])
+
+
+def _hrp_per_side(prior, risk_measure, linkage, beta=0.95):
+    """HRP by one risk call per side, as the bisection was first written."""
+    order = list(linkage_cluster(corr_distance(prior.sigma), method=linkage).leaf_order)
+
+    def side_risk(side):
+        sub_sigma = prior.sigma[np.ix_(side, side)]
+        ivp = 1.0 / np.diag(sub_sigma)
+        ivp /= ivp.sum()
+        return max(risk_of_weights(ivp, sub_sigma, prior.scenarios[:, side], risk_measure,
+                                   beta=beta), 0.0)
+
+    weights = np.ones(len(order))
+    stack = [order]
+    while stack:
+        items = stack.pop()
+        if len(items) < 2:
+            continue
+        left, right = items[:len(items) // 2], items[len(items) // 2:]
+        risk_l, risk_r = side_risk(left), side_risk(right)
+        total = risk_l + risk_r
+        alpha = 1.0 - risk_l / total if total > 0 else 0.5
+        weights[left] *= alpha
+        weights[right] *= 1.0 - alpha
+        stack += [left, right]
+    return weights / weights.sum()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+@pytest.mark.parametrize("linkage", ["single", "average", "ward"])
+@pytest.mark.parametrize("measure", list(RiskMeasure))
+def test_hrp_matches_per_side_loop(measure, linkage, n):
+    rng = np.random.default_rng(100 + n)
+    X = rng.normal(0.002, 0.01, (60, n)) + rng.normal(0.0, 0.01, (60, 1))
+    prior = make_prior(X.mean(axis=0), np.cov(X, rowvar=False).reshape(n, n), scenarios=X)
+    got = hrp(prior, risk_measure=measure, linkage=linkage, beta=0.9)
+    want = _hrp_per_side(prior, measure, linkage, beta=0.9) if n > 1 else np.ones(1)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_hrp_zero_variance_rejected():

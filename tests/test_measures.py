@@ -119,6 +119,26 @@ def test_risk_of_weights_reads_sigma_or_scenarios(rng):
             measure_value(scenarios @ w, measure, beta=0.9)
 
 
+@pytest.mark.parametrize("measure", list(RiskMeasure))
+def test_risk_of_weights_matrix_matches_columns(measure, rng):
+    scenarios = rng.normal(0.001, 0.02, (50, 4))
+    sigma = np.cov(scenarios, rowvar=False)
+    W = rng.dirichlet(np.ones(4), size=6).T  # six portfolios, one per column
+    W[:, 0] = [0.0, 1.0, 0.0, 0.0]
+    got = risk_of_weights(W, sigma, scenarios, measure, beta=0.9)
+    want = [risk_of_weights(w, sigma, scenarios, measure, beta=0.9) for w in W.T]
+    assert got.shape == (6,)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-17)
+    assert isinstance(risk_of_weights(W[:, 1], sigma, scenarios, measure, beta=0.9), float)
+
+
+def test_risk_of_weights_matrix_rejects_non_finite_scenarios(rng):
+    scenarios = rng.normal(0, 0.02, (20, 3))
+    scenarios[4, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        risk_of_weights(np.eye(3), np.eye(3), scenarios, RiskMeasure.CVAR)
+
+
 def test_translation_invariance_of_dispersion(rng):
     r = rng.normal(0, 0.02, 80)
     for fn in (variance, standard_deviation, mean_absolute_deviation):

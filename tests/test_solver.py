@@ -9,7 +9,8 @@ import quantfolio.solver
 from quantfolio.mean_risk import Constraints, ObjectiveFunction, ProblemSpec, _assemble
 from quantfolio.measures import RiskMeasure
 from quantfolio.priors import Prior
-from quantfolio.solver import QpProblem, _select_independent, _stack_problem, solve
+from quantfolio.solver import (QpProblem, _dense_rows, _select_independent, _stack_problem,
+                               solve)
 
 from conftest import random_psd
 from test_golden_weights import _cases, _prior
@@ -187,6 +188,60 @@ def test_select_independent_skips_repeated_row():
     # e1, e1, e2, e3: the repeat is dropped and the later independent rows kept
     rows = np.eye(3)[[0, 0, 1, 2]]
     assert _select_independent(rows) == _select_independent_loop(rows) == [0, 2, 3]
+
+
+def _cdar_rows():
+    """The stacked CSR rows of a CDaR LP at T=120, N=10 (7,260 drawdown rows)."""
+    rng = np.random.default_rng(0)
+    S = rng.normal(5e-4, 0.01, (120, 10)) + rng.normal(0.0, 0.01, (120, 1))
+    prior = Prior(mu=S.mean(axis=0), sigma=np.cov(S, rowvar=False), scenarios=S)
+    problem, _, _ = _assemble(ProblemSpec(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CDAR, prior))
+    return _stack_problem(problem)[2]
+
+
+@pytest.mark.parametrize("kind", ["empty_idx", "repeats", "empty_rows", "drawdown"])
+def test_dense_rows_matches_csr_slice(kind):
+    rng = np.random.default_rng(3)
+    if kind == "drawdown":
+        A = _cdar_rows()
+        idx = rng.integers(0, A.shape[0], 400)
+    else:
+        dense = rng.normal(size=(12, 7)) * (rng.random((12, 7)) < 0.4)
+        dense[[2, 5, 11]] = 0.0  # rows with no stored entry
+        A = scipy.sparse.csr_array(dense)
+        idx = {"empty_idx": np.array([], dtype=int),
+               "repeats": np.array([3, 3, 0, 7, 3, 11, 0]),
+               "empty_rows": np.array([2, 4, 5, 11, 1])}[kind]
+    got = _dense_rows(A, idx)
+    assert got.shape == (idx.size, A.shape[1])
+    assert np.array_equal(got, A[idx].toarray())
+
+
+@pytest.mark.parametrize("case", ["maximize_ratio/variance", "maximize_ratio/variance/min_return",
+                                  "minimize_risk/variance/named_cap"])
+def test_polish_puts_kept_box_rows_exactly_on_their_bounds(case, monkeypatch):
+    # long-only QPs with bounds active at the optimum: every variable whose
+    # box row is among the rows the polish keeps leaves the polish exactly at
+    # that bound, and never at -0.0
+    objective, measure, cons, extra = _cases()[case]
+    problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
+                                          constraints=Constraints(**cons), **extra))
+    polish, polish_step = quantfolio.solver._polish, quantfolio.solver._polish_step
+    kkt_rows, polished = [], []
+    monkeypatch.setattr(quantfolio.solver, "_polish_step",
+                        lambda *args: kkt_rows.append(args[2:]) or polish_step(*args))
+    monkeypatch.setattr(quantfolio.solver, "_polish",
+                        lambda *args: polished.append(polish(*args)) or polished[-1])
+    res = solve(problem)
+    assert res.status == "Optimal"
+    A_act, b_act = kkt_rows[-1]
+    x = polished[-1][0]
+    assert np.array_equal(res.x, x)  # the last polish is the one accepted
+    box = np.count_nonzero(A_act, axis=1) == 1
+    assert box.any()
+    for row, b in zip(A_act[box], b_act[box]):
+        j = int(np.flatnonzero(row)[0])
+        assert x[j] == b / row[j] and not np.signbit(x[j])
 
 
 def test_cdar_lp_repeats_exactly():
