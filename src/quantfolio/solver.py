@@ -1,43 +1,77 @@
-"""Operator-splitting (ADMM) solver for convex QPs and LPs.
+"""Convex QP and LP solver: an interior-point method for QPs, ADMM for LPs.
 
 Problems are solved in the form
 
     minimize    (1/2) xᵀP x + qᵀx
     subject to  l ≤ A x ≤ u
 
-with Ruiz equilibration, a reduced (normal-equations) linear system per
-iteration, and an active-set polish that finishes the solve to near machine
-precision once the iterate is moderately accurate. A polish is tried when
-ADMM converges and every POLISH_INTERVAL iterations; a QP (nonzero P) also
-tries one at the checks CHECK_INTERVAL·2^j below POLISH_INTERVAL (25, 50,
-100, 200, 400), since its active set is usually known within the first few
-checks. An LP keeps the plain interval: on the drawdown LPs the early
-attempts certify nothing and only add KKT solves. The
-constraint matrix A is CSR throughout: A_eq, G and the box rows are stacked
-as CSR, Ruiz scaling rescales its stored values, and the iterations and the
-convergence and infeasibility checks run on that scaled CSR and one
-transpose. The checks judge unscaled residuals by rescaling vectors with
-the Ruiz factors: A₀x = (Ax)/E, P₀x = (Px)/(cD) and A₀ᵀy = (Aᵀy)/(cD),
-defined once in `solve` (`A0x`, `P0x`, `A0Ty`) and used by the residual
-function and both infeasibility certificates. One residual function judges
-ADMM iterates and polished points alike. Equality rows (|u − l| < 1e-14)
-are found once, on the caller's bounds; they get the stiffer penalty and
-always enter the polish. The only dense arrays are P, the n×n reduced
-matrix and its factor, and the rows of the unscaled A that a polish
-selects. Everything runs sequentially, so results are bit-deterministic for
-fixed inputs.
+where `_stack_problem` stacks the A_eq, G and box rows of a `QpProblem` as
+one CSR A. `solve` sends a problem with a nonzero P (a QP) to the
+interior-point path and every other problem (an LP) to ADMM. Both return a
+`SolveResult` whose y holds one multiplier per row of A (y ≥ 0 at an upper
+bound, y ≤ 0 at a lower one, Px + q + Aᵀy = 0 at an optimum) and whose
+residuals are unscaled. Equality rows (|u − l| < 1e-14) are found once, on
+the caller's bounds. Everything runs sequentially, so results are
+bit-deterministic for fixed inputs.
 
-On the small QPs of a backtest a polish costs more in Python calls than in
-arithmetic, so it makes few of them: `_dense_rows` gathers the candidate and
-dual-fit rows straight from the CSR arrays with a handful of vectorised
-index operations, `_select_independent` normalises every candidate row in
-one operation before its greedy loop, and the KKT system is factored and
-refined by LAPACK's `dgetrf`/`dgetrs` directly (the routines inside
-`lu_factor`/`lu_solve`, without their per-call checks), as the reduced
-system is solved by `dpotrs`. After the KKT solve, each kept row with a
-single nonzero a (a box row, or a one-variable row of G) sets its variable to
-b / a exactly, never to -0.0, so a variable at its bound carries no solver
-noise.
+QPs. `_interior_point` runs a Mehrotra predictor-corrector on
+min ½xᵀPx + qᵀx s.t. E x = b, C x ≤ d. E holds the equality rows of A; C
+holds the rows with a finite upper bound and, negated, those with a finite
+lower bound, so the box rows give ±I. P and q are normalised by their
+largest entry. Each iteration factors the reduced KKT matrix
+[P + Cᵀ diag(z/s) C, Eᵀ; E, 0], regularised by ±IPM_REGULARIZATION on its
+diagonal (dense, (n + #E)², like ADMM's n×n reduced matrix), once with
+LAPACK's `dgetrf` and solves it for the predictor and the corrector with
+`dgetrs`. E and C are kept as one matrix [E; C]: a dense array up to
+IPM_DENSE_CELLS cells, where dense products cost less per call, and CSR
+above, where the long sparse row blocks of CVaR, MAD and drawdown caps make
+CSR products cheaper and the dense array large. The iterations stop at the
+relative tolerance IPM_TOLERANCE, at IPM_MAX_ITERATIONS, or at a non-finite
+iterate; none of them emits a floating-point warning.
+
+An interior point is accurate only to its tolerance: along the flat
+directions of an ill-conditioned covariance its weights can be off by 1e-5.
+So `_finish` takes the equality rows and the rows whose slack is below their
+dual (s < z) as the active set, and makes one regularised KKT solve on them
+(`_polish_step`, pruned by `_select_independent` when there are more rows
+than variables). Its iterative refinement starts from the interior point, so
+a direction the active rows leave free, such as the auxiliaries of a loose
+CVaR or MAD cap, keeps a feasible value. For up to FINISH_ROUNDS rounds a
+violated row joins the set and a row with a wrong-signed multiplier leaves
+it. The finish is accepted when its primal, dual and complementarity
+residuals are no worse than the interior point's, up to 1e-12 as for the
+ADMM polish below; otherwise the interior point is returned if it meets
+EPS_ABS/EPS_REL. A QP the iterations leave unsolved is classified by two
+HiGHS LPs (scipy's `linprog`): a phase-1 LP on the rows gives Infeasible,
+and a negative optimum of the recession LP min qᵀd s.t. Pd = 0, Ed = 0,
+Cd ≤ 0, |d| ≤ 1 gives Unbounded; any other outcome is MaxIterations.
+
+LPs. `_admm` solves min qᵀx s.t. l ≤ Ax ≤ u (it takes no P) by operator
+splitting, with Ruiz equilibration, a reduced (normal-equations) linear
+system per iteration, and an active-set polish that finishes the solve to
+near machine precision once the iterate is moderately accurate. A polish is
+tried when ADMM converges and every POLISH_INTERVAL iterations. A stays CSR
+throughout: Ruiz scaling rescales its stored values, and the iterations and
+the convergence and infeasibility checks run on that scaled CSR and one
+transpose. The checks judge unscaled residuals by rescaling vectors with
+the Ruiz factors: A₀x = (Ax)/E and A₀ᵀy = (Aᵀy)/(cD), defined once in
+`_admm` (`A0x`, `A0Ty`) and used by the residual function and both
+infeasibility certificates. One residual function judges ADMM iterates and
+polished points alike. Equality rows get the stiffer penalty and always
+enter the polish. The only dense arrays are the n×n reduced matrix and its
+factor, and the rows of the unscaled A that a polish selects.
+
+Both finishes cost more in Python calls than in arithmetic on small
+problems, so they make few of them: `_dense_rows` gathers rows straight from
+the CSR arrays with a handful of vectorised index operations,
+`_select_independent` normalises every candidate row in one operation
+before its greedy loop, and the KKT system is factored and refined by
+LAPACK's `dgetrf`/`dgetrs` directly (the routines inside
+`lu_factor`/`lu_solve`, without their per-call checks). After the KKT
+solve, a row with a single nonzero a (a box row, or a one-variable row of G)
+sets its variable to b / a exactly, never to -0.0, so a variable at its
+bound carries no solver noise: in the ADMM polish each kept such row, in the
+interior-point finish each such row within FINISH_TOLERANCE of its bound.
 """
 
 from __future__ import annotations
@@ -61,8 +95,17 @@ ALPHA = 1.6
 CHECK_INTERVAL = 25
 SCALING_ITERATIONS = 10
 POLISH_REFINE_STEPS = 8
-# attempt polish every this many iterations; a QP also at CHECK_INTERVAL·2^j below it
-POLISH_INTERVAL = 500
+POLISH_INTERVAL = 500  # attempt an ADMM polish every this many iterations
+IPM_MAX_ITERATIONS = 100
+IPM_TOLERANCE = 1e-9  # relative, on the QP normalised by its largest P or q entry
+IPM_REGULARIZATION = 1e-12  # keeps the reduced KKT matrix nonsingular
+# [E; C] is dense up to this many cells, else CSR: near where the two cost the
+# same on capped variance QPs, 30,000-90,000 cells by the density of the rows
+IPM_DENSE_CELLS = 1 << 16
+FINISH_ROUNDS = 4
+# the finish corrects a larger bound violation or wrong-signed multiplier, and
+# puts a variable this close to its bound on it
+FINISH_TOLERANCE = 1e-12
 
 
 @dataclass
@@ -126,8 +169,8 @@ def _stack_problem(problem: QpProblem):
     return P, q, A, np.concatenate(lower), np.concatenate(upper)
 
 
-def _ruiz_equilibrate(P, q, A):
-    """Scale P, q and the CSR A (its pattern kept) so row/column ∞-norms approach 1."""
+def _ruiz_equilibrate(q, A):
+    """Scale q and the CSR A (its pattern kept) so row/column ∞-norms approach 1."""
     m, n = A.shape
     row = np.repeat(np.arange(m), np.diff(A.indptr))
     col = A.indices
@@ -136,33 +179,34 @@ def _ruiz_equilibrate(P, q, A):
     E = np.ones(m)
     c = 1.0
     for _ in range(SCALING_ITERATIONS):
-        col_norms = np.abs(P).max(axis=0, initial=0.0)
+        col_norms = np.zeros(n)
         row_norms = np.zeros(m)
         np.maximum.at(col_norms, col, np.abs(a))
         np.maximum.at(row_norms, row, np.abs(a))
         d = 1.0 / np.sqrt(np.where(col_norms > 1e-12, col_norms, 1.0))
         e = 1.0 / np.sqrt(np.where(row_norms > 1e-12, row_norms, 1.0))
-        P = P * d[:, None] * d[None, :]
         a = a * e[row] * d[col]
         q = q * d
         D *= d
         E *= e
-        # cost scaling keeps the objective terms on comparable footing
-        p_cols = np.abs(P).max(axis=0, initial=0.0)
-        gamma_denom = max(p_cols.mean() if n else 0.0, np.abs(q).max(initial=0.0))
+        # cost scaling brings q to a unit ∞-norm
+        gamma_denom = np.abs(q).max(initial=0.0)
         gamma = 1.0 / gamma_denom if gamma_denom > 1e-12 else 1.0
-        P = P * gamma
         q = q * gamma
         c *= gamma
-    return P, q, scipy.sparse.csr_array((a, col, A.indptr), shape=A.shape), D, E, c
+    return q, scipy.sparse.csr_array((a, col, A.indptr), shape=A.shape), D, E, c
 
 
-def _factor_reduced(P, A, AT, rho_vec):
-    """Factor P + σI + Aᵀ diag(ρ) A (SPD by the σ shift) from the CSR A and its AT;
+def _scale_rows(A, v):
+    """The CSR A with its row i multiplied by v[i], its pattern kept."""
+    return scipy.sparse.csr_array((A.data * np.repeat(v, np.diff(A.indptr)), A.indices,
+                                   A.indptr), shape=A.shape)
+
+
+def _factor_reduced(A, AT, rho_vec):
+    """Factor σI + Aᵀ diag(ρ) A (SPD by the σ shift) from the CSR A and its AT;
     returns the function that solves the reduced system for a right-hand side."""
-    A_rho = scipy.sparse.csr_array((A.data * np.repeat(rho_vec, np.diff(A.indptr)),
-                                    A.indices, A.indptr), shape=A.shape)
-    M = P + SIGMA * np.eye(P.shape[0]) + (AT @ A_rho).toarray()
+    M = SIGMA * np.eye(A.shape[1]) + (AT @ _scale_rows(A, rho_vec)).toarray()
     try:
         L, _ = scipy.linalg.cho_factor(M, lower=True)
     except scipy.linalg.LinAlgError:
@@ -175,20 +219,23 @@ def _factor_reduced(P, A, AT, rho_vec):
 def solve(problem: QpProblem) -> SolveResult:
     """Solve a QP/LP; non-optimal outcomes are returned in-band via `status`."""
     P0, q0, A0, l, u = _stack_problem(problem)
-    m, n = A0.shape
     eq_mask = np.isfinite(l) & np.isfinite(u) & (np.abs(u - l) < 1e-14)
+    if P0.any():
+        return _interior_point(P0, q0, A0, l, u, eq_mask)
+    return _admm(q0, A0, l, u, eq_mask)
 
-    P, q, A, D, E, c = _ruiz_equilibrate(P0, q0, A0)
+
+def _admm(q0, A0, l, u, eq_mask):
+    """ADMM with Ruiz scaling and polish on the stacked LP min q₀ᵀx s.t. l ≤ A₀x ≤ u."""
+    m, n = A0.shape
+    q, A, D, E, c = _ruiz_equilibrate(q0, A0)
     ls = l * E
     us = u * E
     AT = A.T.tocsr()
 
-    # the unscaled products at a scaled point: A₀ at D x, P₀ at D x, A₀ᵀ at E y / c
+    # the unscaled products at a scaled point: A₀ at D x, A₀ᵀ at E y / c
     def A0x(x):
         return (A @ x) / E
-
-    def P0x(x):
-        return (P @ x) / (c * D)
 
     def A0Ty(y):
         return (AT @ y) / (c * D)
@@ -196,17 +243,16 @@ def solve(problem: QpProblem) -> SolveResult:
     def penalty(rho_bar):
         """ρ per row (equality rows 1e3 times stiffer) and its reduced-system solve."""
         rho_vec = np.where(eq_mask, 1e3 * rho_bar, rho_bar)
-        return rho_vec, _factor_reduced(P, A, AT, rho_vec)
+        return rho_vec, _factor_reduced(A, AT, rho_vec)
 
     def residuals(x, z, y):
         """Unscaled primal and dual residuals of the scaled point (x, z, y),
         with the magnitudes their tolerances scale by."""
-        Ax, Px, ATy = A0x(x), P0x(x), A0Ty(y)
+        Ax, ATy = A0x(x), A0Ty(y)
         z = z / E
         prim_scale = max(np.abs(Ax).max(initial=0.0), np.abs(z).max(initial=0.0))
-        dual_scale = max(np.abs(Px).max(initial=0.0), np.abs(ATy).max(initial=0.0),
-                         np.abs(q0).max(initial=0.0))
-        return (np.abs(Ax - z).max(initial=0.0), np.abs(Px + q0 + ATy).max(initial=0.0),
+        dual_scale = max(np.abs(ATy).max(initial=0.0), np.abs(q0).max(initial=0.0))
+        return (np.abs(Ax - z).max(initial=0.0), np.abs(q0 + ATy).max(initial=0.0),
                 prim_scale, dual_scale)
 
     rho_bar = RHO
@@ -222,13 +268,6 @@ def solve(problem: QpProblem) -> SolveResult:
     escalation_points = {
         -(-(MAX_ITERATIONS // f) // CHECK_INTERVAL) * CHECK_INTERVAL for f in (10, 4, 2)
     }
-    # a QP also polishes at the doubling checks CHECK_INTERVAL·2^j below
-    # POLISH_INTERVAL; an LP keeps the plain interval
-    early_polish = set()
-    k_polish = CHECK_INTERVAL if P0.any() else POLISH_INTERVAL
-    while k_polish < POLISH_INTERVAL:
-        early_polish.add(k_polish)
-        k_polish *= 2
 
     for k in range(1, MAX_ITERATIONS + 1):
         rhs = SIGMA * x - q + AT @ (rho_vec * z - y)
@@ -250,11 +289,10 @@ def solve(problem: QpProblem) -> SolveResult:
             eps_dual = EPS_ABS + EPS_REL * dual_scale
             converged = r_prim <= eps_prim and r_dual <= eps_dual
 
-            # active-set polish: finishes a converged iterate, and at the
-            # early QP checks and every POLISH_INTERVAL iterations is an
-            # early exit if it certifies
-            if converged or k % POLISH_INTERVAL == 0 or k in early_polish:
-                polished = _polish(P0, q0, A0, l, u, eq_mask, xu, yu)
+            # active-set polish: finishes a converged iterate, and every
+            # POLISH_INTERVAL iterations is an early exit if it certifies
+            if converged or k % POLISH_INTERVAL == 0:
+                polished = _polish(q0, A0, l, u, eq_mask, xu, yu)
                 if polished is not None:
                     xs = polished[0] / D
                     rp, rd, _, _ = residuals(xs, np.clip(A @ xs, ls, us),
@@ -269,8 +307,7 @@ def solve(problem: QpProblem) -> SolveResult:
             elif _primal_infeasible(A0Ty, l, u, y - y_prev, (y - y_prev) * E / c,
                                     EPS_INFEAS):
                 status = "Infeasible"
-            elif _dual_infeasible(P0x, A0x, q0, l, u, x - x_prev, D * (x - x_prev),
-                                  EPS_INFEAS):
+            elif _dual_infeasible(A0x, q0, l, u, x - x_prev, D * (x - x_prev), EPS_INFEAS):
                 status = "Unbounded"
             elif k in escalation_points:
                 rho_bar = float(min(rho_bar * 10.0, 1e6))
@@ -287,13 +324,9 @@ def solve(problem: QpProblem) -> SolveResult:
             if status != "MaxIterations":
                 break
 
-    if status == "Optimal":
-        objective = float(0.5 * xu @ P0 @ xu + q0 @ xu)
-    else:
-        objective = float("nan")
     return SolveResult(
         x=xu,
-        objective=objective,
+        objective=float(q0 @ xu) if status == "Optimal" else float("nan"),
         status=status,
         iterations=k,
         primal_residual=float(r_prim),
@@ -321,13 +354,11 @@ def _primal_infeasible(A0Ty, l, u, dy, dy0, eps):
     return support < -eps
 
 
-def _dual_infeasible(P0x, A0x, q0, l, u, dx, dx0, eps):
-    """Recession-direction test on a primal step: `dx` scaled, `dx0` the same
-    step unscaled, and `P0x`, `A0x` the unscaled products at a scaled point."""
+def _dual_infeasible(A0x, q0, l, u, dx, dx0, eps):
+    """Recession-direction test on a primal step of the LP: `dx` scaled, `dx0`
+    the same step unscaled, and `A0x` the unscaled product at a scaled point."""
     norm = np.abs(dx0).max(initial=0.0)
     if norm <= 1e-14:
-        return False
-    if np.abs(P0x(dx)).max(initial=0.0) > eps * norm:
         return False
     if q0 @ (dx0 / norm) > -eps:
         return False
@@ -335,6 +366,222 @@ def _dual_infeasible(P0x, A0x, q0, l, u, dx, dx0, eps):
     ok_upper = np.where(np.isfinite(u), Ad <= eps, True)
     ok_lower = np.where(np.isfinite(l), Ad >= -eps, True)
     return bool(np.all(ok_upper & ok_lower))
+
+
+def _kkt_residuals(P0, q0, A0, l, u, x, y):
+    """Unscaled residuals of (x, y): primal (the bound violation of A₀x), dual
+    (|P₀x + q₀ + A₀ᵀy|∞) and complementarity (the largest |yᵢ| times the
+    distance of (A₀x)ᵢ to the nearer bound of row i), with the magnitudes their
+    tolerances scale by."""
+    Ax, Px, ATy = A0 @ x, P0 @ x, A0.T @ y
+    r_prim = max(np.max(Ax - u, initial=0.0), np.max(l - Ax, initial=0.0))
+    held = y != 0
+    near = np.minimum(np.abs(u - Ax), np.abs(Ax - l))[held]
+    dual_scale = max(np.abs(Px).max(initial=0.0), np.abs(ATy).max(initial=0.0),
+                     np.abs(q0).max(initial=0.0))
+    return (r_prim, np.abs(Px + q0 + ATy).max(initial=0.0),
+            np.abs(y[held] * near).max(initial=0.0), np.abs(Ax).max(initial=0.0), dual_scale)
+
+
+def _interior_point(P0, q0, A0, l, u, eq_mask):
+    """Mehrotra predictor-corrector on min ½xᵀPx + qᵀx s.t. E x = b, C x ≤ d,
+    then the active-set finish (the QP path).
+
+    E holds the equality rows of the stacked A₀. C holds A₀'s rows with a
+    finite upper bound and, negated, its rows with a finite lower bound, so
+    the box rows give ±I. Both are kept as one matrix [E; C], so that each
+    residual takes one product. P and q are normalised by their largest entry.
+    """
+    n = q0.size
+    eq = np.flatnonzero(eq_mask)
+    up = np.flatnonzero(np.isfinite(u) & ~eq_mask)
+    low = np.flatnonzero(np.isfinite(l) & ~eq_mask)
+    p, m = eq.size, up.size + low.size
+    rows = np.concatenate([eq, up, low])  # the row of A₀ behind each row of [E; C]
+    sign = np.repeat([1.0, 1.0, -1.0], [p, up.size, low.size])
+    c = sign * np.concatenate([l[eq], u[up], l[low]])
+    b, d = c[:p], c[p:]
+    if rows.size * n <= IPM_DENSE_CELLS:
+        B = _dense_rows(A0, rows) * sign[:, None]
+        BT, E, C = B.T, B[:p], B[p:]
+        CT = C.T
+
+        def gram(w):
+            return (CT * w) @ C
+    else:
+        B = _scale_rows(A0[rows], sign)
+        BT, E, C = B.T.tocsr(), _dense_rows(A0, eq), B[p:]
+        CT = C.T.tocsr()
+
+        def gram(w):
+            return (CT @ _scale_rows(C, w)).toarray()
+    scale = 1.0 / max(np.abs(P0).max(), np.abs(q0).max())
+    P, q = P0 * scale, q0 * scale
+    tol_prim = IPM_TOLERANCE * (1.0 + np.abs(c).max(initial=0.0))
+    tol_dual = IPM_TOLERANCE * (1.0 + np.abs(q).max())
+    # the reduced KKT matrix [P + Cᵀ diag(w) C, Eᵀ; E, 0] but for its Cᵀ diag(w) C
+    # term, regularised by ±IPM_REGULARIZATION on its diagonal blocks
+    K0 = np.zeros((n + p, n + p))
+    K0[:n, :n] = P
+    K0[:n, n:] = E.T
+    K0[n:, :n] = E
+    K0[np.diag_indices(n + p)] += np.repeat([IPM_REGULARIZATION, -IPM_REGULARIZATION], [n, p])
+
+    def factor(w):
+        """LU factors of the reduced KKT matrix at the weights w = z/s, or None."""
+        K = K0.copy()
+        K[:n, :n] += gram(w)
+        lu, piv, info = scipy.linalg.lapack.dgetrf(K, overwrite_a=1)
+        return None if info != 0 else (lu, piv)
+
+    def positive(v):
+        """v shifted so that its smallest entry is 1, unless all of it is positive."""
+        t = -v.min() if v.size else -1.0
+        return v + (1.0 + t) if t >= -1e-8 * max(np.abs(v).max(initial=0.0), 1.0) else v
+
+    # the iterate v = (x, ν, z, s): ν and z are the duals of the rows of [E; C]
+    v = np.concatenate([np.zeros(n + p), np.ones(2 * m)])
+    status = "MaxIterations"
+    k = 0
+    with np.errstate(all="ignore"):  # a breakdown shows as a non-finite iterate instead
+        # start: x minimises ½xᵀPx + qᵀx + ½|Cx − d|² on Ex = b; s = d − Cx and
+        # z = −s, each shifted into the positive orthant
+        lu_piv = factor(np.ones(m))
+        if lu_piv is not None:
+            v[:n + p] = scipy.linalg.lapack.dgetrs(*lu_piv, np.concatenate([CT @ d - q, b]))[0]
+            Cx = C @ v[:n]
+            v[n + p:] = np.concatenate([positive(Cx - d), positive(d - Cx)])
+        for k in range(IPM_MAX_ITERATIONS + 1):
+            x, dual, zs = v[:n], v[n:n + p + m], v[n + p:]
+            z, s = zs[:m], zs[m:]
+            r_d = P @ x + q + BT @ dual
+            r_p = B @ x - c
+            r_p[p:] += s
+            gap = s @ z
+            if (np.abs(r_p).max(initial=0.0) <= tol_prim
+                    and np.abs(r_d).max(initial=0.0) <= tol_dual
+                    and gap <= IPM_TOLERANCE * (1.0 + abs(0.5 * x @ P @ x + q @ x))):
+                status = "Optimal"
+                break
+            if k == IPM_MAX_ITERATIONS:
+                break
+            w = z / s
+            lu_piv = factor(w)
+            if lu_piv is None:
+                break
+            r_e, r_i = r_p[:p], r_p[p:]
+
+            def direction(r_c):
+                """Newton step (dx, dν, dz, ds) on the residuals, with the
+                complementarity target s∘z − r_c."""
+                t = (z * r_i - r_c) / s
+                dv = scipy.linalg.lapack.dgetrs(*lu_piv, np.concatenate([-r_d - CT @ t, -r_e]))[0]
+                Cdx = C @ dv[:n]
+                return np.concatenate([dv, w * Cdx + t, -r_i - Cdx])
+
+            def max_step(dv):
+                """Largest α ≤ 1 with z + α dz ≥ 0 and s + α ds ≥ 0 (z, s > 0)."""
+                t = float(np.min(dv[n + p:] / zs, initial=0.0))
+                return 1.0 if t >= -1.0 else -1.0 / t
+
+            # predictor (affine scaling), then a corrector centred at σμ
+            dv = direction(s * z)
+            alpha = max_step(dv)
+            dz, ds = dv[n + p:n + p + m], dv[n + p + m:]
+            mu = gap / m if m else 0.0
+            sigma = ((s + alpha * ds) @ (z + alpha * dz) / m / mu) ** 3 if mu > 0 else 0.0
+            dv = direction(s * z + ds * dz - sigma * mu)
+            step = v + 0.999 * max_step(dv) * dv  # stay just inside the boundary
+            if not np.all(np.isfinite(step)):
+                break
+            v = step
+
+    x, z, s = v[:n], v[n + p:n + p + m], v[n + p + m:]
+    # the dual on the rows of A₀, in its sign convention
+    y = np.zeros(A0.shape[0])
+    np.add.at(y, rows, sign * v[n:n + p + m])
+    r_prim, r_dual, r_comp, prim_scale, dual_scale = _kkt_residuals(P0, q0, A0, l, u, x,
+                                                                    y / scale)
+    if status == "Optimal":
+        upper = np.zeros(y.size, dtype=bool)
+        lower = np.zeros(y.size, dtype=bool)
+        upper[up[s[:up.size] < z[:up.size]]] = True
+        lower[low[s[up.size:] < z[up.size:]]] = True
+        finished = _finish(P, q, A0, l, u, eq_mask, x, y, lower, upper)
+        if finished is not None:
+            rp, rd, rc, _, _ = _kkt_residuals(P0, q0, A0, l, u, finished[0],
+                                              finished[1] / scale)
+        if finished is not None and max(rp, rd, rc) <= max(r_prim, r_dual, r_comp) + 1e-12:
+            (x, y), r_prim, r_dual = finished, rp, rd
+        elif (r_prim > EPS_ABS + EPS_REL * prim_scale
+              or max(r_dual, r_comp) > EPS_ABS + EPS_REL * dual_scale):
+            status = "MaxIterations"
+    else:
+        status = _classify(P, q, C, d, E, b)
+    return SolveResult(
+        x=x,
+        objective=float(0.5 * x @ P0 @ x + q0 @ x) if status == "Optimal" else float("nan"),
+        status=status,
+        iterations=k,
+        primal_residual=float(r_prim),
+        dual_residual=float(r_dual),
+        y=y / scale,
+    )
+
+
+def _finish(P, q, A, l, u, eq_mask, x, y, lower, upper):
+    """Active-set finish of an interior point (x, y) of the normalised QP.
+
+    One regularised KKT solve on the equality rows and the rows active at
+    their lower (`lower`) or upper (`upper`) bound, refined from (x, y); then
+    up to FINISH_ROUNDS corrections of the set: a violated row joins it and a
+    row whose multiplier has the wrong sign leaves. Returns (x, y), y on the
+    rows of A in its sign convention, with every variable at a bound exactly
+    on it, or None.
+    """
+    n = q.size
+    idx_eq = np.flatnonzero(eq_mask)
+    for _ in range(FINISH_ROUNDS):
+        idx_act = np.flatnonzero(lower | upper)
+        idx, rows = _active_rows(A, idx_eq, idx_act, y, prune=idx_eq.size + idx_act.size > n)
+        b = np.where(eq_mask | lower, l, u)[idx]
+        sol = _polish_step(P, q, rows, b, start=np.concatenate([x, y[idx]]))
+        if sol is None or not np.all(np.isfinite(sol)):
+            return None
+        x_new = sol[:n]
+        y_new = np.zeros(y.size)
+        y_new[idx] = sol[n:]
+        Ax = A @ x_new
+        tol = FINISH_TOLERANCE
+        y_tol = tol * max(1.0, np.abs(y_new).max(initial=0.0))
+        add_up = ~upper & ~eq_mask & (Ax - u > tol * (1.0 + np.abs(u)))
+        add_low = ~lower & ~eq_mask & (l - Ax > tol * (1.0 + np.abs(l)))
+        drop_up = upper & (y_new < -y_tol)
+        drop_low = lower & (y_new > y_tol)
+        if not (add_up.any() or add_low.any() or drop_up.any() or drop_low.any()):
+            _snap_to_tight_bounds(A, l, u, x_new)
+            return x_new, y_new
+        upper = (upper | add_up) & ~drop_up
+        lower = (lower | add_low) & ~drop_low
+    return None
+
+
+def _classify(P, q, C, d, E, b):
+    """Status of a QP the interior-point method left unsolved, from two HiGHS LPs:
+    Infeasible when no x meets Ex = b, Cx ≤ d; Unbounded when a direction with
+    Pd = 0, Ed = 0, Cd ≤ 0 and |d| ≤ 1 has qᵀd < 0; MaxIterations otherwise."""
+    n = q.size
+    ub = dict(A_ub=C, b_ub=d) if d.size else {}
+    eq = dict(A_eq=E, b_eq=b) if b.size else {}
+    if scipy.optimize.linprog(np.zeros(n), **ub, **eq, bounds=(None, None),
+                              method="highs").status == 2:
+        return "Infeasible"
+    ub = dict(A_ub=C, b_ub=np.zeros(d.size)) if d.size else {}
+    ray = scipy.optimize.linprog(q, **ub, A_eq=np.vstack([P, E]), b_eq=np.zeros(n + b.size),
+                                 bounds=(-1.0, 1.0), method="highs")
+    if ray.status == 0 and ray.fun < -EPS_INFEAS:
+        return "Unbounded"
+    return "MaxIterations"
 
 
 def _dense_rows(A, idx):
@@ -376,12 +623,12 @@ def _select_independent(rows, tol=1e-8):
     return keep
 
 
-def _dual_fit(P, q, A, xv, eq_mask, act_low, act_up):
-    """Sign-constrained least-squares dual: y free on equalities, y≥0 on upper-
-    active rows, y≤0 on lower-active rows. Returns y, or None if the fit
-    fails; a near-zero stationarity residual of (xv, y) certifies optimality
-    of a primal-feasible xv."""
-    g = -(P @ xv + q)
+def _dual_fit(q, A, eq_mask, act_low, act_up):
+    """Sign-constrained least-squares dual of the LP: y free on equalities, y≥0
+    on upper-active rows, y≤0 on lower-active rows. Returns y, or None if the
+    fit fails; a near-zero stationarity residual q + Aᵀy certifies optimality
+    of a primal-feasible point at which these rows are active."""
+    g = -q
     eq = np.flatnonzero(eq_mask)
     up = np.flatnonzero(act_up)
     low = np.flatnonzero(act_low)
@@ -400,9 +647,13 @@ def _dual_fit(P, q, A, xv, eq_mask, act_low, act_up):
     return y
 
 
-def _polish_step(P, q, A_act, b_act):
-    """Equality-solve the KKT system on the active rows A_act x = b_act; returns x or None."""
-    n = P.shape[0]
+def _polish_step(P, q, A_act, b_act, start=None):
+    """Equality-solve the KKT system on the active rows A_act x = b_act; returns the
+    solution (x, then the rows' multipliers) or None. P is the n×n Hessian, or
+    0.0 for an LP. Iterative refinement runs against the unregularized system,
+    from `start` if given: a direction the active rows leave free then keeps
+    its value at `start`."""
+    n = q.size
     k = A_act.shape[0]
     delta = 1e-9
     K = np.zeros((n + k, n + k))
@@ -411,7 +662,6 @@ def _polish_step(P, q, A_act, b_act):
     K[n:, :n] = A_act
     K[n:, n:] = -delta * np.eye(k)
     rhs = np.concatenate([-q, b_act])
-    # iterative refinement runs against the unregularized KKT system
     K0 = K.copy()
     K0[:n, :n] -= delta * np.eye(n)
     K0[n:, n:] += delta * np.eye(k)
@@ -419,16 +669,51 @@ def _polish_step(P, q, A_act, b_act):
     lu, piv, info = scipy.linalg.lapack.dgetrf(K)
     if info != 0:  # a zero pivot: K is singular
         return None
-    sol = scipy.linalg.lapack.dgetrs(lu, piv, rhs)[0]
+    if start is None:
+        sol = scipy.linalg.lapack.dgetrs(lu, piv, rhs)[0]
+    else:
+        sol = start + scipy.linalg.lapack.dgetrs(lu, piv, rhs - K0 @ start)[0]
     for _ in range(POLISH_REFINE_STEPS):
         sol = sol + scipy.linalg.lapack.dgetrs(lu, piv, rhs - K0 @ sol)[0]
-    x_new = sol[:n]
-    if not np.all(np.isfinite(x_new)):
+    if not np.all(np.isfinite(sol[:n])):
         return None
-    return x_new
+    return sol
 
 
-def _polish(P, q, A, l, u, eq_mask, x, y):
+def _active_rows(A, idx_eq, idx_act, y, prune=True):
+    """The row indices the KKT solve keeps, in row order, and their dense copy.
+
+    Every equality row `idx_eq` stays. With `prune`, the candidates `idx_act`
+    are pruned to a linearly independent subset, taken in descending dual
+    magnitude |y| so that strong-dual rows win the basis.
+    """
+    idx_act = idx_act[np.argsort(-np.abs(y[idx_act]), kind="stable")]
+    idx = np.concatenate([idx_eq, idx_act])
+    rows = _dense_rows(A, idx)
+    if prune:
+        kept = np.arange(idx.size) < idx_eq.size
+        kept[_select_independent(rows)] = True
+        sel = np.flatnonzero(kept)
+    else:
+        sel = np.arange(idx.size)
+    sel = sel[np.argsort(idx[sel])]  # the KKT system takes its rows in row order
+    return idx[sel], rows[sel]
+
+
+def _snap_to_tight_bounds(A, l, u, x):
+    """Put x_j exactly at b / a (+ 0.0 turns a -0.0 into 0.0) wherever a row
+    a·x_j of A with one nonzero is within FINISH_TOLERANCE of its bound b, so
+    a variable at its bound carries no solver noise."""
+    single = np.flatnonzero(np.diff(A.indptr) == 1)
+    cols, a = A.indices[A.indptr[single]], A.data[A.indptr[single]]
+    ax = a * x[cols]
+    for bound in (l[single], u[single]):
+        near = FINISH_TOLERANCE * (1.0 + np.abs(bound))
+        tight = (a != 0) & np.isfinite(bound) & (np.abs(ax - bound) <= near)
+        x[cols[tight]] = bound[tight] / a[tight] + 0.0
+
+
+def _polish(q, A, l, u, eq_mask, x, y):
     """Active-set polish: re-solve on a candidate active set and fit its dual.
 
     The candidate set is read off the ADMM iterate: the equality rows
@@ -438,8 +723,9 @@ def _polish(P, q, A, l, u, eq_mask, x, y):
     drawdown LPs are degenerate, so the raw set is often rank-deficient), and
     the dual is a sign-constrained fit over the rows tight at the polished
     point, so complementary slackness holds by construction. Returns the
-    candidate (x, y), or None; `solve` judges it.
+    candidate (x, y), or None; `_admm` judges it.
     """
+    n = q.size
     has_l = np.isfinite(l) & ~eq_mask
     has_u = np.isfinite(u) & ~eq_mask
     y_norm = max(np.abs(y).max(initial=0.0), 1e-12)
@@ -450,21 +736,12 @@ def _polish(P, q, A, l, u, eq_mask, x, y):
     act_low = has_l & ((np.abs(Ax - l) <= 1e-7 * (1.0 + np.abs(l))) | (y < -1e-4 * y_norm))
     act_up = has_u & ((np.abs(u - Ax) <= 1e-7 * (1.0 + np.abs(u))) | (y > 1e-4 * y_norm))
 
-    # prune to an independent subset: equality rows first, then candidates
-    # in descending dual magnitude, so strong-dual rows win the basis
-    idx_act = np.flatnonzero(act_low | act_up)
-    idx_act = idx_act[np.argsort(-np.abs(y[idx_act]), kind="stable")]
-    idx = np.concatenate([idx_eq, idx_act])
-    rows = _dense_rows(A, idx)
-    kept = np.arange(idx.size) < idx_eq.size  # every equality row stays
-    kept[_select_independent(rows)] = True
-    sel = np.flatnonzero(kept)
-    sel = sel[np.argsort(idx[sel])]  # the KKT system takes its rows in row order
-    rows = rows[sel]
-    b = np.where(eq_mask | act_low, l, u)[idx[sel]]
-    x_new = _polish_step(P, q, rows, b)
-    if x_new is None:
+    idx, rows = _active_rows(A, idx_eq, np.flatnonzero(act_low | act_up), y)
+    b = np.where(eq_mask | act_low, l, u)[idx]
+    sol = _polish_step(0.0, q, rows, b)
+    if sol is None:
         return None
+    x_new = sol[:n]
     # a kept row a·x_j = b with one nonzero fixes x_j at b / a exactly (+ 0.0
     # turns a -0.0 into 0.0), so bounds hold without solver noise
     single = np.flatnonzero(np.count_nonzero(rows, axis=1) == 1)
@@ -473,5 +750,5 @@ def _polish(P, q, A, l, u, eq_mask, x, y):
     Axn = A @ x_new
     fit_low = has_l & (np.abs(Axn - l) <= 1e-9 * (1.0 + np.abs(l)))
     fit_up = has_u & (np.abs(u - Axn) <= 1e-9 * (1.0 + np.abs(u)))
-    y_new = _dual_fit(P, q, A, x_new, eq_mask, fit_low, fit_up)
+    y_new = _dual_fit(q, A, eq_mask, fit_low, fit_up)
     return None if y_new is None else (x_new, y_new)

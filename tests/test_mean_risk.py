@@ -327,10 +327,24 @@ def test_unbounded_return_raises(rng):
 
 
 def test_solver_stop_raises_solver_failure(rng, monkeypatch):
-    monkeypatch.setattr(quantfolio.solver, "MAX_ITERATIONS", 1)
+    # the default minimum-variance fit is a QP, capped by the interior-point method
+    monkeypatch.setattr(quantfolio.solver, "IPM_MAX_ITERATIONS", 1)
     X = make_returns(rng.normal(0.0005, 0.01, (60, 5)))
     with pytest.raises(SolverFailure, match="status MaxIterations after 1 iterations"):
         MeanRisk().fit(X)
+
+
+@pytest.mark.parametrize("seed", [1, 4, 5, 8])
+def test_weights_at_a_bound_carry_no_solver_noise(seed):
+    # long-only utility fits whose optimum has weights at 0: each is exactly
+    # 0.0, never a residue such as 4e-17 or -3e-17, and never -0.0
+    rng = np.random.default_rng(seed)
+    X = rng.normal(5e-4, 0.01, (250, 30)) + rng.normal(0.0, 0.01, (250, 1))
+    w = MeanRisk(objective=ObjectiveFunction.MAXIMIZE_UTILITY,
+                 prior_estimator=EmpiricalPrior(cov_estimator="denoised")).fit(X).weights_
+    assert np.any(w == 0.0)
+    assert not np.any((w != 0.0) & (np.abs(w) < 1e-12))
+    assert not np.any(np.signbit(w[w == 0.0]))
 
 
 def test_set_params_plain_and_nested_keys():

@@ -1,0 +1,202 @@
+"""QPs checked against oracles independent of the interior-point solver.
+
+Small random QPs are solved exactly by enumerating every active set; `solve`
+must reach that point, and so must the active-set finish started from a wrong
+set. Variance QPs with a CVaR or MAD cap take their cap from the measure's
+minimum, found by scipy's HiGHS on the assembled LP (as in
+`test_lp_oracle.py`), and from its value at the minimum-variance portfolio.
+Capped MaximizeRatio QPs on the golden prior are checked against SLSQP in
+weight space.
+"""
+
+import functools
+import itertools
+
+import numpy as np
+import pytest
+import scipy.optimize
+
+import quantfolio.solver
+from quantfolio.exceptions import InfeasibleProblem
+from quantfolio.mean_risk import (Constraints, MeanRisk, ObjectiveFunction, ProblemSpec,
+                                  _assemble, optimize)
+from quantfolio.measures import RiskMeasure, measure_value
+from quantfolio.solver import QpProblem, _finish, _stack_problem, solve
+
+from conftest import make_returns, random_psd
+from test_golden_weights import _prior
+
+
+def _kkt_point(P, q, A, l, u):
+    """The KKT point of min ½xᵀPx + qᵀx s.t. l ≤ Ax ≤ u (P positive definite),
+    found by solving the equality-constrained KKT system of every active set."""
+    n = q.size
+    eq = np.flatnonzero(l == u)
+    ineq = [(i, side) for i in np.flatnonzero(l != u)
+            for side, bound in (("low", l[i]), ("up", u[i])) if np.isfinite(bound)]
+    for size in range(n - eq.size + 1):
+        for active in itertools.combinations(ineq, size):
+            rows = np.concatenate([eq, [i for i, _ in active]]).astype(int)
+            if len({*rows}) < rows.size:  # a row cannot sit at both of its bounds
+                continue
+            b = np.concatenate([l[eq], [l[i] if side == "low" else u[i] for i, side in active]])
+            M = A[rows]
+            kkt = np.block([[P, M.T], [M, np.zeros((rows.size, rows.size))]])
+            try:
+                sol = np.linalg.solve(kkt, np.concatenate([-q, b]))
+            except np.linalg.LinAlgError:  # dependent rows
+                continue
+            x, lam = sol[:n], sol[n:]
+            Ax = A @ x
+            signs = np.array([-1.0 if side == "low" else 1.0 for _, side in active])
+            if (np.all(Ax <= u + 1e-12) and np.all(Ax >= l - 1e-12)
+                    and np.all(signs * lam[eq.size:] >= -1e-12)):
+                return x
+    raise AssertionError("no active set satisfies the KKT conditions")
+
+
+def _random_qp(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    P = random_psd(rng, n, scale=0.01)
+    q = rng.normal(scale=0.05, size=n)
+    ones = np.ones((1, n))
+    lb = {"long_only": 0.0, "short_bounded": -0.5}.get(kind.split("+")[0])
+    bounds = {} if lb is None else dict(lb=np.full(n, lb), ub=np.full(n, 1.0 if lb == 0 else 1.5))
+    rows = {}
+    k = kind.count("+")
+    if k:
+        # k random rows, strictly satisfied by the equal-weight portfolio
+        G = rng.normal(size=(k, n))
+        rows = dict(G=G, h=G @ np.full(n, 1.0 / n) + rng.uniform(0.01, 0.1, k))
+    return QpProblem(q=q, P=P, A_eq=ones, b_eq=np.array([1.0]), **bounds, **rows)
+
+
+@pytest.mark.parametrize("kind", ["long_only", "short_bounded", "budget_only",
+                                  "long_only+row", "short_bounded+row+row", "budget_only+row"])
+def test_random_qps_match_enumerated_kkt_point(kind):
+    for seed in range(25):
+        problem = _random_qp(kind, seed)
+        res = solve(problem)
+        assert res.status == "Optimal", seed
+        P, q, A, l, u = _stack_problem(problem)
+        np.testing.assert_allclose(res.x, _kkt_point(P, q, A.toarray(), l, u), rtol=0,
+                                   atol=1e-9, err_msg=str(seed))
+        # the reported residuals are those of (x, y) on the stacked problem
+        Ax, Px, ATy = A @ res.x, P @ res.x, A.T @ res.y
+        r_prim = max(np.max(Ax - u, initial=0.0), np.max(l - Ax, initial=0.0))
+        dual_scale = max(np.abs(Px).max(), np.abs(ATy).max(), np.abs(q).max())
+        assert abs(res.primal_residual - r_prim) <= 1e-12 * np.abs(Ax).max()
+        assert abs(res.dual_residual - np.abs(Px + q + ATy).max()) <= 1e-12 * dual_scale
+
+
+def _panel(T, N, seed):
+    rng = np.random.default_rng(seed)
+    return make_returns(rng.normal(5e-4, 0.01, (T, N)) + rng.normal(0.0, 0.01, (T, 1)))
+
+
+@functools.cache
+def _capped_setup(seed, measure):
+    """The panel, the minimum variance, the measure's minimum (HiGHS) and its
+    value at the minimum-variance portfolio."""
+    X = _panel(250, 20, seed)
+    model = MeanRisk().fit(X)
+    prior, w_mv = model.prior_, model.weights_
+    problem, w_idx, _ = _assemble(ProblemSpec(ObjectiveFunction.MINIMIZE_RISK, measure, prior))
+    highs = scipy.optimize.linprog(
+        problem.q, A_ub=problem.G, b_ub=problem.h, A_eq=problem.A_eq, b_eq=problem.b_eq,
+        bounds=np.column_stack([problem.lb, problem.ub]), method="highs")
+    assert highs.status == 0, highs.message
+    return (X, w_mv @ prior.sigma @ w_mv, measure_value(X.values @ highs.x[w_idx], measure),
+            measure_value(X.values @ w_mv, measure))
+
+
+@pytest.mark.parametrize("objective", [ObjectiveFunction.MINIMIZE_RISK,
+                                       ObjectiveFunction.MAXIMIZE_UTILITY])
+@pytest.mark.parametrize("measure", [RiskMeasure.CVAR, RiskMeasure.MEAN_ABSOLUTE_DEVIATION])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_variance_with_binding_cap_is_optimal(seed, measure, objective):
+    # the cap lies halfway between the measure's minimum and its value at the
+    # minimum-variance portfolio, so the problem is strictly feasible
+    X, var_min, lowest, at_min_variance = _capped_setup(seed, measure)
+    cap = 0.5 * (lowest + at_min_variance)
+    model = MeanRisk(objective=objective, risk_caps=[(measure, cap)]).fit(X)
+    w = model.weights_
+    assert measure_value(X.values @ w, measure) <= cap * (1.0 + 1e-6)
+    assert w @ model.prior_.sigma @ w >= var_min * (1.0 - 1e-9)
+    if objective is ObjectiveFunction.MINIMIZE_RISK:  # the cap binds
+        assert measure_value(X.values @ w, measure) >= cap * (1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("measure", [RiskMeasure.CVAR, RiskMeasure.MEAN_ABSOLUTE_DEVIATION])
+def test_dense_and_csr_rows_reach_the_same_point(measure, monkeypatch):
+    # the capped QP's rows exceed IPM_DENSE_CELLS, so the interior point runs
+    # on CSR rows; forced onto dense rows it reaches the same finished point
+    X, _, lowest, at_min_variance = _capped_setup(0, measure)
+    cons = Constraints(risk_caps=[(measure, 0.5 * (lowest + at_min_variance))])
+    problem, _, _ = _assemble(ProblemSpec(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.VARIANCE,
+                                          MeanRisk().fit(X).prior_, constraints=cons))
+    _, q0, A0, _, _ = _stack_problem(problem)
+    assert A0.shape[0] * q0.size > quantfolio.solver.IPM_DENSE_CELLS
+    csr = solve(problem)
+    monkeypatch.setattr(quantfolio.solver, "IPM_DENSE_CELLS", A0.shape[0] * q0.size * 2)
+    dense = solve(problem)
+    assert csr.status == dense.status == "Optimal"
+    assert np.abs(csr.x - dense.x).max() <= 1e-9
+
+
+@pytest.mark.parametrize("measure", [RiskMeasure.CVAR, RiskMeasure.MEAN_ABSOLUTE_DEVIATION])
+def test_cap_below_the_measure_minimum_is_infeasible(measure):
+    X, _, lowest, _ = _capped_setup(0, measure)
+    with pytest.raises(InfeasibleProblem):
+        MeanRisk(risk_caps=[(measure, 0.9 * lowest)]).fit(X)
+
+
+@pytest.mark.parametrize("cap", [(RiskMeasure.CVAR, 1.2),
+                                 (RiskMeasure.MEAN_ABSOLUTE_DEVIATION, 0.6)])
+def test_ratio_variance_with_cap_matches_slsqp(cap):
+    # MaximizeRatio under variance with a binding cap, on the golden prior: the
+    # Sharpe ratio equals an SLSQP solve in weight space, from equal weights
+    prior = _prior()
+    w = optimize(ProblemSpec(ObjectiveFunction.MAXIMIZE_RATIO, RiskMeasure.VARIANCE, prior,
+                             constraints=Constraints(risk_caps=[cap])))
+    n = w.size
+
+    def sharpe(v):
+        return prior.mu @ v / np.sqrt(v @ prior.sigma @ v)
+
+    slsqp = scipy.optimize.minimize(
+        lambda v: -sharpe(v), np.full(n, 1.0 / n), method="SLSQP", bounds=[(0.0, 1.0)] * n,
+        constraints=[{"type": "eq", "fun": lambda v: v.sum() - 1.0},
+                     {"type": "ineq",
+                      "fun": lambda v: cap[1] - measure_value(prior.scenarios @ v, cap[0])}],
+        options={"ftol": 1e-14, "maxiter": 1000})
+    assert slsqp.success, slsqp.message
+    assert measure_value(prior.scenarios @ w, cap[0]) <= cap[1] * (1.0 + 1e-9)
+    assert sharpe(w) == pytest.approx(-slsqp.fun, rel=1e-9)
+
+
+@pytest.mark.parametrize("change", ["missing_row", "extra_row"])
+def test_finish_corrects_a_wrong_active_set(change):
+    # the finish started from a wrong guess: a bound row active at the
+    # optimum left out (it is violated and joins), or the lower bound of a
+    # positive weight put in (its multiplier has the wrong sign and it leaves)
+    for seed in range(25):
+        problem = _random_qp("long_only", seed)
+        P, q, A, l, u = _stack_problem(problem)
+        x_star = _kkt_point(P, q, A.toarray(), l, u)
+        box = np.arange(1, A.shape[0])  # the budget row comes first
+        at_zero, positive = box[np.abs(x_star) < 1e-12], box[x_star > 1e-6]
+        if at_zero.size and positive.size:
+            break
+    lower = np.zeros(A.shape[0], dtype=bool)
+    lower[at_zero] = True
+    if change == "missing_row":
+        lower[at_zero[0]] = False
+    else:
+        lower[positive[0]] = True
+    eq_mask = l == u
+    x, y = _finish(P, q, A, l, u, eq_mask, np.zeros(q.size), np.zeros(A.shape[0]), lower,
+                   np.zeros(A.shape[0], dtype=bool))
+    np.testing.assert_allclose(x, x_star, rtol=0, atol=1e-9)
+    assert np.all(y[1:] <= 1e-12)  # lower-bound multipliers

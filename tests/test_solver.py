@@ -110,7 +110,8 @@ def test_polish_reaches_tight_residuals(rng):
 
 
 def test_iteration_cap(monkeypatch):
-    monkeypatch.setattr(quantfolio.solver, "MAX_ITERATIONS", 1)
+    # a QP: its iterations are those of the interior-point method
+    monkeypatch.setattr(quantfolio.solver, "IPM_MAX_ITERATIONS", 1)
     res = solve(QpProblem(
         q=np.array([-1.0, -2.0]), P=np.eye(2),
         A_eq=np.ones((1, 2)), b_eq=np.array([1.0]),
@@ -120,9 +121,9 @@ def test_iteration_cap(monkeypatch):
     assert res.iterations == 1
 
 
-# Problems without a single constraint row go through the same ADMM loop;
-# the expected outcomes are those of the former closed-form path
-# (eigenvalue test, then a least-squares stationarity check).
+# Problems without a single constraint row go through the same solve paths
+# as any other; the expected outcomes are those of the former closed-form
+# path (eigenvalue test, then a least-squares stationarity check).
 @pytest.mark.parametrize("P, q, status, x", [
     # singular P, q in its range: the minimum-norm stationary point
     (np.diag([1.0, 0.0, 4.0]), [-1.0, 0.0, 2.0], "Optimal", [1.0, 0.0, -0.5]),
@@ -217,31 +218,50 @@ def test_dense_rows_matches_csr_slice(kind):
     assert np.array_equal(got, A[idx].toarray())
 
 
-@pytest.mark.parametrize("case", ["maximize_ratio/variance", "maximize_ratio/variance/min_return",
-                                  "minimize_risk/variance/named_cap"])
-def test_polish_puts_kept_box_rows_exactly_on_their_bounds(case, monkeypatch):
-    # long-only QPs with bounds active at the optimum: every variable whose
-    # box row is among the rows the polish keeps leaves the polish exactly at
-    # that bound, and never at -0.0
+def _kept_rows_on_their_bounds(case, finisher, monkeypatch):
+    """Solve the golden case with `finisher` (`_polish` or `_finish`) and
+    `_polish_step` recorded; return the result, the last finished x and the
+    rows and bounds of its KKT solve."""
     objective, measure, cons, extra = _cases()[case]
     problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
                                           constraints=Constraints(**cons), **extra))
-    polish, polish_step = quantfolio.solver._polish, quantfolio.solver._polish_step
-    kkt_rows, polished = [], []
+    finish = getattr(quantfolio.solver, finisher)
+    polish_step = quantfolio.solver._polish_step
+    kkt_rows, finished = [], []
     monkeypatch.setattr(quantfolio.solver, "_polish_step",
-                        lambda *args: kkt_rows.append(args[2:]) or polish_step(*args))
-    monkeypatch.setattr(quantfolio.solver, "_polish",
-                        lambda *args: polished.append(polish(*args)) or polished[-1])
+                        lambda *args, **kw: kkt_rows.append(args[2:4]) or polish_step(*args, **kw))
+    monkeypatch.setattr(quantfolio.solver, finisher,
+                        lambda *args: finished.append(finish(*args)) or finished[-1])
     res = solve(problem)
     assert res.status == "Optimal"
-    A_act, b_act = kkt_rows[-1]
-    x = polished[-1][0]
-    assert np.array_equal(res.x, x)  # the last polish is the one accepted
+    return res, finished[-1][0], kkt_rows[-1]
+
+
+def _assert_box_rows_exact(x, A_act, b_act):
     box = np.count_nonzero(A_act, axis=1) == 1
     assert box.any()
     for row, b in zip(A_act[box], b_act[box]):
         j = int(np.flatnonzero(row)[0])
         assert x[j] == b / row[j] and not np.signbit(x[j])
+
+
+@pytest.mark.parametrize("case", ["maximize_ratio/variance", "maximize_ratio/variance/min_return",
+                                  "minimize_risk/variance/named_cap"])
+def test_finish_puts_kept_box_rows_exactly_on_their_bounds(case, monkeypatch):
+    # long-only QPs with bounds active at the optimum: every variable whose
+    # box row is among the rows the interior-point finish keeps leaves the
+    # finish exactly at that bound, and never at -0.0
+    res, x, (A_act, b_act) = _kept_rows_on_their_bounds(case, "_finish", monkeypatch)
+    assert np.array_equal(res.x, x)  # the finished point is the one returned
+    _assert_box_rows_exact(x, A_act, b_act)
+
+
+@pytest.mark.parametrize("case", ["minimize_risk/cvar", "maximize_return/cvar/cvar_cap"])
+def test_polish_puts_kept_box_rows_exactly_on_their_bounds(case, monkeypatch):
+    # the same on long-only LPs, whose last ADMM polish is the one accepted
+    res, x, (A_act, b_act) = _kept_rows_on_their_bounds(case, "_polish", monkeypatch)
+    assert np.array_equal(res.x, x)
+    _assert_box_rows_exact(x, A_act, b_act)
 
 
 def test_cdar_lp_repeats_exactly():
@@ -299,32 +319,6 @@ def test_failed_polish_makes_one_kkt_solve(monkeypatch):
     assert len(kkt_solves) == len(polishes)
 
 
-@pytest.mark.parametrize("case, polished_at", [
-    ("maximize_ratio/variance", [25]),
-    ("minimize_risk/variance/l1+l2+short", [25, 50, 100]),
-])
-def test_qp_polishes_on_doubling_checks(case, polished_at, monkeypatch):
-    # a QP also polishes at the checks CHECK_INTERVAL·2^j below POLISH_INTERVAL
-    # and stops at the first polish that certifies; each ADMM iteration makes
-    # one reduced-system solve, so their count is the iteration of a polish
-    objective, measure, cons, extra = _cases()[case]
-    problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
-                                          constraints=Constraints(**cons), **extra))
-    polish, factor = quantfolio.solver._polish, quantfolio.solver._factor_reduced
-    reduced_solves, polished_at_k = [], []
-
-    def counted_factor(*args):
-        solve_reduced = factor(*args)
-        return lambda rhs: reduced_solves.append(1) or solve_reduced(rhs)
-
-    monkeypatch.setattr(quantfolio.solver, "_factor_reduced", counted_factor)
-    monkeypatch.setattr(quantfolio.solver, "_polish",
-                        lambda *args: polished_at_k.append(len(reduced_solves)) or polish(*args))
-    res = solve(problem)
-    assert (res.status, res.iterations) == ("Optimal", polished_at[-1])
-    assert polished_at_k == polished_at
-
-
 @pytest.mark.parametrize("case", ["maximize_ratio/cvar/caps", "maximize_ratio/variance/short",
                                   "minimize_risk/cdar", "maximize_utility/mad/l1+mixed"])
 def test_polished_residuals_match_unscaled_recomputation(case):
@@ -365,11 +359,11 @@ def test_admm_dual_residual_matches_unscaled_recomputation(monkeypatch):
     assert abs(res.dual_residual - np.abs(Px + q0 + ATy).max()) <= 1e-12 * dual_scale
 
 
-@pytest.mark.parametrize("case", ["minimize_risk/variance", "maximize_utility/cvar",
-                                  "minimize_risk/cvar", "maximize_ratio/variance/short"])
+@pytest.mark.parametrize("case", ["maximize_utility/cvar", "minimize_risk/cvar"])
 def test_lu_fallback_matches_cholesky(case, monkeypatch):
-    # when the Cholesky factorization of the reduced matrix fails, its LU
-    # factors solve the same systems to the same iterates
+    # when the Cholesky factorization of ADMM's reduced matrix fails, its LU
+    # factors solve the same systems to the same iterates (LPs: QPs never
+    # reach ADMM)
     objective, measure, cons, extra = _cases()[case]
     problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
                                           constraints=Constraints(**cons), **extra))
