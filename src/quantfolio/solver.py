@@ -1,4 +1,5 @@
-"""Convex QP and LP solver: an interior-point method for QPs, ADMM for LPs.
+"""Convex QP and LP solver: an interior-point method for QPs, ADMM for LPs,
+one active-set finish for both.
 
 Problems are solved in the form
 
@@ -29,49 +30,54 @@ CSR products cheaper and the dense array large. The iterations stop at the
 relative tolerance IPM_TOLERANCE, at IPM_MAX_ITERATIONS, or at a non-finite
 iterate; none of them emits a floating-point warning.
 
-An interior point is accurate only to its tolerance: along the flat
-directions of an ill-conditioned covariance its weights can be off by 1e-5.
-So `_finish` takes the equality rows and the rows whose slack is below their
-dual (s < z) as the active set, and makes one regularised KKT solve on them
-(`_polish_step`, pruned by `_select_independent` when there are more rows
-than variables). Its iterative refinement starts from the interior point, so
-a direction the active rows leave free, such as the auxiliaries of a loose
-CVaR or MAD cap, keeps a feasible value. For up to FINISH_ROUNDS rounds a
-violated row joins the set and a row with a wrong-signed multiplier leaves
-it. The finish is accepted when its primal, dual and complementarity
-residuals are no worse than the interior point's, up to 1e-12 as for the
-ADMM polish below; otherwise the interior point is returned if it meets
-EPS_ABS/EPS_REL. A QP the iterations leave unsolved is classified by two
-HiGHS LPs (scipy's `linprog`): a phase-1 LP on the rows gives Infeasible,
-and a negative optimum of the recession LP min qᵀd s.t. Pd = 0, Ed = 0,
-Cd ≤ 0, |d| ≤ 1 gives Unbounded; any other outcome is MaxIterations.
+A QP the iterations leave unsolved is classified by two HiGHS LPs (scipy's
+`linprog`): a phase-1 LP on the rows gives Infeasible, and a negative
+optimum of the recession LP min qᵀd s.t. Pd = 0, Ed = 0, Cd ≤ 0, |d| ≤ 1
+gives Unbounded; any other outcome is MaxIterations.
 
 LPs. `_admm` solves min qᵀx s.t. l ≤ Ax ≤ u (it takes no P) by operator
-splitting, with Ruiz equilibration, a reduced (normal-equations) linear
-system per iteration, and an active-set polish that finishes the solve to
-near machine precision once the iterate is moderately accurate. A polish is
-tried when ADMM converges and every POLISH_INTERVAL iterations. A stays CSR
-throughout: Ruiz scaling rescales its stored values, and the iterations and
-the convergence and infeasibility checks run on that scaled CSR and one
-transpose. The checks judge unscaled residuals by rescaling vectors with
-the Ruiz factors: A₀x = (Ax)/E and A₀ᵀy = (Aᵀy)/(cD), defined once in
-`_admm` (`A0x`, `A0Ty`) and used by the residual function and both
-infeasibility certificates. One residual function judges ADMM iterates and
-polished points alike. Equality rows get the stiffer penalty and always
-enter the polish. The only dense arrays are the n×n reduced matrix and its
-factor, and the rows of the unscaled A that a polish selects.
+splitting, with Ruiz equilibration and a reduced (normal-equations) linear
+system per iteration. A stays CSR throughout: Ruiz scaling rescales its
+stored values, and the iterations and the convergence and infeasibility
+checks run on that scaled CSR and one transpose. The checks judge unscaled
+residuals by rescaling vectors with the Ruiz factors: A₀x = (Ax)/E and
+A₀ᵀy = (Aᵀy)/(cD), defined once in `_admm` (`A0x`, `A0Ty`) and used by the
+residual function and both infeasibility certificates. One residual
+function judges ADMM iterates and finished points alike. Equality rows get
+the stiffer penalty. The only dense arrays are the n×n reduced matrix and
+its factor, and the rows of the unscaled A that a finish keeps.
 
-Both finishes cost more in Python calls than in arithmetic on small
-problems, so they make few of them: `_dense_rows` gathers rows straight from
-the CSR arrays with a handful of vectorised index operations,
-`_select_independent` normalises every candidate row in one operation
-before its greedy loop, and the KKT system is factored and refined by
-LAPACK's `dgetrf`/`dgetrs` directly (the routines inside
-`lu_factor`/`lu_solve`, without their per-call checks). After the KKT
-solve, a row with a single nonzero a (a box row, or a one-variable row of G)
-sets its variable to b / a exactly, never to -0.0, so a variable at its
-bound carries no solver noise: in the ADMM polish each kept such row, in the
-interior-point finish each such row within FINISH_TOLERANCE of its bound.
+One active-set finish serves both paths. An interior point is accurate only
+to its tolerance (along the flat directions of an ill-conditioned
+covariance its weights can be off by 1e-5), an ADMM iterate only to
+EPS_ABS/EPS_REL. `_finish` makes one regularised KKT solve on the equality
+rows and a guess of the active rows (`_polish_step`, pruned by
+`_select_independent` when there are more rows than variables); for up to
+FINISH_ROUNDS rounds a violated row then joins the set and a row with a
+wrong-signed multiplier leaves it. The interior point guesses the rows whose
+slack is below their dual (s < z) and refines from its own point, so a
+direction the active rows leave free, such as the auxiliaries of a loose
+CVaR or MAD cap, keeps a feasible value; it accepts the finish when its
+primal, dual and complementarity residuals are no worse than its own, up to
+1e-12, and otherwise returns its point if that meets EPS_ABS/EPS_REL. ADMM
+tries the finish when it converges and every POLISH_INTERVAL iterations. It
+guesses the rows within 1e-7 of a bound or with a dual beyond 1e-4·|y|∞ of
+that sign, refines from x = 0 and its dual, and accepts the finish when its
+primal and dual residuals are no worse than the iterate's, up to 1e-12,
+and, before convergence, meet EPS_ABS/EPS_REL.
+
+The finish costs more in Python calls than in arithmetic on small problems,
+so it makes few of them: `_dense_rows` gathers rows straight from the CSR
+arrays with a handful of vectorised index operations, `_select_independent`
+copies and normalises the candidate rows n at a time before its greedy loop
+and stops once the kept rows span the space (a drawdown LP's thousands of
+violated rows never exist as one dense array), and the KKT system is
+factored and refined by LAPACK's `dgetrf`/`dgetrs` directly (the routines
+inside `lu_factor`/`lu_solve`, without their per-call checks). After the KKT
+solve, `_snap_to_tight_bounds` sets a variable to b / a exactly, never to
+-0.0, wherever a row with a single nonzero a (a box row, or a one-variable
+row of G) is within FINISH_TOLERANCE of its bound b, so a variable at its
+bound carries no solver noise.
 """
 
 from __future__ import annotations
@@ -95,7 +101,7 @@ ALPHA = 1.6
 CHECK_INTERVAL = 25
 SCALING_ITERATIONS = 10
 POLISH_REFINE_STEPS = 8
-POLISH_INTERVAL = 500  # attempt an ADMM polish every this many iterations
+POLISH_INTERVAL = 500  # ADMM tries the active-set finish every this many iterations
 IPM_MAX_ITERATIONS = 100
 IPM_TOLERANCE = 1e-9  # relative, on the QP normalised by its largest P or q entry
 IPM_REGULARIZATION = 1e-12  # keeps the reduced KKT matrix nonsingular
@@ -226,7 +232,8 @@ def solve(problem: QpProblem) -> SolveResult:
 
 
 def _admm(q0, A0, l, u, eq_mask):
-    """ADMM with Ruiz scaling and polish on the stacked LP min q₀ᵀx s.t. l ≤ A₀x ≤ u."""
+    """ADMM with Ruiz scaling and the active-set finish on the stacked LP
+    min q₀ᵀx s.t. l ≤ A₀x ≤ u."""
     m, n = A0.shape
     q, A, D, E, c = _ruiz_equilibrate(q0, A0)
     ls = l * E
@@ -289,17 +296,24 @@ def _admm(q0, A0, l, u, eq_mask):
             eps_dual = EPS_ABS + EPS_REL * dual_scale
             converged = r_prim <= eps_prim and r_dual <= eps_dual
 
-            # active-set polish: finishes a converged iterate, and every
-            # POLISH_INTERVAL iterations is an early exit if it certifies
+            # the active-set finish: polishes a converged iterate, and every
+            # POLISH_INTERVAL iterations is an early exit if it certifies. Its
+            # candidate rows are tight (within 1e-7) or carry a strong dual.
             if converged or k % POLISH_INTERVAL == 0:
-                polished = _polish(q0, A0, l, u, eq_mask, xu, yu)
-                if polished is not None:
-                    xs = polished[0] / D
+                Ax = A0 @ xu
+                y_strong = 1e-4 * max(np.abs(yu).max(initial=0.0), 1e-12)
+                lower = (np.isfinite(l) & ~eq_mask
+                         & ((np.abs(Ax - l) <= 1e-7 * (1.0 + np.abs(l))) | (yu < -y_strong)))
+                upper = (np.isfinite(u) & ~eq_mask
+                         & ((np.abs(u - Ax) <= 1e-7 * (1.0 + np.abs(u))) | (yu > y_strong)))
+                finished = _finish(0.0, q0, A0, l, u, eq_mask, np.zeros(n), yu, lower, upper)
+                if finished is not None:
+                    xs = finished[0] / D
                     rp, rd, _, _ = residuals(xs, np.clip(A @ xs, ls, us),
-                                             c * polished[1] / E)
+                                             c * finished[1] / E)
                     if max(rp, rd) <= max(r_prim, r_dual) + 1e-12 and (
                             converged or (rp <= eps_prim and rd <= eps_dual)):
-                        (xu, yu), r_prim, r_dual = polished, rp, rd
+                        (xu, yu), r_prim, r_dual = finished, rp, rd
                         converged = True
 
             if converged:
@@ -530,7 +544,8 @@ def _interior_point(P0, q0, A0, l, u, eq_mask):
 
 
 def _finish(P, q, A, l, u, eq_mask, x, y, lower, upper):
-    """Active-set finish of an interior point (x, y) of the normalised QP.
+    """Active-set finish of an interior point of the normalised QP (P an n×n
+    array) or of an ADMM iterate of the LP (P = 0.0).
 
     One regularised KKT solve on the equality rows and the rows active at
     their lower (`lower`) or upper (`upper`) bound, refined from (x, y); then
@@ -545,7 +560,7 @@ def _finish(P, q, A, l, u, eq_mask, x, y, lower, upper):
         idx_act = np.flatnonzero(lower | upper)
         idx, rows = _active_rows(A, idx_eq, idx_act, y, prune=idx_eq.size + idx_act.size > n)
         b = np.where(eq_mask | lower, l, u)[idx]
-        sol = _polish_step(P, q, rows, b, start=np.concatenate([x, y[idx]]))
+        sol = _polish_step(P, q, rows, b, np.concatenate([x, y[idx]]))
         if sol is None or not np.all(np.isfinite(sol)):
             return None
         x_new = sol[:n]
@@ -596,83 +611,60 @@ def _dense_rows(A, idx):
     return out
 
 
-def _select_independent(rows, tol=1e-8):
-    """Indices of a maximal independent subset of the rows of a 2-D array.
+def _select_independent(A, idx, tol=1e-8):
+    """Positions in `idx` of a maximal independent subset of those rows of the
+    CSR matrix A.
 
-    Greedy in row order: a row is kept when its component orthogonal to the
-    rows kept before it has norm above `tol` (relative to the row's norm).
+    Greedy in the order of `idx`: a row is kept when its component orthogonal
+    to the rows kept before it has norm above `tol` (relative to the row's
+    norm). The rows are copied dense n at a time, and none after the kept rows
+    span the space, so a long candidate list never exists as one dense array.
     """
-    n = rows.shape[1]
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    nonzero = np.flatnonzero(norms > 1e-14)
-    units = rows[nonzero] / norms[nonzero, None]
+    n = A.shape[1]
     basis = np.empty((n, n))  # orthonormal basis of the kept rows, in its first k rows
     k = 0
     keep = []
-    for i, v in zip(nonzero.tolist(), units):
-        B = basis[:k]
-        for _ in range(2):  # reorthogonalize for stability
-            v = v - B.T @ (B @ v)
-        nv = math.sqrt(v.dot(v))  # np.linalg.norm's own arithmetic
-        if nv > tol:
-            basis[k] = v / nv
-            keep.append(i)
-            k += 1
-            if k == n:  # the kept rows span the space: no later row is independent
-                break
+    for start in range(0, idx.size, n):
+        rows = _dense_rows(A, idx[start:start + n])
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        nonzero = np.flatnonzero(norms > 1e-14)
+        units = rows[nonzero] / norms[nonzero, None]
+        for i, v in zip((start + nonzero).tolist(), units):
+            B = basis[:k]
+            for _ in range(2):  # reorthogonalize for stability
+                v = v - B.T @ (B @ v)
+            nv = math.sqrt(v.dot(v))  # np.linalg.norm's own arithmetic
+            if nv > tol:
+                basis[k] = v / nv
+                keep.append(i)
+                k += 1
+                if k == n:  # the kept rows span the space: no later row is independent
+                    return keep
     return keep
 
 
-def _dual_fit(q, A, eq_mask, act_low, act_up):
-    """Sign-constrained least-squares dual of the LP: y free on equalities, y≥0
-    on upper-active rows, y≤0 on lower-active rows. Returns y, or None if the
-    fit fails; a near-zero stationarity residual q + Aᵀy certifies optimality
-    of a primal-feasible point at which these rows are active."""
-    g = -q
-    eq = np.flatnonzero(eq_mask)
-    up = np.flatnonzero(act_up)
-    low = np.flatnonzero(act_low)
-    # an equality row enters as a (+, -) column pair
-    rows = np.concatenate([np.repeat(eq, 2), up, low])
-    signs = np.concatenate([np.tile([1.0, -1.0], eq.size), np.ones(up.size),
-                            -np.ones(low.size)])
-    y = np.zeros(A.shape[0])
-    if not rows.size:
-        return y
-    try:
-        z, _ = scipy.optimize.nnls((_dense_rows(A, rows) * signs[:, None]).T, g)
-    except (RuntimeError, ValueError):
-        return None
-    np.add.at(y, rows, signs * z)
-    return y
-
-
-def _polish_step(P, q, A_act, b_act, start=None):
+def _polish_step(P, q, A_act, b_act, start):
     """Equality-solve the KKT system on the active rows A_act x = b_act; returns the
     solution (x, then the rows' multipliers) or None. P is the n×n Hessian, or
-    0.0 for an LP. Iterative refinement runs against the unregularized system,
-    from `start` if given: a direction the active rows leave free then keeps
-    its value at `start`."""
+    0.0 for an LP. Iterative refinement runs against the unregularized system
+    from `start`: a direction the active rows leave free keeps its value there."""
     n = q.size
     k = A_act.shape[0]
     delta = 1e-9
-    K = np.zeros((n + k, n + k))
+    K = np.zeros((n + k, n + k), order="F")  # LAPACK's order: factored in place
     K[:n, :n] = P + delta * np.eye(n)
     K[:n, n:] = A_act.T
     K[n:, :n] = A_act
     K[n:, n:] = -delta * np.eye(k)
     rhs = np.concatenate([-q, b_act])
-    K0 = K.copy()
-    K0[:n, :n] -= delta * np.eye(n)
-    K0[n:, n:] += delta * np.eye(k)
+    K0 = K.copy()  # unregularised: P's diagonal less δ again, and a zero block
+    K0[np.arange(n), np.arange(n)] -= delta
+    K0[n:, n:] = 0.0
     # the LAPACK calls inside lu_factor and lu_solve, without their per-call checks
-    lu, piv, info = scipy.linalg.lapack.dgetrf(K)
+    lu, piv, info = scipy.linalg.lapack.dgetrf(K, overwrite_a=1)
     if info != 0:  # a zero pivot: K is singular
         return None
-    if start is None:
-        sol = scipy.linalg.lapack.dgetrs(lu, piv, rhs)[0]
-    else:
-        sol = start + scipy.linalg.lapack.dgetrs(lu, piv, rhs - K0 @ start)[0]
+    sol = start + scipy.linalg.lapack.dgetrs(lu, piv, rhs - K0 @ start)[0]
     for _ in range(POLISH_REFINE_STEPS):
         sol = sol + scipy.linalg.lapack.dgetrs(lu, piv, rhs - K0 @ sol)[0]
     if not np.all(np.isfinite(sol[:n])):
@@ -680,24 +672,22 @@ def _polish_step(P, q, A_act, b_act, start=None):
     return sol
 
 
-def _active_rows(A, idx_eq, idx_act, y, prune=True):
+def _active_rows(A, idx_eq, idx_act, y, prune):
     """The row indices the KKT solve keeps, in row order, and their dense copy.
 
     Every equality row `idx_eq` stays. With `prune`, the candidates `idx_act`
     are pruned to a linearly independent subset, taken in descending dual
-    magnitude |y| so that strong-dual rows win the basis.
+    magnitude |y| so that strong-dual rows win the basis. Only the kept rows
+    are copied dense.
     """
     idx_act = idx_act[np.argsort(-np.abs(y[idx_act]), kind="stable")]
     idx = np.concatenate([idx_eq, idx_act])
-    rows = _dense_rows(A, idx)
     if prune:
         kept = np.arange(idx.size) < idx_eq.size
-        kept[_select_independent(rows)] = True
-        sel = np.flatnonzero(kept)
-    else:
-        sel = np.arange(idx.size)
-    sel = sel[np.argsort(idx[sel])]  # the KKT system takes its rows in row order
-    return idx[sel], rows[sel]
+        kept[_select_independent(A, idx)] = True
+        idx = idx[kept]
+    idx = np.sort(idx)  # the KKT system takes its rows in row order
+    return idx, _dense_rows(A, idx)
 
 
 def _snap_to_tight_bounds(A, l, u, x):
@@ -712,43 +702,3 @@ def _snap_to_tight_bounds(A, l, u, x):
         tight = (a != 0) & np.isfinite(bound) & (np.abs(ax - bound) <= near)
         x[cols[tight]] = bound[tight] / a[tight] + 0.0
 
-
-def _polish(q, A, l, u, eq_mask, x, y):
-    """Active-set polish: re-solve on a candidate active set and fit its dual.
-
-    The candidate set is read off the ADMM iterate: the equality rows
-    `eq_mask`, plus rows within 1e-7 (relative) of a bound, unioned with rows
-    whose dual is strong. The inequality candidates are pruned to a linearly
-    independent subset for the primal KKT solve (optimal vertices of the
-    drawdown LPs are degenerate, so the raw set is often rank-deficient), and
-    the dual is a sign-constrained fit over the rows tight at the polished
-    point, so complementary slackness holds by construction. Returns the
-    candidate (x, y), or None; `_admm` judges it.
-    """
-    n = q.size
-    has_l = np.isfinite(l) & ~eq_mask
-    has_u = np.isfinite(u) & ~eq_mask
-    y_norm = max(np.abs(y).max(initial=0.0), 1e-12)
-    Ax = A @ x
-    idx_eq = np.flatnonzero(eq_mask)
-
-    # tight-slack rows unioned with strong-dual rows
-    act_low = has_l & ((np.abs(Ax - l) <= 1e-7 * (1.0 + np.abs(l))) | (y < -1e-4 * y_norm))
-    act_up = has_u & ((np.abs(u - Ax) <= 1e-7 * (1.0 + np.abs(u))) | (y > 1e-4 * y_norm))
-
-    idx, rows = _active_rows(A, idx_eq, np.flatnonzero(act_low | act_up), y)
-    b = np.where(eq_mask | act_low, l, u)[idx]
-    sol = _polish_step(0.0, q, rows, b)
-    if sol is None:
-        return None
-    x_new = sol[:n]
-    # a kept row a·x_j = b with one nonzero fixes x_j at b / a exactly (+ 0.0
-    # turns a -0.0 into 0.0), so bounds hold without solver noise
-    single = np.flatnonzero(np.count_nonzero(rows, axis=1) == 1)
-    cols = np.argmax(rows[single] != 0, axis=1)
-    x_new[cols] = b[single] / rows[single, cols] + 0.0
-    Axn = A @ x_new
-    fit_low = has_l & (np.abs(Axn - l) <= 1e-9 * (1.0 + np.abs(l)))
-    fit_up = has_u & (np.abs(u - Axn) <= 1e-9 * (1.0 + np.abs(u)))
-    y_new = _dual_fit(q, A, eq_mask, fit_low, fit_up)
-    return None if y_new is None else (x_new, y_new)

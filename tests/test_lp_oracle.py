@@ -2,17 +2,23 @@
 
 Every golden case whose assembled problem has no quadratic term is an LP.
 HiGHS solves the same assembled `QpProblem` (its sparse `G`/`A_eq` as they
-are), so a disagreement points at the solver, not at the reformulation.
+are), so a disagreement points at the solver, not at the reformulation. One
+more LP comes from the packaged sample data: a point of a CVaR frontier.
 """
 
 import warnings
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 import scipy.optimize
 
 from quantfolio.exceptions import QuantfolioError
-from quantfolio.mean_risk import Constraints, ProblemSpec, _assemble
+from quantfolio.market_data import load_prices, prices_to_returns, time_split
+from quantfolio.mean_risk import Constraints, ObjectiveFunction, ProblemSpec, _assemble, optimize
+from quantfolio.measures import RiskMeasure
+from quantfolio.priors import fit_prior
 from quantfolio.solver import solve
 
 from test_golden_weights import _cases, _prior
@@ -34,8 +40,23 @@ def _lps():
     return lps
 
 
+def _sample_frontier_lp():
+    """CVaR MinimizeRisk on the train split of the packaged sample data (T=261,
+    N=10, as `quantfolio frontier` splits it), with `min_return` at the 11th of
+    the 12 targets of a 12-point frontier."""
+    X = prices_to_returns(load_prices(resources.files("quantfolio") / "data" / "sample_prices.csv"))
+    spec = ProblemSpec(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CVAR,
+                       fit_prior(None, time_split(X, 0.3)[0]))
+    r_min = spec.prior.mu @ optimize(spec)
+    r_max = spec.prior.mu @ optimize(replace(spec, objective=ObjectiveFunction.MAXIMIZE_RETURN))
+    target = float(np.linspace(r_min, r_max, 12)[10])
+    return _assemble(replace(spec, constraints=Constraints(min_return=target)))[0]
+
+
 LPS = _lps()
 INFEASIBLE = {"minimize_risk/cvar/infeasible_floor"}
+SAMPLE_FRONTIER_LP = "sample_data/cvar/frontier_target_11_of_12"
+PROBLEMS = {**LPS, SAMPLE_FRONTIER_LP: _sample_frontier_lp()}
 
 
 def _highs(problem):
@@ -48,9 +69,9 @@ def test_golden_lp_count():
     assert len(LPS) == 40 and INFEASIBLE <= set(LPS)
 
 
-@pytest.mark.parametrize("name", sorted(LPS))
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_admm_objective_matches_highs(name):
-    problem = LPS[name]
+    problem = PROBLEMS[name]
     admm, highs = solve(problem), _highs(problem)
     if name in INFEASIBLE:
         assert (admm.status, highs.status) == ("Infeasible", 2)

@@ -9,8 +9,8 @@ import quantfolio.solver
 from quantfolio.mean_risk import Constraints, ObjectiveFunction, ProblemSpec, _assemble
 from quantfolio.measures import RiskMeasure
 from quantfolio.priors import Prior
-from quantfolio.solver import (QpProblem, _dense_rows, _select_independent, _stack_problem,
-                               solve)
+from quantfolio.solver import (QpProblem, _dense_rows, _finish, _select_independent,
+                               _stack_problem, solve)
 
 from conftest import random_psd
 from test_golden_weights import _cases, _prior
@@ -178,26 +178,35 @@ def _candidate_rows(kind, seed):
     return np.eye(n)[rng.integers(0, n, r)] * rng.choice([-1.0, 1.0], (r, 1))
 
 
+def _select(rows):
+    """`_select_independent` on every row of a dense array, in row order."""
+    return _select_independent(scipy.sparse.csr_array(rows), np.arange(rows.shape[0]))
+
+
 @pytest.mark.parametrize("kind", ["random", "rank_deficient", "duplicated", "signed_unit"])
 def test_select_independent_matches_loop(kind):
     for seed in range(100):
         rows = _candidate_rows(kind, seed)
-        assert _select_independent(rows) == _select_independent_loop(rows), seed
+        assert _select(rows) == _select_independent_loop(rows), seed
 
 
 def test_select_independent_skips_repeated_row():
     # e1, e1, e2, e3: the repeat is dropped and the later independent rows kept
     rows = np.eye(3)[[0, 0, 1, 2]]
-    assert _select_independent(rows) == _select_independent_loop(rows) == [0, 2, 3]
+    assert _select(rows) == _select_independent_loop(rows) == [0, 2, 3]
 
 
-def _cdar_rows():
-    """The stacked CSR rows of a CDaR LP at T=120, N=10 (7,260 drawdown rows)."""
+def _cdar_problem():
+    """A CDaR LP at T=120, N=10: 7,260 pairwise drawdown rows, about 9 % nonzero."""
     rng = np.random.default_rng(0)
     S = rng.normal(5e-4, 0.01, (120, 10)) + rng.normal(0.0, 0.01, (120, 1))
     prior = Prior(mu=S.mean(axis=0), sigma=np.cov(S, rowvar=False), scenarios=S)
-    problem, _, _ = _assemble(ProblemSpec(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CDAR, prior))
-    return _stack_problem(problem)[2]
+    return _assemble(ProblemSpec(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CDAR, prior))[0]
+
+
+def _cdar_rows():
+    """The stacked CSR rows of `_cdar_problem`."""
+    return _stack_problem(_cdar_problem())[2]
 
 
 @pytest.mark.parametrize("kind", ["empty_idx", "repeats", "empty_rows", "drawdown"])
@@ -218,26 +227,27 @@ def test_dense_rows_matches_csr_slice(kind):
     assert np.array_equal(got, A[idx].toarray())
 
 
-def _kept_rows_on_their_bounds(case, finisher, monkeypatch):
-    """Solve the golden case with `finisher` (`_polish` or `_finish`) and
-    `_polish_step` recorded; return the result, the last finished x and the
-    rows and bounds of its KKT solve."""
+@pytest.mark.parametrize("case", ["maximize_ratio/variance", "maximize_ratio/variance/min_return",
+                                  "minimize_risk/variance/named_cap", "minimize_risk/cvar",
+                                  "maximize_return/cvar/cvar_cap"])
+def test_finish_puts_kept_box_rows_exactly_on_their_bounds(case, monkeypatch):
+    # long-only QPs and LPs with bounds active at the optimum: every variable
+    # whose box row is among the rows the last finish keeps (the interior
+    # point's, or the ADMM polish accepted last) leaves it exactly at that
+    # bound, and never at -0.0
     objective, measure, cons, extra = _cases()[case]
     problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
                                           constraints=Constraints(**cons), **extra))
-    finish = getattr(quantfolio.solver, finisher)
     polish_step = quantfolio.solver._polish_step
     kkt_rows, finished = [], []
     monkeypatch.setattr(quantfolio.solver, "_polish_step",
-                        lambda *args, **kw: kkt_rows.append(args[2:4]) or polish_step(*args, **kw))
-    monkeypatch.setattr(quantfolio.solver, finisher,
-                        lambda *args: finished.append(finish(*args)) or finished[-1])
+                        lambda *args: kkt_rows.append(args[2:4]) or polish_step(*args))
+    monkeypatch.setattr(quantfolio.solver, "_finish",
+                        lambda *args: finished.append(_finish(*args)) or finished[-1])
     res = solve(problem)
     assert res.status == "Optimal"
-    return res, finished[-1][0], kkt_rows[-1]
-
-
-def _assert_box_rows_exact(x, A_act, b_act):
+    x, (A_act, b_act) = finished[-1][0], kkt_rows[-1]
+    assert np.array_equal(res.x, x)  # the finished point is the one returned
     box = np.count_nonzero(A_act, axis=1) == 1
     assert box.any()
     for row, b in zip(A_act[box], b_act[box]):
@@ -245,35 +255,35 @@ def _assert_box_rows_exact(x, A_act, b_act):
         assert x[j] == b / row[j] and not np.signbit(x[j])
 
 
-@pytest.mark.parametrize("case", ["maximize_ratio/variance", "maximize_ratio/variance/min_return",
-                                  "minimize_risk/variance/named_cap"])
-def test_finish_puts_kept_box_rows_exactly_on_their_bounds(case, monkeypatch):
-    # long-only QPs with bounds active at the optimum: every variable whose
-    # box row is among the rows the interior-point finish keeps leaves the
-    # finish exactly at that bound, and never at -0.0
-    res, x, (A_act, b_act) = _kept_rows_on_their_bounds(case, "_finish", monkeypatch)
-    assert np.array_equal(res.x, x)  # the finished point is the one returned
-    _assert_box_rows_exact(x, A_act, b_act)
-
-
-@pytest.mark.parametrize("case", ["minimize_risk/cvar", "maximize_return/cvar/cvar_cap"])
-def test_polish_puts_kept_box_rows_exactly_on_their_bounds(case, monkeypatch):
-    # the same on long-only LPs, whose last ADMM polish is the one accepted
-    res, x, (A_act, b_act) = _kept_rows_on_their_bounds(case, "_polish", monkeypatch)
-    assert np.array_equal(res.x, x)
-    _assert_box_rows_exact(x, A_act, b_act)
-
-
 def test_cdar_lp_repeats_exactly():
-    # a CDaR LP at T=120, N=10: 7,260 pairwise drawdown rows, about 9 % nonzero
-    rng = np.random.default_rng(0)
-    S = rng.normal(5e-4, 0.01, (120, 10)) + rng.normal(0.0, 0.01, (120, 1))
-    prior = Prior(mu=S.mean(axis=0), sigma=np.cov(S, rowvar=False), scenarios=S)
-    problem, _, _ = _assemble(ProblemSpec(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CDAR, prior))
+    problem = _cdar_problem()
     first, second = solve(problem), solve(problem)
     assert first.status == second.status == "Optimal"
     assert first.iterations == second.iterations
     assert np.array_equal(first.x, second.x)
+
+
+def test_cdar_finish_copies_only_the_rows_it_keeps(monkeypatch):
+    # the polishes of the CDaR LP pass `_active_rows` thousands of candidate
+    # rows (the finish's correction rounds add every violated drawdown row);
+    # the whole solve peaks below one dense copy of the largest such set
+    problem = _cdar_problem()
+    active_rows = quantfolio.solver._active_rows
+    candidates = []
+
+    def record(A, idx_eq, idx_act, *args, **kwargs):
+        candidates.append(idx_eq.size + idx_act.size)
+        return active_rows(A, idx_eq, idx_act, *args, **kwargs)
+
+    monkeypatch.setattr(quantfolio.solver, "_active_rows", record)
+    tracemalloc.start()
+    try:
+        res = solve(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "Optimal"
+    assert peak < max(candidates) * problem.dimensions() * 8
 
 
 def test_cdar_assembly_and_solve_form_no_dense_constraint_matrix(monkeypatch):
@@ -301,22 +311,30 @@ def test_cdar_assembly_and_solve_form_no_dense_constraint_matrix(monkeypatch):
     assert peak < G.shape[0] * G.shape[1] * 8 / 2
 
 
-def test_failed_polish_makes_one_kkt_solve(monkeypatch):
+def test_failed_polish_makes_at_most_finish_rounds_kkt_solves(monkeypatch):
     # the LP of the golden case maximize_ratio/cvar/caps: its periodic polishes
-    # before iteration 3,000 do not certify, and none repeats its KKT solve
+    # before iteration 3,000 do not certify, and none makes more KKT solves
+    # than the finish has correction rounds
     objective, measure, cons, extra = _cases()["maximize_ratio/cvar/caps"]
     problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
                                           constraints=Constraints(**cons), **extra))
-    polish, polish_step = quantfolio.solver._polish, quantfolio.solver._polish_step
-    polishes, kkt_solves = [], []
-    monkeypatch.setattr(quantfolio.solver, "_polish",
-                        lambda *args: polishes.append(1) or polish(*args))
-    monkeypatch.setattr(quantfolio.solver, "_polish_step",
-                        lambda *args: kkt_solves.append(1) or polish_step(*args))
+    polish_step = quantfolio.solver._polish_step
+    kkt_solves = []
+
+    def finish(*args):
+        kkt_solves.append(0)
+        return _finish(*args)
+
+    def count(*args):
+        kkt_solves[-1] += 1
+        return polish_step(*args)
+
+    monkeypatch.setattr(quantfolio.solver, "_finish", finish)
+    monkeypatch.setattr(quantfolio.solver, "_polish_step", count)
     res = solve(problem)
     assert (res.status, res.iterations) == ("Optimal", 3000)
-    assert len(polishes) == 3000 // quantfolio.solver.POLISH_INTERVAL
-    assert len(kkt_solves) == len(polishes)
+    assert len(kkt_solves) == 3000 // quantfolio.solver.POLISH_INTERVAL
+    assert 1 <= min(kkt_solves) and max(kkt_solves) <= quantfolio.solver.FINISH_ROUNDS
 
 
 @pytest.mark.parametrize("case", ["maximize_ratio/cvar/caps", "maximize_ratio/variance/short",
