@@ -30,10 +30,14 @@ CSR products cheaper and the dense array large. The iterations stop at the
 relative tolerance IPM_TOLERANCE, at IPM_MAX_ITERATIONS, or at a non-finite
 iterate; none of them emits a floating-point warning.
 
-A QP the iterations leave unsolved is classified by two HiGHS LPs (scipy's
-`linprog`): a phase-1 LP on the rows gives Infeasible, and a negative
-optimum of the recession LP min qᵀd s.t. Pd = 0, Ed = 0, Cd ≤ 0, |d| ≤ 1
-gives Unbounded; any other outcome is MaxIterations.
+A QP the iterations leave unsolved is first finished from its best iterate,
+the one with the smallest residual in units of its tolerance; the finished
+point is Optimal if its residuals meet EPS_ABS/EPS_REL. Otherwise two HiGHS
+LPs (scipy's `linprog`) classify it: a phase-1 LP on the rows gives
+Infeasible, and a negative optimum of the recession LP min qᵀd s.t. Pd = 0,
+Ed = 0, Cd ≤ 0, |d| ≤ 1 gives Unbounded; any other outcome is
+MaxIterations. `scipy.optimize` is imported there, on first use, so a
+process that meets no such QP never loads it.
 
 LPs. `_admm` solves min qᵀx s.t. l ≤ Ax ≤ u (it takes no P) by operator
 splitting, with Ruiz equilibration and a reduced (normal-equations) linear
@@ -87,7 +91,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse
 
 # Fixed solver constants, read at call time.
@@ -457,6 +460,9 @@ def _interior_point(P0, q0, A0, l, u, eq_mask):
     v = np.concatenate([np.zeros(n + p), np.ones(2 * m)])
     status = "MaxIterations"
     k = 0
+    # the iterate with the smallest residual in units of its tolerance, which
+    # a run that stalls is finished from
+    best, best_v = np.inf, v
     with np.errstate(all="ignore"):  # a breakdown shows as a non-finite iterate instead
         # start: x minimises ½xᵀPx + qᵀx + ½|Cx − d|² on Ex = b; s = d − Cx and
         # z = −s, each shifted into the positive orthant
@@ -472,11 +478,14 @@ def _interior_point(P0, q0, A0, l, u, eq_mask):
             r_p = B @ x - c
             r_p[p:] += s
             gap = s @ z
-            if (np.abs(r_p).max(initial=0.0) <= tol_prim
-                    and np.abs(r_d).max(initial=0.0) <= tol_dual
-                    and gap <= IPM_TOLERANCE * (1.0 + abs(0.5 * x @ P @ x + q @ x))):
+            r_p_max, r_d_max = np.abs(r_p).max(initial=0.0), np.abs(r_d).max(initial=0.0)
+            tol_gap = IPM_TOLERANCE * (1.0 + abs(0.5 * x @ P @ x + q @ x))
+            if r_p_max <= tol_prim and r_d_max <= tol_dual and gap <= tol_gap:
                 status = "Optimal"
                 break
+            scaled = max(r_p_max / tol_prim, r_d_max / tol_dual, gap / tol_gap)
+            if scaled < best:
+                best, best_v = scaled, v
             if k == IPM_MAX_ITERATIONS:
                 break
             w = z / s
@@ -510,28 +519,47 @@ def _interior_point(P0, q0, A0, l, u, eq_mask):
                 break
             v = step
 
-    x, z, s = v[:n], v[n + p:n + p + m], v[n + p + m:]
-    # the dual on the rows of A₀, in its sign convention
-    y = np.zeros(A0.shape[0])
-    np.add.at(y, rows, sign * v[n:n + p + m])
-    r_prim, r_dual, r_comp, prim_scale, dual_scale = _kkt_residuals(P0, q0, A0, l, u, x,
-                                                                    y / scale)
-    if status == "Optimal":
+    def point(v):
+        """x and the dual y on the rows of A₀, in its sign convention, at the iterate v."""
+        y = np.zeros(A0.shape[0])
+        np.add.at(y, rows, sign * v[n:n + p + m])
+        return v[:n], y
+
+    def finish(v):
+        """The finish from the iterate v on the rows whose slack is below their
+        dual: its (x, y) followed by their `_kkt_residuals`, or None."""
+        x, y = point(v)
+        z, s = v[n + p:n + p + m], v[n + p + m:]
         upper = np.zeros(y.size, dtype=bool)
         lower = np.zeros(y.size, dtype=bool)
         upper[up[s[:up.size] < z[:up.size]]] = True
         lower[low[s[up.size:] < z[up.size:]]] = True
         finished = _finish(P, q, A0, l, u, eq_mask, x, y, lower, upper)
-        if finished is not None:
-            rp, rd, rc, _, _ = _kkt_residuals(P0, q0, A0, l, u, finished[0],
-                                              finished[1] / scale)
-        if finished is not None and max(rp, rd, rc) <= max(r_prim, r_dual, r_comp) + 1e-12:
-            (x, y), r_prim, r_dual = finished, rp, rd
-        elif (r_prim > EPS_ABS + EPS_REL * prim_scale
-              or max(r_dual, r_comp) > EPS_ABS + EPS_REL * dual_scale):
+        if finished is None:
+            return None
+        return finished + _kkt_residuals(P0, q0, A0, l, u, finished[0], finished[1] / scale)
+
+    def within_eps(r_prim, r_dual, r_comp, prim_scale, dual_scale):
+        return (r_prim <= EPS_ABS + EPS_REL * prim_scale
+                and max(r_dual, r_comp) <= EPS_ABS + EPS_REL * dual_scale)
+
+    x, y = point(v)
+    r_prim, r_dual, r_comp, prim_scale, dual_scale = _kkt_residuals(P0, q0, A0, l, u, x,
+                                                                    y / scale)
+    if status == "Optimal":
+        finished = finish(v)
+        if finished is not None and max(finished[2:5]) <= max(r_prim, r_dual, r_comp) + 1e-12:
+            x, y, r_prim, r_dual = finished[:4]
+        elif not within_eps(r_prim, r_dual, r_comp, prim_scale, dual_scale):
             status = "MaxIterations"
     else:
-        status = _classify(P, q, C, d, E, b)
+        # a stalled run is finished from its best iterate before it is classified
+        finished = finish(best_v)
+        if finished is not None and within_eps(*finished[2:]):
+            x, y, r_prim, r_dual = finished[:4]
+            status = "Optimal"
+        else:
+            status = _classify(P, q, C, d, E, b)
     return SolveResult(
         x=x,
         objective=float(0.5 * x @ P0 @ x + q0 @ x) if status == "Optimal" else float("nan"),
@@ -585,6 +613,8 @@ def _classify(P, q, C, d, E, b):
     """Status of a QP the interior-point method left unsolved, from two HiGHS LPs:
     Infeasible when no x meets Ex = b, Cx ≤ d; Unbounded when a direction with
     Pd = 0, Ed = 0, Cd ≤ 0 and |d| ≤ 1 has qᵀd < 0; MaxIterations otherwise."""
+    import scipy.optimize  # here, not at the top: only a QP left unsolved needs HiGHS
+
     n = q.size
     ub = dict(A_ub=C, b_ub=d) if d.size else {}
     eq = dict(A_eq=E, b_eq=b) if b.size else {}

@@ -327,11 +327,13 @@ def test_unbounded_return_raises(rng):
 
 
 def test_solver_stop_raises_solver_failure(rng, monkeypatch):
-    # the default minimum-variance fit is a QP, capped by the interior-point method
+    # a utility fit is a QP, capped by the interior-point method; from one
+    # iteration the finish does not find this fit's active set (the
+    # minimum-variance fit on the same data it does, in one KKT solve)
     monkeypatch.setattr(quantfolio.solver, "IPM_MAX_ITERATIONS", 1)
     X = make_returns(rng.normal(0.0005, 0.01, (60, 5)))
     with pytest.raises(SolverFailure, match="status MaxIterations after 1 iterations"):
-        MeanRisk().fit(X)
+        MeanRisk(objective=ObjectiveFunction.MAXIMIZE_UTILITY).fit(X)
 
 
 @pytest.mark.parametrize("seed", [1, 4, 5, 8])

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -110,15 +114,55 @@ def test_polish_reaches_tight_residuals(rng):
 
 
 def test_iteration_cap(monkeypatch):
-    # a QP: its iterations are those of the interior-point method
+    # a QP: its iterations are those of the interior-point method. After one
+    # iteration the finish starts from rows 1 and 3 marked active at both
+    # bounds and cycles between vertices for all its rounds, so nothing
+    # certifies the optimum x = (0.4323, 0, 0.5677) that two iterations reach
     monkeypatch.setattr(quantfolio.solver, "IPM_MAX_ITERATIONS", 1)
     res = solve(QpProblem(
-        q=np.array([-1.0, -2.0]), P=np.eye(2),
-        A_eq=np.ones((1, 2)), b_eq=np.array([1.0]),
-        lb=np.zeros(2), ub=np.ones(2),
+        q=np.array([-0.4411, 1.3261, -0.4385]),
+        P=np.array([[0.0692, -0.0365, -0.0209],
+                    [-0.0365, 0.1324, 0.01],
+                    [-0.0209, 0.01, 0.0431]]),
+        A_eq=np.ones((1, 3)), b_eq=np.array([1.0]),
+        lb=np.zeros(3), ub=np.ones(3),
     ))
     assert res.status == "MaxIterations"
     assert res.iterations == 1
+
+
+def test_fits_leave_scipy_optimize_unloaded():
+    # HiGHS is loaded only to classify a QP the interior point leaves
+    # unsolved. Run in a fresh interpreter: test modules import
+    # scipy.optimize themselves.
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import quantfolio.cli
+        from quantfolio import (HierarchicalRiskParity, MeanRisk,
+                                NestedClustersOptimization, RiskMeasure)
+        from quantfolio.exceptions import InfeasibleProblem
+        rng = np.random.default_rng(0)
+        X = rng.normal(5e-4, 0.01, (120, 6)) + rng.normal(0.0, 0.01, (120, 1))
+        MeanRisk().fit(X)
+        MeanRisk(risk_measure=RiskMeasure.CVAR).fit(X)
+        HierarchicalRiskParity().fit(X)
+        NestedClustersOptimization().fit(X)
+        assert "scipy.optimize" not in sys.modules
+        try:
+            MeanRisk(risk_caps=[(RiskMeasure.CVAR, -1.0)]).fit(X)
+        except InfeasibleProblem:
+            pass
+        else:
+            raise AssertionError("a CVaR cap below any portfolio's CVaR was met")
+        assert "scipy.optimize" in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(quantfolio.solver.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # Problems without a single constraint row go through the same solve paths
