@@ -25,7 +25,6 @@ from .exceptions import (
     InvalidConfig,
     SolverFailure,
     UnboundedProblem,
-    UnsupportedMeasure,
     require_finite,
     require_real,
 )
@@ -132,23 +131,9 @@ class FrontierPoint:
     risk: float
 
 
-def _optimization_measure(measure: RiskMeasure) -> RiskMeasure:
-    # std dev has no epigraph; optimize variance (same argmin)
-    if measure is RiskMeasure.STANDARD_DEVIATION:
-        return RiskMeasure.VARIANCE
-    return measure
-
-
-def _add_risk_block(builder, spec, measure, w_idx):
-    measure = _optimization_measure(measure)
-    return reformulate_risk(
-        builder,
-        measure,
-        spec.prior.scenarios if measure is not RiskMeasure.VARIANCE else None,
-        w_idx,
-        sigma=spec.prior.sigma if measure is RiskMeasure.VARIANCE else None,
-        beta=spec.beta,
-    )
+# measures optimized as the quadratic term wᵀΣw, not by an epigraph: standard
+# deviation has the argmin of variance
+_QUADRATIC = (RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION)
 
 
 def _add_regularization(builder, spec, w_idx, lb):
@@ -206,20 +191,16 @@ def _add_constraints(builder, spec, w_idx, lb, ub, t=None):
     if c.min_return is not None:
         rows(w_idx, -spec.prior.mu, -c.min_return)
     for measure, bound in c.risk_caps:
-        if _optimization_measure(measure) is RiskMeasure.VARIANCE:
-            raise UnsupportedMeasure(
-                "variance/std-dev risk caps need a quadratic constraint, which "
-                "the LP/QP solver does not support; cap CVaR or MAD instead"
-            )
-        rows(*_add_risk_block(builder, spec, measure, w_idx).risk_expr, bound)
+        rows(*reformulate_risk(builder, measure, spec.prior.scenarios, w_idx, spec.beta), bound)
 
 
 def _add_risk_cost(builder, spec, w_idx, factor):
-    block = _add_risk_block(builder, spec, spec.risk_measure, w_idx)
-    if block.risk_expr is not None:
-        builder.add_cost(block.risk_expr, factor)
+    """factor · risk: a quadratic term, or the linear term of the measure's epigraph."""
+    if spec.risk_measure in _QUADRATIC:
+        builder.add_quadratic(w_idx, factor * spec.prior.sigma)
     else:
-        builder.add_quadratic(block.quadratic[0], factor * block.quadratic[1])
+        builder.add_cost(reformulate_risk(builder, spec.risk_measure, spec.prior.scenarios,
+                                          w_idx, spec.beta), factor)
 
 
 def _infeasible_detail(spec) -> str:
@@ -306,12 +287,12 @@ def _assemble(spec: ProblemSpec):
     elif spec.objective is ObjectiveFunction.MAXIMIZE_UTILITY:
         builder.add_cost(neg_mu)
         _add_risk_cost(builder, spec, w_idx, spec.risk_aversion)
-    elif _optimization_measure(spec.risk_measure) is RiskMeasure.VARIANCE:
+    elif spec.risk_measure in _QUADRATIC:
         builder.add_rows(w_idx, prior.mu, 1.0, eq=True)
         builder.add_quadratic(w_idx, prior.sigma)
     else:
-        builder.add_rows(*_add_risk_block(builder, spec, spec.risk_measure, w_idx).risk_expr,
-                         1.0)
+        builder.add_rows(*reformulate_risk(builder, spec.risk_measure, prior.scenarios, w_idx,
+                                           spec.beta), 1.0)
         builder.add_cost(neg_mu)
     return builder.build(), w_idx, t
 

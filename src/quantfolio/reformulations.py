@@ -1,19 +1,17 @@
-"""Epigraph reformulations turning scenario risk measures into LP/QP blocks.
+"""Epigraph reformulations turning scenario risk measures into LP blocks.
 
 Problems are assembled from row blocks: `ProblemBuilder.add_rows(cols, M,
 rhs)` records `M · x[cols] ≤ rhs` (or `=`) for a dense or `scipy.sparse` M,
 and `build()` writes every block into one CSR `G` and one CSR `A_eq`, in the
 order the blocks were added. Each reformulation adds its auxiliary variables
 and one sparse row block, and returns the risk value as a `(cols, coefs)`
-linear term (or a quadratic term for variance). Minimizing that term over the
-auxiliaries with the weights held fixed reproduces the measures-module value
-exactly, which is the central correctness property tested against the
-measures module.
+linear term. Minimizing that term over the auxiliaries with the weights held
+fixed reproduces the measures-module value exactly, which is the central
+correctness property tested against the measures module. Variance has no
+block: the mean-risk layer adds it as a quadratic term.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -90,38 +88,25 @@ def _stack(blocks, n: int):
     return A, np.concatenate([rhs for _, _, rhs in blocks])
 
 
-@dataclass
-class RiskBlock:
-    """Handle on a reformulated risk measure inside a builder."""
-
-    risk_expr: tuple[np.ndarray, np.ndarray] | None  # (cols, coefs); None for variance
-    quadratic: tuple[np.ndarray, np.ndarray] | None = None
-
-
 def reformulate_risk(
     builder: ProblemBuilder,
     measure: RiskMeasure,
-    scenarios: np.ndarray | None,
+    scenarios: np.ndarray,
     w_idx: np.ndarray,
-    sigma: np.ndarray | None = None,
     beta: float = DEFAULT_BETA,
-) -> RiskBlock:
-    """Register the epigraph block for `measure`; returns its risk expression.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Register the epigraph block for `measure` on the scenarios (T×N); returns
+    its risk as a `(cols, coefs)` linear term.
 
-    Scenario-based measures need `scenarios` (T×N); variance needs `sigma`.
+    Variance and standard deviation have no epigraph: a variance objective is
+    a quadratic term, and a cap on either would need a quadratic constraint.
     Drawdown-based blocks use uncompounded drawdowns (linear in w).
     """
-    if measure is RiskMeasure.VARIANCE:
-        if sigma is None:
-            raise UnsupportedMeasure("variance reformulation requires sigma")
-        return RiskBlock(None, quadratic=(w_idx, np.asarray(sigma, dtype=float)))
-    if measure is RiskMeasure.STANDARD_DEVIATION:
+    if measure in (RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION):
         raise UnsupportedMeasure(
-            "standard deviation has no LP/QP epigraph; optimize variance instead"
+            "variance/std-dev risk caps need a quadratic constraint, which "
+            "the LP/QP solver does not support; cap CVaR or MAD instead"
         )
-
-    if scenarios is None:
-        raise UnsupportedMeasure(f"{measure} requires scenario returns")
     S = np.asarray(scenarios, dtype=float)
     T = S.shape[0]
 
@@ -132,7 +117,7 @@ def reformulate_risk(
         dev[1::2] *= -1.0
         builder.add_rows(np.concatenate([w_idx, u]),
                          scipy.sparse.hstack([dev, -unit_rows(T, np.arange(T).repeat(2))]), 0.0)
-        return RiskBlock((u, np.full(T, 1.0 / T)))
+        return u, np.full(T, 1.0 / T)
 
     if measure in (RiskMeasure.CDAR, RiskMeasure.MAX_DRAWDOWN):
         # Pairwise epigraph over drawdowns: dd_t = max_{s≤t} (C_s − C_t)ᵀ w,
@@ -155,13 +140,13 @@ def reformulate_risk(
         M = scipy.sparse.hstack([losses, -np.ones((len(losses), 1)), -unit_rows(T, t_of)])
         builder.add_rows(np.concatenate([w_idx, aux, z]), M, 0.0)
         factor = 1.0 / ((1.0 - beta) * T)
-        return RiskBlock((np.concatenate([aux, z]), np.concatenate([[1.0], np.full(T, factor)])))
+        return np.concatenate([aux, z]), np.concatenate([[1.0], np.full(T, factor)])
 
     if measure in (RiskMeasure.MAX_DRAWDOWN, RiskMeasure.WORST_REALIZATION):
         # y ≥ L_rᵀw  →  [L | −1] ≤ 0
         yv = builder.add_variables(1, lb=0.0 if measure is RiskMeasure.MAX_DRAWDOWN else -np.inf)
         builder.add_rows(np.append(w_idx, yv), np.column_stack([losses, -np.ones(len(losses))]),
                          0.0)
-        return RiskBlock((yv, np.ones(1)))
+        return yv, np.ones(1)
 
     raise UnsupportedMeasure(f"no reformulation for {measure}")

@@ -30,14 +30,16 @@ CSR products cheaper and the dense array large. The iterations stop at the
 relative tolerance IPM_TOLERANCE, at IPM_MAX_ITERATIONS, or at a non-finite
 iterate; none of them emits a floating-point warning.
 
-A QP the iterations leave unsolved is first finished from its best iterate,
-the one with the smallest residual in units of its tolerance; the finished
-point is Optimal if its residuals meet EPS_ABS/EPS_REL. Otherwise two HiGHS
-LPs (scipy's `linprog`) classify it: a phase-1 LP on the rows gives
-Infeasible, and a negative optimum of the recession LP min qᵀd s.t. Pd = 0,
-Ed = 0, Cd ≤ 0, |d| ≤ 1 gives Unbounded; any other outcome is
-MaxIterations. `scipy.optimize` is imported there, on first use, so a
-process that meets no such QP never loads it.
+A QP's result starts from its best iterate, the one with the smallest
+residual in units of its tolerance (a converged run's last), and the finish
+from that iterate replaces it when the finish's primal, dual and
+complementarity residuals are no worse, up to 1e-12. The result is Optimal
+if its residuals meet EPS_ABS/EPS_REL. Otherwise two HiGHS LPs (scipy's
+`linprog`) classify the QP: a phase-1 LP on the rows gives Infeasible, and a
+negative optimum of the recession LP min qᵀd s.t. Pd = 0, Ed = 0, Cd ≤ 0,
+|d| ≤ 1 gives Unbounded; any other outcome is MaxIterations.
+`scipy.optimize` is imported there, on first use, so a process that meets no
+such QP never loads it.
 
 LPs. `_admm` solves min qᵀx s.t. l ≤ Ax ≤ u (it takes no P) by operator
 splitting, with Ruiz equilibration and a reduced (normal-equations) linear
@@ -59,12 +61,11 @@ rows and a guess of the active rows (`_polish_step`, pruned by
 `_select_independent` when there are more rows than variables); for up to
 FINISH_ROUNDS rounds a violated row then joins the set and a row with a
 wrong-signed multiplier leaves it. The interior point guesses the rows whose
-slack is below their dual (s < z) and refines from its own point, so a
-direction the active rows leave free, such as the auxiliaries of a loose
-CVaR or MAD cap, keeps a feasible value; it accepts the finish when its
-primal, dual and complementarity residuals are no worse than its own, up to
-1e-12, and otherwise returns its point if that meets EPS_ABS/EPS_REL. ADMM
-tries the finish when it converges and every POLISH_INTERVAL iterations. It
+slack is below their dual (s < z), keeping of a row that qualifies at both
+bounds only the side with the larger dual, and refines from its own point,
+so a direction the active rows leave free, such as the auxiliaries of a
+loose CVaR or MAD cap, keeps a feasible value. ADMM tries the finish when
+it converges and every POLISH_INTERVAL iterations. It
 guesses the rows within 1e-7 of a bound or with a dual beyond 1e-4·|y|∞ of
 that sign, refines from x = 0 and its dual, and accepts the finish when its
 primal and dual residuals are no worse than the iterate's, up to 1e-12,
@@ -458,10 +459,9 @@ def _interior_point(P0, q0, A0, l, u, eq_mask):
 
     # the iterate v = (x, ν, z, s): ν and z are the duals of the rows of [E; C]
     v = np.concatenate([np.zeros(n + p), np.ones(2 * m)])
-    status = "MaxIterations"
     k = 0
     # the iterate with the smallest residual in units of its tolerance, which
-    # a run that stalls is finished from
+    # the result is taken from
     best, best_v = np.inf, v
     with np.errstate(all="ignore"):  # a breakdown shows as a non-finite iterate instead
         # start: x minimises ½xᵀPx + qᵀx + ½|Cx − d|² on Ex = b; s = d − Cx and
@@ -480,13 +480,11 @@ def _interior_point(P0, q0, A0, l, u, eq_mask):
             gap = s @ z
             r_p_max, r_d_max = np.abs(r_p).max(initial=0.0), np.abs(r_d).max(initial=0.0)
             tol_gap = IPM_TOLERANCE * (1.0 + abs(0.5 * x @ P @ x + q @ x))
-            if r_p_max <= tol_prim and r_d_max <= tol_dual and gap <= tol_gap:
-                status = "Optimal"
-                break
             scaled = max(r_p_max / tol_prim, r_d_max / tol_dual, gap / tol_gap)
             if scaled < best:
                 best, best_v = scaled, v
-            if k == IPM_MAX_ITERATIONS:
+            converged = r_p_max <= tol_prim and r_d_max <= tol_dual and gap <= tol_gap
+            if converged or k == IPM_MAX_ITERATIONS:
                 break
             w = z / s
             lu_piv = factor(w)
@@ -534,32 +532,28 @@ def _interior_point(P0, q0, A0, l, u, eq_mask):
         lower = np.zeros(y.size, dtype=bool)
         upper[up[s[:up.size] < z[:up.size]]] = True
         lower[low[s[up.size:] < z[up.size:]]] = True
+        # a row guessed active at both bounds keeps the side with the larger
+        # dual: y there is its upper z less its lower z
+        both = upper & lower
+        upper[both] = y[both] > 0.0
+        lower[both] = ~upper[both]
         finished = _finish(P, q, A0, l, u, eq_mask, x, y, lower, upper)
         if finished is None:
             return None
         return finished + _kkt_residuals(P0, q0, A0, l, u, finished[0], finished[1] / scale)
 
-    def within_eps(r_prim, r_dual, r_comp, prim_scale, dual_scale):
-        return (r_prim <= EPS_ABS + EPS_REL * prim_scale
-                and max(r_dual, r_comp) <= EPS_ABS + EPS_REL * dual_scale)
-
-    x, y = point(v)
-    r_prim, r_dual, r_comp, prim_scale, dual_scale = _kkt_residuals(P0, q0, A0, l, u, x,
-                                                                    y / scale)
-    if status == "Optimal":
-        finished = finish(v)
-        if finished is not None and max(finished[2:5]) <= max(r_prim, r_dual, r_comp) + 1e-12:
-            x, y, r_prim, r_dual = finished[:4]
-        elif not within_eps(r_prim, r_dual, r_comp, prim_scale, dual_scale):
-            status = "MaxIterations"
+    # the best iterate (a converged run's last), or its finish when that is no worse
+    x, y = point(best_v)
+    result = (x, y) + _kkt_residuals(P0, q0, A0, l, u, x, y / scale)
+    finished = finish(best_v)
+    if finished is not None and max(finished[2:5]) <= max(result[2:5]) + 1e-12:
+        result = finished
+    x, y, r_prim, r_dual, r_comp, prim_scale, dual_scale = result
+    if (r_prim <= EPS_ABS + EPS_REL * prim_scale
+            and max(r_dual, r_comp) <= EPS_ABS + EPS_REL * dual_scale):
+        status = "Optimal"
     else:
-        # a stalled run is finished from its best iterate before it is classified
-        finished = finish(best_v)
-        if finished is not None and within_eps(*finished[2:]):
-            x, y, r_prim, r_dual = finished[:4]
-            status = "Optimal"
-        else:
-            status = _classify(P, q, C, d, E, b)
+        status = _classify(P, q, C, d, E, b)
     return SolveResult(
         x=x,
         objective=float(0.5 * x @ P0 @ x + q0 @ x) if status == "Optimal" else float("nan"),

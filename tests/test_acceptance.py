@@ -112,9 +112,8 @@ def test_criterion_03_reformulation_consistency():
                 builder = ProblemBuilder()
                 w_idx = builder.add_variables(3)
                 builder.add_rows(w_idx, np.eye(3), w, eq=True)
-                block = reformulate_risk(builder, measure, scenarios, w_idx,
-                                         beta=0.95)
-                builder.add_cost(block.risk_expr)
+                builder.add_cost(reformulate_risk(builder, measure, scenarios, w_idx,
+                                                  beta=0.95))
                 res = solve(builder.build())
                 assert res.status == "Optimal"
                 want = measure_value(series, measure, beta=0.95)

@@ -200,11 +200,16 @@ def test_budget_outside_bounds_rejected():
                        constraints=Constraints(budget=3.0)))
 
 
-def test_variance_risk_cap_unsupported():
+@pytest.mark.parametrize("measure", [RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION])
+def test_variance_risk_cap_unsupported(measure):
+    # a cap on either would be a quadratic constraint; neither has an epigraph
     prior = make_prior([0.01, 0.02], np.eye(2))
-    cons = Constraints(risk_caps=[(RiskMeasure.VARIANCE, 0.5)])
-    with pytest.raises(UnsupportedMeasure):
+    cons = Constraints(risk_caps=[(measure, 0.5)])
+    with pytest.raises(UnsupportedMeasure, match="cap CVaR or MAD instead"):
         optimize(_spec(ObjectiveFunction.MAXIMIZE_RETURN, prior, constraints=cons))
+    builder = ProblemBuilder()
+    with pytest.raises(UnsupportedMeasure, match="cap CVaR or MAD instead"):
+        reformulate_risk(builder, measure, prior.scenarios, builder.add_variables(2))
 
 
 def test_cvar_risk_cap_binds(rng):
@@ -234,8 +239,7 @@ def _lp_block_objective(measure, scenarios, w, beta=0.95):
     builder = ProblemBuilder()
     w_idx = builder.add_variables(n)
     builder.add_rows(w_idx, np.eye(n), w, eq=True)
-    block = reformulate_risk(builder, measure, scenarios, w_idx, beta=beta)
-    builder.add_cost(block.risk_expr)
+    builder.add_cost(reformulate_risk(builder, measure, scenarios, w_idx, beta=beta))
     res = solve(builder.build())
     assert res.status == "Optimal"
     return res.objective
@@ -327,10 +331,10 @@ def test_unbounded_return_raises(rng):
 
 
 def test_solver_stop_raises_solver_failure(rng, monkeypatch):
-    # a utility fit is a QP, capped by the interior-point method; from one
-    # iteration the finish does not find this fit's active set (the
-    # minimum-variance fit on the same data it does, in one KKT solve)
+    # a utility fit is a QP, capped by the interior-point method; without the
+    # finish, one iteration does not reach the optimum
     monkeypatch.setattr(quantfolio.solver, "IPM_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(quantfolio.solver, "_finish", lambda *args: None)
     X = make_returns(rng.normal(0.0005, 0.01, (60, 5)))
     with pytest.raises(SolverFailure, match="status MaxIterations after 1 iterations"):
         MeanRisk(objective=ObjectiveFunction.MAXIMIZE_UTILITY).fit(X)

@@ -132,6 +132,27 @@ def test_variance_with_binding_cap_is_optimal(seed, measure, objective, where):
         assert measure_value(X.values @ w, measure) >= cap * (1.0 - 1e-6)
 
 
+def test_stalled_run_without_the_finish_returns_its_best_iterate(monkeypatch):
+    # the near-minimum MAD cap of seed 0 / MinimizeRisk: the interior point
+    # stalls above its dual tolerance for all its iterations, but its best
+    # iterate meets EPS_ABS/EPS_REL, so even without the finish the result is
+    # Optimal, and that iterate
+    mad = RiskMeasure.MEAN_ABSOLUTE_DEVIATION
+    X, var_min, lowest, _ = _capped_setup(0, mad)
+    cap = 1.001 * lowest
+    prior = MeanRisk().fit(X).prior_
+    problem, w_idx, _ = _assemble(ProblemSpec(
+        ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.VARIANCE, prior,
+        constraints=Constraints(risk_caps=[(mad, cap)])))
+    monkeypatch.setattr(quantfolio.solver, "_finish", lambda *args: None)
+    res = solve(problem)
+    assert res.status == "Optimal"
+    assert res.iterations == quantfolio.solver.IPM_MAX_ITERATIONS
+    w = res.x[w_idx]
+    assert measure_value(X.values @ w, mad) == pytest.approx(cap, rel=1e-6)
+    assert w @ prior.sigma @ w >= var_min * (1.0 - 1e-9)
+
+
 @pytest.mark.parametrize("measure", [RiskMeasure.CVAR, RiskMeasure.MEAN_ABSOLUTE_DEVIATION])
 def test_dense_and_csr_rows_reach_the_same_point(measure, monkeypatch):
     # the capped QP's rows exceed IPM_DENSE_CELLS, so the interior point runs

@@ -67,8 +67,7 @@ def test_block_equals_row_by_row_reference(measure):
     S[2, 1] = 0.0
     builder = ProblemBuilder()
     w_idx = builder.add_variables(N)
-    block = reformulate_risk(builder, measure, S, w_idx, beta=BETA)
-    builder.add_cost(block.risk_expr)
+    builder.add_cost(reformulate_risk(builder, measure, S, w_idx, beta=BETA))
     problem = builder.build()
 
     G, q, lb = _reference_rows(measure, S)

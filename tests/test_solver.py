@@ -113,22 +113,39 @@ def test_polish_reaches_tight_residuals(rng):
     assert res.dual_residual < 1e-8
 
 
+# a 3-variable QP whose optimum x = (0.4322, 0, 0.5678) the interior point
+# reaches in two iterations
+ONE_ITERATION_QP = QpProblem(
+    q=np.array([-0.4411, 1.3261, -0.4385]),
+    P=np.array([[0.0692, -0.0365, -0.0209],
+                [-0.0365, 0.1324, 0.01],
+                [-0.0209, 0.01, 0.0431]]),
+    A_eq=np.ones((1, 3)), b_eq=np.array([1.0]),
+    lb=np.zeros(3), ub=np.ones(3),
+)
+
+
 def test_iteration_cap(monkeypatch):
-    # a QP: its iterations are those of the interior-point method. After one
-    # iteration the finish starts from rows 1 and 3 marked active at both
-    # bounds and cycles between vertices for all its rounds, so nothing
-    # certifies the optimum x = (0.4323, 0, 0.5677) that two iterations reach
+    # a QP: its iterations are those of the interior-point method. Without the
+    # finish, one iteration certifies nothing
     monkeypatch.setattr(quantfolio.solver, "IPM_MAX_ITERATIONS", 1)
-    res = solve(QpProblem(
-        q=np.array([-0.4411, 1.3261, -0.4385]),
-        P=np.array([[0.0692, -0.0365, -0.0209],
-                    [-0.0365, 0.1324, 0.01],
-                    [-0.0209, 0.01, 0.0431]]),
-        A_eq=np.ones((1, 3)), b_eq=np.array([1.0]),
-        lb=np.zeros(3), ub=np.ones(3),
-    ))
+    monkeypatch.setattr(quantfolio.solver, "_finish", lambda *args: None)
+    res = solve(ONE_ITERATION_QP)
     assert res.status == "MaxIterations"
     assert res.iterations == 1
+
+
+def test_finish_after_one_iteration_reaches_the_optimum(monkeypatch):
+    # after one iteration the box rows of x₁ and x₃ have a slack below their
+    # dual at both bounds; the finish guesses each at the side with the larger
+    # dual only (guessed at both, it cycles between vertices). The optimum has
+    # x₂ = 0 and equal gradients on x₁ and x₃: 0.1541 x₁ = 0.0666
+    monkeypatch.setattr(quantfolio.solver, "IPM_MAX_ITERATIONS", 1)
+    res = solve(ONE_ITERATION_QP)
+    assert res.status == "Optimal"
+    assert res.iterations == 1
+    np.testing.assert_allclose(res.x, [0.0666 / 0.1541, 0.0, 0.0875 / 0.1541], rtol=1e-12)
+    assert res.x[1] == 0.0
 
 
 def test_fits_leave_scipy_optimize_unloaded():
