@@ -14,6 +14,13 @@ class BaseEstimator:
     Constructor arguments are treated as hyper-parameters: they are stored
     verbatim and never mutated by ``fit``. Fitted state uses a trailing
     underscore (``weights_``).
+
+    Estimators declare their hyper-parameters once, as the fields of a
+    ``@dataclass(repr=False, eq=False)`` subclass: the generated ``__init__``
+    stores each argument under its own name, and this class keeps the
+    ``repr``, identity equality and hashing. A hand-written ``__init__`` that
+    only stores its arguments works too, since the parameter names are read
+    from the ``__init__`` signature.
     """
 
     @classmethod

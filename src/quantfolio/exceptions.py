@@ -109,17 +109,20 @@ class InvalidConfig(QuantfolioError, ValueError):
     """A hyper-parameter or config value outside its domain."""
 
 
-def require_real(name, value):
-    """Reject anything but real numbers, ±inf allowed (scalars or arrays)."""
+def require_real(name, value, array=False):
+    """Reject anything but a real number, ±inf allowed; with array=True, any
+    array of them. A list is not a number, even an empty one."""
     arr = np.asarray(value)
+    if arr.ndim and not array:
+        raise InvalidConfig(f"{name} must be a single number, got {value!r}")
     if arr.dtype.kind not in "iuf" or np.any(np.isnan(arr)):
         raise InvalidConfig(f"{name} must be real numbers, got {value!r}")
     return arr
 
 
-def require_finite(name, value):
-    """Reject anything but finite real numbers (scalars or arrays)."""
-    if not np.all(np.isfinite(require_real(name, value))):
+def require_finite(name, value, array=False):
+    """Reject anything but a finite real number (any array of them with array=True)."""
+    if not np.all(np.isfinite(require_real(name, value, array))):
         raise InvalidConfig(f"{name} must be finite real numbers, got {value!r}")
 
 

@@ -12,7 +12,7 @@ from .exceptions import EmptyCv, InvalidConfig, ZeroVarianceAsset, require_finit
 from .market_data import ReturnsMatrix, returns_values
 from .mean_risk import MeanRisk
 from .measures import DEFAULT_BETA, RiskMeasure, risk_of_weights
-from .model_selection import CpcvConfig, SplitPlan, cross_val_predict
+from .model_selection import CpcvConfig, SplitPlan, WalkForwardConfig, cross_val_predict
 from .priors import Prior, fit_prior
 
 
@@ -307,9 +307,9 @@ class EqualWeighted(BaseEstimator):
         return self
 
 
+@dataclass(repr=False, eq=False)
 class InverseVolatility(BaseEstimator):
-    def __init__(self, prior_estimator=None):
-        self.prior_estimator = prior_estimator
+    prior_estimator: BaseEstimator | None = None
 
     def fit(self, X, factors=None):
         self.prior_ = fit_prior(self.prior_estimator, X, factors)
@@ -317,14 +317,12 @@ class InverseVolatility(BaseEstimator):
         return self
 
 
+@dataclass(repr=False, eq=False)
 class HierarchicalRiskParity(BaseEstimator):
-    def __init__(self, risk_measure: RiskMeasure = RiskMeasure.VARIANCE,
-                 linkage: str = "single", prior_estimator=None,
-                 beta: float = DEFAULT_BETA):
-        self.risk_measure = risk_measure
-        self.linkage = linkage
-        self.prior_estimator = prior_estimator
-        self.beta = beta
+    risk_measure: RiskMeasure = RiskMeasure.VARIANCE
+    linkage: str = "single"
+    prior_estimator: BaseEstimator | None = None
+    beta: float = DEFAULT_BETA
 
     def fit(self, X, factors=None):
         self.prior_ = fit_prior(self.prior_estimator, X, factors)
@@ -333,13 +331,12 @@ class HierarchicalRiskParity(BaseEstimator):
         return self
 
 
+@dataclass(repr=False, eq=False)
 class NestedClustersOptimization(BaseEstimator):
-    def __init__(self, inner_estimator=None, outer_estimator=None,
-                 k: int | str = "auto", linkage: str = "single"):
-        self.inner_estimator = inner_estimator
-        self.outer_estimator = outer_estimator
-        self.k = k
-        self.linkage = linkage
+    inner_estimator: BaseEstimator | None = None
+    outer_estimator: BaseEstimator | None = None
+    k: int | str = "auto"
+    linkage: str = "single"
 
     def fit(self, X, factors=None):
         self.weights_ = nco(X, inner=self.inner_estimator, outer=self.outer_estimator,
@@ -347,13 +344,12 @@ class NestedClustersOptimization(BaseEstimator):
         return self
 
 
+@dataclass(repr=False, eq=False)
 class StackingOptimization(BaseEstimator):
-    def __init__(self, estimators=None, final_estimator=None,
-                 cv=_DEFAULT_STACKING_CV, n_jobs: int = 1):
-        self.estimators = estimators
-        self.final_estimator = final_estimator
-        self.cv = cv
-        self.n_jobs = n_jobs
+    estimators: list[tuple[str, BaseEstimator]] | None = None
+    final_estimator: BaseEstimator | None = None
+    cv: CpcvConfig | WalkForwardConfig | SplitPlan = _DEFAULT_STACKING_CV
+    n_jobs: int = 1
 
     def fit(self, X, factors=None):
         if not self.estimators:

@@ -62,8 +62,8 @@ class Constraints:
     def __post_init__(self):
         require_finite("budget", self.budget)
         # an infinite bound leaves that side of the box open
-        require_real("lower", self.lower)
-        require_real("upper", self.upper)
+        require_real("lower", self.lower, array=True)
+        require_real("upper", self.upper, array=True)
         if self.max_weight_per_asset is not None and not isinstance(
                 self.max_weight_per_asset, Mapping):
             raise InvalidConfig("max_weight_per_asset must map asset names to caps, "
@@ -75,8 +75,13 @@ class Constraints:
         if (self.linear_A is None) != (self.linear_b is None):
             raise InvalidConfig("linear_A and linear_b must be given together")
         if self.linear_A is not None:
-            require_finite("linear_A", self.linear_A)
-            require_finite("linear_b", self.linear_b)
+            require_finite("linear_A", self.linear_A, array=True)
+            require_finite("linear_b", self.linear_b, array=True)
+        for cap in self.risk_caps:
+            if not isinstance(cap, (tuple, list)) or len(cap) != 2:
+                raise InvalidConfig(f"a risk cap must be a (measure, bound) pair, got {cap!r}")
+            # +inf leaves the measure uncapped, as an infinite weight bound leaves the box open
+            require_real(f"risk cap bound of {cap[0]}", cap[1])
 
     def bounds(self, n: int, assets: tuple[str, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
         lb, ub = np.asarray(self.lower, dtype=float), np.asarray(self.upper, dtype=float)
@@ -356,42 +361,25 @@ def portfolio_risk(weights: np.ndarray, spec: ProblemSpec) -> float:
                            spec.risk_measure, beta=spec.beta)
 
 
+@dataclass(repr=False, eq=False)
 class MeanRisk(BaseEstimator):
     """Convex mean-risk optimizer with an estimator-style fit/predict API."""
 
-    def __init__(
-        self,
-        objective: ObjectiveFunction = ObjectiveFunction.MINIMIZE_RISK,
-        risk_measure: RiskMeasure = RiskMeasure.VARIANCE,
-        prior_estimator=None,
-        budget: float = 1.0,
-        min_weights: float | np.ndarray = 0.0,
-        max_weights: float | np.ndarray = 1.0,
-        max_weight_per_asset: dict[str, float] | None = None,
-        linear_A: np.ndarray | None = None,
-        linear_b: np.ndarray | None = None,
-        min_return: float | None = None,
-        risk_caps: list[tuple[RiskMeasure, float]] | None = None,
-        l1_coef: float = 0.0,
-        l2_coef: float = 0.0,
-        risk_aversion: float = 1.0,
-        beta: float = DEFAULT_BETA,
-    ):
-        self.objective = objective
-        self.risk_measure = risk_measure
-        self.prior_estimator = prior_estimator
-        self.budget = budget
-        self.min_weights = min_weights
-        self.max_weights = max_weights
-        self.max_weight_per_asset = max_weight_per_asset
-        self.linear_A = linear_A
-        self.linear_b = linear_b
-        self.min_return = min_return
-        self.risk_caps = risk_caps
-        self.l1_coef = l1_coef
-        self.l2_coef = l2_coef
-        self.risk_aversion = risk_aversion
-        self.beta = beta
+    objective: ObjectiveFunction = ObjectiveFunction.MINIMIZE_RISK
+    risk_measure: RiskMeasure = RiskMeasure.VARIANCE
+    prior_estimator: BaseEstimator | None = None
+    budget: float = 1.0
+    min_weights: float | np.ndarray = 0.0
+    max_weights: float | np.ndarray = 1.0
+    max_weight_per_asset: dict[str, float] | None = None
+    linear_A: np.ndarray | None = None
+    linear_b: np.ndarray | None = None
+    min_return: float | None = None
+    risk_caps: list[tuple[RiskMeasure, float]] | None = None
+    l1_coef: float = 0.0
+    l2_coef: float = 0.0
+    risk_aversion: float = 1.0
+    beta: float = DEFAULT_BETA
 
     def _spec(self, prior: Prior) -> ProblemSpec:
         constraints = Constraints(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class ViewSet:
         if P.shape[0] != Q.size:
             raise DimensionMismatch(f"{P.shape[0]} pick rows vs {Q.size} view values")
         if self.omega is not None:
-            require_finite("omega", self.omega)
+            require_finite("omega", self.omega, array=True)
             omega = np.asarray(self.omega, dtype=float)
             if omega.ndim == 1:
                 omega = np.diag(omega)
@@ -195,21 +195,13 @@ def black_litterman_prior(base: Prior, views: ViewSet) -> Prior:
                  assets=base.assets)
 
 
-class PriorEstimator(BaseEstimator):
-    """Base for estimators whose fit produces a `prior_`."""
-
-    def fit(self, X, factors=None):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class EmpiricalPrior(PriorEstimator):
-    def __init__(self, mean_estimator: str = "sample", cov_estimator: str = "sample",
-                 halflife: float = 60.0, gerber_c: float = 0.5, rmt_passes: int = 2):
-        self.mean_estimator = mean_estimator
-        self.cov_estimator = cov_estimator
-        self.halflife = halflife
-        self.gerber_c = gerber_c
-        self.rmt_passes = rmt_passes
+@dataclass(repr=False, eq=False)
+class EmpiricalPrior(BaseEstimator):
+    mean_estimator: str = "sample"
+    cov_estimator: str = "sample"
+    halflife: float = 60.0
+    gerber_c: float = 0.5
+    rmt_passes: int = 2
 
     def fit(self, X, factors=None):
         self.prior_ = empirical_prior(
@@ -223,9 +215,9 @@ class EmpiricalPrior(PriorEstimator):
         return self
 
 
-class FactorModel(PriorEstimator):
-    def __init__(self, ridge_alpha: float = 0.1):
-        self.ridge_alpha = ridge_alpha
+@dataclass(repr=False, eq=False)
+class FactorModel(BaseEstimator):
+    ridge_alpha: float = 0.1
 
     def fit(self, X, factors=None):
         if factors is None:
@@ -234,10 +226,10 @@ class FactorModel(PriorEstimator):
         return self
 
 
-class BlackLitterman(PriorEstimator):
-    def __init__(self, views: ViewSet | None = None, base_estimator: PriorEstimator | None = None):
-        self.views = views
-        self.base_estimator = base_estimator
+@dataclass(repr=False, eq=False)
+class BlackLitterman(BaseEstimator):
+    views: ViewSet | None = None
+    base_estimator: BaseEstimator | None = None
 
     def fit(self, X, factors=None):
         base = fit_prior(self.base_estimator, X, factors)
@@ -246,7 +238,7 @@ class BlackLitterman(PriorEstimator):
         return self
 
 
-def fit_prior(estimator: PriorEstimator | None, X, factors=None) -> Prior:
+def fit_prior(estimator: BaseEstimator | None, X, factors=None) -> Prior:
     """Prior of an unfitted copy of `estimator` (EmpiricalPrior() when None) fitted on X."""
     est = EmpiricalPrior() if estimator is None else clone(estimator)
     return est.fit(X, factors=factors).prior_

@@ -447,6 +447,35 @@ def test_quoted_number_is_config_error(tmp_path, short_prices_path, command, pat
 
 
 @pytest.mark.parametrize("command, patch", [
+    ("optimize", {"model": {"kind": "mean_risk", "beta": []}}),
+    ("optimize", {"model": {"kind": "mean_risk", "l1_coef": []}}),
+    ("optimize", {"model": {"kind": "mean_risk", "l2_coef": []}}),
+    ("optimize", {"model": {"kind": "mean_risk", "risk_aversion": []}}),
+    ("optimize", {"model": {"kind": "hrp", "beta": []}}),
+    ("optimize", {"model": {"kind": "mean_risk", "prior": {
+        "kind": "black_litterman", "views": VIEWS, "tau": []}}}),
+    ("optimize", {"constraints": {"budget": []}}),
+    ("optimize", {"constraints": {"min_return": []}}),
+    ("backtest", {"cv": {"kind": "cpcv", "k": 4, "p": 2, "embargo_fraction": []}}),
+    ("optimize", {"data": {"test_fraction": []}}),
+    ("optimize", {"model": {"kind": "mean_risk",
+                            "prior": {"cov_estimator": "ew", "halflife": [60]}}}),
+    ("optimize", {"constraints": {"budget": [1.0]}}),
+], ids=["mean_risk_beta", "l1_coef", "l2_coef", "risk_aversion", "hrp_beta", "bl_tau",
+        "budget", "min_return", "cpcv_embargo_fraction", "test_fraction", "halflife",
+        "budget_one_element"])
+def test_list_for_a_number_is_config_error(tmp_path, short_prices_path, capsys, command,
+                                           patch):
+    # an empty list passes np.all of any check, and [1.0] compares like 1.0
+    cfg = {"data": {"prices": short_prices_path, **patch.get("data", {})},
+           "model": {"kind": "mean_risk"}}
+    cfg.update({k: v for k, v in patch.items() if k != "data"})
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, patch", [
     ("backtest", {"cv": {"kind": "walk_forward", "train_size": 60, "test_size": 20,
                          "expanding": "false"}}),
     ("optimize", {"constraints": {"max_weight_per_asset": [0.1]}}),

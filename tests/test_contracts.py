@@ -1,7 +1,9 @@
 """Estimator and configuration contracts: typed errors for non-finite
 constraint and objective input, `fit` leaves hyper-parameters alone,
-`predict` checks the asset labels it was fitted on."""
+`predict` checks the asset labels it was fitted on, and every estimator
+class reports, clones and sets its hyper-parameters."""
 
+import inspect
 import json
 from importlib import resources
 
@@ -10,9 +12,18 @@ import pytest
 
 from quantfolio.cli import EXIT_CONFIG, main
 from quantfolio.exceptions import AssetMismatch, InvalidConfig
-from quantfolio.hierarchical import HierarchicalRiskParity, InverseVolatility
-from quantfolio.mean_risk import MeanRisk
-from quantfolio.priors import BlackLitterman, EmpiricalPrior
+from quantfolio.base import BaseEstimator, clone
+from quantfolio.hierarchical import (
+    EqualWeighted,
+    HierarchicalRiskParity,
+    InverseVolatility,
+    NestedClustersOptimization,
+    StackingOptimization,
+)
+from quantfolio.mean_risk import MeanRisk, ObjectiveFunction
+from quantfolio.measures import RiskMeasure
+from quantfolio.model_selection import CpcvConfig
+from quantfolio.priors import BlackLitterman, EmpiricalPrior, FactorModel, ViewSet
 
 from conftest import make_returns
 
@@ -33,6 +44,11 @@ def X(rng):
     dict(linear_A=None, linear_b=np.array([0.1])),
     dict(risk_aversion=float("nan")),
     dict(l2_coef=float("nan")),
+    dict(beta=[0.5]),
+    dict(risk_caps=[(RiskMeasure.CVAR, float("nan"))]),
+    dict(risk_caps=[(RiskMeasure.CVAR, "0.1")]),
+    dict(risk_caps=[(RiskMeasure.CVAR, [0.1, 0.2])]),
+    dict(risk_caps=[RiskMeasure.CVAR]),
 ])
 def test_non_finite_input_is_invalid_config(X, kwargs):
     with pytest.raises(InvalidConfig):
@@ -73,3 +89,71 @@ def test_predict_rejects_relabelled_columns(X, est):
     relabelled = make_returns(X.values, assets=("A1", "A0", "A2"))
     with pytest.raises(AssetMismatch):
         est.predict(relabelled)
+
+
+# every exported estimator class, built with a non-default value for each
+# of its hyper-parameters
+NON_DEFAULT = {
+    MeanRisk: lambda: MeanRisk(
+        objective=ObjectiveFunction.MAXIMIZE_UTILITY, risk_measure=RiskMeasure.CVAR,
+        prior_estimator=EmpiricalPrior(cov_estimator="ledoit_wolf"), budget=0.9,
+        min_weights=np.zeros(3), max_weights=np.full(3, 0.8),
+        max_weight_per_asset={"A0": 0.5}, linear_A=np.ones((1, 3)),
+        linear_b=np.array([0.5]), min_return=0.0,
+        risk_caps=[(RiskMeasure.MEAN_ABSOLUTE_DEVIATION, 0.1)],
+        l1_coef=0.01, l2_coef=0.02, risk_aversion=2.0, beta=0.9),
+    HierarchicalRiskParity: lambda: HierarchicalRiskParity(
+        risk_measure=RiskMeasure.CVAR, linkage="ward",
+        prior_estimator=EmpiricalPrior(mean_estimator="ew"), beta=0.9),
+    NestedClustersOptimization: lambda: NestedClustersOptimization(
+        inner_estimator=MeanRisk(risk_measure=RiskMeasure.MEAN_ABSOLUTE_DEVIATION),
+        outer_estimator=HierarchicalRiskParity(), k=2, linkage="ward"),
+    StackingOptimization: lambda: StackingOptimization(
+        estimators=[("ivp", InverseVolatility()), ("hrp", HierarchicalRiskParity())],
+        final_estimator=MeanRisk(risk_measure=RiskMeasure.CVAR), cv=CpcvConfig(k=4, p=2),
+        n_jobs=2),
+    InverseVolatility: lambda: InverseVolatility(
+        prior_estimator=EmpiricalPrior(cov_estimator="ledoit_wolf")),
+    EmpiricalPrior: lambda: EmpiricalPrior(
+        mean_estimator="ew", cov_estimator="gerber", halflife=30.0, gerber_c=0.3,
+        rmt_passes=1),
+    FactorModel: lambda: FactorModel(ridge_alpha=0.5),
+    BlackLitterman: lambda: BlackLitterman(
+        views=ViewSet(P=np.eye(3)[:1], Q=[0.001]),
+        base_estimator=EmpiricalPrior(cov_estimator="ledoit_wolf")),
+    EqualWeighted: EqualWeighted,
+}
+
+
+def _nested(params):
+    """Every estimator among the values, also inside a list of (name, estimator) pairs."""
+    for value in params.values():
+        if isinstance(value, BaseEstimator):
+            yield value
+        elif isinstance(value, list):
+            yield from (est for _, est in value if isinstance(est, BaseEstimator))
+
+
+@pytest.mark.parametrize("cls", list(NON_DEFAULT), ids=lambda cls: cls.__name__)
+def test_estimator_params_clone_and_set(cls):
+    est = NON_DEFAULT[cls]()
+    params = est.get_params(deep=False)
+    signature = inspect.signature(cls).parameters
+    assert list(params) == list(signature)
+    for name, value in params.items():
+        assert repr(value) != repr(signature[name].default), name
+
+    twin = clone(est)
+    assert type(twin) is cls and twin is not est
+    assert repr(twin) == repr(est)
+    for inner, twin_inner in zip(_nested(params), _nested(twin.get_params(deep=False)),
+                                 strict=True):
+        assert twin_inner is not inner
+
+    for name, inner in params.items():
+        if isinstance(inner, BaseEstimator):
+            sub = next(iter(inner.get_params(deep=False)))
+            marker = object()
+            assert est.set_params(**{f"{name}__{sub}": marker}) is est
+            assert getattr(inner, sub) is marker
+            assert est.get_params()[f"{name}__{sub}"] is marker
