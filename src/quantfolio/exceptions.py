@@ -112,7 +112,10 @@ class InvalidConfig(QuantfolioError, ValueError):
 def require_real(name, value, array=False):
     """Reject anything but a real number, ±inf allowed; with array=True, any
     array of them. A list is not a number, even an empty one."""
-    arr = np.asarray(value)
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # a ragged nesting of lists
+        raise InvalidConfig(f"{name} must be real numbers, got {value!r}") from exc
     if arr.ndim and not array:
         raise InvalidConfig(f"{name} must be a single number, got {value!r}")
     if arr.dtype.kind not in "iuf" or np.any(np.isnan(arr)):

@@ -1,9 +1,14 @@
-"""Non-convex allocators: HRP, NCO, stacking, and the two naive baselines."""
+"""Non-convex allocators: HRP, NCO, stacking, and the two naive baselines.
+
+scipy's clustering (`scipy.cluster.hierarchy`) is loaded by the first
+`linkage_cluster` call or by building a `HierarchicalRiskParity` or a
+`NestedClustersOptimization`, not by importing this module; a process that
+never clusters, such as a mean-risk fit, does not load it.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.cluster.hierarchy
 
 from dataclasses import dataclass, replace
 
@@ -64,15 +69,26 @@ def linkage_cluster(D: np.ndarray, method: str = "single") -> Dendrogram:
     if n == 1:
         return Dendrogram(merges=(), leaf_order=(0,))
 
+    import scipy.cluster.hierarchy  # here, not at the top: only clustering needs it
+
     Z = scipy.cluster.hierarchy.linkage(D[np.triu_indices(n, 1)], method=method)
     row_mean = D.sum(axis=1) / (n - 1)  # orientation score, label-free
+    # a cluster's score is the mean of its leaves' scores, kept as a running
+    # sum per node; closer than `tie`, the two sums' rounding could decide, so
+    # the means are then taken over the leaves as numpy sums them
+    score_sum = row_mean.tolist() + [0.0] * (n - 1)
+    tie = 1e-9 * float(np.abs(row_mean).max())
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     merges = []
-    for i, (a, b, height, _) in enumerate(Z):
+    for i, (a, b, height, _) in enumerate(Z.tolist()):
         a, b = int(a), int(b)
-        merges.append((a, b, float(height)))
+        merges.append((a, b, height))
         ma, mb = members.pop(a), members.pop(b)
-        members[n + i] = ma + mb if row_mean[ma].mean() <= row_mean[mb].mean() else mb + ma
+        score_a, score_b = score_sum[a] / len(ma), score_sum[b] / len(mb)
+        if abs(score_a - score_b) <= tie:
+            score_a, score_b = row_mean[ma].mean(), row_mean[mb].mean()
+        members[n + i] = ma + mb if score_a <= score_b else mb + ma
+        score_sum[n + i] = score_sum[a] + score_sum[b]
     return Dendrogram(merges=tuple(merges), leaf_order=tuple(members[2 * n - 2]))
 
 
@@ -324,6 +340,11 @@ class HierarchicalRiskParity(BaseEstimator):
     prior_estimator: BaseEstimator | None = None
     beta: float = DEFAULT_BETA
 
+    def __post_init__(self):
+        # loaded where the estimator is built, so that the backtest's forked
+        # workers inherit scipy's clustering instead of each importing it
+        import scipy.cluster.hierarchy  # noqa: F401
+
     def fit(self, X, factors=None):
         self.prior_ = fit_prior(self.prior_estimator, X, factors)
         self.weights_ = hrp(self.prior_, risk_measure=self.risk_measure,
@@ -337,6 +358,11 @@ class NestedClustersOptimization(BaseEstimator):
     outer_estimator: BaseEstimator | None = None
     k: int | str = "auto"
     linkage: str = "single"
+
+    def __post_init__(self):
+        # loaded where the estimator is built, so that the backtest's forked
+        # workers inherit scipy's clustering instead of each importing it
+        import scipy.cluster.hierarchy  # noqa: F401
 
     def fit(self, X, factors=None):
         self.weights_ = nco(X, inner=self.inner_estimator, outer=self.outer_estimator,

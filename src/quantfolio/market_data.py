@@ -6,6 +6,7 @@ import csv
 import datetime
 import io
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,9 +43,10 @@ class _Panel:
             )
         if "" in self.assets or len(set(self.assets)) != len(self.assets):
             raise MalformedCsv(f"asset names must be distinct and non-empty, got {self.assets!r}")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise NonMonotonicDates(f"dates not strictly increasing at {b}")
+        dates = self.dates
+        if not all(map(operator.lt, dates, dates[1:])):
+            b = next(b for a, b in zip(dates, dates[1:]) if not a < b)
+            raise NonMonotonicDates(f"dates not strictly increasing at {b}")
         if not np.all(np.isfinite(values)):
             raise MissingCell(f"non-finite {self._noun}")
 
@@ -60,7 +62,9 @@ class _Panel:
         """The panel restricted to `rows` and `cols`, each a slice or an index array."""
 
         def pick(labels, idx):
-            return labels[idx] if isinstance(idx, slice) else tuple(labels[i] for i in idx)
+            if isinstance(idx, slice):
+                return labels[idx]
+            return tuple(map(labels.__getitem__, np.asarray(idx, dtype=int).tolist()))
 
         return replace(self, dates=pick(self.dates, rows), assets=pick(self.assets, cols),
                        values=self.values[rows][:, cols])

@@ -196,7 +196,11 @@ def _add_constraints(builder, spec, w_idx, lb, ub, t=None):
     if c.min_return is not None:
         rows(w_idx, -spec.prior.mu, -c.min_return)
     for measure, bound in c.risk_caps:
-        rows(*reformulate_risk(builder, measure, spec.prior.scenarios, w_idx, spec.beta), bound)
+        risk = reformulate_risk(builder, measure, spec.prior.scenarios, w_idx, spec.beta)
+        if np.isinf(bound):  # kept as a bound: homogenized, t's coefficient would be infinite
+            builder.add_rows(*risk, bound)
+        else:
+            rows(*risk, bound)
 
 
 def _add_risk_cost(builder, spec, w_idx, factor):
@@ -299,7 +303,12 @@ def _assemble(spec: ProblemSpec):
         builder.add_rows(*reformulate_risk(builder, spec.risk_measure, prior.scenarios, w_idx,
                                            spec.beta), 1.0)
         builder.add_cost(neg_mu)
-    return builder.build(), w_idx, t
+    with np.errstate(over="ignore"):  # an overflowing coefficient is rejected below
+        problem = builder.build()
+    if not all(np.isfinite(M).all() for M in (problem.q, problem.P) if M is not None):
+        raise InvalidConfig("objective coefficients overflow: a coefficient such as "
+                            "l2_coef or risk_aversion is too large")
+    return problem, w_idx, t
 
 
 def optimize(spec: ProblemSpec) -> np.ndarray:

@@ -331,6 +331,6 @@ def _assemble(label: str, X: ReturnsMatrix, plan: SplitPlan, weights):
             name=f"{label}_path{path}" if has_paths else label,
             segments=[(w, (X.dates[idx[0]], X.dates[idx[-1]])) for idx, w in blocks],
             returns=np.concatenate([X.values[idx] @ w for idx, w in blocks]),
-            dates=tuple(X.dates[i] for i in rows),
+            dates=tuple(map(X.dates.__getitem__, rows.tolist())),
         ))
     return portfolios if has_paths else portfolios[0]

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import (
     DecompositionFailure,
@@ -38,12 +39,18 @@ class MomentEstimate:
 
 def check_covariance(sigma: np.ndarray):
     """Reject a square sigma that has a non-finite entry, is not symmetric
-    within 1e-12 or is not PSD within 1e-10."""
+    within 1e-12 or is not PSD within 1e-10.
+
+    PSD within 1e-10 means a least eigenvalue above −1e-10, which holds
+    exactly when sigma + 1e-10·I is positive definite: one LAPACK Cholesky
+    (`dpotrf`) of that matrix tests it, with no eigendecomposition.
+    """
     if not np.all(np.isfinite(sigma)):
         raise InvalidConfig("sigma has non-finite entries")
     if np.abs(sigma - sigma.T).max(initial=0.0) > 1e-12:
         raise InvalidConfig("sigma not symmetric within 1e-12")
-    if sigma.size and np.linalg.eigvalsh(sigma).min() < -1e-10:
+    n = sigma.shape[0]
+    if n and scipy.linalg.lapack.dpotrf(sigma + 1e-10 * np.eye(n), lower=1, overwrite_a=1)[1]:
         raise InvalidConfig("sigma not PSD within tolerance")
 
 

@@ -11,9 +11,10 @@ one CSR A. `solve` sends a problem with a nonzero P (a QP) to the
 interior-point path and every other problem (an LP) to ADMM. Both return a
 `SolveResult` whose y holds one multiplier per row of A (y ≥ 0 at an upper
 bound, y ≤ 0 at a lower one, Px + q + Aᵀy = 0 at an optimum) and whose
-residuals are unscaled. Equality rows (|u − l| < 1e-14) are found once, on
-the caller's bounds. Everything runs sequentially, so results are
-bit-deterministic for fixed inputs.
+residuals are unscaled. A row whose bounds admit no value (u = −∞, l = +∞
+or l > u) makes the problem Infeasible before any iteration. Equality rows
+(|u − l| < 1e-14) are found once, on the caller's bounds. Everything runs
+sequentially, so results are bit-deterministic for fixed inputs.
 
 QPs. `_interior_point` runs a Mehrotra predictor-corrector on
 min ½xᵀPx + qᵀx s.t. E x = b, C x ≤ d. E holds the equality rows of A; C
@@ -229,6 +230,10 @@ def _factor_reduced(A, AT, rho_vec):
 def solve(problem: QpProblem) -> SolveResult:
     """Solve a QP/LP; non-optimal outcomes are returned in-band via `status`."""
     P0, q0, A0, l, u = _stack_problem(problem)
+    if np.any((u == -np.inf) | (l == np.inf) | (l > u)):
+        return SolveResult(x=np.zeros(q0.size), objective=float("nan"), status="Infeasible",
+                           iterations=0, primal_residual=float("inf"), dual_residual=0.0,
+                           y=np.zeros(l.size))
     eq_mask = np.isfinite(l) & np.isfinite(u) & (np.abs(u - l) < 1e-14)
     if P0.any():
         return _interior_point(P0, q0, A0, l, u, eq_mask)

@@ -475,6 +475,19 @@ def test_list_for_a_number_is_config_error(tmp_path, short_prices_path, capsys, 
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("patch", [
+    {"constraints": {"min_weights": [[0], [0, 1]]}},
+    {"model": {"kind": "mean_risk", "l2_coef": 1e308}},
+], ids=["ragged_min_weights", "overflowing_l2_coef"])
+def test_unusable_number_is_config_error(tmp_path, short_prices_path, capsys, patch):
+    # numpy cannot build an array from a ragged list, and an l2_coef this
+    # large overflows the objective
+    cfg = {"data": {"prices": short_prices_path}, "model": {"kind": "mean_risk"}, **patch}
+    code, _ = run(tmp_path, "optimize", cfg)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, patch", [
     ("backtest", {"cv": {"kind": "walk_forward", "train_size": 60, "test_size": 20,
                          "expanding": "false"}}),

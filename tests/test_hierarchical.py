@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+import scipy.cluster.hierarchy
 
+import quantfolio
 from quantfolio.exceptions import InvalidConfig, ZeroVarianceAsset
 from quantfolio.hierarchical import (
     EqualWeighted,
@@ -60,6 +67,65 @@ def test_single_linkage_chain_order():
     # [DERIVED] orientation by mean distance to the other leaves:
     # scores 2.0, 1.5, 2.5 put leaf 1 first inside its pair
     assert tuple(tree.leaf_order) == (1, 0, 2)
+
+
+def _reference_leaf_order(D, method):
+    """The orientation as a loop of per-merge means: at each merge the child
+    whose leaves have the smaller mean `row_mean` goes first."""
+    n = D.shape[0]
+    Z = scipy.cluster.hierarchy.linkage(D[np.triu_indices(n, 1)], method=method)
+    row_mean = D.sum(axis=1) / (n - 1)
+    members = {i: [i] for i in range(n)}
+    for i, (a, b, _, _) in enumerate(Z):
+        ma, mb = members.pop(int(a)), members.pop(int(b))
+        members[n + i] = ma + mb if row_mean[ma].mean() <= row_mean[mb].mean() else mb + ma
+    return tuple(members[2 * n - 2])
+
+
+@pytest.mark.parametrize("method", ["single", "average", "ward"])
+def test_leaf_order_matches_per_merge_means(method):
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        X = rng.normal(size=(n + 10, n)) + rng.normal(size=(n + 10, 1)) * rng.uniform(0, 2, n)
+        D = corr_distance(np.cov(X, rowvar=False))
+        assert linkage_cluster(D, method).leaf_order == _reference_leaf_order(D, method)
+
+
+@pytest.mark.parametrize("method", ["single", "average", "ward"])
+def test_leaf_order_matches_per_merge_means_on_tied_scores(method):
+    # equidistant leaves, and evenly spaced points on a line, give children
+    # with equal mean scores, where sums taken in another order round apart
+    for n in (3, 6, 12, 25, 31):
+        equidistant = np.full((n, n), 0.1)
+        np.fill_diagonal(equidistant, 0.0)
+        points = 0.1 * np.arange(n)
+        on_a_line = np.abs(points[:, None] - points[None, :])
+        for D in (equidistant, on_a_line):
+            assert linkage_cluster(D, method).leaf_order == _reference_leaf_order(D, method)
+
+
+@pytest.mark.parametrize("estimator", ["HierarchicalRiskParity", "NestedClustersOptimization"])
+def test_scipy_cluster_is_loaded_by_clustering_estimators_only(estimator):
+    # a fresh interpreter: this test module imports scipy.cluster itself
+    script = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        import quantfolio.cli
+        from quantfolio import {estimator}, MeanRisk, RiskMeasure
+        rng = np.random.default_rng(0)
+        X = rng.normal(5e-4, 0.01, (60, 4)) + rng.normal(0.0, 0.01, (60, 1))
+        MeanRisk(risk_measure=RiskMeasure.CDAR).fit(X)
+        assert "scipy.cluster" not in sys.modules
+        {estimator}()
+        assert "scipy.cluster" in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(quantfolio.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cut_clusters_block_structure():

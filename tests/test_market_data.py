@@ -172,6 +172,36 @@ def test_take_slices_rows_and_columns():
     assert rm.take(cols=[1]).values.shape == (4, 1)
 
 
+@pytest.mark.parametrize("rows, cols", [
+    (slice(1, 4), slice(None, None, -1)),
+    ([0, 2, 4], [2]),
+    (np.array([0, 3, 4]), np.array([1, -3])),
+    (np.zeros(0, dtype=int), []),
+    ([], np.array([], dtype=int)),
+])
+def test_take_matches_a_reference_pick(rows, cols):
+    rm = make_returns(np.arange(15.0).reshape(5, 3) / 100)
+
+    def reference(labels, idx):
+        return labels[idx] if isinstance(idx, slice) else tuple(labels[int(i)] for i in idx)
+
+    sub = rm.take(rows, cols)
+    assert sub.dates == reference(rm.dates, rows)
+    assert sub.assets == reference(rm.assets, cols)
+    np.testing.assert_array_equal(sub.values, rm.values[rows][:, cols])
+    assert type(sub.dates) is tuple and type(sub.assets) is tuple
+
+
+def test_out_of_order_dates_name_the_first_offending_date():
+    rm = make_returns(np.zeros((5, 1)))
+    d = rm.dates
+    with pytest.raises(NonMonotonicDates, match=f"at {d[1]}$"):
+        ReturnsMatrix(dates=(d[2], d[1], d[0], d[3], d[4]), assets=rm.assets,
+                      values=rm.values)
+    with pytest.raises(NonMonotonicDates, match=f"at {d[3]}$"):
+        rm.take([0, 1, 3, 3])
+
+
 def test_take_validates_like_the_constructor():
     rm = make_returns(np.zeros((3, 2)))
     with pytest.raises(NonMonotonicDates):

@@ -193,6 +193,18 @@ def test_ratio_without_positive_return_is_infeasible(measure):
     assert quoted == pytest.approx(best, rel=1e-5)
 
 
+@pytest.mark.parametrize("objective", [ObjectiveFunction.MINIMIZE_RISK,
+                                       ObjectiveFunction.MAXIMIZE_RATIO])
+@pytest.mark.parametrize("cap", [-np.inf, -1.0])
+def test_risk_cap_below_every_portfolio_is_infeasible(objective, cap):
+    # -inf once warned in the solver, and under the ratio became an infinite
+    # coefficient of the scale column
+    rng = np.random.default_rng(0)
+    S = rng.normal(5e-4, 0.01, (120, 5)) + rng.normal(0.0, 0.01, (120, 1))
+    with pytest.raises(InfeasibleProblem):
+        MeanRisk(objective=objective, risk_caps=[(RiskMeasure.CVAR, cap)]).fit(S)
+
+
 def test_budget_outside_bounds_rejected():
     prior = make_prior([0.0, 0.0], np.eye(2))
     with pytest.raises(InvalidConfig):

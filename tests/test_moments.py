@@ -10,6 +10,7 @@ from quantfolio.moments import (
     denoise_rmt,
     ew_moments,
     gerber,
+    check_covariance,
     ledoit_wolf,
     sample_moments,
 )
@@ -175,3 +176,37 @@ def test_non_finite_sigma_rejected(bad):
             MomentEstimate(mu=np.zeros(2), sigma=sigma, sample_size=3)
         with pytest.raises(InvalidConfig, match="non-finite"):
             Prior(mu=np.zeros(2), sigma=sigma, scenarios=np.zeros((3, 2)))
+
+
+def _with_least_eigenvalue(least, n=8, seed=0):
+    """A symmetric n x n matrix with spectrum [least, 1e-3 .. 1e-2]."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    sigma = (Q * np.r_[least, np.linspace(1e-3, 1e-2, n - 1)]) @ Q.T
+    return (sigma + sigma.T) / 2
+
+
+def test_check_covariance_psd_tolerance():
+    # "PSD within 1e-10": the least eigenvalue may be as low as -1e-10
+    with pytest.raises(InvalidConfig, match="not PSD"):
+        check_covariance(_with_least_eigenvalue(-2e-10))
+    check_covariance(_with_least_eigenvalue(-5e-11))
+    check_covariance(_with_least_eigenvalue(0.0))
+    check_covariance(np.zeros((0, 0)))
+
+
+def test_check_covariance_accepts_rank_deficient_sample_covariance(rng):
+    # T < N leaves N - T + 1 zero eigenvalues, each computed near 0
+    sigma = sample_moments(rng.normal(0, 0.01, (6, 20))).sigma
+    assert np.linalg.matrix_rank(sigma) == 5
+    check_covariance(sigma)
+
+
+def test_check_covariance_keeps_its_messages():
+    sigma = _with_least_eigenvalue(-1.0)  # indefinite as well
+    sigma[0, 0] = np.nan
+    with pytest.raises(InvalidConfig, match="non-finite"):
+        check_covariance(sigma)
+    sigma = _with_least_eigenvalue(-1.0)
+    sigma[0, 1] += 1e-9
+    with pytest.raises(InvalidConfig, match="not symmetric"):
+        check_covariance(sigma)

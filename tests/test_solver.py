@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,20 @@ def test_infeasible_detected():
         lb=np.full(2, 2.0), ub=np.full(2, 10.0),
     ))
     assert res.status == "Infeasible"
+
+
+@pytest.mark.parametrize("P", [None, np.eye(2)], ids=["lp", "qp"])
+@pytest.mark.parametrize("rows", [
+    dict(G=np.array([[1.0, 1.0]]), h=np.array([-np.inf])),  # a row capped at -inf
+    dict(A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([np.inf])),  # a row fixed at +inf
+    dict(lb=np.array([0.5, 0.0]), ub=np.array([0.4, 1.0])),  # crossing bounds
+], ids=["upper_minus_inf", "equal_plus_inf", "lower_above_upper"])
+def test_row_bounds_admitting_no_value_are_infeasible(P, rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve(QpProblem(q=np.ones(2), P=P, **rows))
+    assert res.status == "Infeasible" and res.iterations == 0
+    assert res.x.shape == (2,) and np.isnan(res.objective)
 
 
 def test_unbounded_detected():
