@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import io
 import math
 import operator
@@ -26,7 +27,11 @@ from .exceptions import (
 
 @dataclass(frozen=True)
 class _Panel:
-    """T×N values on a strictly increasing date axis, one distinct name per column."""
+    """T×N values on a strictly increasing date axis, one distinct name per column.
+
+    `values` is read-only. It is copied only where it would alias a writable
+    array of the caller; a view of read-only values is kept as it is.
+    """
 
     dates: tuple[datetime.date, ...]
     assets: tuple[str, ...]
@@ -36,6 +41,9 @@ class _Panel:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
+        if values.flags.writeable and (values is self.values or values.base is not None):
+            values = values.copy()  # the caller's memory, which the caller may still write
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.shape != (len(self.dates), len(self.assets)):
             raise MalformedCsv(
@@ -66,8 +74,10 @@ class _Panel:
                 return labels[idx]
             return tuple(map(labels.__getitem__, np.asarray(idx, dtype=int).tolist()))
 
+        values = self.values[rows][:, cols]
+        values.flags.writeable = False  # read-only, or a copy of its own: no copy needed
         return replace(self, dates=pick(self.dates, rows), assets=pick(self.assets, cols),
-                       values=self.values[rows][:, cols])
+                       values=values)
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,13 @@ class PriceFrame(_Panel):
 
 @dataclass(frozen=True)
 class ReturnsMatrix(_Panel):
-    """T×N per-period returns; `kind` records the convention used to build them."""
+    """T×N per-period returns; `kind` records the convention used to build them.
+
+    Its values are read-only, so it keeps its sample estimate: `sample_estimate`
+    (what `moments.sample_moments` returns for it) is computed on first use
+    and then shared. `take` and `dataclasses.replace` build new instances,
+    which estimate their own.
+    """
 
     kind: str = "simple"
 
@@ -96,6 +112,15 @@ class ReturnsMatrix(_Panel):
         super().__post_init__()
         if self.kind == "simple" and self.values.size and self.values.min() <= -1:
             raise NonPositivePrice("simple return ≤ −1 implies non-positive price")
+
+    @functools.cached_property
+    def sample_estimate(self):
+        """The sample moments of these returns, with read-only `mu` and `sigma`."""
+        from . import moments  # moments imports this module
+
+        est = moments.sample_moments(self.values)
+        est.mu.flags.writeable = est.sigma.flags.writeable = False
+        return est
 
 
 def returns_values(X) -> np.ndarray:

@@ -30,7 +30,7 @@ from .exceptions import (
 )
 from .measures import DEFAULT_BETA, RiskMeasure, risk_of_weights
 from .priors import Prior, fit_prior
-from .reformulations import ProblemBuilder, reformulate_risk
+from .reformulations import ProblemBuilder, reformulate_risk, require_epigraph
 from .solver import solve
 
 
@@ -196,8 +196,11 @@ def _add_constraints(builder, spec, w_idx, lb, ub, t=None):
     if c.min_return is not None:
         rows(w_idx, -spec.prior.mu, -c.min_return)
     for measure, bound in c.risk_caps:
+        if bound == np.inf:  # leaves a measure that could be capped uncapped: no rows
+            require_epigraph(measure)
+            continue
         risk = reformulate_risk(builder, measure, spec.prior.scenarios, w_idx, spec.beta)
-        if np.isinf(bound):  # kept as a bound: homogenized, t's coefficient would be infinite
+        if bound == -np.inf:  # kept as a bound: homogenized, t's coefficient would be infinite
             builder.add_rows(*risk, bound)
         else:
             rows(*risk, bound)

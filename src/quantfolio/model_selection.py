@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -225,16 +226,38 @@ def _rebuild_test_folds(splits, path_of) -> list[list[tuple[int, np.ndarray]]]:
     return test_folds
 
 
-_split_job = None  # set only in a forked worker, by _bind_split_job
+_chunk_job = None  # set only in a forked worker, by _bind_chunk_job
 
 
-def _bind_split_job(fit_one):
-    global _split_job
-    _split_job = fit_one
+def _bind_chunk_job(fit_chunk):
+    global _chunk_job
+    _chunk_job = fit_chunk
 
 
-def _run_split(task: int):
-    return _split_job(task)
+class _WorkerTraceback(Exception):
+    """The traceback of a fit that failed in a worker process, as text."""
+
+
+def _run_chunk(tasks: range):
+    # pickling keeps neither __cause__ nor a traceback, so a failed fit's
+    # traceback goes back as text, to become its error's cause in the caller
+    return [(r, "".join(traceback.format_exception(r.__cause__)))
+            if isinstance(r, Exception) else r for r in _chunk_job(tasks)]
+
+
+def _fit_weights(allocator, train, s_idx: int):
+    """The weights of a clone of `allocator` fitted on `train`, or the error,
+    naming the split, that the slice or the fit raised."""
+    try:
+        if isinstance(train, Exception):
+            raise train
+        est = clone(allocator)
+        est.fit(train)
+        return np.asarray(est.weights_, dtype=float)
+    except Exception as exc:
+        error = type(exc)(f"split {s_idx}: {exc}")
+        error.__cause__ = exc  # as `raise error from exc` would set it
+        return error
 
 
 def cross_val_predict(
@@ -251,13 +274,19 @@ def cross_val_predict(
     also be a list of (name, allocator) pairs; the result is then a list with
     one such result per pair, in order, and `name` is not used.
 
-    With n_jobs > 1 every (allocator, split) fit of the call runs in one pool
-    of up to n_jobs forked worker processes, or one by one where the platform
-    cannot fork. Results are aggregated by task index, so the worker count
-    never changes the output, and a failing fit raises the error of the first
-    failing (allocator, split) in sequential order. A fork copies only the
-    calling thread, so avoid n_jobs > 1 while other threads of the program
-    may hold locks that the fits use.
+    The (allocator, split) fits run split-major, each split's allocators
+    together, in contiguous chunks of ceil(fits / workers) fits, where
+    workers = min(n_jobs, fits). A chunk takes the train rows of each of its
+    splits once and fits that split's allocators on the one slice, so they
+    share its sample estimate. With n_jobs > 1 one pool of forked worker
+    processes runs the chunks; where the platform cannot fork, the caller
+    runs all fits as one chunk. Results are put back in task order, so the
+    worker count never changes the output. A failing fit does not stop its
+    chunk: once all fits are done, the error of the first failing
+    (allocator, split) is raised, allocators taken in the order given and
+    splits in plan order. A fork copies only the calling thread, so avoid
+    n_jobs > 1 while other threads of the program may hold locks that the
+    fits use.
     """
     require_int("n_jobs", n_jobs)
     if n_jobs < 1:
@@ -267,39 +296,50 @@ def cross_val_predict(
     single = not isinstance(allocator, list)
     pairs = ([(name if name is not None else type(allocator).__name__, allocator)]
              if single else allocator)
+    n_pairs = len(pairs)
 
-    def fit_one(task: int):
-        a_idx, s_idx = divmod(task, plan.n_splits)
-        try:
-            est = clone(pairs[a_idx][1])
-            est.fit(X.take(plan.splits[s_idx][0]))
-            return np.asarray(est.weights_, dtype=float)
-        except Exception as exc:
-            raise type(exc)(f"split {s_idx}: {exc}") from exc
+    def fit_chunk(tasks: range) -> list:
+        # task s * n_pairs + a fits pair a on split s
+        results = []
+        for s_idx, split_tasks in groupby(tasks, key=lambda task: task // n_pairs):
+            try:
+                train = X.take(plan.splits[s_idx][0])
+            except Exception as exc:
+                train = exc
+            results += [_fit_weights(pairs[task % n_pairs][1], train, s_idx)
+                        for task in split_tasks]
+        return results
 
-    # tasks run allocator-major: task a * n_splits + s fits pair a on split s
-    n_tasks = len(pairs) * plan.n_splits
+    n_tasks = n_pairs * plan.n_splits
     workers = min(n_jobs, n_tasks)
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # Forked workers inherit X, the plan and fit_one without pickling them;
-        # only task indices, weight vectors and exceptions are pickled. fit_one
-        # is bound in each worker by the initializer, so a nested
+        size = math.ceil(n_tasks / workers)
+        chunks = [range(lo, min(lo + size, n_tasks)) for lo in range(0, n_tasks, size)]
+        # Forked workers inherit X, the plan and fit_chunk without pickling
+        # them; only task ranges, weight vectors and errors are pickled.
+        # fit_chunk is bound in each worker by the initializer, so a nested
         # cross_val_predict in a worker binds its own job in its own workers.
         # ADMM and the clustering hold the GIL, so threads would not
         # run the fits in parallel.
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_bind_split_job,
-                                 initargs=(fit_one,)) as pool:
-            results = list(pool.map(_run_split, range(n_tasks),
-                                    chunksize=math.ceil(plan.n_splits / workers)))
+                                 initializer=_bind_chunk_job,
+                                 initargs=(fit_chunk,)) as pool:
+            results = [r for chunk in pool.map(_run_chunk, chunks) for r in chunk]
+        for i, r in enumerate(results):
+            if isinstance(r, tuple):
+                results[i], text = r
+                results[i].__cause__ = _WorkerTraceback(text)
     else:
-        results = [fit_one(task) for task in range(n_tasks)]
+        results = fit_chunk(range(n_tasks))
 
-    predictions = [
-        _assemble(label, X, plan, results[a_idx * plan.n_splits:(a_idx + 1) * plan.n_splits])
-        for a_idx, (label, _) in enumerate(pairs)
-    ]
+    per_pair = [results[a_idx::n_pairs] for a_idx in range(n_pairs)]
+    for weights in per_pair:
+        for w in weights:
+            if isinstance(w, Exception):
+                raise w
+    predictions = [_assemble(label, X, plan, weights)
+                   for (label, _), weights in zip(pairs, per_pair)]
     return predictions[0] if single else predictions
 
 

@@ -15,7 +15,7 @@ from .exceptions import (
     require_finite,
     require_int,
 )
-from .market_data import returns_values
+from .market_data import ReturnsMatrix, returns_values
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,14 @@ def _solve_with_jitter(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def sample_moments(R) -> MomentEstimate:
-    """Column means and unbiased (T−1) sample covariance."""
+    """Column means and unbiased (T−1) sample covariance.
+
+    A ReturnsMatrix keeps its estimate (`ReturnsMatrix.sample_estimate`), so
+    every call on one instance returns the same object, with read-only `mu`
+    and `sigma`; a 2-D array is estimated anew on each call.
+    """
+    if isinstance(R, ReturnsMatrix):
+        return R.sample_estimate
     X = returns_values(R)
     T = X.shape[0]
     if T < 2:

@@ -88,6 +88,21 @@ def _stack(blocks, n: int):
     return A, np.concatenate([rhs for _, _, rhs in blocks])
 
 
+_EPIGRAPH_MEASURES = (RiskMeasure.MEAN_ABSOLUTE_DEVIATION, RiskMeasure.CVAR, RiskMeasure.CDAR,
+                      RiskMeasure.MAX_DRAWDOWN, RiskMeasure.WORST_REALIZATION)
+
+
+def require_epigraph(measure: RiskMeasure):
+    """Raise UnsupportedMeasure unless `reformulate_risk` has a block for `measure`."""
+    if measure in (RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION):
+        raise UnsupportedMeasure(
+            "variance/std-dev risk caps need a quadratic constraint, which "
+            "the LP/QP solver does not support; cap CVaR or MAD instead"
+        )
+    if measure not in _EPIGRAPH_MEASURES:
+        raise UnsupportedMeasure(f"no reformulation for {measure}")
+
+
 def reformulate_risk(
     builder: ProblemBuilder,
     measure: RiskMeasure,
@@ -102,11 +117,7 @@ def reformulate_risk(
     a quadratic term, and a cap on either would need a quadratic constraint.
     Drawdown-based blocks use uncompounded drawdowns (linear in w).
     """
-    if measure in (RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION):
-        raise UnsupportedMeasure(
-            "variance/std-dev risk caps need a quadratic constraint, which "
-            "the LP/QP solver does not support; cap CVaR or MAD instead"
-        )
+    require_epigraph(measure)
     S = np.asarray(scenarios, dtype=float)
     T = S.shape[0]
 
@@ -142,11 +153,8 @@ def reformulate_risk(
         factor = 1.0 / ((1.0 - beta) * T)
         return np.concatenate([aux, z]), np.concatenate([[1.0], np.full(T, factor)])
 
-    if measure in (RiskMeasure.MAX_DRAWDOWN, RiskMeasure.WORST_REALIZATION):
-        # y ≥ L_rᵀw  →  [L | −1] ≤ 0
-        yv = builder.add_variables(1, lb=0.0 if measure is RiskMeasure.MAX_DRAWDOWN else -np.inf)
-        builder.add_rows(np.append(w_idx, yv), np.column_stack([losses, -np.ones(len(losses))]),
-                         0.0)
-        return yv, np.ones(1)
-
-    raise UnsupportedMeasure(f"no reformulation for {measure}")
+    # max drawdown and worst realization: y ≥ L_rᵀw  →  [L | −1] ≤ 0
+    yv = builder.add_variables(1, lb=0.0 if measure is RiskMeasure.MAX_DRAWDOWN else -np.inf)
+    builder.add_rows(np.append(w_idx, yv), np.column_stack([losses, -np.ones(len(losses))]),
+                     0.0)
+    return yv, np.ones(1)

@@ -212,3 +212,35 @@ def test_take_validates_like_the_constructor():
 
 def test_returns_matrix_is_not_a_price_frame():
     assert not isinstance(make_returns(np.zeros((2, 2))), PriceFrame)
+
+
+def test_panel_values_are_read_only():
+    rm = make_returns(np.arange(12.0).reshape(4, 3) / 100)
+    for panel in (rm, rm.take([0, 2]), rm.take(slice(1, 3), [2, 0]), rm.take(cols=slice(0, 2))):
+        assert not panel.values.flags.writeable
+        with pytest.raises(ValueError):
+            panel.values[0, 0] = 1.0
+
+
+def test_panel_leaves_a_callers_array_alone():
+    values = np.arange(12.0).reshape(4, 3) / 100
+    before = values.copy()
+    rm = make_returns(values)
+    assert values.flags.writeable
+    assert not np.shares_memory(rm.values, values)
+    values[0, 0] = 9.0  # the caller may still write its own array
+    np.testing.assert_array_equal(rm.values, before)
+    values[0, 0] = before[0, 0]
+    np.testing.assert_array_equal(values, before)
+    view = make_returns(values[1:])
+    assert values.flags.writeable and not np.shares_memory(view.values, values)
+    # an array that numpy wraps without a copy, as it does a memoryview
+    wrapped = ReturnsMatrix(dates=rm.dates, assets=rm.assets, values=memoryview(values))
+    assert not np.shares_memory(wrapped.values, values)
+
+
+def test_read_only_values_are_not_copied():
+    rm = make_returns(np.arange(12.0).reshape(4, 3) / 100)
+    assert np.shares_memory(rm.take(slice(1, 3)).values, rm.values)
+    same = ReturnsMatrix(dates=rm.dates, assets=rm.assets, values=rm.values)
+    assert same.values is rm.values

@@ -205,6 +205,27 @@ def test_risk_cap_below_every_portfolio_is_infeasible(objective, cap):
         MeanRisk(objective=objective, risk_caps=[(RiskMeasure.CVAR, cap)]).fit(S)
 
 
+@pytest.mark.parametrize("objective", [ObjectiveFunction.MINIMIZE_RISK,
+                                       ObjectiveFunction.MAXIMIZE_RATIO])
+def test_risk_cap_of_inf_leaves_the_fit_uncapped(objective):
+    # the cap's epigraph block once stayed in the LP with a row bounded on
+    # neither side, and ADMM stalled on it for 20,000 iterations
+    rng = np.random.default_rng(5)
+    S = rng.normal(5e-4, 0.01, (120, 5)) + rng.normal(0.0, 0.01, (120, 1))
+    kwargs = dict(objective=objective, risk_measure=RiskMeasure.CVAR)
+    capped = MeanRisk(**kwargs, risk_caps=[(RiskMeasure.CVAR, np.inf),
+                                           (RiskMeasure.MAX_DRAWDOWN, np.inf)]).fit(S)
+    np.testing.assert_array_equal(capped.weights_, MeanRisk(**kwargs).fit(S).weights_)
+
+
+@pytest.mark.parametrize("measure", [RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION])
+def test_risk_cap_of_inf_on_a_quadratic_measure_is_still_unsupported(measure):
+    prior = make_prior([0.01, 0.02], np.eye(2))
+    cons = Constraints(risk_caps=[(measure, np.inf)])
+    with pytest.raises(UnsupportedMeasure, match="cap CVaR or MAD instead"):
+        optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior, constraints=cons))
+
+
 def test_budget_outside_bounds_rejected():
     prior = make_prior([0.0, 0.0], np.eye(2))
     with pytest.raises(InvalidConfig):

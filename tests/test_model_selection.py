@@ -11,6 +11,7 @@ from quantfolio.hierarchical import (
     InverseVolatility,
     StackingOptimization,
 )
+from quantfolio.market_data import ReturnsMatrix
 from quantfolio.model_selection import (
     CpcvConfig,
     SplitPlan,
@@ -222,7 +223,10 @@ def _assert_same_result(a, b):
 @pytest.mark.parametrize("make_plan", [
     lambda T: walk_forward(T, 60, 20),
     lambda T: cpcv(T, CpcvConfig(k=4, p=2, purge_horizon=1, embargo_fraction=0.01)),
-], ids=["walk_forward", "cpcv"])
+    # 7 splits × 3 allocators: 2 workers cut split 3, and 3 workers splits 2 and 4,
+    # between two chunks, each of which slices and estimates it
+    lambda T: cpcv(T, CpcvConfig(k=7, p=1, purge_horizon=1, embargo_fraction=0.01)),
+], ids=["walk_forward", "cpcv", "cpcv_chunks_cut_splits"])
 def test_cross_val_predict_list_matches_per_allocator_calls(rng, make_plan, n_jobs):
     X = make_returns(rng.normal(0.0005, 0.01, (160, 4)))
     plan = make_plan(X.n_periods)
@@ -251,6 +255,77 @@ def test_cross_val_predict_list_forks_one_pool(rng, monkeypatch):
              ("ew", EqualWeighted())]
     cross_val_predict(pairs, X, plan, n_jobs=2)
     assert pools == [2]
+
+
+def test_cross_val_predict_list_slices_and_estimates_once_per_split(rng, monkeypatch):
+    import quantfolio.moments as moments
+
+    calls = {"take": 0, "estimate": 0}
+    real_take, real_estimate = ReturnsMatrix.take, moments.sample_moments
+
+    def counting_take(self, *args, **kwargs):
+        calls["take"] += 1
+        return real_take(self, *args, **kwargs)
+
+    def counting_estimate(R):
+        calls["estimate"] += not isinstance(R, ReturnsMatrix)  # a ReturnsMatrix keeps its own
+        return real_estimate(R)
+
+    monkeypatch.setattr(ReturnsMatrix, "take", counting_take)
+    monkeypatch.setattr(moments, "sample_moments", counting_estimate)
+    X = make_returns(rng.normal(0.0005, 0.01, (160, 4)))
+    plan = cpcv(160, CpcvConfig(k=4, p=2, purge_horizon=1, embargo_fraction=0.01))
+    # both priors are sample estimates of the same train rows
+    pairs = [("iv", InverseVolatility()), ("hrp", HierarchicalRiskParity()),
+             ("ew", EqualWeighted())]
+    cross_val_predict(pairs, X, plan)
+    assert calls == {"take": plan.n_splits, "estimate": plan.n_splits}
+
+
+def test_cross_val_predict_forks_a_worker_per_fit_not_per_split(rng, monkeypatch):
+    import quantfolio.model_selection as ms
+
+    pools, chunks = [], []
+
+    class CountingPool(ms.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+        def map(self, fn, tasks, **kwargs):
+            chunks.extend(list(chunk) for chunk in tasks)
+            return super().map(fn, tasks, **kwargs)
+
+    monkeypatch.setattr(ms, "ProcessPoolExecutor", CountingPool)
+    X = make_returns(rng.normal(0.0005, 0.01, (100, 4)))
+    plan = walk_forward(100, 60, 40)
+    assert plan.n_splits == 1
+    pairs = [("iv", InverseVolatility()), ("hrp", HierarchicalRiskParity()),
+             ("ew", EqualWeighted())]
+    par = cross_val_predict(pairs, X, plan, n_jobs=2)
+    assert pools == [2] and chunks == [[0, 1], [2]]
+    monkeypatch.undo()
+    _assert_same_result(par, cross_val_predict(pairs, X, plan))
+
+
+def test_cross_val_predict_finishes_every_fit_before_raising(rng):
+    fitted = []
+
+    class AlwaysFails(EqualWeighted):
+        def fit(self, X, factors=None):
+            raise ValueError("always")
+
+    class Recorded(EqualWeighted):
+        def fit(self, X, factors=None):
+            fitted.append(X.n_periods)
+            return super().fit(X)
+
+    X = make_returns(rng.normal(0, 0.01, (200, 2)))
+    plan = walk_forward(200, 50, 25)
+    with pytest.raises(ValueError, match="^split 0: always$") as exc:
+        cross_val_predict([("always", AlwaysFails()), ("recorded", Recorded())], X, plan)
+    assert str(exc.value.__cause__) == "always"
+    assert fitted == [50] * plan.n_splits
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2, 3])
@@ -287,8 +362,10 @@ def test_cross_val_predict_error_names_split(rng, n_jobs):
 
     X = make_returns(rng.normal(0, 0.01, (100, 2)))
     plan = walk_forward(100, 50, 25)
-    with pytest.raises(ValueError, match="split 0: nope"):
+    with pytest.raises(ValueError, match="split 0: nope") as exc:
         cross_val_predict(Boom(), X, plan, n_jobs=n_jobs)
+    # the fit's own error: its object in the caller, its traceback from a worker
+    assert str(exc.value.__cause__).endswith("nope" if n_jobs == 1 else "ValueError: nope\n")
 
 
 @pytest.mark.parametrize("n_jobs", [0, -3, 2.5, "2", True, None])

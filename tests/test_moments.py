@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -37,6 +38,25 @@ def test_sample_moments_accepts_returns_matrix(rng):
     a = sample_moments(values)
     b = sample_moments(make_returns(values))
     np.testing.assert_array_equal(a.sigma, b.sigma)
+
+
+def test_sample_moments_of_a_returns_matrix_is_kept(rng):
+    X = make_returns(rng.normal(0, 0.01, (40, 3)))
+    est = sample_moments(X)
+    assert sample_moments(X) is est
+    fresh = sample_moments(X.values.copy())
+    assert fresh is not sample_moments(X.values.copy())  # an array is estimated anew
+    np.testing.assert_array_equal(est.mu, fresh.mu)
+    np.testing.assert_array_equal(est.sigma, fresh.sigma)
+    assert est.sample_size == fresh.sample_size
+    assert not est.mu.flags.writeable and not est.sigma.flags.writeable
+    # a new instance, from take or replace, estimates its own data
+    head = X.take(slice(0, 20))
+    assert sample_moments(head) is not est and sample_moments(head).sample_size == 20
+    np.testing.assert_array_equal(sample_moments(head).sigma,
+                                  sample_moments(X.values[:20].copy()).sigma)
+    doubled = dataclasses.replace(X, values=2 * X.values)
+    np.testing.assert_array_equal(sample_moments(doubled).mu, 2 * est.mu)
 
 
 def test_sample_moments_needs_two_rows():
