@@ -42,11 +42,9 @@ from .market_data import (
     time_split,
 )
 from .mean_risk import (
-    Constraints,
     FrontierPoint,
     MeanRisk,
     ObjectiveFunction,
-    ProblemSpec,
     efficient_frontier,
     optimize,
     portfolio_risk,
@@ -95,12 +93,12 @@ from .priors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseEstimator", "BlackLitterman", "Constraints", "CpcvConfig",
-    "DEFAULT_BETA", "Dendrogram", "EmpiricalPrior", "EqualWeighted",
-    "FactorModel", "FrontierPoint", "HierarchicalRiskParity",
-    "InverseVolatility", "MeanRisk", "MomentEstimate", "MultiPeriodPortfolio",
+    "BaseEstimator", "BlackLitterman", "CpcvConfig", "DEFAULT_BETA",
+    "Dendrogram", "EmpiricalPrior", "EqualWeighted", "FactorModel",
+    "FrontierPoint", "HierarchicalRiskParity", "InverseVolatility",
+    "MeanRisk", "MomentEstimate", "MultiPeriodPortfolio",
     "NestedClustersOptimization", "ObjectiveFunction", "Population",
-    "Portfolio", "PriceFrame", "Prior", "ProblemSpec", "QuantfolioError",
+    "Portfolio", "PriceFrame", "Prior", "QuantfolioError",
     "ReturnsMatrix", "RiskMeasure", "SplitPlan", "StackingOptimization",
     "ViewSet", "WalkForwardConfig", "align", "bayes_stein",
     "black_litterman_prior", "cdar", "clone", "corr_distance", "cpcv",

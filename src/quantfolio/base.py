@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import copy
-import inspect
+import dataclasses
 
 from .analytics import Portfolio, predict
 
@@ -16,21 +16,14 @@ class BaseEstimator:
     underscore (``weights_``).
 
     Estimators declare their hyper-parameters once, as the fields of a
-    ``@dataclass(repr=False, eq=False)`` subclass: the generated ``__init__``
-    stores each argument under its own name, and this class keeps the
-    ``repr``, identity equality and hashing. A hand-written ``__init__`` that
-    only stores its arguments works too, since the parameter names are read
-    from the ``__init__`` signature.
+    ``@dataclass(repr=False, eq=False)`` subclass, in constructor order: the
+    generated ``__init__`` stores each argument under its own name, and this
+    class keeps the ``repr``, identity equality and hashing.
     """
 
     @classmethod
     def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in sig.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
+        return [f.name for f in dataclasses.fields(cls)]
 
     def get_params(self, deep: bool = True) -> dict:
         out = {}

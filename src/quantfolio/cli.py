@@ -391,14 +391,13 @@ def cmd_frontier(cfg: dict, out: Path, threads: int) -> int:
     X_train, X_test, f_train = _split_rows(X, factors, fraction)
 
     model = _build_model(section, X.assets, cfg.get("constraints"))
-    spec = model._spec(fit_prior(model.prior_estimator, X_train, f_train))
-    points = efficient_frontier(spec, size)
+    points = efficient_frontier(model, fit_prior(model.prior_estimator, X_train, f_train), size)
 
     # variance frontiers report the standard deviation, in return units
-    measure = spec.risk_measure
+    measure = model.risk_measure
     if measure is RiskMeasure.VARIANCE:
         measure = RiskMeasure.STANDARD_DEVIATION
-    report = frontier_report(points, X_train, X_test, risk_measure=measure, beta=spec.beta)
+    report = frontier_report(points, X_train, X_test, risk_measure=measure, beta=model.beta)
     train, test = report[0::2], report[1::2]
     rows = [[point.expected_return, tr["mean"], tr["risk"], te["mean"], te["risk"],
              *point.weights] for point, tr, te in zip(points, train, test)]

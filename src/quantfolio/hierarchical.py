@@ -317,6 +317,7 @@ def stacking(
 _DEFAULT_STACKING_CV = CpcvConfig(k=5, p=1, purge_horizon=1, embargo_fraction=0.01)
 
 
+@dataclass(repr=False, eq=False)
 class EqualWeighted(BaseEstimator):
     def fit(self, X, factors=None):
         self.weights_ = equal_weighted(returns_values(X).shape[1])

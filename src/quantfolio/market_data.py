@@ -144,19 +144,21 @@ def load_prices(source) -> PriceFrame:
     `source` may be a path, bytes, str, or a readable file object. A str is
     read as a file name only when it holds no comma and no newline; otherwise
     it is CSV text. Pass a `pathlib.Path` to read a file whose name may
-    contain a comma.
+    contain a comma. One leading byte order mark, as Excel's "CSV UTF-8"
+    writes, is dropped from every kind of source.
     """
     if isinstance(source, bytes):
-        stream = io.StringIO(source.decode("utf-8"))
+        stream = io.StringIO(source.decode("utf-8-sig"))
     elif isinstance(source, str) and source and "\n" not in source and "," not in source:
-        stream = open(source, "r", encoding="utf-8", newline="")
+        stream = open(source, "r", encoding="utf-8-sig", newline="")
     elif isinstance(source, str):
-        stream = io.StringIO(source)
+        stream = io.StringIO(source.removeprefix("\ufeff"))
     elif hasattr(source, "read"):
         raw = source.read()
-        stream = io.StringIO(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+        stream = io.StringIO(raw.decode("utf-8-sig") if isinstance(raw, bytes)
+                             else raw.removeprefix("\ufeff"))
     else:
-        stream = open(source, "r", encoding="utf-8", newline="")
+        stream = open(source, "r", encoding="utf-8-sig", newline="")
 
     with stream:
         reader = csv.reader(stream)

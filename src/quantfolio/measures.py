@@ -4,7 +4,8 @@ Sign convention: risk measures return positive loss magnitudes, so that
 "risk ≤ cap" constraints read naturally. `measure_value` evaluates any measure
 on a return series; `risk_of_weights` evaluates one on the weights of a
 portfolio, given a covariance and scenario matrix, and is the one risk
-function of both `mean_risk.portfolio_risk` and HRP's bisection. Every
+function of both `mean_risk.portfolio_risk(weights, model, prior)`, which
+reads the measure and beta off a `MeanRisk`, and HRP's bisection. Every
 measure is computed down axis 0, so `risk_of_weights` also takes an n×k
 matrix of k portfolios and returns their k risks from one matrix product and
 one pass of the measure over the T×k series; HRP gets all its bisection risks

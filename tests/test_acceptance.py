@@ -15,13 +15,7 @@ import pytest
 from quantfolio.cli import main
 from quantfolio.hierarchical import EqualWeighted, hrp
 from quantfolio.measures import RiskMeasure, measure_value
-from quantfolio.mean_risk import (
-    Constraints,
-    ObjectiveFunction,
-    ProblemSpec,
-    efficient_frontier,
-    optimize,
-)
+from quantfolio.mean_risk import MeanRisk, ObjectiveFunction, efficient_frontier, optimize
 from quantfolio.model_selection import CpcvConfig, cpcv, cross_val_predict, walk_forward
 from quantfolio.moments import (
     MomentEstimate,
@@ -63,13 +57,13 @@ def test_criterion_01_gmv_closed_form():
             w_star = np.linalg.solve(sigma, ones)
             w_star /= w_star.sum()
             prior = make_prior(np.zeros(5), sigma)
-            spec = ProblemSpec(
+            model = MeanRisk(
                 objective=ObjectiveFunction.MINIMIZE_RISK,
                 risk_measure=RiskMeasure.VARIANCE,
-                prior=prior,
-                constraints=Constraints(lower=-10.0, upper=10.0),
+                min_weights=-10.0,
+                max_weights=10.0,
             )
-            w = optimize(spec)
+            w = optimize(model, prior)
             assert np.abs(w - w_star).max() < 1e-6, f"seed {seed}"
 
 
@@ -80,9 +74,9 @@ def test_criterion_02_cvar_vs_brute_force():
         scenarios = rng.normal(0.001, 0.02, (50, 3))
         prior = make_prior(scenarios.mean(axis=0),
                            np.cov(scenarios, rowvar=False), scenarios=scenarios)
-        spec = ProblemSpec(objective=ObjectiveFunction.MINIMIZE_RISK,
-                           risk_measure=RiskMeasure.CVAR, prior=prior)
-        w = optimize(spec)
+        model = MeanRisk(objective=ObjectiveFunction.MINIMIZE_RISK,
+                         risk_measure=RiskMeasure.CVAR)
+        w = optimize(model, prior)
         solver_obj = measure_value(scenarios @ w, RiskMeasure.CVAR)
 
         grid = []
@@ -140,14 +134,13 @@ def test_criterion_04_frontier_structure():
         prior = make_prior(train.mean(axis=0), np.cov(train, rowvar=False),
                            scenarios=train, assets=assets)
         cap = 0.2
-        spec = ProblemSpec(
+        model = MeanRisk(
             objective=ObjectiveFunction.MINIMIZE_RISK,
             risk_measure=RiskMeasure.VARIANCE,
-            prior=prior,
-            constraints=Constraints(max_weight_per_asset={"S0": cap}),
+            max_weight_per_asset={"S0": cap},
             l2_coef=1e-4,
         )
-        points = efficient_frontier(spec, size=100)
+        points = efficient_frontier(model, prior, size=100)
         assert len(points) == 100
         returns = [p.expected_return for p in points]
         risks = [p.risk for p in points]

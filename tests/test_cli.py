@@ -31,7 +31,7 @@ def short_prices_path(tmp_path_factory, prices_path):
 
 def run(tmp_path, command, cfg, name="cfg", threads=None):
     cfg_path = tmp_path / f"{name}.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     out = tmp_path / f"{name}_out"
     argv = [command, "--config", str(cfg_path), "--out", str(out)]
     if threads is not None:
@@ -294,10 +294,19 @@ def test_report_empty_inputs_is_config_error(tmp_path):
     assert code == 2
 
 
-def test_report_nonfinite_series_is_data_error(tmp_path):
-    bad = tmp_path / "series.json"
-    bad.write_text('{"train": {"name": "x", "returns": [0.01, NaN]}}')
-    code, _ = run(tmp_path, "report", {"inputs": [str(bad)]})
+@pytest.mark.parametrize("text", [
+    '{"train": {"name": "x", "returns": [0.01, NaN]}}',
+    '{"train": {"name": "x", "returns": [0.01, true, false]}}',
+    None,
+    '{"train": {"name": "x", "returns": [0.01',
+    '{"train": [0.01, 0.02]}',
+], ids=["nonfinite", "boolean", "missing", "not_json", "entry_not_object"])
+def test_report_unusable_input_is_data_error(tmp_path, text):
+    # None: the input file does not exist
+    path = tmp_path / "series.json"
+    if text is not None:
+        path.write_text(text)
+    code, _ = run(tmp_path, "report", {"inputs": [str(path)]})
     assert code == 3
 
 
@@ -305,13 +314,6 @@ def test_report_nonfinite_series_is_data_error(tmp_path):
 def test_report_inputs_must_be_a_list_of_paths(tmp_path, inputs):
     code, _ = run(tmp_path, "report", {"inputs": inputs})
     assert code == 2
-
-
-def test_report_boolean_returns_is_data_error(tmp_path):
-    bad = tmp_path / "series.json"
-    bad.write_text('{"train": {"name": "x", "returns": [0.01, true, false]}}')
-    code, _ = run(tmp_path, "report", {"inputs": [str(bad)]})
-    assert code == 3
 
 
 def test_outputs_section_is_config_error(tmp_path, short_prices_path):
@@ -404,18 +406,36 @@ def test_zero_variance_asset_is_data_error(tmp_path, constant_column_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("model", [
-    {"kind": "mean_risk", "prior": {"cov_estimator": "bogus"}},
-    {"kind": "mean_risk", "prior": {"cov_estimator": "ew", "halflife": -1}},
-    {"kind": "nco", "k": "three"},
-    {"kind": "mean_risk", "prior": {
+CPCV = {"kind": "cpcv", "k": 4, "p": 2}
+
+
+@pytest.mark.parametrize("command, patch", [
+    ("optimize", {"model": {"kind": "mean_risk", "prior": {"cov_estimator": "bogus"}}}),
+    ("optimize", {"model": {"kind": "mean_risk",
+                            "prior": {"cov_estimator": "ew", "halflife": -1}}}),
+    ("optimize", {"model": {"kind": "nco", "k": "three"}}),
+    ("optimize", {"model": {"kind": "mean_risk", "prior": {
         "kind": "black_litterman", "views": [{"picks": {"AAPL": 1.0}, "value": 0.0002}],
-        "tau": 0}},
-    {"kind": "hrp", "risk_measure": "cvar", "beta": 1.5},
-], ids=["cov_estimator", "halflife", "nco_k", "bl_tau", "hrp_beta"])
-def test_bad_hyper_parameter_is_config_error(tmp_path, short_prices_path, model):
-    cfg = {"data": {"prices": short_prices_path}, "model": model}
-    code, _ = run(tmp_path, "optimize", cfg)
+        "tau": 0}}}),
+    ("optimize", {"model": {"kind": "hrp", "risk_measure": "cvar", "beta": 1.5}}),
+    ("optimize", {"model": {"kind": "mean_risk", "objective": "bogus"}}),
+    ("optimize", {"model": {"kind": "hrp", "linkage": "complete"}}),
+    ("optimize", {"model": {"kind": "mean_risk",
+                            "prior": {"cov_estimator": "gerber", "gerber_c": 0}}}),
+    ("optimize", {"data": {"returns_kind": "weird"}}),
+    ("frontier", {"model": {"kind": "mean_risk", "frontier_size": 0}}),
+    ("backtest", {"cv": {"kind": "cpcv", "k": 1}}),
+    ("backtest", {"cv": {"kind": "cpcv", "k": 161, "p": 2}}),  # 160 returns
+    ("backtest", {"cv": {**CPCV, "purge_horizon": -1}}),
+    ("backtest", {"cv": CPCV, "benchmarks": ["bogus"]}),
+], ids=["cov_estimator", "halflife", "nco_k", "bl_tau", "hrp_beta", "objective", "linkage",
+        "gerber_c", "returns_kind", "frontier_size", "cpcv_k_one", "cpcv_k_above_T",
+        "purge_horizon", "benchmark_kind"])
+def test_bad_hyper_parameter_is_config_error(tmp_path, short_prices_path, command, patch):
+    cfg = {"data": {"prices": short_prices_path, **patch.get("data", {})},
+           "model": {"kind": "mean_risk"}}
+    cfg.update({k: v for k, v in patch.items() if k != "data"})
+    code, _ = run(tmp_path, command, cfg)
     assert code == 2
 
 
@@ -497,12 +517,22 @@ def test_unusable_number_is_config_error(tmp_path, short_prices_path, capsys, pa
         "kind": "black_litterman", "views": [{"picks": [1.0], "value": 0.0002}]}}}),
     ("optimize", {"model": {"kind": "mean_risk", "prior": {
         "kind": "black_litterman", "views": 3}}}),
+    ("optimize", '{"data": {"prices": "p.csv"}, "model": '),
+    ("backtest", {"data": {"factors": "f.csv"}, "cv": CPCV}),
+    ("backtest", {"models": [], "cv": CPCV}),
 ], ids=["walk_forward_expanding", "max_weight_per_asset", "prices_path", "view_picks",
-        "views"])
+        "views", "not_json", "backtest_factors", "backtest_without_model"])
 def test_wrong_json_type_is_config_error(tmp_path, short_prices_path, command, patch):
     # a quoted boolean must not pass on its truth value, a list for an object,
-    # nor a number for a list or a path
-    cfg = {"data": {"prices": short_prices_path}, "model": {"kind": "mean_risk"}, **patch}
+    # nor a number for a list or a path; nor does a config that is not JSON, a
+    # backtest given factors (refused before either file is read) or one whose
+    # models list is empty
+    if isinstance(patch, str):
+        cfg = patch
+    else:
+        cfg = {"data": {"prices": short_prices_path, **patch.get("data", {})},
+               "model": {"kind": "mean_risk"}}
+        cfg.update({k: v for k, v in patch.items() if k != "data"})
     code, _ = run(tmp_path, command, cfg)
     assert code == 2
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from quantfolio import exceptions
-from quantfolio.mean_risk import Constraints, ObjectiveFunction, ProblemSpec, optimize
+from quantfolio.mean_risk import MeanRisk, ObjectiveFunction, optimize
 from quantfolio.measures import RiskMeasure
 from quantfolio.priors import Prior
 
@@ -38,9 +38,9 @@ def _prior() -> Prior:
                  assets=tuple(f"A{i}" for i in range(n)))
 
 
-SHORT = dict(lower=-0.5, upper=1.5)
-MIXED = dict(lower=np.array([-np.inf, 0.0, -0.5, 0.0, -np.inf]),
-             upper=np.array([1.0, np.inf, 1.0, 0.8, 2.0]))
+SHORT = dict(min_weights=-0.5, max_weights=1.5)
+MIXED = dict(min_weights=np.array([-np.inf, 0.0, -0.5, 0.0, -np.inf]),
+             max_weights=np.array([1.0, np.inf, 1.0, 0.8, 2.0]))
 LINEAR = dict(linear_A=np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0]]),
               linear_b=np.array([0.3, -0.2]))
 CAPS = [(M.CVAR, 1.2), (M.MEAN_ABSOLUTE_DEVIATION, 0.6)]  # the MAD cap binds
@@ -48,7 +48,7 @@ LOOSE_CAPS = [(M.CVAR, 2.5), (M.MEAN_ABSOLUTE_DEVIATION, 1.5)]
 
 
 def _cases() -> dict[str, tuple]:
-    """name -> (objective, measure, Constraints kwargs, ProblemSpec kwargs)."""
+    """name -> (objective, measure, constraint fields, other fields) of a MeanRisk."""
     cases = {}
     for measure in M:
         for objective in O:
@@ -92,12 +92,11 @@ def _cases() -> dict[str, tuple]:
 def run_case(name: str, prior: Prior | None = None) -> dict:
     """{'weights': [...]} or {'error': <exception class name>} for one case."""
     objective, measure, cons, extra = _cases()[name]
-    spec = ProblemSpec(objective=objective, risk_measure=measure, prior=prior or _prior(),
-                       constraints=Constraints(**cons), **extra)
+    model = MeanRisk(objective=objective, risk_measure=measure, **cons, **extra)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            return {"weights": optimize(spec).tolist()}
+            return {"weights": optimize(model, prior or _prior()).tolist()}
         except exceptions.QuantfolioError as exc:
             return {"error": type(exc).__name__}
 

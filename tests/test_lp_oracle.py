@@ -16,7 +16,7 @@ import scipy.optimize
 
 from quantfolio.exceptions import QuantfolioError
 from quantfolio.market_data import load_prices, prices_to_returns, time_split
-from quantfolio.mean_risk import Constraints, ObjectiveFunction, ProblemSpec, _assemble, optimize
+from quantfolio.mean_risk import MeanRisk, ObjectiveFunction, _assemble, optimize
 from quantfolio.measures import RiskMeasure
 from quantfolio.priors import fit_prior
 from quantfolio.solver import solve
@@ -31,8 +31,7 @@ def _lps():
         warnings.simplefilter("ignore")  # regularization ignored under MaximizeRatio
         for name, (objective, measure, cons, extra) in _cases().items():
             try:
-                problem = _assemble(ProblemSpec(objective, measure, _prior(),
-                                                constraints=Constraints(**cons), **extra))[0]
+                problem = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())[0]
             except QuantfolioError:  # rejected before any solve
                 continue
             if problem.P is None:
@@ -45,12 +44,12 @@ def _sample_frontier_lp():
     N=10, as `quantfolio frontier` splits it), with `min_return` at the 11th of
     the 12 targets of a 12-point frontier."""
     X = prices_to_returns(load_prices(resources.files("quantfolio") / "data" / "sample_prices.csv"))
-    spec = ProblemSpec(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CVAR,
-                       fit_prior(None, time_split(X, 0.3)[0]))
-    r_min = spec.prior.mu @ optimize(spec)
-    r_max = spec.prior.mu @ optimize(replace(spec, objective=ObjectiveFunction.MAXIMIZE_RETURN))
+    model = MeanRisk(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CVAR)
+    prior = fit_prior(None, time_split(X, 0.3)[0])
+    r_min = prior.mu @ optimize(model, prior)
+    r_max = prior.mu @ optimize(replace(model, objective=ObjectiveFunction.MAXIMIZE_RETURN), prior)
     target = float(np.linspace(r_min, r_max, 12)[10])
-    return _assemble(replace(spec, constraints=Constraints(min_return=target)))[0]
+    return _assemble(replace(model, min_return=target), prior)[0]
 
 
 LPS = _lps()

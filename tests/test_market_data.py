@@ -45,6 +45,26 @@ def test_load_prices_sources_agree(tmp_path):
     np.testing.assert_array_equal(from_path.values, from_file.values)
 
 
+@pytest.mark.parametrize("read", [
+    lambda path: load_prices(path),
+    lambda path: load_prices(str(path)),
+    lambda path: load_prices(path.read_bytes()),
+    lambda path: load_prices(io.BytesIO(path.read_bytes())),
+    lambda path: load_prices(io.StringIO(path.read_text(encoding="utf-8"))),
+    lambda path: load_prices(path.read_text(encoding="utf-8")),
+], ids=["path", "str_path", "bytes", "binary_file", "text_file", "text"])
+def test_load_prices_drops_a_leading_byte_order_mark(tmp_path, read):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF, which once made the
+    # first header read as '\ufeffdate'
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(CSV, encoding="utf-8")
+    bom.write_text(CSV, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    want, got = read(plain), read(bom)
+    assert (got.dates, got.assets) == (want.dates, want.assets)
+    np.testing.assert_array_equal(got.values, want.values)
+
+
 def test_load_prices_trailing_blank_line_ok():
     frame = load_prices(CSV + "\n")
     assert frame.n_periods == 3

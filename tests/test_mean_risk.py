@@ -16,10 +16,8 @@ from quantfolio.exceptions import (
 )
 from quantfolio.measures import RiskMeasure, measure_value
 from quantfolio.mean_risk import (
-    Constraints,
     MeanRisk,
     ObjectiveFunction,
-    ProblemSpec,
     efficient_frontier,
     optimize,
     portfolio_risk,
@@ -40,70 +38,66 @@ LP_MEASURES = (
 )
 
 
-def _spec(objective, prior, measure=RiskMeasure.VARIANCE, **kw):
-    constraints = kw.pop("constraints", Constraints())
-    return ProblemSpec(objective=objective, risk_measure=measure, prior=prior,
-                       constraints=constraints, **kw)
+def _model(objective, measure=RiskMeasure.VARIANCE, **kw):
+    return MeanRisk(objective=objective, risk_measure=measure, **kw)
 
 
 def test_gmv_symmetric_two_assets():
     # [DERIVED] symmetric covariance: equal weights by symmetry
     prior = make_prior([0.0, 0.0], [[0.04, 0.02], [0.02, 0.04]])
-    w = optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior))
+    w = optimize(_model(ObjectiveFunction.MINIMIZE_RISK), prior)
     np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-8)
 
 
 def test_gmv_diagonal_inverse_variance():
     # [DERIVED] diag(1, 4): long-only GMV = inverse-variance = (0.8, 0.2)
     prior = make_prior([0.0, 0.0], np.diag([1.0, 4.0]))
-    w = optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior))
+    w = optimize(_model(ObjectiveFunction.MINIMIZE_RISK), prior)
     np.testing.assert_allclose(w, [0.8, 0.2], atol=1e-8)
 
 
 def test_gmv_named_weight_cap():
     # capping the heavy asset at 0.2 forces (0.2, 0.8)
     prior = make_prior([0.0, 0.0], np.diag([1.0, 4.0]), assets=("a", "b"))
-    cons = Constraints(max_weight_per_asset={"a": 0.2})
-    w = optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior, constraints=cons))
+    model = _model(ObjectiveFunction.MINIMIZE_RISK, max_weight_per_asset={"a": 0.2})
+    w = optimize(model, prior)
     np.testing.assert_allclose(w, [0.2, 0.8], atol=1e-8)
 
 
 def test_cap_unknown_asset_rejected():
     prior = make_prior([0.0, 0.0], np.eye(2), assets=("a", "b"))
-    cons = Constraints(max_weight_per_asset={"zz": 0.2})
+    model = _model(ObjectiveFunction.MINIMIZE_RISK, max_weight_per_asset={"zz": 0.2})
     with pytest.raises(AssetMismatch):
-        optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior, constraints=cons))
+        optimize(model, prior)
 
 
 def test_maximize_return_picks_best_asset():
     prior = make_prior([0.01, 0.05, 0.03], np.eye(3))
-    w = optimize(_spec(ObjectiveFunction.MAXIMIZE_RETURN, prior))
+    w = optimize(_model(ObjectiveFunction.MAXIMIZE_RETURN), prior)
     np.testing.assert_allclose(w, [0.0, 1.0, 0.0], atol=1e-8)
 
 
 def test_utility_limits():
     prior = make_prior([0.01, 0.05], np.diag([0.01, 0.04]))
-    w_gmv = optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior))
-    w_lo = optimize(_spec(ObjectiveFunction.MAXIMIZE_UTILITY, prior,
-                          risk_aversion=1e6))
+    w_gmv = optimize(_model(ObjectiveFunction.MINIMIZE_RISK), prior)
+    w_lo = optimize(_model(ObjectiveFunction.MAXIMIZE_UTILITY, risk_aversion=1e6), prior)
     np.testing.assert_allclose(w_lo, w_gmv, atol=1e-4)
-    w_hi = optimize(_spec(ObjectiveFunction.MAXIMIZE_UTILITY, prior,
-                          risk_aversion=1e-6))
+    w_hi = optimize(_model(ObjectiveFunction.MAXIMIZE_UTILITY, risk_aversion=1e-6), prior)
     np.testing.assert_allclose(w_hi, [0.0, 1.0], atol=1e-4)
 
 
 def test_tangency_identity_covariance():
     # [DERIVED] sigma=I, mu=(0.1,0.2): max Sharpe weights proportional to mu
     prior = make_prior([0.1, 0.2], np.eye(2))
-    w = optimize(_spec(ObjectiveFunction.MAXIMIZE_RATIO, prior))
+    w = optimize(_model(ObjectiveFunction.MAXIMIZE_RATIO), prior)
     np.testing.assert_allclose(w, [1.0 / 3.0, 2.0 / 3.0], atol=1e-6)
 
 
 def test_ratio_invariant_to_return_scale():
     prior1 = make_prior([0.1, 0.2], np.eye(2))
     prior2 = make_prior([0.3, 0.6], np.eye(2))
-    w1 = optimize(_spec(ObjectiveFunction.MAXIMIZE_RATIO, prior1))
-    w2 = optimize(_spec(ObjectiveFunction.MAXIMIZE_RATIO, prior2))
+    w1 = optimize(_model(ObjectiveFunction.MAXIMIZE_RATIO), prior1)
+    w2 = optimize(_model(ObjectiveFunction.MAXIMIZE_RATIO), prior2)
     np.testing.assert_allclose(w1, w2, atol=1e-6)
 
 
@@ -145,8 +139,8 @@ def test_ratio_floor_and_cap_on_decimal_returns(decimal, percent):
 
 def test_l2_regularization_pulls_toward_equal_weights():
     prior = make_prior([0.0, 0.0], np.diag([1.0, 4.0]))
-    base = optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior))
-    shrunk = optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior, l2_coef=100.0))
+    base = optimize(_model(ObjectiveFunction.MINIMIZE_RISK), prior)
+    shrunk = optimize(_model(ObjectiveFunction.MINIMIZE_RISK, l2_coef=100.0), prior)
     assert abs(shrunk[0] - 0.5) < abs(base[0] - 0.5)
     np.testing.assert_allclose(shrunk.sum(), 1.0, atol=1e-8)
 
@@ -156,24 +150,22 @@ def test_l1_constant_under_long_only_budget(rng):
     # must not move
     sigma = random_psd(rng, 4, scale=0.01)
     prior = make_prior(np.zeros(4), sigma)
-    w0 = optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior))
+    w0 = optimize(_model(ObjectiveFunction.MINIMIZE_RISK), prior)
     with pytest.warns(UserWarning, match="l1_coef"):
-        w1 = optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior, l1_coef=0.5))
+        w1 = optimize(_model(ObjectiveFunction.MINIMIZE_RISK, l1_coef=0.5), prior)
     np.testing.assert_allclose(w0, w1, atol=1e-6)
 
 
 def test_min_return_floor_binds():
     prior = make_prior([0.01, 0.05], np.diag([0.01, 0.04]))
-    cons = Constraints(min_return=0.03)
-    w = optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior, constraints=cons))
+    w = optimize(_model(ObjectiveFunction.MINIMIZE_RISK, min_return=0.03), prior)
     assert prior.mu @ w >= 0.03 - 1e-8
 
 
 def test_min_return_infeasible_names_constraint():
     prior = make_prior([0.01, 0.05], np.eye(2))
-    cons = Constraints(min_return=99.0)
     with pytest.raises(InfeasibleProblem, match="min_return"):
-        optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior, constraints=cons))
+        optimize(_model(ObjectiveFunction.MINIMIZE_RISK, min_return=99.0), prior)
 
 
 @pytest.mark.parametrize("measure", list(RiskMeasure))
@@ -221,25 +213,24 @@ def test_risk_cap_of_inf_leaves_the_fit_uncapped(objective):
 @pytest.mark.parametrize("measure", [RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION])
 def test_risk_cap_of_inf_on_a_quadratic_measure_is_still_unsupported(measure):
     prior = make_prior([0.01, 0.02], np.eye(2))
-    cons = Constraints(risk_caps=[(measure, np.inf)])
+    model = _model(ObjectiveFunction.MINIMIZE_RISK, risk_caps=[(measure, np.inf)])
     with pytest.raises(UnsupportedMeasure, match="cap CVaR or MAD instead"):
-        optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior, constraints=cons))
+        optimize(model, prior)
 
 
 def test_budget_outside_bounds_rejected():
     prior = make_prior([0.0, 0.0], np.eye(2))
     with pytest.raises(InvalidConfig):
-        optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior,
-                       constraints=Constraints(budget=3.0)))
+        optimize(_model(ObjectiveFunction.MINIMIZE_RISK, budget=3.0), prior)
 
 
 @pytest.mark.parametrize("measure", [RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION])
 def test_variance_risk_cap_unsupported(measure):
     # a cap on either would be a quadratic constraint; neither has an epigraph
     prior = make_prior([0.01, 0.02], np.eye(2))
-    cons = Constraints(risk_caps=[(measure, 0.5)])
+    model = _model(ObjectiveFunction.MAXIMIZE_RETURN, risk_caps=[(measure, 0.5)])
     with pytest.raises(UnsupportedMeasure, match="cap CVaR or MAD instead"):
-        optimize(_spec(ObjectiveFunction.MAXIMIZE_RETURN, prior, constraints=cons))
+        optimize(model, prior)
     builder = ProblemBuilder()
     with pytest.raises(UnsupportedMeasure, match="cap CVaR or MAD instead"):
         reformulate_risk(builder, measure, prior.scenarios, builder.add_variables(2))
@@ -251,16 +242,14 @@ def test_cvar_risk_cap_binds(rng):
     scenarios[::7, 2] -= 0.12
     prior = make_prior(scenarios.mean(axis=0), np.cov(scenarios, rowvar=False),
                        scenarios=scenarios)
-    free = optimize(_spec(ObjectiveFunction.MAXIMIZE_RETURN, prior,
-                          measure=RiskMeasure.CVAR))
+    free = optimize(_model(ObjectiveFunction.MAXIMIZE_RETURN, RiskMeasure.CVAR), prior)
     hi = measure_value(scenarios @ free, RiskMeasure.CVAR)
-    w_min = optimize(_spec(ObjectiveFunction.MINIMIZE_RISK, prior,
-                           measure=RiskMeasure.CVAR))
+    w_min = optimize(_model(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CVAR), prior)
     lo = measure_value(scenarios @ w_min, RiskMeasure.CVAR)
     cap = 0.5 * (lo + hi)  # strictly between min achievable and unconstrained
-    cons = Constraints(risk_caps=[(RiskMeasure.CVAR, cap)])
-    w = optimize(_spec(ObjectiveFunction.MAXIMIZE_RETURN, prior,
-                       measure=RiskMeasure.CVAR, constraints=cons))
+    model = _model(ObjectiveFunction.MAXIMIZE_RETURN, RiskMeasure.CVAR,
+                   risk_caps=[(RiskMeasure.CVAR, cap)])
+    w = optimize(model, prior)
     assert measure_value(scenarios @ w, RiskMeasure.CVAR) <= cap + 1e-6
     # the cap genuinely binds: capped return below unconstrained return
     assert prior.mu @ w < prior.mu @ free - 1e-6
@@ -295,21 +284,20 @@ def test_frontier_endpoints_and_monotonicity(rng):
     scenarios = rng.normal(0.0005, 0.01, (120, 5))
     prior = make_prior(scenarios.mean(axis=0), np.cov(scenarios, rowvar=False),
                        scenarios=scenarios)
-    spec = _spec(ObjectiveFunction.MINIMIZE_RISK, prior)
-    points = efficient_frontier(spec, size=12)
+    points = efficient_frontier(_model(ObjectiveFunction.MINIMIZE_RISK), prior, size=12)
     assert len(points) == 12
     returns = [p.expected_return for p in points]
     risks = [p.risk for p in points]
     assert all(a <= b + 1e-8 for a, b in zip(returns, returns[1:]))
     assert all(a <= b + 1e-8 for a, b in zip(risks, risks[1:]))
     # last point hits the best achievable return
-    w_max = optimize(_spec(ObjectiveFunction.MAXIMIZE_RETURN, prior))
+    w_max = optimize(_model(ObjectiveFunction.MAXIMIZE_RETURN), prior)
     assert returns[-1] == pytest.approx(float(prior.mu @ w_max), abs=1e-6)
 
 
 def test_frontier_size_one():
     prior = make_prior([0.01, 0.02], np.diag([0.01, 0.04]))
-    points = efficient_frontier(_spec(ObjectiveFunction.MINIMIZE_RISK, prior), size=1)
+    points = efficient_frontier(_model(ObjectiveFunction.MINIMIZE_RISK), prior, size=1)
     assert len(points) == 1
 
 
@@ -317,11 +305,10 @@ def test_portfolio_risk_measures():
     prior = make_prior([0.0, 0.0], np.diag([0.01, 0.04]),
                        scenarios=np.array([[0.01, 0.0], [-0.01, 0.0], [0.0, 0.02]]))
     w = np.array([1.0, 0.0])
-    spec = _spec(ObjectiveFunction.MINIMIZE_RISK, prior)
-    assert portfolio_risk(w, spec) == pytest.approx(0.01, abs=1e-12)
-    spec_sd = _spec(ObjectiveFunction.MINIMIZE_RISK, prior,
-                    measure=RiskMeasure.STANDARD_DEVIATION)
-    assert portfolio_risk(w, spec_sd) == pytest.approx(0.1, abs=1e-12)
+    model = _model(ObjectiveFunction.MINIMIZE_RISK)
+    assert portfolio_risk(w, model, prior) == pytest.approx(0.01, abs=1e-12)
+    model_sd = _model(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.STANDARD_DEVIATION)
+    assert portfolio_risk(w, model_sd, prior) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_mean_risk_estimator_roundtrip(rng):

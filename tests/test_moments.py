@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import quantfolio.moments
 from quantfolio.exceptions import InvalidConfig, TooFewSamples
 from quantfolio.moments import (
     MomentEstimate,
@@ -140,10 +141,23 @@ def test_gerber_fixture():
     np.testing.assert_allclose(np.diag(est.sigma), s**2, atol=1e-12)
 
 
-def test_gerber_psd(rng):
-    R = rng.normal(0, 0.02, (100, 6))
-    est = gerber(R)
+@pytest.mark.parametrize("draw, indefinite", [
+    (lambda rng: rng.normal(0, 0.02, (100, 6)), False),
+    (lambda rng: 0.01 * np.random.default_rng(0).standard_t(3, (20, 6)), True),
+], ids=["normal", "student_t"])
+def test_gerber_psd(rng, monkeypatch, draw, indefinite):
+    # the heavy-tailed short panel's raw Gerber matrix is indefinite, so its
+    # eigenvalues are clipped; the clipped matrix keeps the sample variances
+    R = draw(rng)
+    raw = []
+    clip = quantfolio.moments._clip_to_psd_correlation
+    monkeypatch.setattr(quantfolio.moments, "_clip_to_psd_correlation",
+                        lambda G: raw.append(G.copy()) or clip(G))
+    est = gerber(R, c=0.5)
+    assert (np.linalg.eigvalsh(raw[0]).min() < 0) == indefinite
     assert np.linalg.eigvalsh(est.sigma).min() >= -1e-10
+    check_covariance(est.sigma)
+    np.testing.assert_allclose(np.diag(est.sigma), R.var(axis=0, ddof=1), rtol=1e-12)
 
 
 def test_denoise_rmt_trace_preserved(rng):

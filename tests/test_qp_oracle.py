@@ -18,8 +18,7 @@ import scipy.optimize
 
 import quantfolio.solver
 from quantfolio.exceptions import InfeasibleProblem
-from quantfolio.mean_risk import (Constraints, MeanRisk, ObjectiveFunction, ProblemSpec,
-                                  _assemble, optimize)
+from quantfolio.mean_risk import MeanRisk, ObjectiveFunction, _assemble, optimize
 from quantfolio.measures import RiskMeasure, measure_value
 from quantfolio.solver import QpProblem, _finish, _stack_problem, solve
 
@@ -102,7 +101,7 @@ def _capped_setup(seed, measure):
     X = _panel(250, 20, seed)
     model = MeanRisk().fit(X)
     prior, w_mv = model.prior_, model.weights_
-    problem, w_idx, _ = _assemble(ProblemSpec(ObjectiveFunction.MINIMIZE_RISK, measure, prior))
+    problem, w_idx, _ = _assemble(MeanRisk(ObjectiveFunction.MINIMIZE_RISK, measure), prior)
     highs = scipy.optimize.linprog(
         problem.q, A_ub=problem.G, b_ub=problem.h, A_eq=problem.A_eq, b_eq=problem.b_eq,
         bounds=np.column_stack([problem.lb, problem.ub]), method="highs")
@@ -141,9 +140,7 @@ def test_stalled_run_without_the_finish_returns_its_best_iterate(monkeypatch):
     X, var_min, lowest, _ = _capped_setup(0, mad)
     cap = 1.001 * lowest
     prior = MeanRisk().fit(X).prior_
-    problem, w_idx, _ = _assemble(ProblemSpec(
-        ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.VARIANCE, prior,
-        constraints=Constraints(risk_caps=[(mad, cap)])))
+    problem, w_idx, _ = _assemble(MeanRisk(risk_caps=[(mad, cap)]), prior)
     monkeypatch.setattr(quantfolio.solver, "_finish", lambda *args: None)
     res = solve(problem)
     assert res.status == "Optimal"
@@ -158,9 +155,8 @@ def test_dense_and_csr_rows_reach_the_same_point(measure, monkeypatch):
     # the capped QP's rows exceed IPM_DENSE_CELLS, so the interior point runs
     # on CSR rows; forced onto dense rows it reaches the same finished point
     X, _, lowest, at_min_variance = _capped_setup(0, measure)
-    cons = Constraints(risk_caps=[(measure, 0.5 * (lowest + at_min_variance))])
-    problem, _, _ = _assemble(ProblemSpec(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.VARIANCE,
-                                          MeanRisk().fit(X).prior_, constraints=cons))
+    model = MeanRisk(risk_caps=[(measure, 0.5 * (lowest + at_min_variance))])
+    problem, _, _ = _assemble(model, MeanRisk().fit(X).prior_)
     _, q0, A0, _, _ = _stack_problem(problem)
     assert A0.shape[0] * q0.size > quantfolio.solver.IPM_DENSE_CELLS
     csr = solve(problem)
@@ -183,8 +179,8 @@ def test_ratio_variance_with_cap_matches_slsqp(cap):
     # MaximizeRatio under variance with a binding cap, on the golden prior: the
     # Sharpe ratio equals an SLSQP solve in weight space, from equal weights
     prior = _prior()
-    w = optimize(ProblemSpec(ObjectiveFunction.MAXIMIZE_RATIO, RiskMeasure.VARIANCE, prior,
-                             constraints=Constraints(risk_caps=[cap])))
+    w = optimize(MeanRisk(ObjectiveFunction.MAXIMIZE_RATIO, RiskMeasure.VARIANCE,
+                          risk_caps=[cap]), prior)
     n = w.size
 
     def sharpe(v):

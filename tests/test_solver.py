@@ -11,7 +11,7 @@ import scipy.linalg
 import scipy.sparse
 
 import quantfolio.solver
-from quantfolio.mean_risk import Constraints, ObjectiveFunction, ProblemSpec, _assemble
+from quantfolio.mean_risk import MeanRisk, ObjectiveFunction, _assemble
 from quantfolio.measures import RiskMeasure
 from quantfolio.priors import Prior
 from quantfolio.solver import (QpProblem, _dense_rows, _finish, _select_independent,
@@ -277,7 +277,7 @@ def _cdar_problem():
     rng = np.random.default_rng(0)
     S = rng.normal(5e-4, 0.01, (120, 10)) + rng.normal(0.0, 0.01, (120, 1))
     prior = Prior(mu=S.mean(axis=0), sigma=np.cov(S, rowvar=False), scenarios=S)
-    return _assemble(ProblemSpec(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CDAR, prior))[0]
+    return _assemble(MeanRisk(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CDAR), prior)[0]
 
 
 def _cdar_rows():
@@ -312,8 +312,7 @@ def test_finish_puts_kept_box_rows_exactly_on_their_bounds(case, monkeypatch):
     # point's, or the ADMM polish accepted last) leaves it exactly at that
     # bound, and never at -0.0
     objective, measure, cons, extra = _cases()[case]
-    problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
-                                          constraints=Constraints(**cons), **extra))
+    problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
     polish_step = quantfolio.solver._polish_step
     kkt_rows, finished = [], []
     monkeypatch.setattr(quantfolio.solver, "_polish_step",
@@ -379,8 +378,8 @@ def test_cdar_assembly_and_solve_form_no_dense_constraint_matrix(monkeypatch):
     prior = Prior(mu=S.mean(axis=0), sigma=np.cov(S, rowvar=False), scenarios=S)
     tracemalloc.start()
     try:
-        problem, _, _ = _assemble(ProblemSpec(ObjectiveFunction.MINIMIZE_RISK,
-                                              RiskMeasure.CDAR, prior))
+        problem, _, _ = _assemble(MeanRisk(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CDAR),
+                                  prior)
         res = solve(problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -398,8 +397,7 @@ def test_failed_polish_makes_at_most_finish_rounds_kkt_solves(monkeypatch):
     # before iteration 3,000 do not certify, and none makes more KKT solves
     # than the finish has correction rounds
     objective, measure, cons, extra = _cases()["maximize_ratio/cvar/caps"]
-    problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
-                                          constraints=Constraints(**cons), **extra))
+    problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
     polish_step = quantfolio.solver._polish_step
     kkt_solves = []
 
@@ -425,8 +423,7 @@ def test_polished_residuals_match_unscaled_recomputation(case):
     # the solver measures residuals through the scaled matrices; recompute
     # them from the returned point on the unscaled problem
     objective, measure, cons, extra = _cases()[case]
-    problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
-                                          constraints=Constraints(**cons), **extra))
+    problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
     res = solve(problem)
     assert res.status == "Optimal"
     P0, q0, A0, l, u = _stack_problem(problem)
@@ -448,8 +445,7 @@ def test_admm_dual_residual_matches_unscaled_recomputation(monkeypatch):
     # wrong rescaling of the scaled products shows
     monkeypatch.setattr(quantfolio.solver, "MAX_ITERATIONS", 100)
     objective, measure, cons, extra = _cases()["maximize_utility/mad/l1+mixed"]
-    problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
-                                          constraints=Constraints(**cons), **extra))
+    problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
     res = solve(problem)
     assert res.status == "MaxIterations"
     P0, q0, A0, _, _ = _stack_problem(problem)
@@ -465,8 +461,7 @@ def test_lu_fallback_matches_cholesky(case, monkeypatch):
     # factors solve the same systems to the same iterates (LPs: QPs never
     # reach ADMM)
     objective, measure, cons, extra = _cases()[case]
-    problem, _, _ = _assemble(ProblemSpec(objective, measure, _prior(),
-                                          constraints=Constraints(**cons), **extra))
+    problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
     cholesky = solve(problem)
     failures = []
 
