@@ -29,9 +29,7 @@ from .hierarchical import (
     hrp,
     inverse_volatility,
     linkage_cluster,
-    nco,
     silhouette_score,
-    stacking,
 )
 from .market_data import (
     PriceFrame,
@@ -86,8 +84,6 @@ from .priors import (
     Prior,
     ViewSet,
     black_litterman_prior,
-    empirical_prior,
-    factor_model_prior,
 )
 
 __version__ = "0.1.0"
@@ -98,17 +94,16 @@ __all__ = [
     "FrontierPoint", "HierarchicalRiskParity", "InverseVolatility",
     "MeanRisk", "MomentEstimate", "MultiPeriodPortfolio",
     "NestedClustersOptimization", "ObjectiveFunction", "Population",
-    "Portfolio", "PriceFrame", "Prior", "QuantfolioError",
-    "ReturnsMatrix", "RiskMeasure", "SplitPlan", "StackingOptimization",
-    "ViewSet", "WalkForwardConfig", "align", "bayes_stein",
-    "black_litterman_prior", "cdar", "clone", "corr_distance", "cpcv",
-    "cross_val_predict", "cut_clusters", "cvar", "denoise_rmt",
-    "drawdown_path", "efficient_frontier", "empirical_prior",
-    "equal_weighted", "ew_moments", "factor_model_prior", "frontier_report",
+    "Portfolio", "PriceFrame", "Prior", "QuantfolioError", "ReturnsMatrix",
+    "RiskMeasure", "SplitPlan", "StackingOptimization", "ViewSet",
+    "WalkForwardConfig", "align", "bayes_stein", "black_litterman_prior",
+    "cdar", "clone", "corr_distance", "cpcv", "cross_val_predict",
+    "cut_clusters", "cvar", "denoise_rmt", "drawdown_path",
+    "efficient_frontier", "equal_weighted", "ew_moments", "frontier_report",
     "gerber", "hrp", "inverse_volatility", "ledoit_wolf", "linkage_cluster",
     "load_prices", "max_drawdown", "mean_absolute_deviation", "measure_value",
-    "nco", "optimize", "population_summary", "portfolio_risk", "predict",
+    "optimize", "population_summary", "portfolio_risk", "predict",
     "prices_to_returns", "sample_moments", "silhouette_score",
-    "stacking", "standard_deviation", "summary", "time_split", "variance",
-    "walk_forward", "worst_realization",
+    "standard_deviation", "summary", "time_split", "variance", "walk_forward",
+    "worst_realization",
 ]

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 
 from .analytics import Portfolio, predict
+from .exceptions import InvalidConfig
 
 
 class BaseEstimator:
@@ -36,16 +37,20 @@ class BaseEstimator:
         return out
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        """Set plain and ``outer__inner`` keys; each key is checked against
+        ``get_params(deep=True)`` before any is set, so a call that raises
+        sets nothing."""
+        valid = self.get_params(deep=True)
+        for key in params:
+            if key not in valid:
+                raise InvalidConfig(f"unknown parameter {key!r} for {type(self).__name__}")
         nested: dict[str, dict] = {}
         for key, value in params.items():
-            if "__" in key:
-                head, tail = key.split("__", 1)
+            head, nest, tail = key.partition("__")
+            if nest:
                 nested.setdefault(head, {})[tail] = value
-            elif key in valid:
-                setattr(self, key, value)
             else:
-                raise ValueError(f"unknown parameter {key!r} for {type(self).__name__}")
+                setattr(self, key, value)
         for head, sub_params in nested.items():
             getattr(self, head).set_params(**sub_params)
         return self

@@ -31,6 +31,7 @@ from .exceptions import (
     UnsupportedMeasure,
     require_finite,
     require_int,
+    require_member,
 )
 from .hierarchical import (
     EqualWeighted,
@@ -281,10 +282,7 @@ def _build(sort: str, section: dict, assets: tuple[str, ...], constraints: dict 
         elif key in _NESTED:
             value = _build(_NESTED[key], value, assets)
         elif key in _ENUMS:
-            try:
-                value = _ENUMS[key](value)
-            except ValueError:
-                raise InvalidConfig(f"unknown {key} {value!r}") from None
+            value = require_member(_ENUMS[key], key, value)
         params[_RENAME.get(key, key)] = value
     if kind == "mean_risk":
         params.update(section.get("constraints", constraints) or {})
@@ -327,8 +325,6 @@ def _load_data(cfg: dict):
         raise InvalidConfig("config needs a data section with a 'prices' path")
     prices = load_prices(_data_path(data, "prices"))
     kind = data.get("returns_kind", "simple")
-    if kind not in ("simple", "log"):
-        raise InvalidConfig(f"returns_kind must be 'simple' or 'log', got {kind!r}")
     factors = None
     if "factors" in data:
         factor_prices = load_prices(_data_path(data, "factors"))

@@ -135,6 +135,15 @@ def require_int(name, value):
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
 
 
+def require_member(enum, name, value):
+    """The member of `enum` that `value` is or whose value string it is; a
+    config names a member by its value, so "cvar" is RiskMeasure.CVAR."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise InvalidConfig(f"unknown {name} {value!r}") from None
+
+
 def require_bool(name, value):
     """Reject anything but a boolean; the string "false" is not one."""
     if not isinstance(value, (bool, np.bool_)):

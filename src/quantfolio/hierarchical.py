@@ -140,13 +140,10 @@ def silhouette_score(D: np.ndarray, labels: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def hrp(
-    prior: Prior,
-    risk_measure: RiskMeasure = RiskMeasure.VARIANCE,
-    linkage: str = "single",
-    beta: float = DEFAULT_BETA,
-) -> np.ndarray:
-    """Hierarchical Risk Parity: seriation plus recursive bisection.
+def hrp(model: HierarchicalRiskParity, prior: Prior) -> np.ndarray:
+    """Hierarchical Risk Parity of the model's measure, linkage and beta on
+    `prior` (`model.prior_estimator` is not used): seriation plus recursive
+    bisection.
 
     Each bisection splits weight in inverse proportion to the two sides'
     risks, each clipped at 0 first: CVaR and worst realization are negative on
@@ -160,15 +157,15 @@ def hrp(
     leaf's weight is the product of the split factors of the sides it lies
     on, root first.
     """
-    require_finite("beta", beta)
-    if not 0 < beta < 1:
+    require_finite("beta", model.beta)
+    if not 0 < model.beta < 1:
         raise InvalidConfig("beta must lie in (0, 1)")
     n = prior.n_assets
     if n == 1:
         return np.ones(1)
     if np.any(np.diag(prior.sigma) <= 0):
         raise ZeroVarianceAsset("HRP needs strictly positive asset variances")
-    tree = linkage_cluster(corr_distance(prior.sigma), method=linkage)
+    tree = linkage_cluster(corr_distance(prior.sigma), method=model.linkage)
     order = np.array(tree.leaf_order)
 
     # splits as positions lo < mid < hi in the leaf order, parents first
@@ -194,7 +191,7 @@ def hrp(
     columns = np.empty((n, sides.shape[0]))
     columns[order] = ivp.T  # one column per side, in the assets' own order
     risk = np.maximum(risk_of_weights(columns, prior.sigma, prior.scenarios,
-                                      risk_measure, beta=beta), 0.0)
+                                      model.risk_measure, beta=model.beta), 0.0)
     risk_l, risk_r = risk[0::2], risk[1::2]
     total = risk_l + risk_r
     alpha = 1.0 - np.divide(risk_l, total, out=np.full(total.size, 0.5), where=total > 0)
@@ -216,101 +213,6 @@ def inverse_volatility(prior: Prior) -> np.ndarray:
     if np.any(d <= 0):
         raise ZeroVarianceAsset("inverse volatility needs positive variances")
     w = 1.0 / np.sqrt(d)
-    return w / w.sum()
-
-
-def nco(
-    X: ReturnsMatrix,
-    inner=None,
-    outer=None,
-    k: int | str = "auto",
-    linkage: str = "single",
-) -> np.ndarray:
-    """Nested Clustering Optimization: intra-cluster fits, then a reduced
-    inter-cluster problem on the cluster return series."""
-    if k != "auto":
-        require_int("k (an integer or 'auto')", k)
-    values = returns_values(X)
-    n = values.shape[1]
-    inner = inner if inner is not None else MeanRisk()
-    outer = outer if outer is not None else MeanRisk()
-
-    prior = fit_prior(None, X)
-    if n < 2:
-        raise InvalidConfig("NCO needs at least 2 assets")
-    D = corr_distance(prior.sigma)
-    tree = linkage_cluster(D, method=linkage)
-    if k == "auto":
-        candidates = range(2, min(10, n - 1) + 1)
-        k = max(candidates,
-                key=lambda kk: (silhouette_score(D, cut_clusters(tree, kk)), -kk),
-                default=1)  # fewer than 3 assets leave no cut to score
-    labels = cut_clusters(tree, int(k))
-    n_clusters = int(labels.max()) + 1
-
-    intra = np.zeros((n, n_clusters))
-    for c in range(n_clusters):
-        cols = np.flatnonzero(labels == c)
-        if cols.size == 1:
-            intra[cols[0], c] = 1.0
-            continue
-        sub = X.take(cols=cols) if isinstance(X, ReturnsMatrix) else values[:, cols]
-        est = clone(inner).fit(sub)
-        intra[cols, c] = np.asarray(est.weights_, dtype=float)
-
-    if n_clusters == 1:
-        return intra[:, 0].copy()
-    reduced = values @ intra
-    if isinstance(X, ReturnsMatrix):
-        reduced = replace(X, assets=tuple(f"cluster_{c}" for c in range(n_clusters)),
-                          values=reduced)
-    inter = np.asarray(clone(outer).fit(reduced).weights_, dtype=float)
-    return intra @ inter
-
-
-def stacking(
-    estimators: list[tuple[str, object]],
-    final_estimator,
-    X: ReturnsMatrix,
-    cv,
-    n_jobs: int = 1,
-) -> np.ndarray:
-    """Stacked allocation: out-of-sample base series feed the final stage.
-
-    `cv` is a SplitPlan or a config object with .plan(T). CPCV plans yield one
-    series per path; paths are averaged into a single out-of-sample series per
-    base. The output is sum_k c_k * w_k rescaled to sum to 1.
-    """
-    if not estimators:
-        raise InvalidConfig("stacking needs at least one base estimator")
-    names = tuple(name for name, _ in estimators)
-    if "" in names or len(set(names)) != len(names):
-        raise InvalidConfig(f"stacking estimator names must be distinct and non-empty: {names!r}")
-    plan = cv if isinstance(cv, SplitPlan) else cv.plan(X.n_periods)
-    if plan.n_splits == 0:
-        raise EmptyCv("stacking cv plan is empty")
-
-    oos_columns = []
-    dates = None
-    for result in cross_val_predict(list(estimators), X, plan, n_jobs=n_jobs):
-        if isinstance(result, list):
-            series = np.mean([p.returns for p in result], axis=0)
-            dates = result[0].dates
-        else:
-            series = result.returns
-            dates = result.dates
-        oos_columns.append(series)
-    synthetic = ReturnsMatrix(
-        dates=dates, assets=names,
-        values=np.column_stack(oos_columns), kind="simple",
-    )
-
-    c = np.asarray(clone(final_estimator).fit(synthetic).weights_, dtype=float)
-
-    base_weights = np.column_stack([
-        np.asarray(clone(est).fit(X).weights_, dtype=float) for _, est in estimators
-    ])
-    w = base_weights @ c
     return w / w.sum()
 
 
@@ -348,13 +250,16 @@ class HierarchicalRiskParity(BaseEstimator):
 
     def fit(self, X, factors=None):
         self.prior_ = fit_prior(self.prior_estimator, X, factors)
-        self.weights_ = hrp(self.prior_, risk_measure=self.risk_measure,
-                            linkage=self.linkage, beta=self.beta)
+        self.weights_ = hrp(self, self.prior_)
         return self
 
 
 @dataclass(repr=False, eq=False)
 class NestedClustersOptimization(BaseEstimator):
+    """Nested Clustering Optimization: intra-cluster fits, then a reduced
+    inter-cluster problem on the cluster return series. Either stage is a
+    MeanRisk() when its estimator is None."""
+
     inner_estimator: BaseEstimator | None = None
     outer_estimator: BaseEstimator | None = None
     k: int | str = "auto"
@@ -366,13 +271,58 @@ class NestedClustersOptimization(BaseEstimator):
         import scipy.cluster.hierarchy  # noqa: F401
 
     def fit(self, X, factors=None):
-        self.weights_ = nco(X, inner=self.inner_estimator, outer=self.outer_estimator,
-                            k=self.k, linkage=self.linkage)
+        k = self.k
+        if k != "auto":
+            require_int("k (an integer or 'auto')", k)
+        values = returns_values(X)
+        n = values.shape[1]
+        inner = self.inner_estimator if self.inner_estimator is not None else MeanRisk()
+        outer = self.outer_estimator if self.outer_estimator is not None else MeanRisk()
+
+        prior = fit_prior(None, X)
+        if n < 2:
+            raise InvalidConfig("NCO needs at least 2 assets")
+        D = corr_distance(prior.sigma)
+        tree = linkage_cluster(D, method=self.linkage)
+        if k == "auto":
+            candidates = range(2, min(10, n - 1) + 1)
+            k = max(candidates,
+                    key=lambda kk: (silhouette_score(D, cut_clusters(tree, kk)), -kk),
+                    default=1)  # fewer than 3 assets leave no cut to score
+        labels = cut_clusters(tree, int(k))
+        n_clusters = int(labels.max()) + 1
+
+        intra = np.zeros((n, n_clusters))
+        for c in range(n_clusters):
+            cols = np.flatnonzero(labels == c)
+            if cols.size == 1:
+                intra[cols[0], c] = 1.0
+                continue
+            sub = X.take(cols=cols) if isinstance(X, ReturnsMatrix) else values[:, cols]
+            intra[cols, c] = np.asarray(clone(inner).fit(sub).weights_, dtype=float)
+
+        if n_clusters == 1:
+            self.weights_ = intra[:, 0].copy()
+            return self
+        reduced = values @ intra
+        if isinstance(X, ReturnsMatrix):
+            reduced = replace(X, assets=tuple(f"cluster_{c}" for c in range(n_clusters)),
+                              values=reduced)
+        self.weights_ = intra @ np.asarray(clone(outer).fit(reduced).weights_, dtype=float)
         return self
 
 
 @dataclass(repr=False, eq=False)
 class StackingOptimization(BaseEstimator):
+    """Stacked allocation: out-of-sample base series feed the final stage.
+
+    `cv` is a SplitPlan or a config object with .plan(T). CPCV plans yield one
+    series per path; paths are averaged into a single out-of-sample series per
+    base. The weights are sum_k c_k * w_k rescaled to sum to 1, where c are
+    the final stage's weights (a MeanRisk() when `final_estimator` is None)
+    and w_k base k's weights fitted on all of X.
+    """
+
     estimators: list[tuple[str, BaseEstimator]] | None = None
     final_estimator: BaseEstimator | None = None
     cv: CpcvConfig | WalkForwardConfig | SplitPlan = _DEFAULT_STACKING_CV
@@ -380,7 +330,27 @@ class StackingOptimization(BaseEstimator):
 
     def fit(self, X, factors=None):
         if not self.estimators:
-            raise InvalidConfig("StackingOptimization needs base estimators")
+            raise InvalidConfig("StackingOptimization needs at least one base estimator")
+        names = tuple(name for name, _ in self.estimators)
+        if "" in names or len(set(names)) != len(names):
+            raise InvalidConfig(
+                f"stacking estimator names must be distinct and non-empty: {names!r}")
+        plan = self.cv if isinstance(self.cv, SplitPlan) else self.cv.plan(X.n_periods)
+        if plan.n_splits == 0:
+            raise EmptyCv("stacking cv plan is empty")
+
+        oos_columns = []
+        for result in cross_val_predict(list(self.estimators), X, plan, n_jobs=self.n_jobs):
+            paths = result if isinstance(result, list) else [result]
+            oos_columns.append(np.mean([p.returns for p in paths], axis=0))
+        synthetic = ReturnsMatrix(dates=paths[0].dates, assets=names,
+                                  values=np.column_stack(oos_columns), kind="simple")
+
         final = self.final_estimator if self.final_estimator is not None else MeanRisk()
-        self.weights_ = stacking(self.estimators, final, X, self.cv, n_jobs=self.n_jobs)
+        c = np.asarray(clone(final).fit(synthetic).weights_, dtype=float)
+        base_weights = np.column_stack([
+            np.asarray(clone(est).fit(X).weights_, dtype=float) for _, est in self.estimators
+        ])
+        w = base_weights @ c
+        self.weights_ = w / w.sum()
         return self

@@ -108,7 +108,7 @@ class ReturnsMatrix(_Panel):
 
     def __post_init__(self):
         if self.kind not in ("simple", "log"):
-            raise ValueError(f"kind must be 'simple' or 'log', got {self.kind!r}")
+            raise InvalidConfig(f"kind must be 'simple' or 'log', got {self.kind!r}")
         super().__post_init__()
         if self.kind == "simple" and self.values.size and self.values.min() <= -1:
             raise NonPositivePrice("simple return ≤ −1 implies non-positive price")
@@ -203,13 +203,8 @@ def prices_to_returns(prices: PriceFrame, kind: str = "simple") -> ReturnsMatrix
     """Convert prices to per-period returns; the return date is the later date of each pair."""
     if prices.n_periods < 2:
         raise TooFewRows("need at least 2 price rows to form returns")
-    p = prices.values
-    if kind == "simple":
-        values = p[1:] / p[:-1] - 1.0
-    elif kind == "log":
-        values = np.log(p[1:] / p[:-1])
-    else:
-        raise ValueError(f"kind must be 'simple' or 'log', got {kind!r}")
+    ratio = prices.values[1:] / prices.values[:-1]
+    values = np.log(ratio) if kind == "log" else ratio - 1.0
     return ReturnsMatrix(dates=prices.dates[1:], assets=prices.assets, values=values, kind=kind)
 
 

@@ -27,6 +27,7 @@ from .exceptions import (
     SolverFailure,
     UnboundedProblem,
     require_finite,
+    require_member,
     require_real,
 )
 from .measures import DEFAULT_BETA, RiskMeasure, risk_of_weights
@@ -42,8 +43,12 @@ class ObjectiveFunction(Enum):
     MAXIMIZE_RATIO = "maximize_ratio"
 
 
-def _check(model):
-    """Reject unusable hyper-parameters; run before every assembly."""
+def _check(model: MeanRisk) -> MeanRisk:
+    """Reject unusable hyper-parameters; run before every solve. Returns a
+    copy whose objective and measures are members, where the model may give
+    their value strings ("cvar" for RiskMeasure.CVAR)."""
+    objective = require_member(ObjectiveFunction, "objective", model.objective)
+    risk_measure = require_member(RiskMeasure, "risk_measure", model.risk_measure)
     require_finite("budget", model.budget)
     # an infinite bound leaves that side of the box open
     require_real("min_weights", model.min_weights, array=True)
@@ -61,11 +66,13 @@ def _check(model):
     if model.linear_A is not None:
         require_finite("linear_A", model.linear_A, array=True)
         require_finite("linear_b", model.linear_b, array=True)
+    risk_caps = []
     for cap in model.risk_caps or ():
         if not isinstance(cap, (tuple, list)) or len(cap) != 2:
             raise InvalidConfig(f"a risk cap must be a (measure, bound) pair, got {cap!r}")
         # +inf leaves the measure uncapped, as an infinite weight bound leaves the box open
         require_real(f"risk cap bound of {cap[0]}", cap[1])
+        risk_caps.append((require_member(RiskMeasure, "risk cap measure", cap[0]), cap[1]))
     for name in ("l1_coef", "l2_coef", "risk_aversion", "beta"):
         require_finite(name, getattr(model, name))
     if model.l1_coef < 0 or model.l2_coef < 0:
@@ -74,6 +81,7 @@ def _check(model):
         raise InvalidConfig("risk_aversion must be >= 0")
     if not 0 < model.beta < 1:
         raise InvalidConfig("beta must lie in (0, 1)")
+    return replace(model, objective=objective, risk_measure=risk_measure, risk_caps=risk_caps)
 
 
 def _bounds(model, n: int, assets: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -220,8 +228,8 @@ def _raise_for_status(res, model, prior):
 
 
 def _assemble(model: MeanRisk, prior: Prior):
-    """The model's problem on the prior, its weight columns and the ratio
-    scale column.
+    """The problem of a checked model (one that `_check` returned) on the
+    prior, its weight columns and the ratio scale column.
 
     MaximizeRatio is solved homogenized over y = t·w with a scale column
     t ≥ 0. Degree-1 measures: maximize mu'y subject to risk(y) <= 1 plus the
@@ -230,7 +238,6 @@ def _assemble(model: MeanRisk, prior: Prior):
     std dev). Recover w = y/t. The other objectives have no scale column
     (t is None).
     """
-    _check(model)
     n = prior.n_assets
     lb, ub = _bounds(model, n, prior.assets)
     ratio = model.objective is ObjectiveFunction.MAXIMIZE_RATIO
@@ -270,6 +277,8 @@ def _assemble(model: MeanRisk, prior: Prior):
     elif model.objective is ObjectiveFunction.MAXIMIZE_UTILITY:
         builder.add_cost(neg_mu)
         _add_risk_cost(builder, model, prior, w_idx, model.risk_aversion)
+    elif not ratio:
+        raise InvalidConfig(f"unknown objective {model.objective!r}")
     elif model.risk_measure in _QUADRATIC:
         builder.add_rows(w_idx, prior.mu, 1.0, eq=True)
         builder.add_quadratic(w_idx, prior.sigma)
@@ -288,6 +297,7 @@ def _assemble(model: MeanRisk, prior: Prior):
 def optimize(model: MeanRisk, prior: Prior) -> np.ndarray:
     """Solve the model's problem on `prior` (`model.prior_estimator` is not
     used); returns weights on the budget hyperplane."""
+    model = _check(model)
     # assembled in a helper so that the builder's row blocks are freed before the solve
     problem, w_idx, t = _assemble(model, prior)
     res = solve(problem)
@@ -351,7 +361,9 @@ class MeanRisk(BaseEstimator):
     the box [`min_weights`, `max_weights`], numbers or one per asset, ±inf
     leaving a side open; `max_weight_per_asset`, caps by asset name;
     `linear_A`·w ≥ `linear_b`; the floor `min_return`; and `risk_caps`,
-    (RiskMeasure, bound) pairs. Every solve checks the fields; none is changed.
+    (RiskMeasure, bound) pairs. `objective`, `risk_measure` and a cap's
+    measure take a member or its value string ("maximize_ratio", "cvar").
+    Every solve checks the fields; none is changed.
     """
 
     objective: ObjectiveFunction = ObjectiveFunction.MINIMIZE_RISK

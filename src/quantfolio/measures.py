@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .exceptions import EmptySeries, TooFewSamples
+from .exceptions import EmptySeries, InvalidConfig, TooFewSamples, require_member
 
 
 class RiskMeasure(enum.Enum):
@@ -53,7 +53,7 @@ def _check_series(r: np.ndarray):
 
 def _cvar(r: np.ndarray, beta: float):
     if not 0 < beta < 1:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
+        raise InvalidConfig(f"beta must be in (0, 1), got {beta}")
     losses = np.sort(-r, axis=0)[::-1]
     T = losses.shape[0]
     m = (1.0 - beta) * T
@@ -96,7 +96,7 @@ def _measure(r: np.ndarray, measure: RiskMeasure, beta: float, compounded: bool)
         return _cvar(-_drawdowns(r, compounded), beta)
     if measure is RiskMeasure.MAX_DRAWDOWN:
         return _drawdowns(r, compounded).max(axis=0)
-    raise ValueError(f"unknown measure {measure}")
+    raise InvalidConfig(f"unknown measure {measure!r}")
 
 
 def cvar(values, beta: float = DEFAULT_BETA) -> float:
@@ -144,7 +144,9 @@ def measure_value(
     beta: float = DEFAULT_BETA,
     compounded: bool = False,
 ) -> float:
-    """Evaluate any supported risk measure on a realized return series."""
+    """Evaluate any supported risk measure, a member or its value string, on
+    a realized return series."""
+    measure = require_member(RiskMeasure, "measure", measure)
     return float(_measure(_as_series(values), measure, beta, compounded))
 
 
@@ -156,8 +158,10 @@ def risk_of_weights(weights, sigma, scenarios, measure: RiskMeasure,
     `weights` may also be an n×k matrix whose columns are k portfolios: then
     one product with `sigma` or `scenarios` and one pass of the measure down
     the k columns return the k risks as an array, each equal to the 1-D call
-    on its column up to rounding. A 1-D `weights` returns a float.
+    on its column up to rounding. A 1-D `weights` returns a float. `measure`
+    is a member or its value string.
     """
+    measure = require_member(RiskMeasure, "measure", measure)
     W = np.asarray(weights, dtype=float)
     if measure in (RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION):
         var = W @ sigma @ W if W.ndim == 1 else np.einsum("ij,ij->j", W, sigma @ W)

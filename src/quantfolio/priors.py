@@ -17,7 +17,6 @@ from .exceptions import (
     require_finite,
 )
 from .market_data import ReturnsMatrix, returns_values
-from .moments import MomentEstimate
 
 
 @dataclass(frozen=True)
@@ -26,8 +25,8 @@ class Prior:
 
     Scenario-based risk measures (CVaR, CDaR, MAD, worst realization) read
     `scenarios`; moment-based ones read `mu`/`sigma`. The scenario column
-    means need not equal `mu`. `sigma` must be symmetric PSD, as the convex
-    solves assume.
+    means need not equal `mu`. Every entry must be finite, and `sigma`
+    symmetric PSD, as the convex solves assume.
     """
 
     mu: np.ndarray
@@ -49,6 +48,9 @@ class Prior:
             raise DimensionMismatch(f"scenarios shape {scenarios.shape} vs N={n}")
         if self.assets and len(self.assets) != n:
             raise DimensionMismatch("asset list length does not match mu")
+        for name, values in (("mu", mu), ("scenarios", scenarios)):
+            if not np.isfinite(values).all():
+                raise InvalidConfig(f"{name} has non-finite entries")
         moments.check_covariance(sigma)
 
     @property
@@ -91,80 +93,6 @@ class ViewSet:
         return self.Q.size
 
 
-_MEAN_ESTIMATORS = ("sample", "ew", "bayes_stein")
-_COV_ESTIMATORS = ("sample", "ew", "ledoit_wolf", "gerber", "denoised")
-
-
-def empirical_prior(
-    R: ReturnsMatrix,
-    mean_estimator: str = "sample",
-    cov_estimator: str = "sample",
-    halflife: float = 60.0,
-    gerber_c: float = 0.5,
-    rmt_passes: int = 2,
-) -> Prior:
-    """Prior from historical returns; scenarios are the returns themselves."""
-    if mean_estimator not in _MEAN_ESTIMATORS:
-        raise InvalidConfig(f"mean_estimator must be one of {_MEAN_ESTIMATORS}")
-    if cov_estimator not in _COV_ESTIMATORS:
-        raise InvalidConfig(f"cov_estimator must be one of {_COV_ESTIMATORS}")
-
-    base = moments.sample_moments(R)
-    estimates = {
-        "sample": lambda: base,
-        "ew": lambda: moments.ew_moments(R, halflife=halflife),
-        "bayes_stein": lambda: moments.bayes_stein(base),
-        "ledoit_wolf": lambda: moments.ledoit_wolf(R)[0],
-        "gerber": lambda: moments.gerber(R, c=gerber_c),
-        "denoised": lambda: moments.denoise_rmt(base, passes=rmt_passes),
-    }
-    # one call per named estimate, also when mu and sigma name the same one
-    picked = {name: estimates[name]() for name in dict.fromkeys((mean_estimator, cov_estimator))}
-    mu, sigma = picked[mean_estimator].mu, picked[cov_estimator].sigma
-
-    X = returns_values(R)
-    assets = tuple(R.assets) if isinstance(R, ReturnsMatrix) else ()
-    return Prior(mu=mu, sigma=sigma, scenarios=X, assets=assets)
-
-
-def factor_model_prior(X: ReturnsMatrix, F: ReturnsMatrix, ridge_alpha: float = 0.1) -> Prior:
-    """Factor-model prior via per-asset ridge regression (unpenalized intercept).
-
-    sigma = B Σ_F Bᵀ + diag(residual variances); scenarios are the
-    factor-implied reconstructions a + F Bᵀ, residuals excluded.
-    """
-    Xv = returns_values(X)
-    Fv = returns_values(F)
-    if isinstance(X, ReturnsMatrix) and isinstance(F, ReturnsMatrix):
-        if X.dates != F.dates:
-            raise DateMisalignment("asset and factor returns must share the date axis")
-    if Xv.shape[0] != Fv.shape[0]:
-        raise DateMisalignment(f"{Xv.shape[0]} asset rows vs {Fv.shape[0]} factor rows")
-    T, K = Fv.shape
-    if T < K + 2:
-        raise TooFewSamples(f"need T > n_factors + 1, got T={T}, K={K}")
-    require_finite("ridge_alpha", ridge_alpha)
-    if ridge_alpha < 0:
-        raise InvalidConfig("ridge_alpha must be >= 0")
-
-    f_mean = Fv.mean(axis=0)
-    x_mean = Xv.mean(axis=0)
-    Fc = Fv - f_mean
-    Xc = Xv - x_mean
-    # centered ridge leaves the intercept unpenalized
-    B = np.linalg.solve(Fc.T @ Fc + ridge_alpha * np.eye(K), Fc.T @ Xc)  # K×N
-    a = x_mean - f_mean @ B
-    fitted = a + Fv @ B
-    residuals = Xv - fitted
-    resid_var = residuals.var(axis=0, ddof=1)
-
-    sigma_f = np.cov(Fv, rowvar=False, ddof=1).reshape(K, K)
-    sigma = B.T @ sigma_f @ B + np.diag(resid_var)
-    mu = a + f_mean @ B
-    assets = tuple(X.assets) if isinstance(X, ReturnsMatrix) else ()
-    return Prior(mu=mu, sigma=(sigma + sigma.T) / 2, scenarios=fitted, assets=assets)
-
-
 def black_litterman_prior(base: Prior, views: ViewSet) -> Prior:
     """Posterior (mu, sigma) combining the base prior with linear views."""
     N = base.n_assets
@@ -195,8 +123,14 @@ def black_litterman_prior(base: Prior, views: ViewSet) -> Prior:
                  assets=base.assets)
 
 
+_MEAN_ESTIMATORS = ("sample", "ew", "bayes_stein")
+_COV_ESTIMATORS = ("sample", "ew", "ledoit_wolf", "gerber", "denoised")
+
+
 @dataclass(repr=False, eq=False)
 class EmpiricalPrior(BaseEstimator):
+    """Prior from historical returns; scenarios are the returns themselves."""
+
     mean_estimator: str = "sample"
     cov_estimator: str = "sample"
     halflife: float = 60.0
@@ -204,25 +138,72 @@ class EmpiricalPrior(BaseEstimator):
     rmt_passes: int = 2
 
     def fit(self, X, factors=None):
-        self.prior_ = empirical_prior(
-            X,
-            mean_estimator=self.mean_estimator,
-            cov_estimator=self.cov_estimator,
-            halflife=self.halflife,
-            gerber_c=self.gerber_c,
-            rmt_passes=self.rmt_passes,
-        )
+        if self.mean_estimator not in _MEAN_ESTIMATORS:
+            raise InvalidConfig(f"mean_estimator must be one of {_MEAN_ESTIMATORS}")
+        if self.cov_estimator not in _COV_ESTIMATORS:
+            raise InvalidConfig(f"cov_estimator must be one of {_COV_ESTIMATORS}")
+
+        base = moments.sample_moments(X)
+        estimates = {
+            "sample": lambda: base,
+            "ew": lambda: moments.ew_moments(X, halflife=self.halflife),
+            "bayes_stein": lambda: moments.bayes_stein(base),
+            "ledoit_wolf": lambda: moments.ledoit_wolf(X)[0],
+            "gerber": lambda: moments.gerber(X, c=self.gerber_c),
+            "denoised": lambda: moments.denoise_rmt(base, passes=self.rmt_passes),
+        }
+        # one call per named estimate, also when mu and sigma name the same one
+        picked = {name: estimates[name]()
+                  for name in dict.fromkeys((self.mean_estimator, self.cov_estimator))}
+        assets = tuple(X.assets) if isinstance(X, ReturnsMatrix) else ()
+        self.prior_ = Prior(mu=picked[self.mean_estimator].mu,
+                            sigma=picked[self.cov_estimator].sigma,
+                            scenarios=returns_values(X), assets=assets)
         return self
 
 
 @dataclass(repr=False, eq=False)
 class FactorModel(BaseEstimator):
+    """Factor-model prior via per-asset ridge regression (unpenalized intercept).
+
+    sigma = B Σ_F Bᵀ + diag(residual variances); scenarios are the
+    factor-implied reconstructions a + F Bᵀ, residuals excluded.
+    """
+
     ridge_alpha: float = 0.1
 
     def fit(self, X, factors=None):
         if factors is None:
             raise TooFewSamples("FactorModel requires a factor returns matrix")
-        self.prior_ = factor_model_prior(X, factors, ridge_alpha=self.ridge_alpha)
+        Xv = returns_values(X)
+        Fv = returns_values(factors)
+        if isinstance(X, ReturnsMatrix) and isinstance(factors, ReturnsMatrix):
+            if X.dates != factors.dates:
+                raise DateMisalignment("asset and factor returns must share the date axis")
+        if Xv.shape[0] != Fv.shape[0]:
+            raise DateMisalignment(f"{Xv.shape[0]} asset rows vs {Fv.shape[0]} factor rows")
+        T, K = Fv.shape
+        if T < K + 2:
+            raise TooFewSamples(f"need T > n_factors + 1, got T={T}, K={K}")
+        require_finite("ridge_alpha", self.ridge_alpha)
+        if self.ridge_alpha < 0:
+            raise InvalidConfig("ridge_alpha must be >= 0")
+
+        f_mean = Fv.mean(axis=0)
+        x_mean = Xv.mean(axis=0)
+        Fc = Fv - f_mean
+        Xc = Xv - x_mean
+        # centered ridge leaves the intercept unpenalized
+        B = np.linalg.solve(Fc.T @ Fc + self.ridge_alpha * np.eye(K), Fc.T @ Xc)  # K×N
+        a = x_mean - f_mean @ B
+        fitted = a + Fv @ B
+        resid_var = (Xv - fitted).var(axis=0, ddof=1)
+
+        sigma_f = np.cov(Fv, rowvar=False, ddof=1).reshape(K, K)
+        sigma = B.T @ sigma_f @ B + np.diag(resid_var)
+        assets = tuple(X.assets) if isinstance(X, ReturnsMatrix) else ()
+        self.prior_ = Prior(mu=a + f_mean @ B, sigma=(sigma + sigma.T) / 2,
+                            scenarios=fitted, assets=assets)
         return self
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from quantfolio.cli import main
-from quantfolio.hierarchical import EqualWeighted, hrp
+from quantfolio.hierarchical import EqualWeighted, HierarchicalRiskParity, hrp
 from quantfolio.measures import RiskMeasure, measure_value
 from quantfolio.mean_risk import MeanRisk, ObjectiveFunction, efficient_frontier, optimize
 from quantfolio.model_selection import CpcvConfig, cpcv, cross_val_predict, walk_forward
@@ -163,8 +163,9 @@ def test_criterion_04_frontier_structure():
 
 def test_criterion_05_hrp_oracles():
     with verdict(5, "HRP matches hand oracles and is permutation invariant"):
+        model = HierarchicalRiskParity()
         prior = make_prior([0.0, 0.0], np.diag([1.0, 3.0]))
-        np.testing.assert_array_equal(hrp(prior), [0.75, 0.25])
+        np.testing.assert_array_equal(hrp(model, prior), [0.75, 0.25])
 
         sigma = np.array([
             [1.0, 0.8, 0.0, 0.0],
@@ -186,16 +187,16 @@ def test_criterion_05_hrp_oracles():
         alpha = 1.0 - v_l / (v_l + v_r)
         expected = np.concatenate([ivp(sigma[:2, :2]) * alpha,
                                    ivp(sigma[2:, 2:]) * (1.0 - alpha)])
-        got = hrp(make_prior(np.zeros(4), sigma))
+        got = hrp(model, make_prior(np.zeros(4), sigma))
         assert np.abs(got - expected).max() < 1e-12
 
         for seed in range(10):
             rng = np.random.default_rng(seed)
             m = int(rng.integers(3, 9))
             S = random_psd(rng, m, scale=0.01)
-            w = hrp(make_prior(np.zeros(m), S))
+            w = hrp(model, make_prior(np.zeros(m), S))
             perm = rng.permutation(m)
-            w_p = hrp(make_prior(np.zeros(m), S[np.ix_(perm, perm)]))
+            w_p = hrp(model, make_prior(np.zeros(m), S[np.ix_(perm, perm)]))
             # identical allocation path; only summation order differs,
             # so agreement is exact up to one ulp
             np.testing.assert_allclose(w_p, w[perm], atol=1e-15, rtol=0)

@@ -1,11 +1,11 @@
 """Golden dendrograms: seeded correlation distances x {single, average, ward}.
 
 The fixture `golden_linkage.json` holds, per case, the merge pairs, merge
-heights and leaf order of `linkage_cluster`, plus the `k` that
-`nco(..., k="auto")` picks and its weights on two seeded panels. A change to
-the clustering must leave merge pairs and leaf order exactly as they are,
-heights within 1e-12 and NCO weights within 1e-10. Regenerate the fixture only
-when a change is meant to move the trees:
+heights and leaf order of `linkage_cluster`, plus the `k` that a
+`NestedClustersOptimization(k="auto")` fit picks and its weights on two
+seeded panels. A change to the clustering must leave merge pairs and leaf
+order exactly as they are, heights within 1e-12 and NCO weights within 1e-10.
+Regenerate the fixture only when a change is meant to move the trees:
 
     PYTHONPATH=src python tests/test_golden_linkage.py --write
 """
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from quantfolio import hierarchical
-from quantfolio.hierarchical import corr_distance, linkage_cluster, nco
+from quantfolio.hierarchical import NestedClustersOptimization, corr_distance, linkage_cluster
 
 from conftest import make_returns
 
@@ -56,7 +56,7 @@ def _tree_case(seed: int, method: str) -> dict:
 
 
 def _nco_case(n: int) -> dict:
-    """The k that nco's silhouette search settles on, and the weights it returns."""
+    """The k that NCO's silhouette search settles on, and the weights it returns."""
     picked = []
     original = hierarchical.cut_clusters
 
@@ -68,7 +68,8 @@ def _nco_case(n: int) -> dict:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            weights = nco(make_returns(_panel(100 + n, n)), k="auto")
+            weights = NestedClustersOptimization(k="auto").fit(
+                make_returns(_panel(100 + n, n))).weights_
     finally:
         hierarchical.cut_clusters = original
     return {"k": picked[-1], "weights": weights.tolist()}

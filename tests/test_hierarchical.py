@@ -21,9 +21,7 @@ from quantfolio.hierarchical import (
     hrp,
     inverse_volatility,
     linkage_cluster,
-    nco,
     silhouette_score,
-    stacking,
 )
 from quantfolio.mean_risk import MeanRisk
 from quantfolio.measures import RiskMeasure, risk_of_weights
@@ -200,18 +198,18 @@ def test_silhouette_rejects_mismatched_input(D, labels):
 def test_hrp_two_asset_inverse_variance():
     # [DERIVED] uncorrelated diag(1, 3): weights (0.75, 0.25)
     prior = make_prior([0.0, 0.0], np.diag([1.0, 3.0]))
-    np.testing.assert_allclose(hrp(prior), [0.75, 0.25], atol=1e-12)
+    np.testing.assert_allclose(hrp(HierarchicalRiskParity(), prior), [0.75, 0.25], atol=1e-12)
 
 
 def test_hrp_identical_assets_equal_weights():
     sigma = np.full((4, 4), 0.9) + 0.1 * np.eye(4)
     prior = make_prior(np.zeros(4), sigma)
-    np.testing.assert_allclose(hrp(prior), np.full(4, 0.25), atol=1e-12)
+    np.testing.assert_allclose(hrp(HierarchicalRiskParity(), prior), np.full(4, 0.25), atol=1e-12)
 
 
 def test_hrp_single_asset():
     prior = make_prior([0.0], [[1.0]])
-    np.testing.assert_array_equal(hrp(prior), [1.0])
+    np.testing.assert_array_equal(hrp(HierarchicalRiskParity(), prior), [1.0])
 
 
 def test_hrp_block_diagonal_hand_oracle():
@@ -240,16 +238,16 @@ def test_hrp_block_diagonal_hand_oracle():
         ivp(sigma[:2, :2]) * alpha,
         ivp(sigma[2:, 2:]) * (1.0 - alpha),
     ])
-    np.testing.assert_allclose(hrp(prior), expected, atol=1e-12)
+    np.testing.assert_allclose(hrp(HierarchicalRiskParity(), prior), expected, atol=1e-12)
 
 
 def test_hrp_permutation_invariance(rng):
     sigma = random_psd(rng, 6, scale=0.01)
     prior = make_prior(np.zeros(6), sigma)
-    w = hrp(prior)
+    w = hrp(HierarchicalRiskParity(), prior)
     perm = rng.permutation(6)
     prior_p = make_prior(np.zeros(6), sigma[np.ix_(perm, perm)])
-    w_p = hrp(prior_p)
+    w_p = hrp(HierarchicalRiskParity(), prior_p)
     np.testing.assert_allclose(w_p, w[perm], atol=1e-12)
 
 
@@ -268,7 +266,17 @@ def test_hrp_side_that_never_loses_takes_the_split():
     # negative, clipped to 0, and it takes the whole weight
     scenarios = np.array([[0.02, -0.01], [0.01, 0.01], [0.03, -0.02], [0.02, 0.02]])
     prior = make_prior([0.0, 0.0], np.diag([1.0, 1.0]), scenarios=scenarios)
-    np.testing.assert_array_equal(hrp(prior, risk_measure=RiskMeasure.CVAR), [1.0, 0.0])
+    model = HierarchicalRiskParity(risk_measure=RiskMeasure.CVAR)
+    np.testing.assert_array_equal(hrp(model, prior), [1.0, 0.0])
+
+
+def test_hrp_takes_a_measure_value_string(rng):
+    X = rng.normal(5e-4, 0.01, (60, 5))
+    want = HierarchicalRiskParity(risk_measure=RiskMeasure.CVAR).fit(X).weights_
+    np.testing.assert_array_equal(HierarchicalRiskParity(risk_measure="cvar").fit(X).weights_,
+                                  want)
+    with pytest.raises(InvalidConfig, match="unknown measure 'c_var'"):
+        HierarchicalRiskParity(risk_measure="c_var").fit(X)
 
 
 def _hrp_per_side(prior, risk_measure, linkage, beta=0.95):
@@ -305,7 +313,7 @@ def test_hrp_matches_per_side_loop(measure, linkage, n):
     rng = np.random.default_rng(100 + n)
     X = rng.normal(0.002, 0.01, (60, n)) + rng.normal(0.0, 0.01, (60, 1))
     prior = make_prior(X.mean(axis=0), np.cov(X, rowvar=False).reshape(n, n), scenarios=X)
-    got = hrp(prior, risk_measure=measure, linkage=linkage, beta=0.9)
+    got = hrp(HierarchicalRiskParity(risk_measure=measure, linkage=linkage, beta=0.9), prior)
     want = _hrp_per_side(prior, measure, linkage, beta=0.9) if n > 1 else np.ones(1)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -313,7 +321,7 @@ def test_hrp_matches_per_side_loop(measure, linkage, n):
 def test_hrp_zero_variance_rejected():
     prior = make_prior([0.0, 0.0], np.diag([1.0, 0.0]))
     with pytest.raises(ZeroVarianceAsset):
-        hrp(prior)
+        hrp(HierarchicalRiskParity(), prior)
 
 
 def test_equal_weighted_and_inverse_volatility():
@@ -327,21 +335,21 @@ def test_equal_weighted_and_inverse_volatility():
 
 def test_nco_single_cluster_matches_inner(rng):
     X = make_returns(rng.normal(0.0005, 0.01, (120, 4)))
-    w_nco = nco(X, k=1)
+    w_nco = NestedClustersOptimization(k=1).fit(X).weights_
     w_inner = MeanRisk().fit(X).weights_
     np.testing.assert_allclose(w_nco, w_inner, atol=1e-8)
 
 
 def test_nco_all_singletons_matches_outer(rng):
     X = make_returns(rng.normal(0.0005, 0.01, (120, 4)))
-    w_nco = nco(X, k=4)
+    w_nco = NestedClustersOptimization(k=4).fit(X).weights_
     w_outer = MeanRisk().fit(X).weights_
     np.testing.assert_allclose(np.sort(w_nco), np.sort(w_outer), atol=1e-8)
 
 
 def test_nco_auto_k_runs(rng):
     X = make_returns(rng.normal(0.0005, 0.01, (150, 6)))
-    w = nco(X)
+    w = NestedClustersOptimization().fit(X).weights_
     assert w.sum() == pytest.approx(1.0, abs=1e-8)
 
 
@@ -354,7 +362,7 @@ def test_nco_auto_k_on_two_assets_is_one_cluster(rng):
 def test_stacking_single_base_reproduces_it(rng):
     X = make_returns(rng.normal(0.0005, 0.01, (150, 4)))
     plan = walk_forward(150, 60, 30)
-    w = stacking([("ew", EqualWeighted())], EqualWeighted(), X, plan)
+    w = StackingOptimization([("ew", EqualWeighted())], EqualWeighted(), plan).fit(X).weights_
     np.testing.assert_allclose(w, np.full(4, 0.25), atol=1e-12)
 
 
@@ -365,16 +373,16 @@ def test_stacking_identical_bases_average(rng, final):
     X = make_returns(rng.normal(0.0005, 0.01, (150, 4)))
     plan = walk_forward(150, 60, 30)
     w_base = InverseVolatility().fit(X).weights_
-    w = stacking([("a", InverseVolatility()), ("b", InverseVolatility())],
-                 final, X, plan)
+    w = StackingOptimization([("a", InverseVolatility()), ("b", InverseVolatility())],
+                             final, plan).fit(X).weights_
     np.testing.assert_allclose(w, w_base, atol=1e-10)
 
 
 def test_stacking_cpcv_plan(rng):
     X = make_returns(rng.normal(0.0005, 0.01, (150, 4)))
     cv = CpcvConfig(k=4, p=2, purge_horizon=1, embargo_fraction=0.01)
-    w = stacking([("ew", EqualWeighted()), ("iv", InverseVolatility())],
-                 MeanRisk(), X, cv)
+    w = StackingOptimization([("ew", EqualWeighted()), ("iv", InverseVolatility())],
+                             MeanRisk(), cv).fit(X).weights_
     assert w.sum() == pytest.approx(1.0, abs=1e-8)
     assert np.all(w >= -1e-9)
 
@@ -382,7 +390,7 @@ def test_stacking_cpcv_plan(rng):
 def test_stacking_needs_estimators(rng):
     X = make_returns(rng.normal(0, 0.01, (60, 2)))
     with pytest.raises(InvalidConfig):
-        stacking([], EqualWeighted(), X, walk_forward(60, 30, 15))
+        StackingOptimization([], EqualWeighted(), walk_forward(60, 30, 15)).fit(X)
 
 
 @pytest.mark.parametrize("names", [("a", "a"), ("a", "")])
@@ -391,7 +399,7 @@ def test_stacking_rejects_repeated_or_empty_names(rng, names):
     X = make_returns(rng.normal(0, 0.01, (60, 2)))
     estimators = [(name, EqualWeighted()) for name in names]
     with pytest.raises(InvalidConfig):
-        stacking(estimators, EqualWeighted(), X, walk_forward(60, 30, 15))
+        StackingOptimization(estimators, EqualWeighted(), walk_forward(60, 30, 15)).fit(X)
 
 
 def test_estimator_wrappers_fit_predict(rng):

@@ -7,6 +7,7 @@ import pytest
 from quantfolio.exceptions import (
     DegenerateSplit,
     EmptyIntersection,
+    InvalidConfig,
     MalformedCsv,
     MissingCell,
     NonMonotonicDates,
@@ -107,6 +108,14 @@ def test_log_returns_fixture():
     rm = prices_to_returns(frame, kind="log")
     np.testing.assert_allclose(rm.values[0, 0], 1.0, atol=1e-12)
     assert rm.kind == "log"
+
+
+def test_unknown_returns_kind_is_invalid_config():
+    frame = load_prices("date,AAA\n2020-01-01,100\n2020-01-02,101\n")
+    with pytest.raises(InvalidConfig, match="kind must be 'simple' or 'log', got 'weird'"):
+        prices_to_returns(frame, kind="weird")
+    with pytest.raises(InvalidConfig, match="got 'weird'"):
+        make_returns(np.zeros((2, 1)), kind="weird")
 
 
 def test_returns_need_two_rows():

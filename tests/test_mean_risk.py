@@ -18,6 +18,7 @@ from quantfolio.measures import RiskMeasure, measure_value
 from quantfolio.mean_risk import (
     MeanRisk,
     ObjectiveFunction,
+    _assemble,
     efficient_frontier,
     optimize,
     portfolio_risk,
@@ -385,3 +386,60 @@ def test_set_params_plain_and_nested_keys():
     assert twin.prior_estimator is not model.prior_estimator
     with pytest.raises(ValueError, match="unknown parameter 'l3_coef' for MeanRisk"):
         model.set_params(l3_coef=1.0)
+
+
+def test_set_params_checks_every_key_before_setting_any():
+    model = MeanRisk()
+    with pytest.raises(InvalidConfig, match="unknown parameter 'bogus' for MeanRisk"):
+        model.set_params(l1_coef=0.5, bogus=1)
+    assert model.l1_coef == 0.0
+
+
+def test_set_params_of_an_absent_nested_estimator_is_invalid_config():
+    model = MeanRisk()
+    with pytest.raises(InvalidConfig, match="'prior_estimator__halflife'"):
+        model.set_params(prior_estimator__halflife=3)
+    assert model.prior_estimator is None
+
+
+def _small_panel():
+    # 50×3: small enough that every objective × measure solves quickly
+    rng = np.random.default_rng(0)
+    return rng.normal(5e-4, 0.01, (50, 3)) + rng.normal(0.0, 0.01, (50, 1))
+
+
+@pytest.mark.parametrize("measure", list(RiskMeasure), ids=lambda m: m.value)
+@pytest.mark.parametrize("objective", list(ObjectiveFunction), ids=lambda o: o.value)
+def test_value_strings_fit_as_their_members(objective, measure):
+    X = _small_panel()
+    want = MeanRisk(objective=objective, risk_measure=measure).fit(X).weights_
+    model = MeanRisk(objective=objective.value, risk_measure=measure.value)
+    np.testing.assert_array_equal(model.fit(X).weights_, want)
+    assert model.objective == objective.value  # the fit converts a copy
+
+
+def test_a_risk_cap_measure_may_be_its_value_string():
+    X = _small_panel()
+    cap = measure_value(X.mean(axis=1), RiskMeasure.CVAR)  # equal weight is feasible
+    want = MeanRisk(objective=ObjectiveFunction.MAXIMIZE_RETURN,
+                    risk_caps=[(RiskMeasure.CVAR, cap)]).fit(X).weights_
+    got = MeanRisk(objective="maximize_return", risk_caps=[("cvar", cap)]).fit(X).weights_
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("params", [
+    {"objective": "maximise_return"},
+    {"risk_measure": "c_var"},
+    {"risk_caps": [("c_var", 0.1)]},
+], ids=["objective", "risk_measure", "risk_cap"])
+def test_unknown_value_string_is_invalid_config(params):
+    with pytest.raises(InvalidConfig, match="unknown"):
+        MeanRisk(**params).fit(_small_panel())
+
+
+def test_assembly_rejects_an_objective_it_does_not_know():
+    # a model that skipped `_check` keeps its value string, which matches no
+    # branch: it must not fall through to the ratio problem
+    prior = MeanRisk().fit(_small_panel()).prior_
+    with pytest.raises(InvalidConfig, match="unknown objective"):
+        _assemble(MeanRisk(objective="maximize_return"), prior)

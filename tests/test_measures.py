@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quantfolio.exceptions import EmptySeries
+from quantfolio.exceptions import EmptySeries, InvalidConfig
 from quantfolio.measures import (
     DEFAULT_BETA,
     RiskMeasure,
@@ -100,9 +100,19 @@ def test_measure_value_dispatch(rng):
         assert measure_value(r, measure) == pytest.approx(expected, abs=1e-15)
 
 
+@pytest.mark.parametrize("measure", list(RiskMeasure), ids=lambda m: m.value)
+def test_a_measure_value_string_is_its_member(measure, rng):
+    assert measure_value(SERIES, measure.value) == measure_value(SERIES, measure)
+    scenarios = rng.normal(0, 0.02, (60, 3))
+    sigma = np.cov(scenarios, rowvar=False)
+    W = rng.uniform(0, 1, (3, 2))
+    np.testing.assert_array_equal(risk_of_weights(W, sigma, scenarios, measure.value),
+                                  risk_of_weights(W, sigma, scenarios, measure))
+
+
 def test_measure_value_rejects_unknown_measure():
-    with pytest.raises(ValueError, match="unknown measure"):
-        measure_value(SERIES, "cvar")
+    with pytest.raises(InvalidConfig, match="unknown measure"):
+        measure_value(SERIES, "conditional_var")
 
 
 def test_risk_of_weights_reads_sigma_or_scenarios(rng):
@@ -153,7 +163,7 @@ def test_empty_series_rejected(fn):
 
 
 def test_cvar_beta_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         cvar(SERIES, beta=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         cvar(SERIES, beta=1.0)

@@ -10,8 +10,6 @@ from quantfolio.priors import (
     Prior,
     ViewSet,
     black_litterman_prior,
-    empirical_prior,
-    factor_model_prior,
 )
 
 from conftest import make_prior, make_returns
@@ -19,7 +17,7 @@ from conftest import make_prior, make_returns
 
 def test_empirical_prior_matches_sample_moments(rng):
     R = make_returns(rng.normal(0, 0.01, (60, 4)))
-    prior = empirical_prior(R)
+    prior = EmpiricalPrior().fit(R).prior_
     est = sample_moments(R)
     np.testing.assert_array_equal(prior.mu, est.mu)
     np.testing.assert_array_equal(prior.sigma, est.sigma)
@@ -29,10 +27,19 @@ def test_empirical_prior_matches_sample_moments(rng):
 
 def test_empirical_prior_estimator_choices(rng):
     R = make_returns(rng.normal(0, 0.01, (80, 3)))
-    prior = empirical_prior(R, mean_estimator="bayes_stein", cov_estimator="ledoit_wolf")
+    prior = EmpiricalPrior(mean_estimator="bayes_stein", cov_estimator="ledoit_wolf").fit(R).prior_
     assert prior.n_assets == 3
     with pytest.raises(Exception):
-        empirical_prior(R, mean_estimator="nope")
+        EmpiricalPrior(mean_estimator="nope").fit(R)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["mu", "scenarios"])
+def test_prior_rejects_non_finite_entries(field, bad):
+    fields = {"mu": np.zeros(2), "sigma": np.eye(2), "scenarios": np.zeros((3, 2))}
+    fields[field].flat[1] = bad
+    with pytest.raises(InvalidConfig, match=f"^{field} has non-finite entries"):
+        Prior(**fields)
 
 
 def test_factor_model_perfect_fit(rng):
@@ -41,7 +48,7 @@ def test_factor_model_perfect_fit(rng):
     f = rng.normal(0, 0.01, (60, 1))
     F = make_returns(f, assets=["F1"])
     X = make_returns(f.copy(), assets=["A"])
-    prior = factor_model_prior(X, F, ridge_alpha=0.0)
+    prior = FactorModel(ridge_alpha=0.0).fit(X, factors=F).prior_
     assert prior.sigma[0, 0] == pytest.approx(np.var(f, ddof=1), abs=1e-15)
     assert prior.mu[0] == pytest.approx(f.mean(), abs=1e-15)
 
@@ -53,7 +60,7 @@ def test_factor_model_zero_ridge_is_ols(rng):
     X_vals = f @ B + rng.normal(0, 0.002, (T, n))
     X = make_returns(X_vals)
     F = make_returns(f, assets=[f"F{i}" for i in range(k)])
-    prior = factor_model_prior(X, F, ridge_alpha=0.0)
+    prior = FactorModel(ridge_alpha=0.0).fit(X, factors=F).prior_
     # OLS residual variance reconstruction: implied mean matches B_hat mu_f + a
     ones = np.ones((T, 1))
     Z = np.hstack([ones, f])
@@ -67,7 +74,7 @@ def test_factor_model_large_ridge_kills_loadings(rng):
     f = rng.normal(0, 0.01, (60, 2))
     X = make_returns(rng.normal(0, 0.01, (60, 3)))
     F = make_returns(f, assets=["F0", "F1"])
-    prior = factor_model_prior(X, F, ridge_alpha=1e6)
+    prior = FactorModel(ridge_alpha=1e6).fit(X, factors=F).prior_
     # with huge ridge the systematic part vanishes: mu collapses to intercepts
     # and sigma to (nearly) the residual diagonal
     assert np.all(np.abs(prior.mu - X.values.mean(axis=0)) < 1e-3)
@@ -78,7 +85,7 @@ def test_factor_model_requires_shared_dates(rng):
     f = rng.normal(0, 0.01, (29, 1))
     F = make_returns(f, assets=["F"])
     with pytest.raises(DateMisalignment):
-        factor_model_prior(X, F)
+        FactorModel().fit(X, factors=F)
 
 
 def test_black_litterman_no_views():
@@ -136,9 +143,6 @@ def test_viewset_validation():
 def test_prior_estimators_fit_interface(rng):
     X = make_returns(rng.normal(0, 0.01, (60, 3)))
     f = make_returns(rng.normal(0, 0.01, (60, 2)), assets=["F0", "F1"])
-
-    emp = EmpiricalPrior().fit(X)
-    np.testing.assert_array_equal(emp.prior_.mu, empirical_prior(X).mu)
 
     fm = FactorModel(ridge_alpha=0.1).fit(X, factors=f)
     assert fm.prior_.n_assets == 3
