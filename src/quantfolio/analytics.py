@@ -7,7 +7,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures
-from .exceptions import AssetMismatch, EmptyPopulation, TooFewSamples
+from .exceptions import (
+    AssetMismatch,
+    DimensionMismatch,
+    EmptyPopulation,
+    InvalidConfig,
+    MissingCell,
+    TooFewSamples,
+)
 from .market_data import ReturnsMatrix, returns_values
 from .measures import RiskMeasure
 
@@ -27,13 +34,13 @@ class Portfolio:
     def __post_init__(self):
         self.returns = np.asarray(self.returns, dtype=float).ravel()
         if not np.all(np.isfinite(self.returns)):
-            raise ValueError("portfolio returns must be finite")
+            raise MissingCell("portfolio returns must be finite")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float).ravel()
             if not np.all(np.isfinite(self.weights)):
-                raise ValueError("weights must be finite")
+                raise MissingCell("weights must be finite")
         if self.dates and len(self.dates) != self.returns.size:
-            raise ValueError("date axis length does not match return series")
+            raise DimensionMismatch(f"{len(self.dates)} dates vs {self.returns.size} returns")
 
     @property
     def n_periods(self) -> int:
@@ -114,18 +121,11 @@ def frontier_report(
 ) -> list[dict[str, float | str | int]]:
     """Realized (mean, risk) of every frontier point on train and test data."""
     if not points:
-        raise ValueError("no frontier points to report")
-    datasets = (("train", X_train), ("test", X_test))
+        raise InvalidConfig("no frontier points to report")
     rows: list[dict[str, float | str | int]] = []
     for idx, point in enumerate(points):
-        w = np.asarray(point.weights, dtype=float)
-        for label, X in datasets:
-            values = returns_values(X)
-            if values.shape[1] != w.size:
-                raise AssetMismatch(
-                    f"{w.size} weights vs {values.shape[1]} columns in {label} data"
-                )
-            series = values @ w
+        for label, X in (("train", X_train), ("test", X_test)):
+            series = predict(point.weights, X).returns
             rows.append({
                 "point": idx,
                 "dataset": label,

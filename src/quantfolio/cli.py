@@ -20,7 +20,6 @@ from .analytics import Portfolio, frontier_report, population_summary, predict, 
 from .exceptions import (
     AssetMismatch,
     DimensionMismatch,
-    EmptyCv,
     InfeasibleProblem,
     InvalidConfig,
     MalformedCsv,
@@ -41,7 +40,7 @@ from .hierarchical import (
     StackingOptimization,
 )
 from .market_data import align, load_prices, prices_to_returns, time_split
-from .mean_risk import MeanRisk, ObjectiveFunction, efficient_frontier
+from .mean_risk import MeanRisk, efficient_frontier
 from .measures import RiskMeasure
 from .model_selection import CpcvConfig, WalkForwardConfig, cross_val_predict
 from .priors import BlackLitterman, EmpiricalPrior, FactorModel, ViewSet, fit_prior
@@ -175,7 +174,6 @@ _NESTED = {"prior": "prior", "base": "prior", "inner": "model", "outer": "model"
            "final_estimator": "model", "cv": "cv"}
 # keys _build reads itself: no constructor takes them as they are
 _UNPASSED = {"kind", "name", "frontier_size", "constraints", "views", "tau", "omega"}
-_ENUMS = {"objective": ObjectiveFunction, "risk_measure": RiskMeasure}
 
 
 def _check_keys(section: dict, allowed: set[str], where: str):
@@ -281,8 +279,6 @@ def _build(sort: str, section: dict, assets: tuple[str, ...], constraints: dict 
                      for i, sub in enumerate(value)]
         elif key in _NESTED:
             value = _build(_NESTED[key], value, assets)
-        elif key in _ENUMS:
-            value = require_member(_ENUMS[key], key, value)
         params[_RENAME.get(key, key)] = value
     if kind == "mean_risk":
         params.update(section.get("constraints", constraints) or {})
@@ -310,35 +306,30 @@ def _model_name(section: dict, index: int | None = None) -> str:
 # data loading
 
 
-def _data_path(data: dict, key: str) -> Path:
-    # a Path, never a str: load_prices reads a str holding a comma as CSV text
-    path = data[key]
-    if not isinstance(path, str):
-        raise InvalidConfig(f"data.{key} must be a path string, got {path!r}")
-    return Path(path)
-
-
 def _load_data(cfg: dict):
     """Returns (X, factors) as ReturnsMatrix objects (factors may be None)."""
     data = cfg.get("data")
     if not data or "prices" not in data:
         raise InvalidConfig("config needs a data section with a 'prices' path")
-    prices = load_prices(_data_path(data, "prices"))
+    prices = load_prices(data["prices"])
     kind = data.get("returns_kind", "simple")
     factors = None
     if "factors" in data:
-        factor_prices = load_prices(_data_path(data, "factors"))
+        factor_prices = load_prices(data["factors"])
         prices, factor_prices = align(prices, factor_prices)
         factors = prices_to_returns(factor_prices, kind=kind)
     return prices_to_returns(prices, kind=kind), factors
 
 
-def _split_rows(X, factors, fraction: float):
+def _model_and_rows(cfg: dict, command: str):
+    """The model section and the time-split data of an optimize or frontier config."""
+    if "model" not in cfg:
+        raise InvalidConfig(f"{command} needs a 'model' section")
+    X, factors = _load_data(cfg)
+    fraction = cfg["data"].get("test_fraction", 0.3)
     X_train, X_test = time_split(X, fraction)
-    if factors is None:
-        return X_train, X_test, None
-    f_train, _ = time_split(factors, fraction)
-    return X_train, X_test, f_train
+    f_train = None if factors is None else time_split(factors, fraction)[0]
+    return cfg["model"], X_train, X_test, f_train
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +337,15 @@ def _split_rows(X, factors, fraction: float):
 
 
 def cmd_optimize(cfg: dict, out: Path, threads: int) -> int:
-    if "model" not in cfg:
-        raise InvalidConfig("optimize needs a 'model' section")
-    X, factors = _load_data(cfg)
-    fraction = cfg.get("data", {}).get("test_fraction", 0.3)
-    X_train, X_test, f_train = _split_rows(X, factors, fraction)
-
-    model = _build_model(cfg["model"], X.assets, cfg.get("constraints"))
+    section, X_train, X_test, f_train = _model_and_rows(cfg, "optimize")
+    model = _build_model(section, X_train.assets, cfg.get("constraints"))
     model.fit(X_train, factors=f_train)
     weights = np.asarray(model.weights_, dtype=float)
-    name = _model_name(cfg["model"])
+    name = _model_name(section)
     port_train = predict(weights, X_train, name=name)
     port_test = predict(weights, X_test, name=name)
 
-    _write_json(out / "weights.json", {a: float(w) for a, w in zip(X.assets, weights)})
+    _write_json(out / "weights.json", {a: float(w) for a, w in zip(X_train.assets, weights)})
     _write_json(out / "summary.json",
                 {"train": summary(port_train), "test": summary(port_test)})
     # series files carry full-precision returns so report round-trips exactly
@@ -372,25 +358,15 @@ def cmd_optimize(cfg: dict, out: Path, threads: int) -> int:
 
 
 def cmd_frontier(cfg: dict, out: Path, threads: int) -> int:
-    section = cfg.get("model")
-    if not section:
-        raise InvalidConfig("frontier needs a 'model' section")
+    section, X_train, X_test, f_train = _model_and_rows(cfg, "frontier")
     if section["kind"] != "mean_risk":
         raise InvalidConfig("frontier requires a mean_risk model")
-    size = section.get("frontier_size", 100)
-    require_int("frontier_size", size)
-    if size < 1:
-        raise InvalidConfig("frontier_size must be an integer >= 1")
-
-    X, factors = _load_data(cfg)
-    fraction = cfg.get("data", {}).get("test_fraction", 0.3)
-    X_train, X_test, f_train = _split_rows(X, factors, fraction)
-
-    model = _build_model(section, X.assets, cfg.get("constraints"))
-    points = efficient_frontier(model, fit_prior(model.prior_estimator, X_train, f_train), size)
+    model = _build_model(section, X_train.assets, cfg.get("constraints"))
+    points = efficient_frontier(model, fit_prior(model.prior_estimator, X_train, f_train),
+                                section.get("frontier_size", 100))
 
     # variance frontiers report the standard deviation, in return units
-    measure = model.risk_measure
+    measure = require_member(RiskMeasure, "risk_measure", model.risk_measure)
     if measure is RiskMeasure.VARIANCE:
         measure = RiskMeasure.STANDARD_DEVIATION
     report = frontier_report(points, X_train, X_test, risk_measure=measure, beta=model.beta)
@@ -399,7 +375,7 @@ def cmd_frontier(cfg: dict, out: Path, threads: int) -> int:
              *point.weights] for point, tr, te in zip(points, train, test)]
 
     header = ["target_return", "realized_return_train", "risk_train",
-              "realized_return_test", "risk_test"] + list(X.assets)
+              "realized_return_test", "risk_test"] + list(X_train.assets)
     _write_csv(out / "frontier.csv", header, rows)
     chart = line_chart(
         [
@@ -418,16 +394,12 @@ def cmd_backtest(cfg: dict, out: Path, threads: int) -> int:
         raise InvalidConfig("backtest needs a 'cv' section")
     if "factors" in cfg.get("data", {}):
         raise InvalidConfig("factor data is not supported in backtest")
-    sections = cfg.get("models")
-    if sections is None:
-        sections = [cfg["model"]] if "model" in cfg else []
+    sections = cfg.get("models", [cfg["model"]] if "model" in cfg else [])
     if not sections:
         raise InvalidConfig("backtest needs a 'model' or 'models' section")
 
     X, _ = _load_data(cfg)
     plan = _build_cv(cfg["cv"]).plan(X.n_periods)
-    if plan.n_splits == 0:
-        raise EmptyCv("cv plan produced no splits")
 
     named = [(_model_name(sec, i if len(sections) > 1 else None),
               _build_model(sec, X.assets, cfg.get("constraints")))

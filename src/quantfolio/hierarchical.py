@@ -13,10 +13,10 @@ import numpy as np
 from dataclasses import dataclass, replace
 
 from .base import BaseEstimator, clone
-from .exceptions import EmptyCv, InvalidConfig, ZeroVarianceAsset, require_finite, require_int
+from .exceptions import InvalidConfig, ZeroVarianceAsset, require_int
 from .market_data import ReturnsMatrix, returns_values
 from .mean_risk import MeanRisk
-from .measures import DEFAULT_BETA, RiskMeasure, risk_of_weights
+from .measures import DEFAULT_BETA, RiskMeasure, check_beta, risk_of_weights
 from .model_selection import CpcvConfig, SplitPlan, WalkForwardConfig, cross_val_predict
 from .priors import Prior, fit_prior
 
@@ -157,14 +157,10 @@ def hrp(model: HierarchicalRiskParity, prior: Prior) -> np.ndarray:
     leaf's weight is the product of the split factors of the sides it lies
     on, root first.
     """
-    require_finite("beta", model.beta)
-    if not 0 < model.beta < 1:
-        raise InvalidConfig("beta must lie in (0, 1)")
+    check_beta(model.beta)
     n = prior.n_assets
     if n == 1:
         return np.ones(1)
-    if np.any(np.diag(prior.sigma) <= 0):
-        raise ZeroVarianceAsset("HRP needs strictly positive asset variances")
     tree = linkage_cluster(corr_distance(prior.sigma), method=model.linkage)
     order = np.array(tree.leaf_order)
 
@@ -336,8 +332,6 @@ class StackingOptimization(BaseEstimator):
             raise InvalidConfig(
                 f"stacking estimator names must be distinct and non-empty: {names!r}")
         plan = self.cv if isinstance(self.cv, SplitPlan) else self.cv.plan(X.n_periods)
-        if plan.n_splits == 0:
-            raise EmptyCv("stacking cv plan is empty")
 
         oos_columns = []
         for result in cross_val_predict(list(self.estimators), X, plan, n_jobs=self.n_jobs):

@@ -8,12 +8,14 @@ import functools
 import io
 import math
 import operator
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import (
     DegenerateSplit,
+    DimensionMismatch,
     EmptyIntersection,
     InvalidConfig,
     MalformedCsv,
@@ -127,7 +129,7 @@ def returns_values(X) -> np.ndarray:
     """The T×N values of a ReturnsMatrix or of a 2-D array."""
     values = X.values if isinstance(X, ReturnsMatrix) else np.asarray(X, dtype=float)
     if values.ndim != 2:
-        raise ValueError("expected a T×N matrix")
+        raise DimensionMismatch(f"expected a T×N matrix, got {values.ndim} dimension(s)")
     return values
 
 
@@ -141,24 +143,19 @@ def _parse_date(text: str, row: int) -> datetime.date:
 def load_prices(source) -> PriceFrame:
     """Parse a CSV price history (`date,ASSET1,ASSET2,...`) into a PriceFrame.
 
-    `source` may be a path, bytes, str, or a readable file object. A str is
-    read as a file name only when it holds no comma and no newline; otherwise
-    it is CSV text. Pass a `pathlib.Path` to read a file whose name may
-    contain a comma. One leading byte order mark, as Excel's "CSV UTF-8"
-    writes, is dropped from every kind of source.
+    `source` is a file name, a str or `os.PathLike`, or a readable file
+    object, text or binary. A str is always a file name, whatever it holds:
+    wrap CSV text in `io.StringIO`. One leading byte order mark, as Excel's
+    "CSV UTF-8" writes, is dropped from either kind of source.
     """
-    if isinstance(source, bytes):
-        stream = io.StringIO(source.decode("utf-8-sig"))
-    elif isinstance(source, str) and source and "\n" not in source and "," not in source:
-        stream = open(source, "r", encoding="utf-8-sig", newline="")
-    elif isinstance(source, str):
-        stream = io.StringIO(source.removeprefix("\ufeff"))
-    elif hasattr(source, "read"):
+    if hasattr(source, "read"):
         raw = source.read()
         stream = io.StringIO(raw.decode("utf-8-sig") if isinstance(raw, bytes)
                              else raw.removeprefix("\ufeff"))
-    else:
+    elif isinstance(source, (str, os.PathLike)):
         stream = open(source, "r", encoding="utf-8-sig", newline="")
+    else:
+        raise InvalidConfig(f"a price source is a file name or a file object, got {source!r}")
 
     with stream:
         reader = csv.reader(stream)

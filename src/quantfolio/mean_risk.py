@@ -27,10 +27,11 @@ from .exceptions import (
     SolverFailure,
     UnboundedProblem,
     require_finite,
+    require_int,
     require_member,
     require_real,
 )
-from .measures import DEFAULT_BETA, RiskMeasure, risk_of_weights
+from .measures import DEFAULT_BETA, QUADRATIC_MEASURES, RiskMeasure, check_beta, risk_of_weights
 from .priors import Prior, fit_prior
 from .reformulations import ProblemBuilder, reformulate_risk, require_epigraph
 from .solver import solve
@@ -73,14 +74,11 @@ def _check(model: MeanRisk) -> MeanRisk:
         # +inf leaves the measure uncapped, as an infinite weight bound leaves the box open
         require_real(f"risk cap bound of {cap[0]}", cap[1])
         risk_caps.append((require_member(RiskMeasure, "risk cap measure", cap[0]), cap[1]))
-    for name in ("l1_coef", "l2_coef", "risk_aversion", "beta"):
+    for name in ("l1_coef", "l2_coef", "risk_aversion"):
         require_finite(name, getattr(model, name))
-    if model.l1_coef < 0 or model.l2_coef < 0:
-        raise InvalidConfig("regularization coefficients must be >= 0")
-    if model.risk_aversion < 0:
-        raise InvalidConfig("risk_aversion must be >= 0")
-    if not 0 < model.beta < 1:
-        raise InvalidConfig("beta must lie in (0, 1)")
+        if getattr(model, name) < 0:
+            raise InvalidConfig(f"{name} must be >= 0, got {getattr(model, name)}")
+    check_beta(model.beta)
     return replace(model, objective=objective, risk_measure=risk_measure, risk_caps=risk_caps)
 
 
@@ -115,11 +113,6 @@ class FrontierPoint:
     weights: np.ndarray
     expected_return: float
     risk: float
-
-
-# measures optimized as the quadratic term wᵀΣw, not by an epigraph: standard
-# deviation has the argmin of variance
-_QUADRATIC = (RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION)
 
 
 def _add_regularization(builder, model, w_idx, lb):
@@ -188,7 +181,7 @@ def _add_constraints(builder, model, prior, w_idx, lb, ub, t=None):
 
 def _add_risk_cost(builder, model, prior, w_idx, factor):
     """factor · risk: a quadratic term, or the linear term of the measure's epigraph."""
-    if model.risk_measure in _QUADRATIC:
+    if model.risk_measure in QUADRATIC_MEASURES:
         builder.add_quadratic(w_idx, factor * prior.sigma)
     else:
         builder.add_cost(reformulate_risk(builder, model.risk_measure, prior.scenarios,
@@ -279,7 +272,7 @@ def _assemble(model: MeanRisk, prior: Prior):
         _add_risk_cost(builder, model, prior, w_idx, model.risk_aversion)
     elif not ratio:
         raise InvalidConfig(f"unknown objective {model.objective!r}")
-    elif model.risk_measure in _QUADRATIC:
+    elif model.risk_measure in QUADRATIC_MEASURES:
         builder.add_rows(w_idx, prior.mu, 1.0, eq=True)
         builder.add_quadratic(w_idx, prior.sigma)
     else:
@@ -317,8 +310,9 @@ def optimize(model: MeanRisk, prior: Prior) -> np.ndarray:
 def efficient_frontier(model: MeanRisk, prior: Prior, size: int) -> list[FrontierPoint]:
     """Sweep MinimizeRisk over `size` equally spaced return targets; the
     model's objective and min_return are replaced, its other fields kept."""
+    require_int("frontier size", size)
     if size < 1:
-        raise InvalidConfig("frontier size must be >= 1")
+        raise InvalidConfig(f"frontier size must be >= 1, got {size}")
 
     def point_model(objective, min_return=None):
         return replace(model, objective=objective, min_return=min_return)

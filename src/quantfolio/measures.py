@@ -19,7 +19,14 @@ import math
 
 import numpy as np
 
-from .exceptions import EmptySeries, InvalidConfig, TooFewSamples, require_member
+from .exceptions import (
+    EmptySeries,
+    InvalidConfig,
+    MissingCell,
+    TooFewSamples,
+    require_finite,
+    require_member,
+)
 
 
 class RiskMeasure(enum.Enum):
@@ -34,6 +41,17 @@ class RiskMeasure(enum.Enum):
 
 DEFAULT_BETA = 0.95
 
+# wᵀΣw and its square root: an optimizer takes either as the quadratic term
+# wᵀΣw (standard deviation has the argmin of variance), never as an epigraph
+QUADRATIC_MEASURES = (RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION)
+
+
+def check_beta(beta):
+    """Reject a confidence level beta that is not a finite number in (0, 1)."""
+    require_finite("beta", beta)
+    if not 0 < beta < 1:
+        raise InvalidConfig(f"beta must be in (0, 1), got {beta}")
+
 
 def _as_series(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float).ravel()
@@ -45,15 +63,14 @@ def _check_series(r: np.ndarray):
     if r.size == 0:
         raise EmptySeries("empty return series")
     if not np.all(np.isfinite(r)):
-        raise ValueError("return series contains non-finite values")
+        raise MissingCell("return series contains non-finite values")
 
 
 # The measures below run down axis 0: a 1-D series gives one value, a T×k
 # matrix the k values of its columns by the same arithmetic.
 
 def _cvar(r: np.ndarray, beta: float):
-    if not 0 < beta < 1:
-        raise InvalidConfig(f"beta must be in (0, 1), got {beta}")
+    check_beta(beta)
     losses = np.sort(-r, axis=0)[::-1]
     T = losses.shape[0]
     m = (1.0 - beta) * T
@@ -163,7 +180,7 @@ def risk_of_weights(weights, sigma, scenarios, measure: RiskMeasure,
     """
     measure = require_member(RiskMeasure, "measure", measure)
     W = np.asarray(weights, dtype=float)
-    if measure in (RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION):
+    if measure in QUADRATIC_MEASURES:
         var = W @ sigma @ W if W.ndim == 1 else np.einsum("ij,ij->j", W, sigma @ W)
         risk = var if measure is RiskMeasure.VARIANCE else np.sqrt(var)
     else:

@@ -9,6 +9,7 @@ import scipy.linalg
 
 from .exceptions import (
     DecompositionFailure,
+    DimensionMismatch,
     InvalidConfig,
     SingularCovariance,
     TooFewSamples,
@@ -33,7 +34,7 @@ class MomentEstimate:
         object.__setattr__(self, "sigma", sigma)
         n = mu.size
         if sigma.shape != (n, n):
-            raise ValueError(f"sigma shape {sigma.shape} does not match mu length {n}")
+            raise DimensionMismatch(f"sigma shape {sigma.shape} vs N={n}")
         check_covariance(sigma)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse
 
 from .exceptions import UnsupportedMeasure
-from .measures import DEFAULT_BETA, RiskMeasure
+from .measures import DEFAULT_BETA, QUADRATIC_MEASURES, RiskMeasure
 from .solver import QpProblem, unit_rows
 
 
@@ -94,7 +94,7 @@ _EPIGRAPH_MEASURES = (RiskMeasure.MEAN_ABSOLUTE_DEVIATION, RiskMeasure.CVAR, Ris
 
 def require_epigraph(measure: RiskMeasure):
     """Raise UnsupportedMeasure unless `reformulate_risk` has a block for `measure`."""
-    if measure in (RiskMeasure.VARIANCE, RiskMeasure.STANDARD_DEVIATION):
+    if measure in QUADRATIC_MEASURES:
         raise UnsupportedMeasure(
             "variance/std-dev risk caps need a quadratic constraint, which "
             "the LP/QP solver does not support; cap CVaR or MAD instead"

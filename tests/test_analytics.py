@@ -8,9 +8,17 @@ from quantfolio.analytics import (
     Portfolio,
     frontier_report,
     population_summary,
+    predict,
     summary,
 )
-from quantfolio.exceptions import AssetMismatch, EmptyPopulation, TooFewSamples
+from quantfolio.exceptions import (
+    AssetMismatch,
+    DimensionMismatch,
+    EmptyPopulation,
+    InvalidConfig,
+    MissingCell,
+    TooFewSamples,
+)
 from quantfolio.mean_risk import FrontierPoint
 from quantfolio.measures import RiskMeasure
 
@@ -63,8 +71,20 @@ def test_annualization_scaling(rng):
 
 
 def test_portfolio_rejects_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(MissingCell):
         Portfolio(name="bad", returns=np.array([0.01, np.nan]))
+
+
+def test_portfolio_rejects_bad_weights_and_dates():
+    with pytest.raises(MissingCell):
+        Portfolio(name="bad", returns=np.zeros(2), weights=np.array([0.5, np.inf]))
+    with pytest.raises(DimensionMismatch, match="3 dates vs 2 returns"):
+        Portfolio(name="bad", returns=np.zeros(2), dates=(1, 2, 3))
+
+
+def test_predict_rejects_a_returns_array_that_is_not_2d():
+    with pytest.raises(DimensionMismatch, match="got 1 dimension"):
+        predict(np.ones(3) / 3, np.zeros(3))
 
 
 def test_multi_period_portfolio_summary(rng):
@@ -120,5 +140,5 @@ def test_frontier_report_asset_mismatch(rng):
 
 def test_frontier_report_no_points(rng):
     train = make_returns(rng.normal(0, 0.01, (50, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         frontier_report([], train, train)

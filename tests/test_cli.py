@@ -97,7 +97,7 @@ def test_optimize_missing_prices_is_data_error(tmp_path):
 
 
 def test_data_paths_may_contain_a_comma(tmp_path, short_prices_path):
-    # a comma in a str source would make load_prices read it as CSV text
+    # a path is a file name, whatever characters it holds
     data_dir = tmp_path / "comma,dir"
     data_dir.mkdir()
     prices = data_dir / "prices.csv"
@@ -272,6 +272,16 @@ def test_backtest_without_cv_is_config_error(tmp_path, short_prices_path):
     cfg = {"data": {"prices": short_prices_path}, "model": {"kind": "hrp"}}
     code, _ = run(tmp_path, "backtest", cfg)
     assert code == 2
+
+
+def test_backtest_without_a_split_is_data_error(tmp_path, short_prices_path, capsys):
+    # 160 returns hold no window of 150 train and 20 test rows
+    cfg = {"data": {"prices": short_prices_path}, "model": {"kind": "hrp"},
+           "cv": {"kind": "walk_forward", "train_size": 150, "test_size": 20}}
+    with pytest.warns(UserWarning, match="empty plan"):
+        code, _ = run(tmp_path, "backtest", cfg)
+    assert code == 3
+    assert "data error: split plan is empty" in capsys.readouterr().err
 
 
 def test_report_round_trip(tmp_path, short_prices_path):

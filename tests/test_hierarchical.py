@@ -8,7 +8,7 @@ import pytest
 import scipy.cluster.hierarchy
 
 import quantfolio
-from quantfolio.exceptions import InvalidConfig, ZeroVarianceAsset
+from quantfolio.exceptions import EmptyCv, InvalidConfig, ZeroVarianceAsset
 from quantfolio.hierarchical import (
     EqualWeighted,
     HierarchicalRiskParity,
@@ -391,6 +391,14 @@ def test_stacking_needs_estimators(rng):
     X = make_returns(rng.normal(0, 0.01, (60, 2)))
     with pytest.raises(InvalidConfig):
         StackingOptimization([], EqualWeighted(), walk_forward(60, 30, 15)).fit(X)
+
+
+def test_stacking_with_an_empty_plan_is_empty_cv(rng):
+    X = make_returns(rng.normal(0, 0.01, (60, 2)))
+    with pytest.warns(UserWarning, match="empty plan"):
+        plan = walk_forward(60, 50, 20)
+    with pytest.raises(EmptyCv):
+        StackingOptimization([("ew", EqualWeighted())], EqualWeighted(), plan).fit(X)
 
 
 @pytest.mark.parametrize("names", [("a", "a"), ("a", "")])

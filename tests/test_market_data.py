@@ -29,7 +29,7 @@ CSV = "date,AAA,BBB\n2020-01-01,100,50\n2020-01-02,110,51\n2020-01-03,99,52\n"
 
 
 def test_load_prices_basic():
-    frame = load_prices(CSV)
+    frame = load_prices(io.StringIO(CSV))
     assert frame.assets == ("AAA", "BBB")
     assert frame.n_periods == 3
     assert frame.dates[0] == datetime.date(2020, 1, 1)
@@ -40,20 +40,34 @@ def test_load_prices_sources_agree(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text(CSV)
     from_path = load_prices(str(path))
-    from_bytes = load_prices(CSV.encode())
+    from_binary = load_prices(io.BytesIO(CSV.encode()))
     from_file = load_prices(io.StringIO(CSV))
-    np.testing.assert_array_equal(from_path.values, from_bytes.values)
+    np.testing.assert_array_equal(from_path.values, from_binary.values)
     np.testing.assert_array_equal(from_path.values, from_file.values)
+
+
+def test_load_prices_reads_a_str_as_a_file_name(tmp_path):
+    # whatever it holds: a name with a comma is a file, and CSV text is no file
+    path = tmp_path / "prices, daily.csv"
+    path.write_text(CSV)
+    frame = load_prices(str(path))
+    assert frame.assets == ("AAA", "BBB") and frame.n_periods == 3
+    with pytest.raises(FileNotFoundError):
+        load_prices(CSV)
+
+
+@pytest.mark.parametrize("source", [CSV.encode(), 3, None], ids=["bytes", "int", "none"])
+def test_load_prices_rejects_a_source_that_is_neither_a_name_nor_a_file(source):
+    with pytest.raises(InvalidConfig, match="file name or a file object"):
+        load_prices(source)
 
 
 @pytest.mark.parametrize("read", [
     lambda path: load_prices(path),
     lambda path: load_prices(str(path)),
-    lambda path: load_prices(path.read_bytes()),
     lambda path: load_prices(io.BytesIO(path.read_bytes())),
     lambda path: load_prices(io.StringIO(path.read_text(encoding="utf-8"))),
-    lambda path: load_prices(path.read_text(encoding="utf-8")),
-], ids=["path", "str_path", "bytes", "binary_file", "text_file", "text"])
+], ids=["path", "str_path", "binary_file", "text_file"])
 def test_load_prices_drops_a_leading_byte_order_mark(tmp_path, read):
     # Excel's "CSV UTF-8" starts the file with U+FEFF, which once made the
     # first header read as '\ufeffdate'
@@ -67,7 +81,7 @@ def test_load_prices_drops_a_leading_byte_order_mark(tmp_path, read):
 
 
 def test_load_prices_trailing_blank_line_ok():
-    frame = load_prices(CSV + "\n")
+    frame = load_prices(io.StringIO(CSV + "\n"))
     assert frame.n_periods == 3
 
 
@@ -90,12 +104,12 @@ def test_load_prices_trailing_blank_line_ok():
 ])
 def test_load_prices_rejects(text, exc):
     with pytest.raises(exc):
-        load_prices(text)
+        load_prices(io.StringIO(text))
 
 
 def test_simple_returns_fixture():
     # [DERIVED] prices 100 -> 110 -> 99 give returns +10% then -10%
-    frame = load_prices("date,AAA\n2020-01-01,100\n2020-01-02,110\n2020-01-03,99\n")
+    frame = load_prices(io.StringIO("date,AAA\n2020-01-01,100\n2020-01-02,110\n2020-01-03,99\n"))
     rm = prices_to_returns(frame)
     np.testing.assert_allclose(rm.values[:, 0], [0.10, -0.10], atol=1e-15)
     assert rm.dates == frame.dates[1:]
@@ -104,14 +118,14 @@ def test_simple_returns_fixture():
 
 def test_log_returns_fixture():
     # [DERIVED] price ratio e gives log return exactly 1
-    frame = load_prices(f"date,AAA\n2020-01-01,100\n2020-01-02,{100 * np.e}\n")
+    frame = load_prices(io.StringIO(f"date,AAA\n2020-01-01,100\n2020-01-02,{100 * np.e}\n"))
     rm = prices_to_returns(frame, kind="log")
     np.testing.assert_allclose(rm.values[0, 0], 1.0, atol=1e-12)
     assert rm.kind == "log"
 
 
 def test_unknown_returns_kind_is_invalid_config():
-    frame = load_prices("date,AAA\n2020-01-01,100\n2020-01-02,101\n")
+    frame = load_prices(io.StringIO("date,AAA\n2020-01-01,100\n2020-01-02,101\n"))
     with pytest.raises(InvalidConfig, match="kind must be 'simple' or 'log', got 'weird'"):
         prices_to_returns(frame, kind="weird")
     with pytest.raises(InvalidConfig, match="got 'weird'"):
@@ -119,7 +133,7 @@ def test_unknown_returns_kind_is_invalid_config():
 
 
 def test_returns_need_two_rows():
-    frame = load_prices("date,AAA\n2020-01-01,100\n")
+    frame = load_prices(io.StringIO("date,AAA\n2020-01-01,100\n"))
     with pytest.raises(TooFewRows):
         prices_to_returns(frame)
 

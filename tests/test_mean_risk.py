@@ -302,6 +302,24 @@ def test_frontier_size_one():
     assert len(points) == 1
 
 
+@pytest.mark.parametrize("size", [0, 2.0, "3", True])
+def test_frontier_size_must_be_a_positive_integer(size):
+    prior = make_prior([0.01, 0.02], np.diag([0.01, 0.04]))
+    with pytest.raises(InvalidConfig, match="frontier size"):
+        efficient_frontier(_model(ObjectiveFunction.MINIMIZE_RISK), prior, size)
+
+
+def test_l2_coef_whose_quadratic_term_overflows_is_invalid_config(recwarn):
+    # P = 2·l2_coef·I is finite up to about 9e307; past it the builder's
+    # 2.0·(M + Mᵀ) overflows, and the fit stops there, before the solver
+    rng = np.random.default_rng(0)
+    X = rng.normal(5e-4, 0.01, (120, 5)) + rng.normal(0.0, 0.01, (120, 1))
+    with pytest.raises(InvalidConfig, match="overflow"):
+        MeanRisk(l2_coef=5e307).fit(X)
+    np.testing.assert_allclose(MeanRisk(l2_coef=1e307).fit(X).weights_, np.full(5, 0.2))
+    assert not recwarn.list
+
+
 def test_portfolio_risk_measures():
     prior = make_prior([0.0, 0.0], np.diag([0.01, 0.04]),
                        scenarios=np.array([[0.01, 0.0], [-0.01, 0.0], [0.0, 0.02]]))

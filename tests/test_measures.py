@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quantfolio.exceptions import EmptySeries, InvalidConfig
+from quantfolio.exceptions import EmptySeries, InvalidConfig, MissingCell
 from quantfolio.measures import (
     DEFAULT_BETA,
     RiskMeasure,
@@ -145,7 +145,7 @@ def test_risk_of_weights_matrix_matches_columns(measure, rng):
 def test_risk_of_weights_matrix_rejects_non_finite_scenarios(rng):
     scenarios = rng.normal(0, 0.02, (20, 3))
     scenarios[4, 1] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(MissingCell, match="non-finite"):
         risk_of_weights(np.eye(3), np.eye(3), scenarios, RiskMeasure.CVAR)
 
 
@@ -167,3 +167,5 @@ def test_cvar_beta_bounds():
         cvar(SERIES, beta=0.0)
     with pytest.raises(InvalidConfig):
         cvar(SERIES, beta=1.0)
+    with pytest.raises(InvalidConfig):
+        cvar(SERIES, beta="0.9")

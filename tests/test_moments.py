@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import quantfolio.moments
-from quantfolio.exceptions import InvalidConfig, TooFewSamples
+from quantfolio.exceptions import DimensionMismatch, InvalidConfig, TooFewSamples
 from quantfolio.moments import (
     MomentEstimate,
     bayes_stein,
@@ -198,6 +198,11 @@ def test_estimators_produce_symmetric_psd(rng):
     for sigma in candidates:
         np.testing.assert_allclose(sigma, sigma.T, atol=1e-12)
         assert np.linalg.eigvalsh(sigma).min() >= -1e-10
+
+
+def test_moment_estimate_shape_mismatch_rejected():
+    with pytest.raises(DimensionMismatch, match=r"sigma shape \(3, 3\) vs N=2"):
+        MomentEstimate(mu=np.zeros(2), sigma=np.eye(3), sample_size=10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
