@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,9 @@ def _json_scalar(obj) -> str:
 
 
 def _write_text(path: Path, text: str):
+    # the output directory appears at the first write, so a run that fails
+    # before it writes leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -163,8 +167,6 @@ _KINDS = {
         "cpcv": (CpcvConfig, {"k", "p", "purge_horizon", "embargo_fraction"}),
     },
 }
-# keys a kind cannot do without
-_REQUIRED = {"walk_forward": ("train_size", "test_size"), "stacking": ("estimators",)}
 # config key -> constructor parameter, where the two differ
 _RENAME = {"prior": "prior_estimator", "base": "base_estimator",
            "inner": "inner_estimator", "outer": "outer_estimator"}
@@ -185,6 +187,8 @@ def _check_keys(section: dict, allowed: set[str], where: str):
 
 
 def load_config(path: str) -> dict:
+    """Read a config and check the file as a whole; each command checks the
+    sections it reads as it builds them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -198,60 +202,25 @@ def load_config(path: str) -> dict:
     for key, allowed in (("data", _DATA_KEYS), ("constraints", _CONSTRAINT_KEYS)):
         if key in cfg:
             _check_keys(cfg[key], allowed, key)
-    for key in ("model", "cv"):
-        if key in cfg:
-            _check_section(cfg[key], key, key)
     for key in ("models", "benchmarks"):
         if not isinstance(cfg.get(key, []), list):
             raise InvalidConfig(f"{key} must be a JSON list, got {cfg[key]!r}")
-    for i, sec in enumerate(cfg.get("models", [])):
-        _check_section(sec, "model", f"models[{i}]")
-    for i, kind in enumerate(cfg.get("benchmarks", [])):
-        _check_section({"kind": kind}, "model", f"benchmarks[{i}]")
     if "seed" in cfg:
         require_int("seed", cfg["seed"])
     return cfg
 
 
-def _check_section(section: dict, sort: str, where: str):
-    """Check a model, prior or cv section and the sections in it against
-    the keys of their kinds; a prior's kind defaults to empirical."""
-    if not isinstance(section, dict):
-        raise InvalidConfig(f"{where} must be a JSON object")
-    if "kind" not in section and sort != "prior":
-        raise InvalidConfig(f"{where}: missing 'kind'")
-    kind = section.get("kind", "empirical")
-    if not isinstance(kind, str) or kind not in _KINDS[sort]:
-        raise InvalidConfig(f"{where}: unknown {sort} kind {kind!r}")
-    _check_keys(section, _KINDS[sort][kind][1] | {"kind"}, where)
-    for key in _REQUIRED.get(kind, ()):
-        if key not in section:
-            raise InvalidConfig(f"{where}: a {kind} {sort} needs {key!r}")
-    for key, value in section.items():
-        if key == "estimators":
-            if not isinstance(value, list) or not value:
-                raise InvalidConfig(f"{where}.estimators must be a non-empty list")
-            for i, sub in enumerate(value):
-                _check_section(sub, "model", f"{where}.estimators[{i}]")
-        elif key in _NESTED:
-            _check_section(value, _NESTED[key], f"{where}.{key}")
-        elif key == "constraints":
-            _check_keys(value, _CONSTRAINT_KEYS, f"{where}.constraints")
-        elif key == "views":
-            if not isinstance(value, list):
-                raise InvalidConfig(f"{where}.views must be a list")
-            for i, view in enumerate(value):
-                _check_keys(view, _VIEW_KEYS, f"{where}.views[{i}]")
-                if not isinstance(view.get("picks"), dict) or "value" not in view:
-                    raise InvalidConfig(f"{where}.views[{i}] needs a 'picks' object and 'value'")
-
-
-def _view_set(section: dict, assets: tuple[str, ...]) -> ViewSet:
-    index = {a: j for j, a in enumerate(assets)}
+def _view_set(section: dict, assets: tuple[str, ...], where: str) -> ViewSet:
     rows = section.get("views", [])
+    if not isinstance(rows, list):
+        raise InvalidConfig(f"{where}.views must be a list")
+    index = {a: j for j, a in enumerate(assets)}
     P = np.zeros((len(rows), len(assets)))
     Q = np.zeros(len(rows))
     for i, view in enumerate(rows):
+        _check_keys(view, _VIEW_KEYS, f"{where}.views[{i}]")
+        if not isinstance(view.get("picks"), dict) or "value" not in view:
+            raise InvalidConfig(f"{where}.views[{i}] needs a 'picks' object and 'value'")
         for name, coef in view["picks"].items():
             if name not in index:
                 raise AssetMismatch(f"view picks unknown asset {name!r}")
@@ -262,44 +231,58 @@ def _view_set(section: dict, assets: tuple[str, ...]) -> ViewSet:
     return ViewSet(P=P, Q=Q, **{k: section[k] for k in ("omega", "tau") if k in section})
 
 
-def _build(sort: str, section: dict, assets: tuple[str, ...], constraints: dict | None = None):
-    """Instantiate a section that load_config has checked.
+def _build(sort: str, section, where: str, assets: tuple[str, ...] = (),
+           constraints: dict | None = None):
+    """Check a model, prior or cv section and the sections in it against the
+    keys of their kinds, and instantiate it; a prior's kind defaults to empirical.
 
     Only the keys the section gives reach the constructor, so every default
-    lives there. `constraints` is the top-level constraints section: it
+    lives there, and a constructor parameter without a default is a key the
+    section needs. `constraints` is the top-level constraints section: it
     applies to a mean_risk model that has no `constraints` key of its own.
     """
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"{where} must be a JSON object")
+    if "kind" not in section and sort != "prior":
+        raise InvalidConfig(f"{where}: missing 'kind'")
     kind = section.get("kind", "empirical")
+    if not isinstance(kind, str) or kind not in _KINDS[sort]:
+        raise InvalidConfig(f"{where}: unknown {sort} kind {kind!r}")
+    cls, keys = _KINDS[sort][kind]
+    _check_keys(section, keys | {"kind"}, where)
     params = {}
     for key, value in section.items():
-        if key in _UNPASSED:
-            continue
         if key == "estimators":
-            value = [(_model_name(sub, i), _build("model", sub, assets))
+            if not isinstance(value, list) or not value:
+                raise InvalidConfig(f"{where}.estimators must be a non-empty list")
+            value = [_named(sub, i, f"{where}.estimators[{i}]", assets)
                      for i, sub in enumerate(value)]
         elif key in _NESTED:
-            value = _build(_NESTED[key], value, assets)
-        params[_RENAME.get(key, key)] = value
+            value = _build(_NESTED[key], value, f"{where}.{key}", assets)
+        elif key == "constraints":
+            _check_keys(value, _CONSTRAINT_KEYS, f"{where}.constraints")
+        if key not in _UNPASSED:
+            params[_RENAME.get(key, key)] = value
     if kind == "mean_risk":
         params.update(section.get("constraints", constraints) or {})
     if kind == "black_litterman" and not {"views", "tau", "omega"}.isdisjoint(section):
-        params["views"] = _view_set(section, assets)
-    return _KINDS[sort][kind][0](**params)
+        params["views"] = _view_set(section, assets, where)
+    for param in fields(cls):
+        if (param.name not in params and param.default is MISSING
+                and param.default_factory is MISSING):
+            raise InvalidConfig(f"{where}: a {kind} {sort} needs {param.name!r}")
+    return cls(**params)
 
 
-def _build_model(section: dict, assets: tuple[str, ...], constraints: dict | None = None):
-    return _build("model", section, assets, constraints)
-
-
-def _build_cv(section: dict):
-    return _build("cv", section, ())
-
-
-def _model_name(section: dict, index: int | None = None) -> str:
+def _named(section, index: int | None, where: str, assets: tuple[str, ...],
+           constraints: dict | None = None):
+    """(name, model) of a model section. The name is the section's `name`,
+    else its kind, suffixed with `index` where the section is one of several."""
+    model = _build("model", section, where, assets, constraints)
     if "name" in section:
-        return str(section["name"])
+        return str(section["name"]), model
     kind = section["kind"]
-    return kind if index is None else f"{kind}_{index}"
+    return (kind if index is None else f"{kind}_{index}"), model
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +305,15 @@ def _load_data(cfg: dict):
 
 
 def _model_and_rows(cfg: dict, command: str):
-    """The model section and the time-split data of an optimize or frontier config."""
+    """The named model and the time-split data of an optimize or frontier config."""
     if "model" not in cfg:
         raise InvalidConfig(f"{command} needs a 'model' section")
     X, factors = _load_data(cfg)
     fraction = cfg["data"].get("test_fraction", 0.3)
     X_train, X_test = time_split(X, fraction)
     f_train = None if factors is None else time_split(factors, fraction)[0]
-    return cfg["model"], X_train, X_test, f_train
+    name, model = _named(cfg["model"], None, "model", X_train.assets, cfg.get("constraints"))
+    return name, model, X_train, X_test, f_train
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +321,9 @@ def _model_and_rows(cfg: dict, command: str):
 
 
 def cmd_optimize(cfg: dict, out: Path, threads: int) -> int:
-    section, X_train, X_test, f_train = _model_and_rows(cfg, "optimize")
-    model = _build_model(section, X_train.assets, cfg.get("constraints"))
+    name, model, X_train, X_test, f_train = _model_and_rows(cfg, "optimize")
     model.fit(X_train, factors=f_train)
     weights = np.asarray(model.weights_, dtype=float)
-    name = _model_name(section)
     port_train = predict(weights, X_train, name=name)
     port_test = predict(weights, X_test, name=name)
 
@@ -358,12 +340,11 @@ def cmd_optimize(cfg: dict, out: Path, threads: int) -> int:
 
 
 def cmd_frontier(cfg: dict, out: Path, threads: int) -> int:
-    section, X_train, X_test, f_train = _model_and_rows(cfg, "frontier")
-    if section["kind"] != "mean_risk":
+    _, model, X_train, X_test, f_train = _model_and_rows(cfg, "frontier")
+    if not isinstance(model, MeanRisk):
         raise InvalidConfig("frontier requires a mean_risk model")
-    model = _build_model(section, X_train.assets, cfg.get("constraints"))
     points = efficient_frontier(model, fit_prior(model.prior_estimator, X_train, f_train),
-                                section.get("frontier_size", 100))
+                                cfg["model"].get("frontier_size", 100))
 
     # variance frontiers report the standard deviation, in return units
     measure = require_member(RiskMeasure, "risk_measure", model.risk_measure)
@@ -399,14 +380,14 @@ def cmd_backtest(cfg: dict, out: Path, threads: int) -> int:
         raise InvalidConfig("backtest needs a 'model' or 'models' section")
 
     X, _ = _load_data(cfg)
-    plan = _build_cv(cfg["cv"]).plan(X.n_periods)
+    plan = _build("cv", cfg["cv"], "cv").plan(X.n_periods)
 
-    named = [(_model_name(sec, i if len(sections) > 1 else None),
-              _build_model(sec, X.assets, cfg.get("constraints")))
+    named = [_named(sec, i if len(sections) > 1 else None,
+                    f"models[{i}]" if "models" in cfg else "model", X.assets,
+                    cfg.get("constraints"))
              for i, sec in enumerate(sections)]
-    benchmarks = cfg.get("benchmarks", ["equal_weighted"])
-    for bench in benchmarks:
-        named.append((bench, _build_model({"kind": bench}, X.assets)))
+    named += [_named({"kind": bench}, None, f"benchmarks[{i}]", X.assets)
+              for i, bench in enumerate(cfg.get("benchmarks", ["equal_weighted"]))]
 
     portfolios = []
     for result in cross_val_predict(named, X, plan, n_jobs=threads):
@@ -473,14 +454,15 @@ def cmd_report(cfg: dict, out: Path, threads: int) -> int:
     if not inputs or not isinstance(inputs, list) or not all(isinstance(p, str) for p in inputs):
         raise InvalidConfig(f"report needs a non-empty 'inputs' list of paths, got {inputs!r}")
 
+    # every input is read before the first output is written
+    results = {}
     for path in inputs:
-        payload = _load_series_file(path)
-        result = {}
-        for label, entry in payload.items():
-            port = Portfolio(name=str(entry.get("name", label)),
-                             returns=np.asarray(entry["returns"], dtype=float))
-            result[label] = summary(port)
-        stem = Path(path).stem
+        results[Path(path).stem] = {
+            label: summary(Portfolio(name=str(entry.get("name", label)),
+                                     returns=np.asarray(entry["returns"], dtype=float)))
+            for label, entry in _load_series_file(path).items()
+        }
+    for stem, result in results.items():
         _write_json(out / f"{stem}_summary.json", result)
     return 0
 
@@ -524,9 +506,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, threads)
+        return _COMMANDS[args.command](cfg, Path(args.out), threads)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

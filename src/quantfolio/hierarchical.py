@@ -327,17 +327,14 @@ class StackingOptimization(BaseEstimator):
     def fit(self, X, factors=None):
         if not self.estimators:
             raise InvalidConfig("StackingOptimization needs at least one base estimator")
-        names = tuple(name for name, _ in self.estimators)
-        if "" in names or len(set(names)) != len(names):
-            raise InvalidConfig(
-                f"stacking estimator names must be distinct and non-empty: {names!r}")
         plan = self.cv if isinstance(self.cv, SplitPlan) else self.cv.plan(X.n_periods)
 
         oos_columns = []
         for result in cross_val_predict(list(self.estimators), X, plan, n_jobs=self.n_jobs):
             paths = result if isinstance(result, list) else [result]
             oos_columns.append(np.mean([p.returns for p in paths], axis=0))
-        synthetic = ReturnsMatrix(dates=paths[0].dates, assets=names,
+        synthetic = ReturnsMatrix(dates=paths[0].dates,
+                                  assets=tuple(name for name, _ in self.estimators),
                                   values=np.column_stack(oos_columns), kind="simple")
 
         final = self.final_estimator if self.final_estimator is not None else MeanRisk()

@@ -59,22 +59,6 @@ class SplitPlan:
             ]
         return json.dumps(payload, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SplitPlan":
-        payload = json.loads(text)
-        splits = [
-            (_from_ranges(item["train"]), _from_ranges(item["test"]))
-            for item in payload["splits"]
-        ]
-        plan = cls(splits=splits)
-        if "paths" in payload:
-            plan.path_of = {
-                (item["split"], item["fold"]): item["path"] for item in payload["paths"]
-            }
-            plan.n_paths = 1 + max((p for p in plan.path_of.values()), default=-1)
-            plan.test_folds = _rebuild_test_folds(splits, plan.path_of)
-        return plan
-
 
 def _to_ranges(idx: np.ndarray) -> list[list[int]]:
     idx = np.asarray(idx, dtype=int)
@@ -84,12 +68,6 @@ def _to_ranges(idx: np.ndarray) -> list[list[int]]:
     starts = np.concatenate([[0], breaks + 1])
     ends = np.concatenate([breaks, [idx.size - 1]])
     return [[int(idx[s]), int(idx[e]) + 1] for s, e in zip(starts, ends)]
-
-
-def _from_ranges(ranges) -> np.ndarray:
-    if not ranges:
-        return np.zeros(0, dtype=int)
-    return np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
 
 
 def walk_forward(T: int, train_size: int, test_size: int, expanding: bool = False) -> SplitPlan:
@@ -206,26 +184,6 @@ def cpcv(T: int, cfg: CpcvConfig) -> SplitPlan:
                      n_paths=cfg.n_paths)
 
 
-def _rebuild_test_folds(splits, path_of) -> list[list[tuple[int, np.ndarray]]]:
-    """The CPCV fold blocks of each split, recovered from its test rows.
-
-    The folds are those of `cpcv`: k contiguous folds over the T rows, where k
-    counts the distinct folds and T is one past the largest test row.
-    """
-    T = 1 + max((int(test[-1]) for _, test in splits if test.size), default=-1)
-    k = len({fold for _, fold in path_of})
-    bounds = _fold_bounds(T, k) if k else []
-    test_folds = []
-    for s_idx, (_, test) in enumerate(splits):
-        folds = sorted(fold for s, fold in path_of if s == s_idx)
-        if any(not 0 <= fold < k for fold in folds):
-            raise InvalidConfig(f"split {s_idx}: fold ids must lie in [0, {k})")
-        if not np.array_equal(_from_ranges([bounds[fold] for fold in folds]), test):
-            raise InvalidConfig(f"split {s_idx}: its folds do not make up its test rows")
-        test_folds.append([(fold, np.arange(*bounds[fold])) for fold in folds])
-    return test_folds
-
-
 _chunk_job = None  # set only in a forked worker, by _bind_chunk_job
 
 
@@ -271,8 +229,9 @@ def cross_val_predict(
 
     Returns one MultiPeriodPortfolio for sequential plans (walk-forward), or a
     list of per-path MultiPeriodPortfolios for CPCV plans. `allocator` may
-    also be a list of (name, allocator) pairs; the result is then a list with
-    one such result per pair, in order, and `name` is not used.
+    also be a list of (name, allocator) pairs, their names distinct and
+    non-empty; the result is then a list with one such result per pair, in
+    order, and `name` is not used.
 
     The (allocator, split) fits run split-major, each split's allocators
     together, in contiguous chunks of ceil(fits / workers) fits, where
@@ -296,6 +255,9 @@ def cross_val_predict(
     single = not isinstance(allocator, list)
     pairs = ([(name if name is not None else type(allocator).__name__, allocator)]
              if single else allocator)
+    names = tuple(label for label, _ in pairs)
+    if "" in names or len(set(names)) != len(names):
+        raise InvalidConfig(f"portfolio names must be distinct and non-empty: {names!r}")
     n_pairs = len(pairs)
 
     def fit_chunk(tasks: range) -> list:
@@ -319,7 +281,7 @@ def cross_val_predict(
         # them; only task ranges, weight vectors and errors are pickled.
         # fit_chunk is bound in each worker by the initializer, so a nested
         # cross_val_predict in a worker binds its own job in its own workers.
-        # ADMM and the clustering hold the GIL, so threads would not
+        # the solvers and the clustering hold the GIL, so threads would not
         # run the fits in parallel.
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("fork"),

@@ -92,8 +92,9 @@ def test_optimize_missing_prices_is_data_error(tmp_path):
         "data": {"prices": str(tmp_path / "nope.csv")},
         "model": {"kind": "mean_risk"},
     }
-    code, _ = run(tmp_path, "optimize", cfg)
+    code, out = run(tmp_path, "optimize", cfg)
     assert code == 3
+    assert not out.exists()  # the output directory appears at the first write
 
 
 def test_data_paths_may_contain_a_comma(tmp_path, short_prices_path):
@@ -140,8 +141,9 @@ def test_optimize_infeasible_is_solver_error(tmp_path, short_prices_path):
         "model": {"kind": "mean_risk"},
         "constraints": {"min_return": 99.0},
     }
-    code, _ = run(tmp_path, "optimize", cfg)
+    code, out = run(tmp_path, "optimize", cfg)
     assert code == 4
+    assert not out.exists()
 
 
 def test_missing_config_file_is_config_error(tmp_path):
@@ -347,6 +349,34 @@ def test_repeated_asset_name_is_data_error(tmp_path, short_prices_path):
     assert not (out / "weights.json").exists()
 
 
+@pytest.mark.parametrize("section", [[], {}, {"kind": "bogus"}],
+                         ids=["list", "empty", "bogus_kind"])
+@pytest.mark.parametrize("command", ["optimize", "frontier", "backtest"])
+def test_malformed_model_section_is_config_error(tmp_path, short_prices_path, capsys,
+                                                 command, section):
+    cfg = {"data": {"prices": short_prices_path}, "model": section, "cv": CPCV}
+    if command != "backtest":
+        del cfg["cv"]
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert "config error: model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("models", [
+    [{"kind": "equal_weighted", "name": "x"}, {"kind": "inverse_volatility", "name": "x"}],
+    [{"kind": "equal_weighted"}],
+], ids=["two_models", "model_and_default_benchmark"])
+def test_backtest_repeated_portfolio_name_is_config_error(tmp_path, short_prices_path, capsys,
+                                                          models):
+    # the default benchmark is named equal_weighted too
+    cfg = {"data": {"prices": short_prices_path}, "models": models, "cv": CPCV}
+    code, out = run(tmp_path, "backtest", cfg)
+    assert code == 2
+    assert "names must be distinct and non-empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stacking_repeated_estimator_name_is_config_error(tmp_path, short_prices_path):
     cfg = {
         "data": {"prices": short_prices_path},
@@ -491,9 +521,10 @@ def test_quoted_number_is_config_error(tmp_path, short_prices_path, command, pat
     ("optimize", {"model": {"kind": "mean_risk",
                             "prior": {"cov_estimator": "ew", "halflife": [60]}}}),
     ("optimize", {"constraints": {"budget": [1.0]}}),
+    ("optimize", {"model": {"kind": "mean_risk", "beta": [0.5]}}),
 ], ids=["mean_risk_beta", "l1_coef", "l2_coef", "risk_aversion", "hrp_beta", "bl_tau",
         "budget", "min_return", "cpcv_embargo_fraction", "test_fraction", "halflife",
-        "budget_one_element"])
+        "budget_one_element", "beta_one_element"])
 def test_list_for_a_number_is_config_error(tmp_path, short_prices_path, capsys, command,
                                            patch):
     # an empty list passes np.all of any check, and [1.0] compares like 1.0
@@ -677,12 +708,12 @@ def _pin_builds():
     for label, section in MODEL_PINS:
         for top_id, top in (("no_top", None), ("top", PIN_TOP_CONSTRAINTS)):
             builds[f"model/{label}/{top_id}"] = (
-                lambda s=section, t=top: cli._build_model(s, PIN_ASSETS, t))
+                lambda s=section, t=top: cli._build("model", s, "model", PIN_ASSETS, t))
     for label, section in PRIOR_PINS:
-        builds[f"prior/{label}"] = lambda s=section: cli._build_model(
-            {"kind": "inverse_volatility", "prior": s}, PIN_ASSETS)
+        builds[f"prior/{label}"] = lambda s=section: cli._build(
+            "model", {"kind": "inverse_volatility", "prior": s}, "model", PIN_ASSETS)
     for label, section in CV_PINS:
-        builds[f"cv/{label}"] = lambda s=section: cli._build_cv(s)
+        builds[f"cv/{label}"] = lambda s=section: cli._build("cv", s, "cv")
     return builds
 
 

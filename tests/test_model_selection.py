@@ -112,34 +112,25 @@ def test_cpcv_config_validation():
         CpcvConfig(k=5, p=1, embargo_fraction=1.5)
 
 
-def test_split_plan_json_roundtrip(rng):
-    plan = cpcv(203, CpcvConfig(k=5, p=2, purge_horizon=2, embargo_fraction=0.01))
-    text = plan.to_json()
-    back = SplitPlan.from_json(text)
-    assert back.to_json() == text
-    assert back.n_splits == plan.n_splits
-    assert back.n_paths == plan.n_paths
-    for (a_tr, a_te), (b_tr, b_te) in zip(plan.splits, back.splits):
-        np.testing.assert_array_equal(a_tr, b_tr)
-        np.testing.assert_array_equal(a_te, b_te)
-    assert back.path_of == plan.path_of
-    # the fold blocks are rebuilt, so the plan drives cross_val_predict again
-    X = make_returns(rng.normal(0.0005, 0.01, (203, 4)))
-    for a, b in zip(cross_val_predict(InverseVolatility(), X, plan),
-                    cross_val_predict(InverseVolatility(), X, back)):
-        assert a.name == b.name
-        assert [span for _, span in a.segments] == [span for _, span in b.segments]
-        for (w_a, _), (w_b, _) in zip(a.segments, b.segments):
-            np.testing.assert_array_equal(w_a, w_b)
-        np.testing.assert_array_equal(a.returns, b.returns)
-
-
-def test_split_plan_from_json_rejects_folds_off_test_rows():
+def test_split_plan_to_json_cpcv_payload():
+    # [DERIVED] T=80, k=4: folds [0,20) [20,40) [40,60) [60,80). Each test
+    # fold excludes one row before it (purge_horizon 1) and two after it
+    # (purge 1 + embargo ceil(0.01 * 80) = 1). A fold's path is the count of
+    # earlier splits that test it.
     payload = json.loads(cpcv(80, CpcvConfig(k=4, p=2)).to_json())
-    assert payload["splits"][0]["test"] == [[0, 40]]  # folds 0 and 1
-    payload["splits"][0]["test"] = [[0, 39]]
-    with pytest.raises(InvalidConfig, match="split 0"):
-        SplitPlan.from_json(json.dumps(payload))
+    assert payload == {
+        "splits": [
+            {"train": [[42, 80]], "test": [[0, 40]]},
+            {"train": [[22, 39], [62, 80]], "test": [[0, 20], [40, 60]]},
+            {"train": [[22, 59]], "test": [[0, 20], [60, 80]]},
+            {"train": [[0, 19], [62, 80]], "test": [[20, 60]]},
+            {"train": [[0, 19], [42, 59]], "test": [[20, 40], [60, 80]]},
+            {"train": [[0, 39]], "test": [[40, 80]]},
+        ],
+        "paths": [{"split": s, "fold": f, "path": p} for s, f, p in [
+            (0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 2, 0), (2, 0, 2), (2, 3, 0),
+            (3, 1, 1), (3, 2, 1), (4, 1, 2), (4, 3, 1), (5, 2, 2), (5, 3, 2)]],
+    }
 
 
 def test_config_plan_helpers():
@@ -352,6 +343,19 @@ def test_cross_val_predict_empty_plan(rng):
     X = make_returns(rng.normal(0, 0.01, (30, 2)))
     with pytest.raises(EmptyCv):
         cross_val_predict(EqualWeighted(), X, SplitPlan())
+
+
+@pytest.mark.parametrize("names", [("a", "a"), ("a", "")])
+def test_cross_val_predict_rejects_repeated_or_empty_names(rng, names):
+    # each name labels the portfolios of its allocator; none is fitted
+    class Unfit(EqualWeighted):
+        def fit(self, X, factors=None):
+            raise AssertionError("fitted")
+
+    X = make_returns(rng.normal(0, 0.01, (100, 2)))
+    pairs = [(name, Unfit()) for name in names]
+    with pytest.raises(InvalidConfig, match="names must be distinct and non-empty"):
+        cross_val_predict(pairs, X, walk_forward(100, 50, 25))
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
