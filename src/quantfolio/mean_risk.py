@@ -243,16 +243,6 @@ def _assemble(model: MeanRisk, prior: Prior):
                 "MaximizeRatio",
                 stacklevel=2,
             )
-        # the ratio and w = y/t do not depend on the unit of returns: solve in
-        # a unit where the scenarios' std is about 1, since on decimal returns
-        # the scale column t ≈ 1/risk leaves the LP badly scaled and stalling
-        std = float(np.std(prior.scenarios)) if prior.scenarios.size else 0.0
-        s = 10.0 ** -round(np.log10(std)) if std > 0 else 1.0
-        prior = replace(prior, mu=s * prior.mu, sigma=s * s * prior.sigma,
-                        scenarios=s * prior.scenarios)
-        model = replace(
-            model, min_return=None if model.min_return is None else s * model.min_return,
-            risk_caps=[(measure, s * bound) for measure, bound in model.risk_caps or ()])
         w_idx = builder.add_variables(n)
         t = int(builder.add_variables(1, lb=0.0)[0])
     else:
@@ -325,19 +315,12 @@ def efficient_frontier(model: MeanRisk, prior: Prior, size: int) -> list[Frontie
     targets = np.linspace(r_min, r_max, size) if size > 1 else np.array([r_min])
     points: list[FrontierPoint] = []
     for target in targets:
-        try:
-            w = optimize(point_model(ObjectiveFunction.MINIMIZE_RISK, float(target)), prior)
-        except (InfeasibleProblem, SolverFailure) as exc:
-            warnings.warn(f"frontier point at target {target:.6g} dropped: {exc}",
-                          stacklevel=2)
-            continue
+        w = optimize(point_model(ObjectiveFunction.MINIMIZE_RISK, float(target)), prior)
         points.append(FrontierPoint(
             weights=w,
             expected_return=float(prior.mu @ w),
             risk=portfolio_risk(w, model, prior),
         ))
-    if not points:
-        raise InfeasibleProblem("every frontier point was infeasible")
     return points
 
 

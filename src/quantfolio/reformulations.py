@@ -130,31 +130,32 @@ def reformulate_risk(
                          scipy.sparse.hstack([dev, -unit_rows(T, np.arange(T).repeat(2))]), 0.0)
         return u, np.full(T, 1.0 / T)
 
+    eye = unit_rows(T, np.arange(T))
     if measure in (RiskMeasure.CDAR, RiskMeasure.MAX_DRAWDOWN):
-        # Pairwise epigraph over drawdowns: dd_t = max_{s≤t} (C_s − C_t)ᵀ w,
-        # expanded as one row per (s, t) pair, t-major. This keeps every
-        # auxiliary uniquely determined at the optimum, which an
-        # operator-splitting solver needs; the chained-peak alternative is
-        # heavily degenerate. Row count is T(T+1)/2, so scenario counts are
-        # expected at desk scale.
-        C = np.cumsum(S, axis=0)  # cumulative scenario returns, C_t ᵀ w linear
-        t_of, s_of = np.tril_indices(T)
-        losses = C[s_of] - C[t_of]
+        # Chained peaks (Chekhlov, Uryasev & Zabarankin 2005): p_t ≥ C_tᵀw and
+        # p_t ≥ p_{t−1} make p_t at least the running peak max_{s≤t} C_sᵀw,
+        # and the loss of t is p_t − C_tᵀw. A higher peak only raises losses,
+        # so the least risk over p is the measure's value. 3T − 1 rows in all.
+        C = np.cumsum(S, axis=0)  # cumulative scenario returns, C_tᵀw linear
+        p = builder.add_variables(T)
+        cols = np.concatenate([w_idx, p])
+        builder.add_rows(cols, scipy.sparse.hstack([C, -eye]), 0.0)
+        builder.add_rows(p, unit_rows(T, np.arange(T - 1)) - unit_rows(T, np.arange(1, T)), 0.0)
+        losses = scipy.sparse.hstack([-C, eye])
     else:  # CVaR and worst realization: one loss row −r_tᵀw per scenario
-        t_of = np.arange(T)
-        losses = -S
+        cols = w_idx
+        losses = scipy.sparse.coo_array(-S)
 
     if measure in (RiskMeasure.CVAR, RiskMeasure.CDAR):
         # z_t ≥ L_rᵀw − α  →  L_rᵀw − α − z_t ≤ 0; risk α + Σz/((1−β)T)
         aux = builder.add_variables(1)  # alpha, free
         z = builder.add_variables(T, lb=0.0)
-        M = scipy.sparse.hstack([losses, -np.ones((len(losses), 1)), -unit_rows(T, t_of)])
-        builder.add_rows(np.concatenate([w_idx, aux, z]), M, 0.0)
+        M = scipy.sparse.hstack([losses, -np.ones((T, 1)), -eye])
+        builder.add_rows(np.concatenate([cols, aux, z]), M, 0.0)
         factor = 1.0 / ((1.0 - beta) * T)
         return np.concatenate([aux, z]), np.concatenate([[1.0], np.full(T, factor)])
 
     # max drawdown and worst realization: y ≥ L_rᵀw  →  [L | −1] ≤ 0
     yv = builder.add_variables(1, lb=0.0 if measure is RiskMeasure.MAX_DRAWDOWN else -np.inf)
-    builder.add_rows(np.append(w_idx, yv), np.column_stack([losses, -np.ones(len(losses))]),
-                     0.0)
+    builder.add_rows(np.append(cols, yv), scipy.sparse.hstack([losses, -np.ones((T, 1))]), 0.0)
     return yv, np.ones(1)

@@ -1,5 +1,4 @@
-"""Convex QP and LP solver: an interior-point method for QPs, ADMM for LPs,
-one active-set finish for both.
+"""Convex QP and LP solver: an interior-point method with an active-set finish.
 
 Problems are solved in the form
 
@@ -7,83 +6,64 @@ Problems are solved in the form
     subject to  l ≤ A x ≤ u
 
 where `_stack_problem` stacks the A_eq, G and box rows of a `QpProblem` as
-one CSR A. `solve` sends a problem with a nonzero P (a QP) to the
-interior-point path and every other problem (an LP) to ADMM. Both return a
-`SolveResult` whose y holds one multiplier per row of A (y ≥ 0 at an upper
-bound, y ≤ 0 at a lower one, Px + q + Aᵀy = 0 at an optimum) and whose
-residuals are unscaled. A row whose bounds admit no value (u = −∞, l = +∞
-or l > u) makes the problem Infeasible before any iteration. Equality rows
-(|u − l| < 1e-14) are found once, on the caller's bounds. Everything runs
-sequentially, so results are bit-deterministic for fixed inputs.
+one CSR A; an LP is the case P = 0. `solve` returns a `SolveResult` whose y
+holds one multiplier per row of A (y ≥ 0 at an upper bound, y ≤ 0 at a lower
+one, Px + q + Aᵀy = 0 at an optimum) and whose residuals are unscaled. A row
+whose bounds admit no value (u = −∞, l = +∞ or l > u) makes the problem
+Infeasible before any iteration. Equality rows (|u − l| < 1e-14) are found
+once, on the caller's bounds. Everything runs sequentially, so results are
+bit-deterministic for fixed inputs.
 
-QPs. `_interior_point` runs a Mehrotra predictor-corrector on
+`_interior_point` runs a Mehrotra predictor-corrector on
 min ½xᵀPx + qᵀx s.t. E x = b, C x ≤ d. E holds the equality rows of A; C
 holds the rows with a finite upper bound and, negated, those with a finite
 lower bound, so the box rows give ±I. P and q are normalised by their
 largest entry. Each iteration factors the reduced KKT matrix
 [P + Cᵀ diag(z/s) C, Eᵀ; E, 0], regularised by ±IPM_REGULARIZATION on its
-diagonal (dense, (n + #E)², like ADMM's n×n reduced matrix), once with
-LAPACK's `dgetrf` and solves it for the predictor and the corrector with
-`dgetrs`. E and C are kept as one matrix [E; C]: a dense array up to
-IPM_DENSE_CELLS cells, where dense products cost less per call, and CSR
-above, where the long sparse row blocks of CVaR, MAD and drawdown caps make
-CSR products cheaper and the dense array large. The iterations stop at the
-relative tolerance IPM_TOLERANCE, at IPM_MAX_ITERATIONS, or at a non-finite
-iterate; none of them emits a floating-point warning.
+diagonal (dense, (n + #E)²), once with LAPACK's `dgetrf` and solves it for
+the predictor and the corrector with `dgetrs`. E and C are kept as one
+matrix [E; C]: a dense array up to IPM_DENSE_CELLS cells, where dense
+products cost less per call, and CSR above, where the long sparse row blocks
+of CVaR, MAD and drawdown LPs and caps make CSR products cheaper and the
+dense array large. The iterations stop at the relative tolerance
+IPM_TOLERANCE, at IPM_MAX_ITERATIONS, or at a non-finite iterate; none of
+them emits a floating-point warning.
 
-A QP's result starts from its best iterate, the one with the smallest
-residual in units of its tolerance (a converged run's last), and the finish
-from that iterate replaces it when the finish's primal, dual and
-complementarity residuals are no worse, up to 1e-12. The result is Optimal
-if its residuals meet EPS_ABS/EPS_REL. Otherwise two HiGHS LPs (scipy's
-`linprog`) classify the QP: a phase-1 LP on the rows gives Infeasible, and a
-negative optimum of the recession LP min qᵀd s.t. Pd = 0, Ed = 0, Cd ≤ 0,
-|d| ≤ 1 gives Unbounded; any other outcome is MaxIterations.
-`scipy.optimize` is imported there, on first use, so a process that meets no
-such QP never loads it.
+The result starts from the best iterate, the one with the smallest residual
+in units of its tolerance (a converged run's last), and the finish from that
+iterate replaces it when the finish's primal, dual and complementarity
+residuals are no worse, up to 1e-12. The result is Optimal if its residuals
+meet EPS_ABS/EPS_REL. Otherwise two HiGHS LPs (scipy's `linprog`) classify
+the problem: a phase-1 LP on the rows gives Infeasible, and a negative
+optimum of the recession LP min qᵀd s.t. Pd = 0, Ed = 0, Cd ≤ 0, |d| ≤ 1
+gives Unbounded; any other outcome is MaxIterations. So an infeasible or
+unbounded problem is classified after at most IPM_MAX_ITERATIONS
+iterations. `scipy.optimize` is imported there, on first use, so a process
+that meets no such problem never loads it.
 
-LPs. `_admm` solves min qᵀx s.t. l ≤ Ax ≤ u (it takes no P) by operator
-splitting, with Ruiz equilibration and a reduced (normal-equations) linear
-system per iteration. A stays CSR throughout: Ruiz scaling rescales its
-stored values, and the iterations and the convergence and infeasibility
-checks run on that scaled CSR and one transpose. The checks judge unscaled
-residuals by rescaling vectors with the Ruiz factors: A₀x = (Ax)/E and
-A₀ᵀy = (Aᵀy)/(cD), defined once in `_admm` (`A0x`, `A0Ty`) and used by the
-residual function and both infeasibility certificates. One residual
-function judges ADMM iterates and finished points alike. Equality rows get
-the stiffer penalty. The only dense arrays are the n×n reduced matrix and
-its factor, and the rows of the unscaled A that a finish keeps.
-
-One active-set finish serves both paths. An interior point is accurate only
-to its tolerance (along the flat directions of an ill-conditioned
-covariance its weights can be off by 1e-5), an ADMM iterate only to
-EPS_ABS/EPS_REL. `_finish` makes one regularised KKT solve on the equality
-rows and a guess of the active rows (`_polish_step`, pruned by
-`_select_independent` when there are more rows than variables); for up to
-FINISH_ROUNDS rounds a violated row then joins the set and a row with a
-wrong-signed multiplier leaves it. The interior point guesses the rows whose
-slack is below their dual (s < z), keeping of a row that qualifies at both
-bounds only the side with the larger dual, and refines from its own point,
-so a direction the active rows leave free, such as the auxiliaries of a
-loose CVaR or MAD cap, keeps a feasible value. ADMM tries the finish when
-it converges and every POLISH_INTERVAL iterations. It
-guesses the rows within 1e-7 of a bound or with a dual beyond 1e-4·|y|∞ of
-that sign, refines from x = 0 and its dual, and accepts the finish when its
-primal and dual residuals are no worse than the iterate's, up to 1e-12,
-and, before convergence, meet EPS_ABS/EPS_REL.
+The active-set finish exists because an interior point is accurate only to
+its tolerance (along the flat directions of an ill-conditioned covariance
+its weights can be off by 1e-5). `_finish` makes one regularised KKT solve
+on the equality rows and a guess of the active rows (`_polish_step`, pruned
+by `_select_independent` when there are more rows than variables); for up
+to FINISH_ROUNDS rounds a violated row then joins the set and a row with a
+wrong-signed multiplier leaves it. The guess is the rows whose slack is
+below their dual (s < z), keeping of a row that qualifies at both bounds
+only the side with the larger dual, and the finish refines from the
+interior point, so a direction the active rows leave free, such as the
+auxiliaries of a loose CVaR or MAD cap, keeps a feasible value.
 
 The finish costs more in Python calls than in arithmetic on small problems,
 so it makes few of them: `_dense_rows` gathers rows straight from the CSR
 arrays with a handful of vectorised index operations, `_select_independent`
 copies and normalises the candidate rows n at a time before its greedy loop
-and stops once the kept rows span the space (a drawdown LP's thousands of
-violated rows never exist as one dense array), and the KKT system is
-factored and refined by LAPACK's `dgetrf`/`dgetrs` directly (the routines
-inside `lu_factor`/`lu_solve`, without their per-call checks). After the KKT
-solve, `_snap_to_tight_bounds` sets a variable to b / a exactly, never to
--0.0, wherever a row with a single nonzero a (a box row, or a one-variable
-row of G) is within FINISH_TOLERANCE of its bound b, so a variable at its
-bound carries no solver noise.
+and stops once the kept rows span the space, and the KKT system is factored
+and refined by LAPACK's `dgetrf`/`dgetrs` directly (the routines inside
+`lu_factor`/`lu_solve`, without their per-call checks). After the KKT solve,
+`_snap_to_tight_bounds` sets a variable to b / a exactly, never to -0.0,
+wherever a row with a single nonzero a (a box row, or a one-variable row of
+G) is within FINISH_TOLERANCE of its bound b, so a variable at its bound
+carries no solver noise.
 """
 
 from __future__ import annotations
@@ -99,16 +79,9 @@ import scipy.sparse
 EPS_ABS = 1e-8
 EPS_REL = 1e-8
 EPS_INFEAS = 1e-9
-MAX_ITERATIONS = 20000
-RHO = 0.1
-SIGMA = 1e-6
-ALPHA = 1.6
-CHECK_INTERVAL = 25
-SCALING_ITERATIONS = 10
 POLISH_REFINE_STEPS = 8
-POLISH_INTERVAL = 500  # ADMM tries the active-set finish every this many iterations
 IPM_MAX_ITERATIONS = 100
-IPM_TOLERANCE = 1e-9  # relative, on the QP normalised by its largest P or q entry
+IPM_TOLERANCE = 1e-9  # relative, on the problem normalised by its largest P or q entry
 IPM_REGULARIZATION = 1e-12  # keeps the reduced KKT matrix nonsingular
 # [E; C] is dense up to this many cells, else CSR: near where the two cost the
 # same on capped variance QPs, 30,000-90,000 cells by the density of the rows
@@ -180,51 +153,10 @@ def _stack_problem(problem: QpProblem):
     return P, q, A, np.concatenate(lower), np.concatenate(upper)
 
 
-def _ruiz_equilibrate(q, A):
-    """Scale q and the CSR A (its pattern kept) so row/column ∞-norms approach 1."""
-    m, n = A.shape
-    row = np.repeat(np.arange(m), np.diff(A.indptr))
-    col = A.indices
-    a = A.data
-    D = np.ones(n)
-    E = np.ones(m)
-    c = 1.0
-    for _ in range(SCALING_ITERATIONS):
-        col_norms = np.zeros(n)
-        row_norms = np.zeros(m)
-        np.maximum.at(col_norms, col, np.abs(a))
-        np.maximum.at(row_norms, row, np.abs(a))
-        d = 1.0 / np.sqrt(np.where(col_norms > 1e-12, col_norms, 1.0))
-        e = 1.0 / np.sqrt(np.where(row_norms > 1e-12, row_norms, 1.0))
-        a = a * e[row] * d[col]
-        q = q * d
-        D *= d
-        E *= e
-        # cost scaling brings q to a unit ∞-norm
-        gamma_denom = np.abs(q).max(initial=0.0)
-        gamma = 1.0 / gamma_denom if gamma_denom > 1e-12 else 1.0
-        q = q * gamma
-        c *= gamma
-    return q, scipy.sparse.csr_array((a, col, A.indptr), shape=A.shape), D, E, c
-
-
 def _scale_rows(A, v):
     """The CSR A with its row i multiplied by v[i], its pattern kept."""
     return scipy.sparse.csr_array((A.data * np.repeat(v, np.diff(A.indptr)), A.indices,
                                    A.indptr), shape=A.shape)
-
-
-def _factor_reduced(A, AT, rho_vec):
-    """Factor σI + Aᵀ diag(ρ) A (SPD by the σ shift) from the CSR A and its AT;
-    returns the function that solves the reduced system for a right-hand side."""
-    M = SIGMA * np.eye(A.shape[1]) + (AT @ _scale_rows(A, rho_vec)).toarray()
-    try:
-        L, _ = scipy.linalg.cho_factor(M, lower=True)
-    except scipy.linalg.LinAlgError:
-        lu = scipy.linalg.lu_factor(M)
-        return lambda rhs: scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-    # the LAPACK call inside cho_solve, without its per-call input checks
-    return lambda rhs: scipy.linalg.lapack.dpotrs(L, rhs, lower=1)[0]
 
 
 def solve(problem: QpProblem) -> SolveResult:
@@ -235,160 +167,7 @@ def solve(problem: QpProblem) -> SolveResult:
                            iterations=0, primal_residual=float("inf"), dual_residual=0.0,
                            y=np.zeros(l.size))
     eq_mask = np.isfinite(l) & np.isfinite(u) & (np.abs(u - l) < 1e-14)
-    if P0.any():
-        return _interior_point(P0, q0, A0, l, u, eq_mask)
-    return _admm(q0, A0, l, u, eq_mask)
-
-
-def _admm(q0, A0, l, u, eq_mask):
-    """ADMM with Ruiz scaling and the active-set finish on the stacked LP
-    min q₀ᵀx s.t. l ≤ A₀x ≤ u."""
-    m, n = A0.shape
-    q, A, D, E, c = _ruiz_equilibrate(q0, A0)
-    ls = l * E
-    us = u * E
-    AT = A.T.tocsr()
-
-    # the unscaled products at a scaled point: A₀ at D x, A₀ᵀ at E y / c
-    def A0x(x):
-        return (A @ x) / E
-
-    def A0Ty(y):
-        return (AT @ y) / (c * D)
-
-    def penalty(rho_bar):
-        """ρ per row (equality rows 1e3 times stiffer) and its reduced-system solve."""
-        rho_vec = np.where(eq_mask, 1e3 * rho_bar, rho_bar)
-        return rho_vec, _factor_reduced(A, AT, rho_vec)
-
-    def residuals(x, z, y):
-        """Unscaled primal and dual residuals of the scaled point (x, z, y),
-        with the magnitudes their tolerances scale by."""
-        Ax, ATy = A0x(x), A0Ty(y)
-        z = z / E
-        prim_scale = max(np.abs(Ax).max(initial=0.0), np.abs(z).max(initial=0.0))
-        dual_scale = max(np.abs(ATy).max(initial=0.0), np.abs(q0).max(initial=0.0))
-        return (np.abs(Ax - z).max(initial=0.0), np.abs(q0 + ATy).max(initial=0.0),
-                prim_scale, dual_scale)
-
-    rho_bar = RHO
-    rho_vec, solve_reduced = penalty(rho_bar)
-    x = np.zeros(n)
-    z = np.zeros(m)
-    y = np.zeros(m)
-    status = "MaxIterations"
-    rho_updates = 0
-    # stall breaker: degenerate LP tails crawl at a too-small rho while the
-    # residual ratio looks balanced, so the ratio rule never fires; escalate
-    # the penalty outright at fixed checkpoints if still unconverged
-    escalation_points = {
-        -(-(MAX_ITERATIONS // f) // CHECK_INTERVAL) * CHECK_INTERVAL for f in (10, 4, 2)
-    }
-
-    for k in range(1, MAX_ITERATIONS + 1):
-        rhs = SIGMA * x - q + AT @ (rho_vec * z - y)
-        x_tilde = solve_reduced(rhs)
-        z_tilde = A @ x_tilde
-        x_prev = x
-        y_prev = y
-        x = ALPHA * x_tilde + (1.0 - ALPHA) * x_prev
-        z_relaxed = ALPHA * z_tilde + (1.0 - ALPHA) * z
-        z_new = np.minimum(np.maximum(z_relaxed + y / rho_vec, ls), us)
-        y = y + rho_vec * (z_relaxed - z_new)
-        z = z_new
-
-        if k % CHECK_INTERVAL == 0 or k == MAX_ITERATIONS:
-            xu = D * x
-            yu = (E * y) / c
-            r_prim, r_dual, prim_scale, dual_scale = residuals(x, z, y)
-            eps_prim = EPS_ABS + EPS_REL * prim_scale
-            eps_dual = EPS_ABS + EPS_REL * dual_scale
-            converged = r_prim <= eps_prim and r_dual <= eps_dual
-
-            # the active-set finish: polishes a converged iterate, and every
-            # POLISH_INTERVAL iterations is an early exit if it certifies. Its
-            # candidate rows are tight (within 1e-7) or carry a strong dual.
-            if converged or k % POLISH_INTERVAL == 0:
-                Ax = A0 @ xu
-                y_strong = 1e-4 * max(np.abs(yu).max(initial=0.0), 1e-12)
-                lower = (np.isfinite(l) & ~eq_mask
-                         & ((np.abs(Ax - l) <= 1e-7 * (1.0 + np.abs(l))) | (yu < -y_strong)))
-                upper = (np.isfinite(u) & ~eq_mask
-                         & ((np.abs(u - Ax) <= 1e-7 * (1.0 + np.abs(u))) | (yu > y_strong)))
-                finished = _finish(0.0, q0, A0, l, u, eq_mask, np.zeros(n), yu, lower, upper)
-                if finished is not None:
-                    xs = finished[0] / D
-                    rp, rd, _, _ = residuals(xs, np.clip(A @ xs, ls, us),
-                                             c * finished[1] / E)
-                    if max(rp, rd) <= max(r_prim, r_dual) + 1e-12 and (
-                            converged or (rp <= eps_prim and rd <= eps_dual)):
-                        (xu, yu), r_prim, r_dual = finished, rp, rd
-                        converged = True
-
-            if converged:
-                status = "Optimal"
-            elif _primal_infeasible(A0Ty, l, u, y - y_prev, (y - y_prev) * E / c,
-                                    EPS_INFEAS):
-                status = "Infeasible"
-            elif _dual_infeasible(A0x, q0, l, u, x - x_prev, D * (x - x_prev), EPS_INFEAS):
-                status = "Unbounded"
-            elif k in escalation_points:
-                rho_bar = float(min(rho_bar * 10.0, 1e6))
-                rho_vec, solve_reduced = penalty(rho_bar)
-            # penalty adaptation: rebalance rho when the scaled residual
-            # ratio drifts; capped update count keeps runs deterministic
-            elif rho_updates < 30 and k % (CHECK_INTERVAL * 4) == 0 and k < MAX_ITERATIONS:
-                ratio = np.sqrt((r_prim / max(prim_scale, 1e-12))
-                                / max(r_dual / max(dual_scale, 1e-12), 1e-16))
-                if ratio > 5.0 or ratio < 0.2:
-                    rho_bar = float(np.clip(rho_bar * ratio, 1e-6, 1e6))
-                    rho_vec, solve_reduced = penalty(rho_bar)
-                    rho_updates += 1
-            if status != "MaxIterations":
-                break
-
-    return SolveResult(
-        x=xu,
-        objective=float(q0 @ xu) if status == "Optimal" else float("nan"),
-        status=status,
-        iterations=k,
-        primal_residual=float(r_prim),
-        dual_residual=float(r_dual),
-        y=yu,
-    )
-
-
-def _primal_infeasible(A0Ty, l, u, dy, dy0, eps):
-    """Farkas test on a dual step: `dy` scaled, `dy0` the same step unscaled,
-    and `A0Ty` the unscaled Aᵀ product at a scaled dual."""
-    norm = np.abs(dy0).max(initial=0.0)
-    if norm <= 1e-14:
-        return False
-    d = dy0 / norm
-    if np.abs(A0Ty(dy)).max(initial=0.0) > eps * norm:
-        return False
-    pos = np.clip(d, 0.0, None)
-    neg = np.clip(d, None, 0.0)
-    # infinite bounds with a non-vanishing multiplier of the wrong sign void the certificate
-    if np.any(~np.isfinite(u) & (pos > eps)) or np.any(~np.isfinite(l) & (neg < -eps)):
-        return False
-    support = float(np.sum(u[np.isfinite(u)] * pos[np.isfinite(u)]) +
-                    np.sum(l[np.isfinite(l)] * neg[np.isfinite(l)]))
-    return support < -eps
-
-
-def _dual_infeasible(A0x, q0, l, u, dx, dx0, eps):
-    """Recession-direction test on a primal step of the LP: `dx` scaled, `dx0`
-    the same step unscaled, and `A0x` the unscaled product at a scaled point."""
-    norm = np.abs(dx0).max(initial=0.0)
-    if norm <= 1e-14:
-        return False
-    if q0 @ (dx0 / norm) > -eps:
-        return False
-    Ad = A0x(dx) / norm
-    ok_upper = np.where(np.isfinite(u), Ad <= eps, True)
-    ok_lower = np.where(np.isfinite(l), Ad >= -eps, True)
-    return bool(np.all(ok_upper & ok_lower))
+    return _interior_point(P0, q0, A0, l, u, eq_mask)
 
 
 def _kkt_residuals(P0, q0, A0, l, u, x, y):
@@ -408,7 +187,7 @@ def _kkt_residuals(P0, q0, A0, l, u, x, y):
 
 def _interior_point(P0, q0, A0, l, u, eq_mask):
     """Mehrotra predictor-corrector on min ½xᵀPx + qᵀx s.t. E x = b, C x ≤ d,
-    then the active-set finish (the QP path).
+    then the active-set finish.
 
     E holds the equality rows of the stacked A₀. C holds A₀'s rows with a
     finite upper bound and, negated, its rows with a finite lower bound, so
@@ -438,7 +217,8 @@ def _interior_point(P0, q0, A0, l, u, eq_mask):
 
         def gram(w):
             return (CT @ _scale_rows(C, w)).toarray()
-    scale = 1.0 / max(np.abs(P0).max(), np.abs(q0).max())
+    largest = max(np.abs(P0).max(), np.abs(q0).max())
+    scale = 1.0 / largest if largest > 0 else 1.0
     P, q = P0 * scale, q0 * scale
     tol_prim = IPM_TOLERANCE * (1.0 + np.abs(c).max(initial=0.0))
     tol_dual = IPM_TOLERANCE * (1.0 + np.abs(q).max())
@@ -571,8 +351,8 @@ def _interior_point(P0, q0, A0, l, u, eq_mask):
 
 
 def _finish(P, q, A, l, u, eq_mask, x, y, lower, upper):
-    """Active-set finish of an interior point of the normalised QP (P an n×n
-    array) or of an ADMM iterate of the LP (P = 0.0).
+    """Active-set finish of an interior point of the normalised problem (P an
+    n×n array, zero for an LP).
 
     One regularised KKT solve on the equality rows and the rows active at
     their lower (`lower`) or upper (`upper`) bound, refined from (x, y); then
@@ -609,10 +389,10 @@ def _finish(P, q, A, l, u, eq_mask, x, y, lower, upper):
 
 
 def _classify(P, q, C, d, E, b):
-    """Status of a QP the interior-point method left unsolved, from two HiGHS LPs:
+    """Status of a problem the interior-point method left unsolved, from two HiGHS LPs:
     Infeasible when no x meets Ex = b, Cx ≤ d; Unbounded when a direction with
     Pd = 0, Ed = 0, Cd ≤ 0 and |d| ≤ 1 has qᵀd < 0; MaxIterations otherwise."""
-    import scipy.optimize  # here, not at the top: only a QP left unsolved needs HiGHS
+    import scipy.optimize  # here, not at the top: only a problem left unsolved needs HiGHS
 
     n = q.size
     ub = dict(A_ub=C, b_ub=d) if d.size else {}
@@ -674,8 +454,8 @@ def _select_independent(A, idx, tol=1e-8):
 
 def _polish_step(P, q, A_act, b_act, start):
     """Equality-solve the KKT system on the active rows A_act x = b_act; returns the
-    solution (x, then the rows' multipliers) or None. P is the n×n Hessian, or
-    0.0 for an LP. Iterative refinement runs against the unregularized system
+    solution (x, then the rows' multipliers) or None. P is the n×n Hessian,
+    zero for an LP. Iterative refinement runs against the unregularized system
     from `start`: a direction the active rows leave free keeps its value there."""
     n = q.size
     k = A_act.shape[0]

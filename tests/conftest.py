@@ -28,6 +28,12 @@ def make_prior(mu, sigma, scenarios=None, assets=()):
                  scenarios=np.asarray(scenarios, dtype=float), assets=tuple(assets))
 
 
+def market_panel(T, N, seed=0):
+    """T×N returns: N(5e-4, 0.01) asset noise plus one common N(0, 0.01) factor."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(5e-4, 0.01, (T, N)) + rng.normal(0.0, 0.01, (T, 1))
+
+
 def random_psd(rng, n, scale=1.0):
     """Well-conditioned random covariance matrix."""
     B = rng.normal(size=(n, n))

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quantfolio import cli
+from quantfolio import cli, mean_risk
 from quantfolio.cli import main
+from quantfolio.exceptions import SolverFailure
 
 DATA = resources.files("quantfolio").joinpath("data/sample_prices.csv")
 NS = "{http://www.w3.org/2000/svg}"
@@ -207,6 +208,25 @@ def test_frontier_rejects_non_mean_risk(tmp_path, short_prices_path):
     cfg = {"data": {"prices": short_prices_path}, "model": {"kind": "hrp"}}
     code, _ = run(tmp_path, "frontier", cfg)
     assert code == 2
+
+
+def test_frontier_point_failure_is_solver_error(tmp_path, short_prices_path, monkeypatch):
+    # the third solve is the frontier's first point (after its two ends): its
+    # error ends the command instead of dropping the point
+    optimize, calls = mean_risk.optimize, []
+
+    def fail_third(model, prior):
+        calls.append(1)
+        if len(calls) == 3:
+            raise SolverFailure("solver stopped with status MaxIterations")
+        return optimize(model, prior)
+
+    monkeypatch.setattr(mean_risk, "optimize", fail_third)
+    cfg = {"data": {"prices": short_prices_path},
+           "model": {"kind": "mean_risk", "frontier_size": 5}}
+    code, out = run(tmp_path, "frontier", cfg)
+    assert (code, len(calls)) == (4, 3)
+    assert not out.exists()
 
 
 def test_backtest_walk_forward(tmp_path, prices_path):

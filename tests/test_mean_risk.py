@@ -1,8 +1,11 @@
 import re
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
 
+import quantfolio.mean_risk
 import quantfolio.solver
 from quantfolio.base import clone
 from quantfolio.exceptions import (
@@ -14,6 +17,7 @@ from quantfolio.exceptions import (
     UnboundedProblem,
     UnsupportedMeasure,
 )
+from quantfolio.market_data import load_prices, prices_to_returns
 from quantfolio.measures import RiskMeasure, measure_value
 from quantfolio.mean_risk import (
     MeanRisk,
@@ -24,7 +28,7 @@ from quantfolio.mean_risk import (
     portfolio_risk,
     predict,
 )
-from quantfolio.priors import EmpiricalPrior
+from quantfolio.priors import EmpiricalPrior, fit_prior
 from quantfolio.reformulations import ProblemBuilder, reformulate_risk
 from quantfolio.solver import solve
 
@@ -201,8 +205,9 @@ def test_risk_cap_below_every_portfolio_is_infeasible(objective, cap):
 @pytest.mark.parametrize("objective", [ObjectiveFunction.MINIMIZE_RISK,
                                        ObjectiveFunction.MAXIMIZE_RATIO])
 def test_risk_cap_of_inf_leaves_the_fit_uncapped(objective):
-    # the cap's epigraph block once stayed in the LP with a row bounded on
-    # neither side, and ADMM stalled on it for 20,000 iterations
+    # an infinite cap adds no rows: its epigraph block once stayed in the LP
+    # with a row bounded on neither side, on which the LP solver of the time
+    # stalled
     rng = np.random.default_rng(5)
     S = rng.normal(5e-4, 0.01, (120, 5)) + rng.normal(0.0, 0.01, (120, 1))
     kwargs = dict(objective=objective, risk_measure=RiskMeasure.CVAR)
@@ -300,6 +305,38 @@ def test_frontier_size_one():
     prior = make_prior([0.01, 0.02], np.diag([0.01, 0.04]))
     points = efficient_frontier(_model(ObjectiveFunction.MINIMIZE_RISK), prior, size=1)
     assert len(points) == 1
+
+
+@pytest.mark.parametrize("measure", [RiskMeasure.MEAN_ABSOLUTE_DEVIATION, RiskMeasure.CVAR])
+def test_sample_data_lp_frontier_keeps_every_point(measure):
+    # every one of the 20 LPs on the packaged sample data (T=372, N=10) solves
+    X = prices_to_returns(load_prices(resources.files("quantfolio") / "data" /
+                                      "sample_prices.csv"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = efficient_frontier(_model(ObjectiveFunction.MINIMIZE_RISK, measure),
+                                    fit_prior(None, X), size=20)
+    assert len(points) == 20
+
+
+def test_frontier_point_failure_raises(monkeypatch):
+    # a point that fails raises its typed error; it is not dropped with a warning
+    prior = make_prior([0.01, 0.02], np.diag([0.01, 0.04]))
+    solve_point = quantfolio.mean_risk.optimize
+    calls = []
+
+    def fail_third(model, prior):
+        calls.append(1)
+        if len(calls) == 3:  # after the frontier's two ends
+            raise SolverFailure("solver stopped with status MaxIterations")
+        return solve_point(model, prior)
+
+    monkeypatch.setattr(quantfolio.mean_risk, "optimize", fail_third)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailure):
+            efficient_frontier(_model(ObjectiveFunction.MINIMIZE_RISK), prior, size=5)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("size", [0, 2.0, "3", True])

@@ -22,7 +22,7 @@ from quantfolio.mean_risk import MeanRisk, ObjectiveFunction, _assemble, optimiz
 from quantfolio.measures import RiskMeasure, measure_value
 from quantfolio.solver import QpProblem, _finish, _stack_problem, solve
 
-from conftest import make_returns, random_psd
+from conftest import make_returns, market_panel, random_psd
 from test_golden_weights import _prior
 
 
@@ -90,8 +90,7 @@ def test_random_qps_match_enumerated_kkt_point(kind):
 
 
 def _panel(T, N, seed):
-    rng = np.random.default_rng(seed)
-    return make_returns(rng.normal(5e-4, 0.01, (T, N)) + rng.normal(0.0, 0.01, (T, 1)))
+    return make_returns(market_panel(T, N, seed))
 
 
 @functools.cache
@@ -195,6 +194,19 @@ def test_ratio_variance_with_cap_matches_slsqp(cap):
     assert slsqp.success, slsqp.message
     assert measure_value(prior.scenarios @ w, cap[0]) <= cap[1] * (1.0 + 1e-9)
     assert sharpe(w) == pytest.approx(-slsqp.fun, rel=1e-9)
+
+
+def test_ratio_variance_with_cdar_cap_binds():
+    # a CDaR cap at 0.98 times the CDaR of the minimum-variance portfolio,
+    # below that of the uncapped tangency portfolio: the capped tangency
+    # portfolio is Optimal with the cap binding
+    X = _panel(250, 20, 0)
+    cap = 0.98 * measure_value(X.values @ MeanRisk().fit(X).weights_, RiskMeasure.CDAR)
+    uncapped = MeanRisk(ObjectiveFunction.MAXIMIZE_RATIO).fit(X).weights_
+    assert measure_value(X.values @ uncapped, RiskMeasure.CDAR) > cap
+    w = MeanRisk(ObjectiveFunction.MAXIMIZE_RATIO,
+                 risk_caps=[(RiskMeasure.CDAR, cap)]).fit(X).weights_
+    assert measure_value(X.values @ w, RiskMeasure.CDAR) == pytest.approx(cap, rel=1e-9)
 
 
 @pytest.mark.parametrize("change", ["missing_row", "extra_row"])

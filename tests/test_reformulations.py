@@ -1,8 +1,10 @@
 """Each vectorized epigraph block equals the same rows written one by one.
 
 The reference loops below build the rows in the documented order (MAD rows
-interleaved ±, drawdown pairs t-major with s ≤ t), so any change to the
-order or the values of a block shows here before it reaches a solve.
+interleaved ±; for drawdowns the T peak rows p_t ≥ C_tᵀw, the T − 1 chain
+rows p_t ≥ p_{t−1}, then one loss row p_t − C_tᵀw per period), so any
+change to the order or the values of a block shows here before it reaches
+a solve.
 """
 
 import numpy as np
@@ -28,23 +30,27 @@ def _reference_rows(measure, S):
             lb[N + t], q[N + t] = 0.0, 1.0 / T
             row({**dict(enumerate(dev[t])), N + t: -1.0})
             row({**dict(enumerate(-dev[t])), N + t: -1.0})
-    elif measure in (RiskMeasure.CVAR, RiskMeasure.CDAR):
-        q[N] = 1.0
-        for t in range(T):
-            lb[N + 1 + t], q[N + 1 + t] = 0.0, 1.0 / ((1.0 - BETA) * T)
-            pairs = [-S[t]] if measure is RiskMeasure.CVAR else [
-                C[s] - C[t] for s in range(t + 1)]
-            for loss in pairs:
-                row({**dict(enumerate(loss)), N: -1.0, N + 1 + t: -1.0})
     else:
-        q[N] = 1.0
-        if measure is RiskMeasure.MAX_DRAWDOWN:
-            lb[N] = 0.0
-        for t in range(T):
-            pairs = [-S[t]] if measure is RiskMeasure.WORST_REALIZATION else [
-                C[s] - C[t] for s in range(t + 1)]
-            for loss in pairs:
-                row({**dict(enumerate(loss)), N: -1.0})
+        losses = [dict(enumerate(-S[t])) for t in range(T)]
+        aux = N  # the column of α (or y): after the weights, and after the peaks if any
+        if measure in (RiskMeasure.CDAR, RiskMeasure.MAX_DRAWDOWN):
+            peak = N  # p_t in column N + t
+            for t in range(T):
+                row({**dict(enumerate(C[t])), peak + t: -1.0})
+            for t in range(1, T):
+                row({peak + t - 1: 1.0, peak + t: -1.0})
+            losses = [{**dict(enumerate(-C[t])), peak + t: 1.0} for t in range(T)]
+            aux = N + T
+        q[aux] = 1.0
+        if measure in (RiskMeasure.CVAR, RiskMeasure.CDAR):
+            for t in range(T):
+                lb[aux + 1 + t], q[aux + 1 + t] = 0.0, 1.0 / ((1.0 - BETA) * T)
+                row({**losses[t], aux: -1.0, aux + 1 + t: -1.0})
+        else:
+            if measure is RiskMeasure.MAX_DRAWDOWN:
+                lb[aux] = 0.0
+            for t in range(T):
+                row({**losses[t], aux: -1.0})
     n = 1 + max(max(r) for r in rows)
     G = np.zeros((len(rows), n))
     for r, entries in enumerate(rows):

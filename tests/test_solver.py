@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse
 
 import quantfolio.solver
@@ -273,7 +272,7 @@ def test_select_independent_skips_repeated_row():
 
 
 def _cdar_problem():
-    """A CDaR LP at T=120, N=10: 7,260 pairwise drawdown rows, about 9 % nonzero."""
+    """A CDaR LP at T=120, N=10: 359 chained drawdown rows over 251 columns."""
     rng = np.random.default_rng(0)
     S = rng.normal(5e-4, 0.01, (120, 10)) + rng.normal(0.0, 0.01, (120, 1))
     prior = Prior(mu=S.mean(axis=0), sigma=np.cov(S, rowvar=False), scenarios=S)
@@ -308,9 +307,8 @@ def test_dense_rows_matches_csr_slice(kind):
                                   "maximize_return/cvar/cvar_cap"])
 def test_finish_puts_kept_box_rows_exactly_on_their_bounds(case, monkeypatch):
     # long-only QPs and LPs with bounds active at the optimum: every variable
-    # whose box row is among the rows the last finish keeps (the interior
-    # point's, or the ADMM polish accepted last) leaves it exactly at that
-    # bound, and never at -0.0
+    # whose box row is among the rows the finish keeps leaves it exactly at
+    # that bound, and never at -0.0
     objective, measure, cons, extra = _cases()[case]
     problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
     polish_step = quantfolio.solver._polish_step
@@ -338,40 +336,12 @@ def test_cdar_lp_repeats_exactly():
     assert np.array_equal(first.x, second.x)
 
 
-def test_cdar_finish_copies_only_the_rows_it_keeps(monkeypatch):
-    # the polishes of the CDaR LP pass `_active_rows` thousands of candidate
-    # rows (the finish's correction rounds add every violated drawdown row);
-    # the call given the largest such set allocates less than one dense copy
-    # of it. The allocation is measured above the memory live at the call, so
-    # the bound does not depend on the ADMM state around it (how many rows
-    # the finish gathers depends on the BLAS's rounding, its thread count too)
-    problem = _cdar_problem()
-    active_rows = quantfolio.solver._active_rows
-    calls = []  # (candidate rows, bytes allocated above the entry's)
-
-    def record(A, idx_eq, idx_act, *args, **kwargs):
-        entry = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = active_rows(A, idx_eq, idx_act, *args, **kwargs)
-        calls.append((idx_eq.size + idx_act.size, tracemalloc.get_traced_memory()[1] - entry))
-        return out
-
-    monkeypatch.setattr(quantfolio.solver, "_active_rows", record)
-    tracemalloc.start()
-    try:
-        res = solve(problem)
-    finally:
-        tracemalloc.stop()
-    assert res.status == "Optimal"
-    candidates, allocated = max(calls)
-    assert allocated < candidates * problem.dimensions() * 8
-
-
-def test_cdar_assembly_and_solve_form_no_dense_constraint_matrix(monkeypatch):
-    # CDaR at T=300, N=5: 45,150 pairwise rows over 306 columns, 105 MiB as
-    # one dense array; assembly, stacking, scaling, factorization and 25
-    # iterations together stay under half of that
-    monkeypatch.setattr(quantfolio.solver, "MAX_ITERATIONS", 25)
+def test_cdar_chained_block_shape_and_solve():
+    # CDaR at T=300, N=5: the chained block has 3T − 1 = 899 rows over the
+    # weights, T peaks, α and T auxiliaries; its peak rows hold N entries of
+    # C_t and p_t, its chain rows p_{t−1} and p_t, its loss rows N entries and
+    # p_t, α and z_t. Assembly, stacking and the solve stay under 16 arrays
+    # of the n×n reduced KKT matrix's size (measured: 11)
     T, N = 300, 5
     rng = np.random.default_rng(0)
     S = rng.normal(5e-4, 0.01, (T, N)) + rng.normal(0.0, 0.01, (T, 1))
@@ -384,44 +354,41 @@ def test_cdar_assembly_and_solve_form_no_dense_constraint_matrix(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    G = problem.G
-    assert scipy.sparse.issparse(G) and G.shape == (T * (T + 1) // 2, N + 1 + T)
-    # a pair s < t has N loss entries plus α and z_t; a pair s = t only α and z_t
-    assert (G != 0).sum() == T * (T - 1) // 2 * (N + 2) + 2 * T
-    assert (res.status, res.iterations) == ("MaxIterations", 25)
-    assert peak < G.shape[0] * G.shape[1] * 8 / 2
+    G, n = problem.G, problem.dimensions()
+    assert scipy.sparse.issparse(G) and G.shape == (3 * T - 1, N + 2 * T + 1) and n == G.shape[1]
+    assert (G != 0).sum() == T * (N + 1) + 2 * (T - 1) + T * (N + 3)
+    assert res.status == "Optimal"
+    assert peak < 16 * n * n * 8
 
 
-def test_failed_polish_makes_at_most_finish_rounds_kkt_solves(monkeypatch):
-    # the LP of the golden case maximize_ratio/cvar/caps: its periodic polishes
-    # before iteration 3,000 do not certify, and none makes more KKT solves
-    # than the finish has correction rounds
-    objective, measure, cons, extra = _cases()["maximize_ratio/cvar/caps"]
+def test_failed_finish_makes_at_most_finish_rounds_kkt_solves(monkeypatch):
+    # the LP of the golden case minimize_risk/cvar/infeasible_floor: the
+    # interior point ends unconverged, the finish from its best iterate fails,
+    # making no more KKT solves than it has correction rounds, and HiGHS
+    # classifies the LP
+    objective, measure, cons, extra = _cases()["minimize_risk/cvar/infeasible_floor"]
     problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
     polish_step = quantfolio.solver._polish_step
-    kkt_solves = []
+    finished, kkt_solves = [], []
 
     def finish(*args):
-        kkt_solves.append(0)
-        return _finish(*args)
-
-    def count(*args):
-        kkt_solves[-1] += 1
-        return polish_step(*args)
+        finished.append(_finish(*args))
+        return finished[-1]
 
     monkeypatch.setattr(quantfolio.solver, "_finish", finish)
-    monkeypatch.setattr(quantfolio.solver, "_polish_step", count)
+    monkeypatch.setattr(quantfolio.solver, "_polish_step",
+                        lambda *args: kkt_solves.append(1) or polish_step(*args))
     res = solve(problem)
-    assert (res.status, res.iterations) == ("Optimal", 3000)
-    assert len(kkt_solves) == 3000 // quantfolio.solver.POLISH_INTERVAL
-    assert 1 <= min(kkt_solves) and max(kkt_solves) <= quantfolio.solver.FINISH_ROUNDS
+    assert res.status == "Infeasible"
+    assert finished == [None]
+    assert 1 <= len(kkt_solves) <= quantfolio.solver.FINISH_ROUNDS
 
 
 @pytest.mark.parametrize("case", ["maximize_ratio/cvar/caps", "maximize_ratio/variance/short",
                                   "minimize_risk/cdar", "maximize_utility/mad/l1+mixed"])
 def test_polished_residuals_match_unscaled_recomputation(case):
-    # the solver measures residuals through the scaled matrices; recompute
-    # them from the returned point on the unscaled problem
+    # the solver measures residuals on the problem normalised by its largest
+    # P or q entry; recompute them from the returned point on the stacked one
     objective, measure, cons, extra = _cases()[case]
     problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
     res = solve(problem)
@@ -434,44 +401,23 @@ def test_polished_residuals_match_unscaled_recomputation(case):
     r_dual = np.abs(Px + q0 + ATy).max()
     prim_scale = np.abs(Ax).max()
     dual_scale = max(np.abs(Px).max(), np.abs(ATy).max(), np.abs(q0).max())
-    # a polished point, far inside the ADMM tolerance of 1e-8
+    # a finished point, far inside the tolerance EPS_ABS = 1e-8
     assert max(res.primal_residual, res.dual_residual) < 1e-12
     assert abs(res.primal_residual - r_prim) <= 1e-12 * prim_scale
     assert abs(res.dual_residual - r_dual) <= 1e-12 * dual_scale
 
 
-def test_admm_dual_residual_matches_unscaled_recomputation(monkeypatch):
-    # an unpolished ADMM iterate: its dual residual is far from zero, so a
-    # wrong rescaling of the scaled products shows
-    monkeypatch.setattr(quantfolio.solver, "MAX_ITERATIONS", 100)
+def test_unfinished_dual_residual_matches_unscaled_recomputation(monkeypatch):
+    # an interior-point iterate after 3 iterations, without the finish: its
+    # dual residual is far from zero, so a wrong unscaling of y shows
+    monkeypatch.setattr(quantfolio.solver, "IPM_MAX_ITERATIONS", 3)
+    monkeypatch.setattr(quantfolio.solver, "_finish", lambda *args: None)
     objective, measure, cons, extra = _cases()["maximize_utility/mad/l1+mixed"]
     problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
     res = solve(problem)
-    assert res.status == "MaxIterations"
+    assert (res.status, res.iterations) == ("MaxIterations", 3)
     P0, q0, A0, _, _ = _stack_problem(problem)
     Px, ATy = P0 @ res.x, A0.T @ res.y
     dual_scale = max(np.abs(Px).max(), np.abs(ATy).max(), np.abs(q0).max())
     assert res.dual_residual > 1e-6 * dual_scale
     assert abs(res.dual_residual - np.abs(Px + q0 + ATy).max()) <= 1e-12 * dual_scale
-
-
-@pytest.mark.parametrize("case", ["maximize_utility/cvar", "minimize_risk/cvar"])
-def test_lu_fallback_matches_cholesky(case, monkeypatch):
-    # when the Cholesky factorization of ADMM's reduced matrix fails, its LU
-    # factors solve the same systems to the same iterates (LPs: QPs never
-    # reach ADMM)
-    objective, measure, cons, extra = _cases()[case]
-    problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
-    cholesky = solve(problem)
-    failures = []
-
-    def cho_factor(*args, **kwargs):
-        failures.append(1)
-        raise scipy.linalg.LinAlgError("not positive definite")
-
-    monkeypatch.setattr(scipy.linalg, "cho_factor", cho_factor)
-    lu = solve(problem)
-    assert failures
-    assert (lu.status, lu.iterations) == (cholesky.status, cholesky.iterations)
-    assert lu.status == "Optimal"
-    assert np.array_equal(lu.x, cholesky.x)
