@@ -1,5 +1,7 @@
 """Exception taxonomy shared across the package, and the config-value checks."""
 
+import math
+
 import numpy as np
 
 
@@ -111,7 +113,11 @@ class InvalidConfig(QuantfolioError, ValueError):
 
 def require_real(name, value, array=False):
     """Reject anything but a real number, ±inf allowed; with array=True, any
-    array of them. A list is not a number, even an empty one."""
+    array of them. A list is not a number, even an empty one. A plain int
+    or float is returned as it is, without numpy, unless it is NaN or an int
+    beyond 64 bits (an object array to numpy)."""
+    if type(value) is float and value == value or type(value) is int and -2**63 <= value < 2**64:
+        return value
     try:
         arr = np.asarray(value)
     except ValueError as exc:  # a ragged nesting of lists
@@ -125,7 +131,8 @@ def require_real(name, value, array=False):
 
 def require_finite(name, value, array=False):
     """Reject anything but a finite real number (any array of them with array=True)."""
-    if not np.all(np.isfinite(require_real(name, value, array))):
+    real = require_real(name, value, array)
+    if not (math.isfinite(real) if type(real) in (int, float) else np.isfinite(real).all()):
         raise InvalidConfig(f"{name} must be finite real numbers, got {value!r}")
 
 

@@ -18,7 +18,13 @@ import scipy.sparse
 
 from .exceptions import UnsupportedMeasure
 from .measures import DEFAULT_BETA, QUADRATIC_MEASURES, RiskMeasure
-from .solver import QpProblem, unit_rows
+from .solver import QpProblem
+
+
+def unit_rows(n: int, idx: np.ndarray) -> scipy.sparse.csr_array:
+    """CSR rows of the n×n identity picked by `idx`: row r is e_idx[r]."""
+    return scipy.sparse.csr_array((np.ones(idx.size), idx, np.arange(idx.size + 1)),
+                                  shape=(idx.size, n))
 
 
 class ProblemBuilder:

@@ -1,69 +1,59 @@
 """Convex QP and LP solver: an interior-point method with an active-set finish.
 
-Problems are solved in the form
+`solve` takes a `QpProblem`, min ½xᵀPx + qᵀx s.t. A_eq x = b_eq, G x ≤ h,
+lb ≤ x ≤ ub, as it holds it; an LP is the case P = None, and an infinite h,
+lb or ub entry leaves that side open. It returns a `SolveResult` with
+unscaled residuals and one block of multipliers per block of constraints
+(Px + q + A_eqᵀy_eq + Gᵀy_ineq + y_bound = 0 at an optimum). A bound that
+admits no value (b_eq infinite, h = −∞, lb = +∞, ub = −∞ or lb > ub) makes
+the problem Infeasible before any iteration. Everything runs sequentially,
+so results are bit-deterministic for fixed inputs.
 
-    minimize    (1/2) xᵀP x + qᵀx
-    subject to  l ≤ A x ≤ u
+`_interior_point` runs a Mehrotra predictor-corrector on E x = b, C x ≤ d:
+E is A_eq, and C is the rows of G with a finite h, then x_j ≤ ub_j and
+−x_j ≤ −lb_j for each finite bound, each with its own slack and dual. P and
+q are normalised by their largest entry. Each iteration factors the reduced
+KKT matrix [P + Gᵀ diag(z/s) G + D, Eᵀ; E, 0], D the bounds' z/s on the
+diagonal, regularised by ±IPM_REGULARIZATION (dense, (n + #E)²), once with
+LAPACK's `dgetrf`, and solves it for the predictor and the corrector with
+`dgetrs`. The bounds never exist as rows: their products with C are gathers
+and scatters. [E; G] is one matrix, dense up to IPM_DENSE_CELLS cells, where
+dense products cost less per call, and CSR above, where the long sparse row
+blocks of CVaR, MAD and drawdown LPs and caps make CSR products cheaper. The
+iterations stop at the relative tolerance IPM_TOLERANCE, at
+IPM_MAX_ITERATIONS, or at a non-finite iterate, without a floating-point
+warning.
 
-where `_stack_problem` stacks the A_eq, G and box rows of a `QpProblem` as
-one CSR A; an LP is the case P = 0. `solve` returns a `SolveResult` whose y
-holds one multiplier per row of A (y ≥ 0 at an upper bound, y ≤ 0 at a lower
-one, Px + q + Aᵀy = 0 at an optimum) and whose residuals are unscaled. A row
-whose bounds admit no value (u = −∞, l = +∞ or l > u) makes the problem
-Infeasible before any iteration. Equality rows (|u − l| < 1e-14) are found
-once, on the caller's bounds. Everything runs sequentially, so results are
-bit-deterministic for fixed inputs.
+The result is the best iterate (the smallest residual in units of its
+tolerance; a converged run's last), replaced by the finish from it when the
+finish's primal, dual and complementarity residuals are no worse, up to
+1e-12. It is Optimal if its residuals meet EPS_ABS/EPS_REL. Otherwise two
+HiGHS LPs (scipy's `linprog`, given the bounds as `bounds=`) classify it: a
+phase-1 LP gives Infeasible, and a negative optimum of the recession LP
+min qᵀd s.t. Pd = 0, Ed = 0, Gd ≤ 0, d ≤ 0 where ub is finite, d ≥ 0 where
+lb is, |d| ≤ 1 gives Unbounded; anything else is MaxIterations.
+`scipy.optimize` is imported there, so a process that meets no such problem
+never loads it.
 
-`_interior_point` runs a Mehrotra predictor-corrector on
-min ½xᵀPx + qᵀx s.t. E x = b, C x ≤ d. E holds the equality rows of A; C
-holds the rows with a finite upper bound and, negated, those with a finite
-lower bound, so the box rows give ±I. P and q are normalised by their
-largest entry. Each iteration factors the reduced KKT matrix
-[P + Cᵀ diag(z/s) C, Eᵀ; E, 0], regularised by ±IPM_REGULARIZATION on its
-diagonal (dense, (n + #E)²), once with LAPACK's `dgetrf` and solves it for
-the predictor and the corrector with `dgetrs`. E and C are kept as one
-matrix [E; C]: a dense array up to IPM_DENSE_CELLS cells, where dense
-products cost less per call, and CSR above, where the long sparse row blocks
-of CVaR, MAD and drawdown LPs and caps make CSR products cheaper and the
-dense array large. The iterations stop at the relative tolerance
-IPM_TOLERANCE, at IPM_MAX_ITERATIONS, or at a non-finite iterate; none of
-them emits a floating-point warning.
-
-The result starts from the best iterate, the one with the smallest residual
-in units of its tolerance (a converged run's last), and the finish from that
-iterate replaces it when the finish's primal, dual and complementarity
-residuals are no worse, up to 1e-12. The result is Optimal if its residuals
-meet EPS_ABS/EPS_REL. Otherwise two HiGHS LPs (scipy's `linprog`) classify
-the problem: a phase-1 LP on the rows gives Infeasible, and a negative
-optimum of the recession LP min qᵀd s.t. Pd = 0, Ed = 0, Cd ≤ 0, |d| ≤ 1
-gives Unbounded; any other outcome is MaxIterations. So an infeasible or
-unbounded problem is classified after at most IPM_MAX_ITERATIONS
-iterations. `scipy.optimize` is imported there, on first use, so a process
-that meets no such problem never loads it.
-
-The active-set finish exists because an interior point is accurate only to
-its tolerance (along the flat directions of an ill-conditioned covariance
-its weights can be off by 1e-5). `_finish` makes one regularised KKT solve
-on the equality rows and a guess of the active rows (`_polish_step`, pruned
-by `_select_independent` when there are more rows than variables); for up
-to FINISH_ROUNDS rounds a violated row then joins the set and a row with a
-wrong-signed multiplier leaves it. The guess is the rows whose slack is
-below their dual (s < z), keeping of a row that qualifies at both bounds
-only the side with the larger dual, and the finish refines from the
-interior point, so a direction the active rows leave free, such as the
-auxiliaries of a loose CVaR or MAD cap, keeps a feasible value.
-
-The finish costs more in Python calls than in arithmetic on small problems,
-so it makes few of them: `_dense_rows` gathers rows straight from the CSR
-arrays with a handful of vectorised index operations, `_select_independent`
-copies and normalises the candidate rows n at a time before its greedy loop
-and stops once the kept rows span the space, and the KKT system is factored
-and refined by LAPACK's `dgetrf`/`dgetrs` directly (the routines inside
-`lu_factor`/`lu_solve`, without their per-call checks). After the KKT solve,
-`_snap_to_tight_bounds` sets a variable to b / a exactly, never to -0.0,
-wherever a row with a single nonzero a (a box row, or a one-variable row of
-G) is within FINISH_TOLERANCE of its bound b, so a variable at its bound
-carries no solver noise.
+The finish exists because an interior point is accurate only to its
+tolerance (along the flat directions of an ill-conditioned covariance its
+weights can be off by 1e-5). `_finish` fixes each variable it guesses at a
+bound exactly there (+0.0, never −0.0), makes one regularised KKT solve
+(`_polish_step`) on the free variables with E and the rows of G it guesses
+active (pruned by `_select_independent` when they outnumber the free
+variables), and reads each bound's multiplier off the gradient. For up to
+FINISH_ROUNDS rounds a violated bound or row then joins the guess and one
+with a wrong-signed multiplier leaves it. The guess is the bounds and rows
+whose slack is below their dual (s < z), of a variable guessed at both
+bounds only the side with the larger dual; the solve refines from the
+interior point, so a direction the guess leaves free, such as the
+auxiliaries of a loose CVaR or MAD cap, keeps a feasible value. It calls
+LAPACK's `dgetrf`/`dgetrs` directly (the routines inside `lu_factor` and
+`lu_solve`, without their per-call checks) and gathers rows straight from
+the CSR arrays (`_dense_rows`), since on small problems Python calls cost
+more than arithmetic. `_snap_to_tight_bounds` then puts a variable exactly
+at h / a wherever a row of G with one nonzero a (such as the homogenised
+bounds of MaximizeRatio) is within FINISH_TOLERANCE of h.
 """
 
 from __future__ import annotations
@@ -83,12 +73,14 @@ POLISH_REFINE_STEPS = 8
 IPM_MAX_ITERATIONS = 100
 IPM_TOLERANCE = 1e-9  # relative, on the problem normalised by its largest P or q entry
 IPM_REGULARIZATION = 1e-12  # keeps the reduced KKT matrix nonsingular
-# [E; C] is dense up to this many cells, else CSR: near where the two cost the
-# same on capped variance QPs, 30,000-90,000 cells by the density of the rows
+# [E; G] is dense up to this many cells, else CSR. On capped variance QPs
+# (N = 20) the two cost the same near 60,000-90,000 cells of MAD rows, and CVaR
+# rows stay cheaper dense past 150,000; the CDaR LP at T = 120, N = 10 (90,360
+# cells) takes 20 ms on CSR and 33 ms dense
 IPM_DENSE_CELLS = 1 << 16
 FINISH_ROUNDS = 4
 # the finish corrects a larger bound violation or wrong-signed multiplier, and
-# puts a variable this close to its bound on it
+# puts a variable this close to a one-variable row's bound on it
 FINISH_TOLERANCE = 1e-12
 
 
@@ -96,7 +88,8 @@ FINISH_TOLERANCE = 1e-12
 class QpProblem:
     """min ½xᵀPx + qᵀx s.t. A_eq x = b_eq, G x ≤ h, lb ≤ x ≤ ub.
 
-    `A_eq` and `G` may be dense 2-D arrays or `scipy.sparse` matrices.
+    `A_eq` and `G` may be dense 2-D arrays or `scipy.sparse` matrices; a
+    None block has no rows, and a None bound vector leaves that side open.
     """
 
     q: np.ndarray
@@ -114,43 +107,45 @@ class QpProblem:
 
 @dataclass
 class SolveResult:
+    """A point, its status and unscaled residuals, with multipliers per block:
+    y_eq on the rows of A_eq, y_ineq ≥ 0 on those of G (0 where h = +∞) and
+    y_bound on the variables (> 0 at ub, < 0 at lb)."""
+
     x: np.ndarray
     objective: float
     status: str  # Optimal | Infeasible | Unbounded | MaxIterations
     iterations: int
     primal_residual: float
     dual_residual: float
-    y: np.ndarray = field(default=None, repr=False)
+    y_eq: np.ndarray = field(default=None, repr=False)
+    y_ineq: np.ndarray = field(default=None, repr=False)
+    y_bound: np.ndarray = field(default=None, repr=False)
 
 
-def unit_rows(n: int, idx: np.ndarray) -> scipy.sparse.csr_array:
-    """CSR rows of the n×n identity picked by `idx`: row r is e_idx[r]."""
-    return scipy.sparse.csr_array((np.ones(idx.size), idx, np.arange(idx.size + 1)),
-                                  shape=(idx.size, n))
+def _block(M, rhs, n):
+    """A block of rows as a float array or CSR matrix, with its right-hand
+    side; no block is a (0, n) array."""
+    if M is None:
+        return np.zeros((0, n)), np.zeros(0)
+    M = (M.tocsr().astype(float, copy=False) if scipy.sparse.issparse(M)
+         else np.atleast_2d(np.asarray(M, dtype=float)))
+    return M, np.asarray(rhs, dtype=float).ravel()
 
 
-def _stack_problem(problem: QpProblem):
-    """P, q, and the CSR rows A = [A_eq; G; box] with their bounds l ≤ Ax ≤ u."""
+def solve(problem: QpProblem) -> SolveResult:
+    """Solve a QP/LP; non-optimal outcomes are returned in-band via `status`."""
     n = problem.dimensions()
     q = np.asarray(problem.q, dtype=float).ravel()
     P = np.zeros((n, n)) if problem.P is None else np.asarray(problem.P, dtype=float)
-    P = (P + P.T) / 2
-
-    blocks = []
-    if problem.A_eq is not None:
-        b_eq = np.asarray(problem.b_eq, dtype=float).ravel()
-        blocks.append((problem.A_eq, b_eq, b_eq))
-    if problem.G is not None:
-        h = np.asarray(problem.h, dtype=float).ravel()
-        blocks.append((problem.G, np.full(h.size, -np.inf), h))
+    E, b = _block(problem.A_eq, problem.b_eq, n)
+    G, h = _block(problem.G, problem.h, n)
     lb = np.full(n, -np.inf) if problem.lb is None else np.asarray(problem.lb, dtype=float)
     ub = np.full(n, np.inf) if problem.ub is None else np.asarray(problem.ub, dtype=float)
-    box = np.flatnonzero(np.isfinite(lb) | np.isfinite(ub))
-    blocks.append((unit_rows(n, box), lb[box], ub[box]))
-    rows, lower, upper = zip(*blocks)
-    A = scipy.sparse.vstack([scipy.sparse.csr_array(M, dtype=float) for M in rows],
-                            format="csr")
-    return P, q, A, np.concatenate(lower), np.concatenate(upper)
+    if (np.isinf(b).any() or (h == -np.inf).any()
+            or np.any((lb == np.inf) | (ub == -np.inf) | (lb > ub))):
+        return SolveResult(np.zeros(n), float("nan"), "Infeasible", 0, float("inf"), 0.0,
+                           np.zeros(b.size), np.zeros(h.size), np.zeros(n))
+    return _interior_point((P + P.T) / 2, q, E, b, G, h, lb, ub)
 
 
 def _scale_rows(A, v):
@@ -159,64 +154,66 @@ def _scale_rows(A, v):
                                    A.indptr), shape=A.shape)
 
 
-def solve(problem: QpProblem) -> SolveResult:
-    """Solve a QP/LP; non-optimal outcomes are returned in-band via `status`."""
-    P0, q0, A0, l, u = _stack_problem(problem)
-    if np.any((u == -np.inf) | (l == np.inf) | (l > u)):
-        return SolveResult(x=np.zeros(q0.size), objective=float("nan"), status="Infeasible",
-                           iterations=0, primal_residual=float("inf"), dual_residual=0.0,
-                           y=np.zeros(l.size))
-    eq_mask = np.isfinite(l) & np.isfinite(u) & (np.abs(u - l) < 1e-14)
-    return _interior_point(P0, q0, A0, l, u, eq_mask)
-
-
-def _kkt_residuals(P0, q0, A0, l, u, x, y):
-    """Unscaled residuals of (x, y): primal (the bound violation of A₀x), dual
-    (|P₀x + q₀ + A₀ᵀy|∞) and complementarity (the largest |yᵢ| times the
-    distance of (A₀x)ᵢ to the nearer bound of row i), with the magnitudes their
-    tolerances scale by."""
-    Ax, Px, ATy = A0 @ x, P0 @ x, A0.T @ y
-    r_prim = max(np.max(Ax - u, initial=0.0), np.max(l - Ax, initial=0.0))
-    held = y != 0
-    near = np.minimum(np.abs(u - Ax), np.abs(Ax - l))[held]
+def _kkt_residuals(P0, q0, B, c, p, lb, ub, x, y, y_bound):
+    """Unscaled residuals of (x, y, y_bound) on the rows B = [E; G] (the first
+    p equalities, right-hand side c) and lb ≤ x ≤ ub: primal (the largest
+    violation), dual (|P₀x + q₀ + Bᵀy + y_bound|∞), complementarity (the
+    largest |multiplier| times the distance to its nearer bound) and the
+    magnitudes their tolerances scale by."""
+    Bx, Px = B @ x, P0 @ x
+    ATy = B.T @ y + y_bound
+    r = Bx - c
+    r_prim = max(np.abs(r[:p]).max(initial=0.0), r[p:].max(initial=0.0),
+                 (lb - x).max(initial=0.0), (x - ub).max(initial=0.0))
+    held = y_bound != 0
+    near = np.minimum(np.abs(ub - x), np.abs(x - lb))[held]
+    r_comp = max(np.abs(y * r).max(initial=0.0), np.abs(y_bound[held] * near).max(initial=0.0))
+    bounded = np.isfinite(lb) | np.isfinite(ub)
     dual_scale = max(np.abs(Px).max(initial=0.0), np.abs(ATy).max(initial=0.0),
                      np.abs(q0).max(initial=0.0))
-    return (r_prim, np.abs(Px + q0 + ATy).max(initial=0.0),
-            np.abs(y[held] * near).max(initial=0.0), np.abs(Ax).max(initial=0.0), dual_scale)
+    return (r_prim, np.abs(Px + q0 + ATy).max(initial=0.0), r_comp,
+            max(np.abs(Bx).max(initial=0.0), np.abs(x[bounded]).max(initial=0.0)), dual_scale)
 
 
-def _interior_point(P0, q0, A0, l, u, eq_mask):
+def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
     """Mehrotra predictor-corrector on min ½xᵀPx + qᵀx s.t. E x = b, C x ≤ d,
-    then the active-set finish.
-
-    E holds the equality rows of the stacked A₀. C holds A₀'s rows with a
-    finite upper bound and, negated, its rows with a finite lower bound, so
-    the box rows give ±I. Both are kept as one matrix [E; C], so that each
-    residual takes one product. P and q are normalised by their largest entry.
+    then the active-set finish. E is E0; C is the rows of G0 with a finite h
+    (G, stored with E as B = [E; G]), then the unit rows of the finite upper
+    bounds U and the negated ones of the finite lower bounds L.
     """
     n = q0.size
-    eq = np.flatnonzero(eq_mask)
-    up = np.flatnonzero(np.isfinite(u) & ~eq_mask)
-    low = np.flatnonzero(np.isfinite(l) & ~eq_mask)
-    p, m = eq.size, up.size + low.size
-    rows = np.concatenate([eq, up, low])  # the row of A₀ behind each row of [E; C]
-    sign = np.repeat([1.0, 1.0, -1.0], [p, up.size, low.size])
-    c = sign * np.concatenate([l[eq], u[up], l[low]])
-    b, d = c[:p], c[p:]
-    if rows.size * n <= IPM_DENSE_CELLS:
-        B = _dense_rows(A0, rows) * sign[:, None]
-        BT, E, C = B.T, B[:p], B[p:]
-        CT = C.T
+    fin = np.flatnonzero(np.isfinite(h))
+    U, L = np.flatnonzero(np.isfinite(ub)), np.flatnonzero(np.isfinite(lb))
+    p, mg = b.size, fin.size
+    m = mg + U.size + L.size
+    c = np.concatenate([b, h[fin], ub[U], -lb[L]])
+    d = c[p:]
+    E = _take(E0, np.arange(p))
+    if (p + mg) * n <= IPM_DENSE_CELLS:
+        G = _take(G0, fin)
+        B = np.vstack([E, G])
+        BT, GT = B.T, G.T
 
         def gram(w):
-            return (CT * w) @ C
+            return (GT * w) @ G
     else:
-        B = _scale_rows(A0[rows], sign)
-        BT, E, C = B.T.tocsr(), _dense_rows(A0, eq), B[p:]
-        CT = C.T.tocsr()
+        G = scipy.sparse.csr_array(G0)[fin]
+        B = scipy.sparse.vstack([scipy.sparse.csr_array(E), G], format="csr")
+        BT, GT = B.T.tocsr(), G.T.tocsr()
 
         def gram(w):
-            return (CT @ _scale_rows(C, w)).toarray()
+            return (GT @ _scale_rows(G, w)).toarray()
+
+    def plus_bounds_t(v, out):
+        """out plus the bound rows' part of Cᵀv (v on the rows of C), in place."""
+        out[U] += v[mg:mg + U.size]
+        out[L] -= v[mg + U.size:]
+        return out
+
+    def Cx(x):
+        """C x: the finite rows of G, x on U, −x on L."""
+        return np.concatenate([G @ x, x[U], -x[L]])
+
     largest = max(np.abs(P0).max(), np.abs(q0).max())
     scale = 1.0 / largest if largest > 0 else 1.0
     P, q = P0 * scale, q0 * scale
@@ -233,7 +230,12 @@ def _interior_point(P0, q0, A0, l, u, eq_mask):
     def factor(w):
         """LU factors of the reduced KKT matrix at the weights w = z/s, or None."""
         K = K0.copy()
-        K[:n, :n] += gram(w)
+        if mg:
+            K[:n, :n] += gram(w[:mg])
+        D = np.zeros(n)
+        D[U] = w[mg:mg + U.size]
+        D[L] += w[mg + U.size:]
+        K.reshape(-1)[:n * (n + p + 1):n + p + 1] += D  # a view of the first n diagonal cells
         lu, piv, info = scipy.linalg.lapack.dgetrf(K, overwrite_a=1)
         return None if info != 0 else (lu, piv)
 
@@ -242,7 +244,7 @@ def _interior_point(P0, q0, A0, l, u, eq_mask):
         t = -v.min() if v.size else -1.0
         return v + (1.0 + t) if t >= -1e-8 * max(np.abs(v).max(initial=0.0), 1.0) else v
 
-    # the iterate v = (x, ν, z, s): ν and z are the duals of the rows of [E; C]
+    # the iterate v = (x, ν, z, s): ν are the duals of E, z those of the rows of C
     v = np.concatenate([np.zeros(n + p), np.ones(2 * m)])
     k = 0
     # the iterate with the smallest residual in units of its tolerance, which
@@ -253,18 +255,20 @@ def _interior_point(P0, q0, A0, l, u, eq_mask):
         # z = −s, each shifted into the positive orthant
         lu_piv = factor(np.ones(m))
         if lu_piv is not None:
-            v[:n + p] = scipy.linalg.lapack.dgetrs(*lu_piv, np.concatenate([CT @ d - q, b]))[0]
-            Cx = C @ v[:n]
-            v[n + p:] = np.concatenate([positive(Cx - d), positive(d - Cx)])
+            v[:n + p] = scipy.linalg.lapack.dgetrs(
+                *lu_piv, np.concatenate([plus_bounds_t(d, GT @ d[:mg]) - q, b]))[0]
+            Cv = Cx(v[:n])
+            v[n + p:] = np.concatenate([positive(Cv - d), positive(d - Cv)])
         for k in range(IPM_MAX_ITERATIONS + 1):
             x, dual, zs = v[:n], v[n:n + p + m], v[n + p:]
             z, s = zs[:m], zs[m:]
-            r_d = P @ x + q + BT @ dual
-            r_p = B @ x - c
+            Px = P @ x
+            r_d = Px + q + plus_bounds_t(z, BT @ dual[:p + mg])
+            r_p = np.concatenate([B @ x, x[U], -x[L]]) - c
             r_p[p:] += s
             gap = s @ z
             r_p_max, r_d_max = np.abs(r_p).max(initial=0.0), np.abs(r_d).max(initial=0.0)
-            tol_gap = IPM_TOLERANCE * (1.0 + abs(0.5 * x @ P @ x + q @ x))
+            tol_gap = IPM_TOLERANCE * (1.0 + abs(0.5 * x @ Px + q @ x))
             scaled = max(r_p_max / tol_prim, r_d_max / tol_dual, gap / tol_gap)
             if scaled < best:
                 best, best_v = scaled, v
@@ -281,13 +285,14 @@ def _interior_point(P0, q0, A0, l, u, eq_mask):
                 """Newton step (dx, dν, dz, ds) on the residuals, with the
                 complementarity target s∘z − r_c."""
                 t = (z * r_i - r_c) / s
-                dv = scipy.linalg.lapack.dgetrs(*lu_piv, np.concatenate([-r_d - CT @ t, -r_e]))[0]
-                Cdx = C @ dv[:n]
+                rhs = np.concatenate([-r_d - plus_bounds_t(t, GT @ t[:mg]), -r_e])
+                dv = scipy.linalg.lapack.dgetrs(*lu_piv, rhs)[0]
+                Cdx = Cx(dv[:n])
                 return np.concatenate([dv, w * Cdx + t, -r_i - Cdx])
 
             def max_step(dv):
                 """Largest α ≤ 1 with z + α dz ≥ 0 and s + α ds ≥ 0 (z, s > 0)."""
-                t = float(np.min(dv[n + p:] / zs, initial=0.0))
+                t = float((dv[n + p:] / zs).min(initial=0.0))
                 return 1.0 if t >= -1.0 else -1.0 / t
 
             # predictor (affine scaling), then a corrector centred at σμ
@@ -298,111 +303,119 @@ def _interior_point(P0, q0, A0, l, u, eq_mask):
             sigma = ((s + alpha * ds) @ (z + alpha * dz) / m / mu) ** 3 if mu > 0 else 0.0
             dv = direction(s * z + ds * dz - sigma * mu)
             step = v + 0.999 * max_step(dv) * dv  # stay just inside the boundary
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 break
             v = step
 
+    rows_c = c[:p + mg]  # the right-hand side of the rows of B
+
     def point(v):
-        """x and the dual y on the rows of A₀, in its sign convention, at the iterate v."""
-        y = np.zeros(A0.shape[0])
-        np.add.at(y, rows, sign * v[n:n + p + m])
-        return v[:n], y
+        """x, the duals of the rows of B and the bound multipliers (> 0 at ub,
+        < 0 at lb) at the iterate v."""
+        return v[:n], v[n:n + p + mg], plus_bounds_t(v[n + p:n + p + m], np.zeros(n))
+
+    def residuals(x, y, y_bound):
+        return _kkt_residuals(P0, q0, B, rows_c, p, lb, ub, x, y / scale, y_bound / scale)
 
     def finish(v):
-        """The finish from the iterate v on the rows whose slack is below their
-        dual: its (x, y) followed by their `_kkt_residuals`, or None."""
-        x, y = point(v)
-        z, s = v[n + p:n + p + m], v[n + p + m:]
-        upper = np.zeros(y.size, dtype=bool)
-        lower = np.zeros(y.size, dtype=bool)
-        upper[up[s[:up.size] < z[:up.size]]] = True
-        lower[low[s[up.size:] < z[up.size:]]] = True
-        # a row guessed active at both bounds keeps the side with the larger
-        # dual: y there is its upper z less its lower z
-        both = upper & lower
-        upper[both] = y[both] > 0.0
-        lower[both] = ~upper[both]
-        finished = _finish(P, q, A0, l, u, eq_mask, x, y, lower, upper)
-        if finished is None:
-            return None
-        return finished + _kkt_residuals(P0, q0, A0, l, u, finished[0], finished[1] / scale)
+        """The finish from the iterate v on the bounds and rows whose slack is
+        below their dual: its (x, y, y_bound) followed by their residuals, or None."""
+        x, y, y_bound = point(v)
+        act = v[n + p + m:] < v[n + p:n + p + m]
+        at_ub, at_lb = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        at_ub[U[act[mg:mg + U.size]]] = True
+        at_lb[L[act[mg + U.size:]]] = True
+        # a variable guessed at both bounds keeps the side with the larger dual
+        both = at_ub & at_lb
+        at_ub[both] = y_bound[both] > 0.0
+        at_lb[both] = ~at_ub[both]
+        finished = _finish(P, q, B, rows_c, p, lb, ub, x, y, act[:mg], at_lb, at_ub)
+        return None if finished is None else finished + residuals(*finished)
 
     # the best iterate (a converged run's last), or its finish when that is no worse
-    x, y = point(best_v)
-    result = (x, y) + _kkt_residuals(P0, q0, A0, l, u, x, y / scale)
+    result = point(best_v)
+    result += residuals(*result)
     finished = finish(best_v)
-    if finished is not None and max(finished[2:5]) <= max(result[2:5]) + 1e-12:
+    if finished is not None and max(finished[3:6]) <= max(result[3:6]) + 1e-12:
         result = finished
-    x, y, r_prim, r_dual, r_comp, prim_scale, dual_scale = result
+    x, y, y_bound, r_prim, r_dual, r_comp, prim_scale, dual_scale = result
     if (r_prim <= EPS_ABS + EPS_REL * prim_scale
             and max(r_dual, r_comp) <= EPS_ABS + EPS_REL * dual_scale):
         status = "Optimal"
     else:
-        status = _classify(P, q, C, d, E, b)
-    return SolveResult(
-        x=x,
-        objective=float(0.5 * x @ P0 @ x + q0 @ x) if status == "Optimal" else float("nan"),
-        status=status,
-        iterations=k,
-        primal_residual=float(r_prim),
-        dual_residual=float(r_dual),
-        y=y / scale,
-    )
+        status = _classify(P, q, E, b, G, rows_c[p:], lb, ub)
+    objective = float(0.5 * x @ P0 @ x + q0 @ x) if status == "Optimal" else float("nan")
+    y_ineq = np.zeros(h.size)
+    y_ineq[fin] = y[p:] / scale
+    return SolveResult(x, objective, status, k, float(r_prim), float(r_dual),
+                       y_eq=y[:p] / scale, y_ineq=y_ineq, y_bound=y_bound / scale)
 
 
-def _finish(P, q, A, l, u, eq_mask, x, y, lower, upper):
-    """Active-set finish of an interior point of the normalised problem (P an
-    n×n array, zero for an LP).
-
-    One regularised KKT solve on the equality rows and the rows active at
-    their lower (`lower`) or upper (`upper`) bound, refined from (x, y); then
-    up to FINISH_ROUNDS corrections of the set: a violated row joins it and a
-    row whose multiplier has the wrong sign leaves. Returns (x, y), y on the
-    rows of A in its sign convention, with every variable at a bound exactly
-    on it, or None.
-    """
-    n = q.size
-    idx_eq = np.flatnonzero(eq_mask)
+def _finish(P, q, B, c, p, lb, ub, x, y, active, at_lb, at_ub):
+    """Active-set finish of an interior point (x, y) of the normalised problem
+    (P an n×n array, zero for an LP) on the rows B = [E; G] (the first p
+    equalities, right-hand side c) and lb ≤ x ≤ ub, from the guesses `at_lb`
+    and `at_ub` of the variables at a bound and `active` of the rows of G.
+    Returns (x, y, y_bound), y on the rows of B, or None."""
+    G, h = B[p:], c[p:]
     for _ in range(FINISH_ROUNDS):
-        idx_act = np.flatnonzero(lower | upper)
-        idx, rows = _active_rows(A, idx_eq, idx_act, y, prune=idx_eq.size + idx_act.size > n)
-        b = np.where(eq_mask | lower, l, u)[idx]
-        sol = _polish_step(P, q, rows, b, np.concatenate([x, y[idx]]))
+        fixed = at_lb | at_ub
+        free = np.flatnonzero(~fixed)
+        x_new = np.where(at_ub, ub, np.where(at_lb, lb, x)) + 0.0
+        x_fixed = np.where(fixed, x_new, 0.0)
+        # E's rows, and the active rows of G in descending |y|, pruned to a subset
+        # independent on the free variables when they outnumber those
+        cand = p + np.flatnonzero(active)
+        idx = np.concatenate([np.arange(p), cand[np.argsort(-np.abs(y[cand]), kind="stable")]])
+        if idx.size > free.size:
+            kept = np.arange(idx.size) < p
+            kept[_select_independent(B, idx, free)] = True
+            idx = idx[kept]
+        idx = np.sort(idx)  # the KKT system takes its rows in row order
+        rows = _take(B, idx)
+        sol = _polish_step(P[np.ix_(free, free)], q[free] + P[free] @ x_fixed, rows[:, free],
+                           c[idx] - rows @ x_fixed, np.concatenate([x[free], y[idx]]))
         if sol is None or not np.all(np.isfinite(sol)):
             return None
-        x_new = sol[:n]
+        x_new[free] = sol[:free.size]
         y_new = np.zeros(y.size)
-        y_new[idx] = sol[n:]
-        Ax = A @ x_new
+        y_new[idx] = sol[free.size:]
+        y_bound = np.where(fixed, -(P @ x_new + q + B.T @ y_new), 0.0)
         tol = FINISH_TOLERANCE
-        y_tol = tol * max(1.0, np.abs(y_new).max(initial=0.0))
-        add_up = ~upper & ~eq_mask & (Ax - u > tol * (1.0 + np.abs(u)))
-        add_low = ~lower & ~eq_mask & (l - Ax > tol * (1.0 + np.abs(l)))
-        drop_up = upper & (y_new < -y_tol)
-        drop_low = lower & (y_new > y_tol)
-        if not (add_up.any() or add_low.any() or drop_up.any() or drop_low.any()):
-            _snap_to_tight_bounds(A, l, u, x_new)
-            return x_new, y_new
-        upper = (upper | add_up) & ~drop_up
-        lower = (lower | add_low) & ~drop_low
+        y_tol = tol * max(1.0, np.abs(y_new).max(initial=0.0), np.abs(y_bound).max())
+        add = ~active & (G @ x_new - h > tol * (1.0 + np.abs(h)))
+        drop = active & (y_new[p:] < -y_tol)
+        add_ub = ~at_ub & (x_new - ub > tol * (1.0 + np.abs(ub)))
+        add_lb = ~at_lb & (lb - x_new > tol * (1.0 + np.abs(lb)))
+        drop_ub = at_ub & (y_bound < -y_tol)
+        drop_lb = at_lb & (y_bound > y_tol)
+        if not any(v.any() for v in (add, drop, add_ub, add_lb, drop_ub, drop_lb)):
+            _snap_to_tight_bounds(G, h, x_new)
+            return x_new, y_new, y_bound
+        active = (active | add) & ~drop
+        at_ub = (at_ub | add_ub) & ~drop_ub
+        at_lb = (at_lb | add_lb) & ~drop_lb
     return None
 
 
-def _classify(P, q, C, d, E, b):
+def _classify(P, q, E, b, G, h, lb, ub):
     """Status of a problem the interior-point method left unsolved, from two HiGHS LPs:
-    Infeasible when no x meets Ex = b, Cx ≤ d; Unbounded when a direction with
-    Pd = 0, Ed = 0, Cd ≤ 0 and |d| ≤ 1 has qᵀd < 0; MaxIterations otherwise."""
+    Infeasible when no x meets Ex = b, Gx ≤ h, lb ≤ x ≤ ub; Unbounded when a
+    direction with Pd = 0, Ed = 0, Gd ≤ 0, d ≤ 0 where ub is finite, d ≥ 0
+    where lb is, and |d| ≤ 1 has qᵀd < 0; MaxIterations otherwise."""
     import scipy.optimize  # here, not at the top: only a problem left unsolved needs HiGHS
 
     n = q.size
-    ub = dict(A_ub=C, b_ub=d) if d.size else {}
+    ub_rows = dict(A_ub=G, b_ub=h) if h.size else {}
     eq = dict(A_eq=E, b_eq=b) if b.size else {}
-    if scipy.optimize.linprog(np.zeros(n), **ub, **eq, bounds=(None, None),
+    if scipy.optimize.linprog(np.zeros(n), **ub_rows, **eq, bounds=np.column_stack([lb, ub]),
                               method="highs").status == 2:
         return "Infeasible"
-    ub = dict(A_ub=C, b_ub=np.zeros(d.size)) if d.size else {}
-    ray = scipy.optimize.linprog(q, **ub, A_eq=np.vstack([P, E]), b_eq=np.zeros(n + b.size),
-                                 bounds=(-1.0, 1.0), method="highs")
+    ub_rows = dict(A_ub=G, b_ub=np.zeros(h.size)) if h.size else {}
+    cone = np.column_stack([np.where(np.isfinite(lb), 0.0, -1.0),
+                            np.where(np.isfinite(ub), 0.0, 1.0)])
+    ray = scipy.optimize.linprog(q, **ub_rows, A_eq=np.vstack([P, E]),
+                                 b_eq=np.zeros(n + b.size), bounds=cone, method="highs")
     if ray.status == 0 and ray.fun < -EPS_INFEAS:
         return "Unbounded"
     return "MaxIterations"
@@ -420,21 +433,24 @@ def _dense_rows(A, idx):
     return out
 
 
-def _select_independent(A, idx, tol=1e-8):
-    """Positions in `idx` of a maximal independent subset of those rows of the
-    CSR matrix A.
+def _take(M, idx):
+    """Dense copy of the rows `idx` of M, a dense array or a CSR matrix."""
+    return M[idx] if isinstance(M, np.ndarray) else _dense_rows(M, idx)
 
-    Greedy in the order of `idx`: a row is kept when its component orthogonal
-    to the rows kept before it has norm above `tol` (relative to the row's
-    norm). The rows are copied dense n at a time, and none after the kept rows
-    span the space, so a long candidate list never exists as one dense array.
-    """
-    n = A.shape[1]
+
+def _select_independent(A, idx, cols, tol=1e-8):
+    """Positions in `idx` of a maximal subset of those rows of A (dense or
+    CSR) independent on the columns `cols`. Greedy in the order of `idx`: a
+    row is kept when its component orthogonal to the rows kept before it has
+    norm above `tol` (relative to the row's norm). The rows are copied dense
+    cols.size at a time, and none once the kept rows span the space, so a
+    long candidate list never exists as one dense array."""
+    n = cols.size
     basis = np.empty((n, n))  # orthonormal basis of the kept rows, in its first k rows
     k = 0
     keep = []
-    for start in range(0, idx.size, n):
-        rows = _dense_rows(A, idx[start:start + n])
+    for start in range(0, idx.size, max(n, 1)):
+        rows = _take(A, idx[start:start + n])[:, cols]
         norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
         nonzero = np.flatnonzero(norms > 1e-14)
         units = rows[nonzero] / norms[nonzero, None]
@@ -452,62 +468,44 @@ def _select_independent(A, idx, tol=1e-8):
     return keep
 
 
-def _polish_step(P, q, A_act, b_act, start):
-    """Equality-solve the KKT system on the active rows A_act x = b_act; returns the
-    solution (x, then the rows' multipliers) or None. P is the n×n Hessian,
-    zero for an LP. Iterative refinement runs against the unregularized system
-    from `start`: a direction the active rows leave free keeps its value there."""
-    n = q.size
-    k = A_act.shape[0]
+def _polish_step(P, q, A, b, start):
+    """Equality-solve the KKT system on the rows A x = b; returns the solution
+    (x, then the rows' multipliers) or None. P is the Hessian, zero for an LP.
+    Refinement runs from `start` against the unregularised system, as
+    products with P and A: a direction the rows leave free keeps its value."""
+    n, k = q.size, b.size
+    if n + k == 0:  # every variable fixed, and no row: nothing to solve
+        return start
     delta = 1e-9
     K = np.zeros((n + k, n + k), order="F")  # LAPACK's order: factored in place
-    K[:n, :n] = P + delta * np.eye(n)
-    K[:n, n:] = A_act.T
-    K[n:, :n] = A_act
-    K[n:, n:] = -delta * np.eye(k)
-    rhs = np.concatenate([-q, b_act])
-    K0 = K.copy()  # unregularised: P's diagonal less δ again, and a zero block
-    K0[np.arange(n), np.arange(n)] -= delta
-    K0[n:, n:] = 0.0
+    K[:n, :n] = P
+    K[:n, n:] = A.T
+    K[n:, :n] = A
+    K[np.diag_indices(n + k)] += np.repeat([delta, -delta], [n, k])
     # the LAPACK calls inside lu_factor and lu_solve, without their per-call checks
     lu, piv, info = scipy.linalg.lapack.dgetrf(K, overwrite_a=1)
     if info != 0:  # a zero pivot: K is singular
         return None
-    sol = start + scipy.linalg.lapack.dgetrs(lu, piv, rhs - K0 @ start)[0]
+
+    def residual(v):
+        """[−q; b] less the unregularised [P, Aᵀ; A, 0] times v."""
+        return np.concatenate([-q - P @ v[:n] - A.T @ v[n:], b - A @ v[:n]])
+
+    sol = start + scipy.linalg.lapack.dgetrs(lu, piv, residual(start))[0]
     for _ in range(POLISH_REFINE_STEPS):
-        sol = sol + scipy.linalg.lapack.dgetrs(lu, piv, rhs - K0 @ sol)[0]
+        sol = sol + scipy.linalg.lapack.dgetrs(lu, piv, residual(sol))[0]
     if not np.all(np.isfinite(sol[:n])):
         return None
     return sol
 
 
-def _active_rows(A, idx_eq, idx_act, y, prune):
-    """The row indices the KKT solve keeps, in row order, and their dense copy.
-
-    Every equality row `idx_eq` stays. With `prune`, the candidates `idx_act`
-    are pruned to a linearly independent subset, taken in descending dual
-    magnitude |y| so that strong-dual rows win the basis. Only the kept rows
-    are copied dense.
-    """
-    idx_act = idx_act[np.argsort(-np.abs(y[idx_act]), kind="stable")]
-    idx = np.concatenate([idx_eq, idx_act])
-    if prune:
-        kept = np.arange(idx.size) < idx_eq.size
-        kept[_select_independent(A, idx)] = True
-        idx = idx[kept]
-    idx = np.sort(idx)  # the KKT system takes its rows in row order
-    return idx, _dense_rows(A, idx)
-
-
-def _snap_to_tight_bounds(A, l, u, x):
-    """Put x_j exactly at b / a (+ 0.0 turns a -0.0 into 0.0) wherever a row
-    a·x_j of A with one nonzero is within FINISH_TOLERANCE of its bound b, so
-    a variable at its bound carries no solver noise."""
-    single = np.flatnonzero(np.diff(A.indptr) == 1)
-    cols, a = A.indices[A.indptr[single]], A.data[A.indptr[single]]
-    ax = a * x[cols]
-    for bound in (l[single], u[single]):
-        near = FINISH_TOLERANCE * (1.0 + np.abs(bound))
-        tight = (a != 0) & np.isfinite(bound) & (np.abs(ax - bound) <= near)
-        x[cols[tight]] = bound[tight] / a[tight] + 0.0
-
+def _snap_to_tight_bounds(G, h, x):
+    """Put x_j exactly at h / a (+ 0.0 turns a -0.0 into 0.0) wherever a row
+    a·x_j ≤ h of G with one nonzero is within FINISH_TOLERANCE of h, so a
+    variable at its bound carries no solver noise."""
+    r, cols = G.nonzero()
+    one = np.bincount(r, minlength=G.shape[0])[r] == 1
+    rows, cols = r[one], cols[one]
+    a, bound = (G @ np.ones(x.size))[rows], h[rows]  # a row's sum is its one nonzero
+    tight = np.abs(a * x[cols] - bound) <= FINISH_TOLERANCE * (1.0 + np.abs(bound))
+    x[cols[tight]] = bound[tight] / a[tight] + 0.0

@@ -40,6 +40,31 @@ def random_psd(rng, n, scale=1.0):
     return scale * (B @ B.T + n * np.eye(n))
 
 
+def block_residuals(problem, res):
+    """The residuals of a `SolveResult` recomputed on the blocks of its
+    `QpProblem`: primal (the largest violation of A_eq x = b_eq, G x ≤ h and
+    lb ≤ x ≤ ub) and dual (|Px + q + A_eqᵀy_eq + Gᵀy_ineq + y_bound|∞), then
+    the magnitudes their tolerances scale by: the largest |A_eq x|, |G x| or
+    bounded |x_j|, and the largest |Px|, |A_eqᵀy_eq + Gᵀy_ineq + y_bound| or |q|."""
+    x, q = res.x, np.asarray(problem.q, dtype=float)
+    n = x.size
+    Px = np.zeros(n) if problem.P is None else problem.P @ x
+    lb = np.full(n, -np.inf) if problem.lb is None else problem.lb
+    ub = np.full(n, np.inf) if problem.ub is None else problem.ub
+    ATy = res.y_bound.copy()
+    r_prim, prim_scale = 0.0, np.abs(x[np.isfinite(lb) | np.isfinite(ub)]).max(initial=0.0)
+    for M, rhs, y, eq in ((problem.A_eq, problem.b_eq, res.y_eq, True),
+                          (problem.G, problem.h, res.y_ineq, False)):
+        if M is not None:
+            Mx = M @ x
+            ATy += M.T @ y
+            r_prim = max(r_prim, (np.abs(Mx - rhs) if eq else Mx - rhs).max(initial=0.0))
+            prim_scale = max(prim_scale, np.abs(Mx).max(initial=0.0))
+    r_prim = max(r_prim, (lb - x).max(initial=0.0), (x - ub).max(initial=0.0))
+    dual_scale = max(np.abs(Px).max(), np.abs(ATy).max(), np.abs(q).max())
+    return r_prim, np.abs(Px + q + ATy).max(), prim_scale, dual_scale
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from quantfolio.cli import EXIT_CONFIG, main
-from quantfolio.exceptions import AssetMismatch, InvalidConfig
+from quantfolio.exceptions import AssetMismatch, InvalidConfig, require_finite, require_real
 from quantfolio.base import BaseEstimator, clone
 from quantfolio.hierarchical import (
     EqualWeighted,
@@ -53,6 +53,52 @@ def X(rng):
 def test_non_finite_input_is_invalid_config(X, kwargs):
     with pytest.raises(InvalidConfig):
         MeanRisk(**kwargs).fit(X)
+
+
+# (value, accepted by require_real as one number, as an array, and by
+# require_finite as one number, as an array)
+CHECKED_VALUES = {
+    "int": (3, True, True, True, True),
+    "float": (0.5, True, True, True, True),
+    "minus_zero": (-0.0, True, True, True, True),
+    "int_2**63": (2**63, True, True, True, True),  # uint64 to numpy
+    "int_2**64": (2**64, False, False, False, False),  # an object array to numpy
+    "int_-2**63-1": (-2**63 - 1, False, False, False, False),
+    "bool": (True, False, False, False, False),
+    "nan": (float("nan"), False, False, False, False),
+    "inf": (float("inf"), True, True, False, False),
+    "minus_inf": (float("-inf"), True, True, False, False),
+    "np_float64": (np.float64(0.5), True, True, True, True),
+    "np_int64": (np.int64(3), True, True, True, True),
+    "np_bool": (np.bool_(True), False, False, False, False),
+    "np_nan": (np.float64("nan"), False, False, False, False),
+    "np_inf": (np.float64("inf"), True, True, False, False),
+    "zero_d": (np.array(0.5), True, True, True, True),
+    "zero_d_nan": (np.array(np.nan), False, False, False, False),
+    "list": ([0.1, 0.2], False, True, False, True),
+    "empty_list": ([], False, True, False, True),
+    "nested_list": ([[1.0, 2.0]], False, True, False, True),
+    "ragged_list": ([[1.0], [1.0, 2.0]], False, False, False, False),
+    "list_with_inf": ([1.0, float("inf")], False, True, False, False),
+    "list_with_nan": ([1.0, float("nan")], False, False, False, False),
+    "string": ("1.0", False, False, False, False),
+    "none": (None, False, False, False, False),
+    "complex": (1j, False, False, False, False),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECKED_VALUES))
+def test_real_and_finite_checks_accept_and_reject(name):
+    # plain ints and floats take a path without numpy; every other input goes
+    # through np.asarray, and both paths keep the same verdicts
+    value, *accepted = CHECKED_VALUES[name]
+    for check, array, ok in zip((require_real, require_real, require_finite, require_finite),
+                                (False, True, False, True), accepted):
+        if ok:
+            check("x", value, array=array)
+        else:
+            with pytest.raises(InvalidConfig):
+                check("x", value, array=array)
 
 
 @pytest.mark.parametrize("min_return", [float("nan"), "0.01"])

@@ -20,9 +20,9 @@ import quantfolio.solver
 from quantfolio.exceptions import InfeasibleProblem
 from quantfolio.mean_risk import MeanRisk, ObjectiveFunction, _assemble, optimize
 from quantfolio.measures import RiskMeasure, measure_value
-from quantfolio.solver import QpProblem, _finish, _stack_problem, solve
+from quantfolio.solver import QpProblem, _finish, solve
 
-from conftest import make_returns, market_panel, random_psd
+from conftest import block_residuals, make_returns, market_panel, random_psd
 from test_golden_weights import _prior
 
 
@@ -54,6 +54,21 @@ def _kkt_point(P, q, A, l, u):
     raise AssertionError("no active set satisfies the KKT conditions")
 
 
+def _rows(problem):
+    """P, q and the dense rows A = [A_eq; G; I] with l ≤ Ax ≤ u: the form
+    `_kkt_point` enumerates, a bound being a row of the identity."""
+    n = problem.dimensions()
+    blocks = [(problem.A_eq, problem.b_eq, problem.b_eq)]
+    if problem.G is not None:
+        blocks.append((problem.G, np.full(problem.h.size, -np.inf), problem.h))
+    lb = np.full(n, -np.inf) if problem.lb is None else problem.lb
+    ub = np.full(n, np.inf) if problem.ub is None else problem.ub
+    blocks.append((np.eye(n), lb, ub))
+    A, l, u = (np.vstack(part) if i == 0 else np.concatenate(part)
+               for i, part in enumerate(zip(*blocks)))
+    return problem.P, problem.q, A, l, u
+
+
 def _random_qp(kind, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
@@ -78,15 +93,13 @@ def test_random_qps_match_enumerated_kkt_point(kind):
         problem = _random_qp(kind, seed)
         res = solve(problem)
         assert res.status == "Optimal", seed
-        P, q, A, l, u = _stack_problem(problem)
-        np.testing.assert_allclose(res.x, _kkt_point(P, q, A.toarray(), l, u), rtol=0,
-                                   atol=1e-9, err_msg=str(seed))
-        # the reported residuals are those of (x, y) on the stacked problem
-        Ax, Px, ATy = A @ res.x, P @ res.x, A.T @ res.y
-        r_prim = max(np.max(Ax - u, initial=0.0), np.max(l - Ax, initial=0.0))
-        dual_scale = max(np.abs(Px).max(), np.abs(ATy).max(), np.abs(q).max())
-        assert abs(res.primal_residual - r_prim) <= 1e-12 * np.abs(Ax).max()
-        assert abs(res.dual_residual - np.abs(Px + q + ATy).max()) <= 1e-12 * dual_scale
+        np.testing.assert_allclose(res.x, _kkt_point(*_rows(problem)), rtol=0, atol=1e-9,
+                                   err_msg=str(seed))
+        # the reported residuals are those of (x, y_eq, y_ineq, y_bound) on
+        # the problem's blocks
+        r_prim, r_dual, prim_scale, dual_scale = block_residuals(problem, res)
+        assert abs(res.primal_residual - r_prim) <= 1e-12 * prim_scale
+        assert abs(res.dual_residual - r_dual) <= 1e-12 * dual_scale
 
 
 def _panel(T, N, seed):
@@ -151,15 +164,16 @@ def test_stalled_run_without_the_finish_returns_its_best_iterate(monkeypatch):
 
 @pytest.mark.parametrize("measure", [RiskMeasure.CVAR, RiskMeasure.MEAN_ABSOLUTE_DEVIATION])
 def test_dense_and_csr_rows_reach_the_same_point(measure, monkeypatch):
-    # the capped QP's rows exceed IPM_DENSE_CELLS, so the interior point runs
-    # on CSR rows; forced onto dense rows it reaches the same finished point
+    # the capped QP's rows [A_eq; G] exceed IPM_DENSE_CELLS, so the interior
+    # point runs on CSR rows; forced onto dense rows it reaches the same
+    # finished point
     X, _, lowest, at_min_variance = _capped_setup(0, measure)
     model = MeanRisk(risk_caps=[(measure, 0.5 * (lowest + at_min_variance))])
     problem, _, _ = _assemble(model, MeanRisk().fit(X).prior_)
-    _, q0, A0, _, _ = _stack_problem(problem)
-    assert A0.shape[0] * q0.size > quantfolio.solver.IPM_DENSE_CELLS
+    cells = (problem.A_eq.shape[0] + problem.G.shape[0]) * problem.dimensions()
+    assert cells > quantfolio.solver.IPM_DENSE_CELLS
     csr = solve(problem)
-    monkeypatch.setattr(quantfolio.solver, "IPM_DENSE_CELLS", A0.shape[0] * q0.size * 2)
+    monkeypatch.setattr(quantfolio.solver, "IPM_DENSE_CELLS", cells * 2)
     dense = solve(problem)
     assert csr.status == dense.status == "Optimal"
     assert np.abs(csr.x - dense.x).max() <= 1e-9
@@ -211,25 +225,25 @@ def test_ratio_variance_with_cdar_cap_binds():
 
 @pytest.mark.parametrize("change", ["missing_row", "extra_row"])
 def test_finish_corrects_a_wrong_active_set(change):
-    # the finish started from a wrong guess: a bound row active at the
+    # the finish started from a wrong guess: a lower bound active at the
     # optimum left out (it is violated and joins), or the lower bound of a
     # positive weight put in (its multiplier has the wrong sign and it leaves)
     for seed in range(25):
         problem = _random_qp("long_only", seed)
-        P, q, A, l, u = _stack_problem(problem)
-        x_star = _kkt_point(P, q, A.toarray(), l, u)
-        box = np.arange(1, A.shape[0])  # the budget row comes first
-        at_zero, positive = box[np.abs(x_star) < 1e-12], box[x_star > 1e-6]
+        x_star = _kkt_point(*_rows(problem))
+        at_zero, positive = np.flatnonzero(np.abs(x_star) < 1e-12), np.flatnonzero(x_star > 1e-6)
         if at_zero.size and positive.size:
             break
-    lower = np.zeros(A.shape[0], dtype=bool)
+    n = problem.dimensions()
+    lower = np.zeros(n, dtype=bool)
     lower[at_zero] = True
     if change == "missing_row":
         lower[at_zero[0]] = False
     else:
         lower[positive[0]] = True
-    eq_mask = l == u
-    x, y = _finish(P, q, A, l, u, eq_mask, np.zeros(q.size), np.zeros(A.shape[0]), lower,
-                   np.zeros(A.shape[0], dtype=bool))
+    # the budget row is the one row, an equality (p = 1)
+    x, _, y_bound = _finish(problem.P, problem.q, problem.A_eq, problem.b_eq, 1, problem.lb,
+                            problem.ub, np.zeros(n), np.zeros(1), np.zeros(0, dtype=bool),
+                            lower, np.zeros(n, dtype=bool))
     np.testing.assert_allclose(x, x_star, rtol=0, atol=1e-9)
-    assert np.all(y[1:] <= 1e-12)  # lower-bound multipliers
+    assert np.all(y_bound <= 1e-12)  # lower-bound multipliers

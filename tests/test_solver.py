@@ -10,13 +10,13 @@ import pytest
 import scipy.sparse
 
 import quantfolio.solver
+from quantfolio.exceptions import QuantfolioError
 from quantfolio.mean_risk import MeanRisk, ObjectiveFunction, _assemble
 from quantfolio.measures import RiskMeasure
 from quantfolio.priors import Prior
-from quantfolio.solver import (QpProblem, _dense_rows, _finish, _select_independent,
-                               _stack_problem, solve)
+from quantfolio.solver import QpProblem, _dense_rows, _finish, _select_independent, solve
 
-from conftest import random_psd
+from conftest import block_residuals, random_psd
 from test_golden_weights import _cases, _prior
 
 
@@ -254,8 +254,9 @@ def _candidate_rows(kind, seed):
 
 
 def _select(rows):
-    """`_select_independent` on every row of a dense array, in row order."""
-    return _select_independent(scipy.sparse.csr_array(rows), np.arange(rows.shape[0]))
+    """`_select_independent` on every row of a dense array, in row order, on all columns."""
+    return _select_independent(scipy.sparse.csr_array(rows), np.arange(rows.shape[0]),
+                               np.arange(rows.shape[1]))
 
 
 @pytest.mark.parametrize("kind", ["random", "rank_deficient", "duplicated", "signed_unit"])
@@ -280,8 +281,9 @@ def _cdar_problem():
 
 
 def _cdar_rows():
-    """The stacked CSR rows of `_cdar_problem`."""
-    return _stack_problem(_cdar_problem())[2]
+    """The CSR rows [A_eq; G] of `_cdar_problem`, as the interior point keeps them."""
+    problem = _cdar_problem()
+    return scipy.sparse.vstack([problem.A_eq, problem.G], format="csr")
 
 
 @pytest.mark.parametrize("kind", ["empty_idx", "repeats", "empty_rows", "drawdown"])
@@ -305,27 +307,31 @@ def test_dense_rows_matches_csr_slice(kind):
 @pytest.mark.parametrize("case", ["maximize_ratio/variance", "maximize_ratio/variance/min_return",
                                   "minimize_risk/variance/named_cap", "minimize_risk/cvar",
                                   "maximize_return/cvar/cvar_cap"])
-def test_finish_puts_kept_box_rows_exactly_on_their_bounds(case, monkeypatch):
+def test_finish_puts_variables_exactly_on_their_bounds(case, monkeypatch):
     # long-only QPs and LPs with bounds active at the optimum: every variable
-    # whose box row is among the rows the finish keeps leaves it exactly at
-    # that bound, and never at -0.0
+    # the finish fixes at a bound (a nonzero bound multiplier) and every
+    # variable of a one-variable row of G that it keeps active (the
+    # homogenised bounds of MaximizeRatio) leaves it exactly at that bound,
+    # and never at -0.0
     objective, measure, cons, extra = _cases()[case]
     problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
-    polish_step = quantfolio.solver._polish_step
-    kkt_rows, finished = [], []
-    monkeypatch.setattr(quantfolio.solver, "_polish_step",
-                        lambda *args: kkt_rows.append(args[2:4]) or polish_step(*args))
+    finished = []
     monkeypatch.setattr(quantfolio.solver, "_finish",
                         lambda *args: finished.append(_finish(*args)) or finished[-1])
     res = solve(problem)
     assert res.status == "Optimal"
-    x, (A_act, b_act) = finished[-1][0], kkt_rows[-1]
+    x = finished[-1][0]
     assert np.array_equal(res.x, x)  # the finished point is the one returned
-    box = np.count_nonzero(A_act, axis=1) == 1
-    assert box.any()
-    for row, b in zip(A_act[box], b_act[box]):
-        j = int(np.flatnonzero(row)[0])
-        assert x[j] == b / row[j] and not np.signbit(x[j])
+    at_bound = [(j, problem.ub[j] if y > 0 else problem.lb[j])
+                for j, y in enumerate(res.y_bound) if y != 0]
+    G = problem.G.toarray() if problem.G is not None else np.zeros((0, x.size))
+    for row, h, y in zip(G, problem.h if problem.G is not None else (), res.y_ineq):
+        if y != 0 and np.count_nonzero(row) == 1:
+            j = int(np.flatnonzero(row)[0])
+            at_bound.append((j, h / row[j]))
+    assert at_bound
+    for j, bound in at_bound:
+        assert x[j] == bound and not np.signbit(x[j])
 
 
 def test_cdar_lp_repeats_exactly():
@@ -340,8 +346,9 @@ def test_cdar_chained_block_shape_and_solve():
     # CDaR at T=300, N=5: the chained block has 3T − 1 = 899 rows over the
     # weights, T peaks, α and T auxiliaries; its peak rows hold N entries of
     # C_t and p_t, its chain rows p_{t−1} and p_t, its loss rows N entries and
-    # p_t, α and z_t. Assembly, stacking and the solve stay under 16 arrays
-    # of the n×n reduced KKT matrix's size (measured: 11)
+    # p_t, α and z_t. Assembly and the solve stay under 16 arrays of the n×n
+    # reduced KKT matrix's size (measured: 7.3, and 11.3 while the finish
+    # kept a dense unregularised copy of its KKT matrix for refinement)
     T, N = 300, 5
     rng = np.random.default_rng(0)
     S = rng.normal(5e-4, 0.01, (T, N)) + rng.normal(0.0, 0.01, (T, 1))
@@ -388,19 +395,13 @@ def test_failed_finish_makes_at_most_finish_rounds_kkt_solves(monkeypatch):
                                   "minimize_risk/cdar", "maximize_utility/mad/l1+mixed"])
 def test_polished_residuals_match_unscaled_recomputation(case):
     # the solver measures residuals on the problem normalised by its largest
-    # P or q entry; recompute them from the returned point on the stacked one
+    # P or q entry; recompute them from the returned point and multipliers on
+    # the problem's own blocks
     objective, measure, cons, extra = _cases()[case]
     problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
     res = solve(problem)
     assert res.status == "Optimal"
-    P0, q0, A0, l, u = _stack_problem(problem)
-    Ax = A0 @ res.x
-    r_prim = max(np.maximum(Ax - u, 0.0).max(initial=0.0),
-                 np.maximum(l - Ax, 0.0).max(initial=0.0))
-    Px, ATy = P0 @ res.x, A0.T @ res.y
-    r_dual = np.abs(Px + q0 + ATy).max()
-    prim_scale = np.abs(Ax).max()
-    dual_scale = max(np.abs(Px).max(), np.abs(ATy).max(), np.abs(q0).max())
+    r_prim, r_dual, prim_scale, dual_scale = block_residuals(problem, res)
     # a finished point, far inside the tolerance EPS_ABS = 1e-8
     assert max(res.primal_residual, res.dual_residual) < 1e-12
     assert abs(res.primal_residual - r_prim) <= 1e-12 * prim_scale
@@ -416,8 +417,75 @@ def test_unfinished_dual_residual_matches_unscaled_recomputation(monkeypatch):
     problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
     res = solve(problem)
     assert (res.status, res.iterations) == ("MaxIterations", 3)
-    P0, q0, A0, _, _ = _stack_problem(problem)
-    Px, ATy = P0 @ res.x, A0.T @ res.y
-    dual_scale = max(np.abs(Px).max(), np.abs(ATy).max(), np.abs(q0).max())
+    _, r_dual, _, dual_scale = block_residuals(problem, res)
     assert res.dual_residual > 1e-6 * dual_scale
-    assert abs(res.dual_residual - np.abs(Px + q0 + ATy).max()) <= 1e-12 * dual_scale
+    assert abs(res.dual_residual - r_dual) <= 1e-12 * dual_scale
+
+
+@pytest.mark.parametrize("P", [None, np.diag([0.2, 0.1, 0.3])], ids=["lp", "qp"])
+def test_variable_with_equal_bounds_is_optimal_at_that_value(P):
+    # x₂ has lb = ub = 0.3: the solve keeps it there exactly, and the budget
+    # and the objective decide the rest
+    res = solve(QpProblem(q=np.array([-1.0, -2.0, 0.5]), P=P, A_eq=np.ones((1, 3)),
+                          b_eq=np.array([1.0]), lb=np.array([0.0, 0.3, 0.0]),
+                          ub=np.array([1.0, 0.3, 1.0])))
+    assert res.status == "Optimal"
+    assert res.x[1] == 0.3
+    np.testing.assert_allclose(res.x, [0.7, 0.3, 0.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("P", [None, np.eye(2)], ids=["lp", "qp"])
+def test_one_sided_bounds(P):
+    # x₁ ≥ 0.25 with no upper bound, x₂ ≤ -0.5 with no lower bound; the
+    # objective pushes both onto their one bound, with multipliers of the
+    # bound's sign: < 0 at lb, > 0 at ub
+    res = solve(QpProblem(q=np.array([1.0, -2.0]), P=P, lb=np.array([0.25, -np.inf]),
+                          ub=np.array([np.inf, -0.5])))
+    assert res.status == "Optimal"
+    assert res.x.tolist() == [0.25, -0.5]
+    assert res.y_bound[0] < 0.0 < res.y_bound[1]
+    # the open sides alone: each variable's optimum is unbounded
+    for lb, ub in ((np.array([0.25, 0.25]), None), (None, np.array([-0.5, -0.5]))):
+        assert solve(QpProblem(q=np.array([-1.0, 1.0]), lb=lb, ub=ub)).status == "Unbounded"
+
+
+@pytest.mark.filterwarnings("ignore:L1/L2 regularization")
+@pytest.mark.parametrize("name", sorted(_cases()))
+def test_block_multipliers_are_stationary_and_signed(name):
+    # every golden problem that solves: the bound multipliers are positive only
+    # at a variable's upper bound and negative only at its lower one, the
+    # rows of G carry non-negative multipliers, and Px + q + A_eqᵀy_eq +
+    # Gᵀy_ineq + y_bound = 0 within the solver's tolerance
+    objective, measure, cons, extra = _cases()[name]
+    try:
+        problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
+    except QuantfolioError:  # a case whose error is its golden outcome
+        return
+    res = solve(problem)
+    if res.status != "Optimal":
+        return
+    r_prim, r_dual, prim_scale, dual_scale = block_residuals(problem, res)
+    tol = quantfolio.solver.EPS_ABS
+    assert r_dual <= tol + quantfolio.solver.EPS_REL * dual_scale
+    assert abs(res.dual_residual - r_dual) <= 1e-12 * dual_scale
+    y_tol = 1e-9 * max(1.0, np.abs(res.y_bound).max())
+    upper, lower = res.y_bound > y_tol, res.y_bound < -y_tol
+    np.testing.assert_allclose(res.x[upper], problem.ub[upper], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(res.x[lower], problem.lb[lower], rtol=0, atol=1e-8)
+    assert np.all(res.y_ineq >= -y_tol)
+    assert res.y_eq.shape == problem.b_eq.shape
+    assert res.y_ineq.shape == (0 if problem.G is None else problem.G.shape[0],)
+
+
+def test_dense_budget_and_box_problem_needs_no_sparse_matrix(monkeypatch):
+    # a dense QpProblem under the dense cell count: no scipy.sparse matrix is
+    # built on the way to its optimum
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy.sparse matrix was built")
+
+    for name in ("csr_array", "csc_array", "coo_array", "csr_matrix", "csc_matrix",
+                 "coo_matrix", "vstack", "hstack"):
+        monkeypatch.setattr(scipy.sparse, name, refuse)
+    res = solve(ONE_ITERATION_QP)
+    assert res.status == "Optimal"
+    np.testing.assert_allclose(res.x, [0.0666 / 0.1541, 0.0, 0.0875 / 0.1541], rtol=1e-12)
