@@ -142,7 +142,8 @@ def _add_constraints(builder, model, prior, w_idx, lb, ub, t=None):
 
     Given the ratio objective's scale column `t`, every row a·w (= or ≤) c
     is homogenized into a·y − c·t (= or ≤) 0, and the finite box bounds
-    become rows of the same form.
+    become rows of the same form; a zero bound's row has one variable, so
+    the builder makes it a bound on y_j.
     """
     n = w_idx.size
 
@@ -173,7 +174,7 @@ def _add_constraints(builder, model, prior, w_idx, lb, ub, t=None):
             require_epigraph(measure)
             continue
         risk = reformulate_risk(builder, measure, prior.scenarios, w_idx, model.beta)
-        if bound == -np.inf:  # kept as a bound: homogenized, t's coefficient would be infinite
+        if bound == -np.inf:  # not homogenized (t's coefficient would be infinite): a bound
             builder.add_rows(*risk, bound)
         else:
             rows(*risk, bound)

@@ -3,10 +3,11 @@
 Problems are assembled from row blocks: `ProblemBuilder.add_rows(cols, M,
 rhs)` records `M · x[cols] ≤ rhs` (or `=`) for a dense or `scipy.sparse` M,
 and `build()` writes every block into one CSR `G` and one CSR `A_eq`, in the
-order the blocks were added. Each reformulation adds its auxiliary variables
-and one sparse row block, and returns the risk value as a `(cols, coefs)`
-linear term. Minimizing that term over the auxiliaries with the weights held
-fixed reproduces the measures-module value exactly, which is the central
+order the blocks were added, but for an inequality row on one variable: that
+becomes a bound. Each reformulation adds its auxiliary variables and one
+sparse row block, and returns the risk value as a `(cols, coefs)` linear
+term. Minimizing that term over the auxiliaries with the weights held fixed
+reproduces the measures-module value exactly, which is the central
 correctness property tested against the measures module. Variance has no
 block: the mean-risk layer adds it as a quadratic term.
 """
@@ -66,6 +67,9 @@ class ProblemBuilder:
         self._quad.append((np.asarray(indices, dtype=int), np.asarray(M, dtype=float)))
 
     def build(self) -> QpProblem:
+        """The problem of the blocks. An inequality row a·x_j ≤ h on one variable
+        is the bound x_j ≤ h/a (a > 0) or x_j ≥ h/a (a < 0), intersected with
+        the column's bounds, and leaves G (None when no row is left)."""
         n = self.n
         q = np.zeros(n)
         for cols, coefs in self._cost:
@@ -79,6 +83,16 @@ class ProblemBuilder:
         G, h = _stack(self._rows[False], n)
         lb = np.concatenate([np.zeros(0), *self._lb])
         ub = np.concatenate([np.zeros(0), *self._ub])
+        if G is not None:
+            G.eliminate_zeros()  # a stored zero is no coefficient to divide by
+            one = np.diff(G.indptr) == 1
+            pos = G.indptr[:-1][one]  # the position of such a row's one entry
+            j, a = G.indices[pos], G.data[pos]
+            bound = h[one] / a + 0.0  # + 0.0 turns −0.0 into 0.0
+            np.minimum.at(ub, j[a > 0], bound[a > 0])
+            np.maximum.at(lb, j[a < 0], bound[a < 0])
+            if one.any():
+                G, h = (None, None) if one.all() else (G[~one], h[~one])
         return QpProblem(q=q, P=P, A_eq=A_eq, b_eq=b_eq, G=G, h=h, lb=lb, ub=ub)
 
 

@@ -39,26 +39,26 @@ The finish exists because an interior point is accurate only to its
 tolerance (along the flat directions of an ill-conditioned covariance its
 weights can be off by 1e-5). `_finish` fixes each variable it guesses at a
 bound exactly there (+0.0, never −0.0), makes one regularised KKT solve
-(`_polish_step`) on the free variables with E and the rows of G it guesses
-active (pruned by `_select_independent` when they outnumber the free
-variables), and reads each bound's multiplier off the gradient. For up to
-FINISH_ROUNDS rounds a violated bound or row then joins the guess and one
-with a wrong-signed multiplier leaves it. The guess is the bounds and rows
-whose slack is below their dual (s < z), of a variable guessed at both
-bounds only the side with the larger dual; the solve refines from the
-interior point, so a direction the guess leaves free, such as the
-auxiliaries of a loose CVaR or MAD cap, keeps a feasible value. It calls
-LAPACK's `dgetrf`/`dgetrs` directly (the routines inside `lu_factor` and
+(`_polish_step`) on the free variables with E and every row of G it guesses
+active, in row order, and reads each bound's multiplier off the gradient.
+No row is pruned: [P + δI, Aᵀ; A, −δI] is quasi-definite, so it factors
+even when the rows are dependent (Vanderbei, SIAM J. Optim. 1995), and
+refinement against the unregularised system removes δ, as OSQP's polishing
+does (Stellato et al., Math. Prog. Comp. 2020). For up to FINISH_ROUNDS
+rounds a violated bound or row then joins the guess and one with a
+wrong-signed multiplier leaves it. The guess is the bounds and rows whose
+slack is below their dual (s < z), of a variable guessed at both bounds
+only the side with the larger dual; the solve refines from the interior
+point, so a direction the guess leaves free, such as the auxiliaries of a
+loose CVaR or MAD cap, keeps a feasible value. It calls LAPACK's
+`dgetrf`/`dgetrs` directly (the routines inside `lu_factor` and
 `lu_solve`, without their per-call checks) and gathers rows straight from
 the CSR arrays (`_dense_rows`), since on small problems Python calls cost
-more than arithmetic. `_snap_to_tight_bounds` then puts a variable exactly
-at h / a wherever a row of G with one nonzero a (such as the homogenised
-bounds of MaximizeRatio) is within FINISH_TOLERANCE of h.
+more than arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +79,7 @@ IPM_REGULARIZATION = 1e-12  # keeps the reduced KKT matrix nonsingular
 # cells) takes 20 ms on CSR and 33 ms dense
 IPM_DENSE_CELLS = 1 << 16
 FINISH_ROUNDS = 4
-# the finish corrects a larger bound violation or wrong-signed multiplier, and
-# puts a variable this close to a one-variable row's bound on it
+# the finish corrects a larger bound or row violation or wrong-signed multiplier
 FINISH_TOLERANCE = 1e-12
 
 
@@ -123,12 +122,16 @@ class SolveResult:
 
 
 def _block(M, rhs, n):
-    """A block of rows as a float array or CSR matrix, with its right-hand
-    side; no block is a (0, n) array."""
+    """A block of rows as a float array or a CSR matrix, with its right-hand
+    side; no block is a (0, n) array. Duplicate CSR entries are summed, on a
+    copy, as products with the matrix sum them."""
     if M is None:
         return np.zeros((0, n)), np.zeros(0)
     M = (M.tocsr().astype(float, copy=False) if scipy.sparse.issparse(M)
          else np.atleast_2d(np.asarray(M, dtype=float)))
+    if scipy.sparse.issparse(M) and not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
     return M, np.asarray(rhs, dtype=float).ravel()
 
 
@@ -363,15 +366,8 @@ def _finish(P, q, B, c, p, lb, ub, x, y, active, at_lb, at_ub):
         free = np.flatnonzero(~fixed)
         x_new = np.where(at_ub, ub, np.where(at_lb, lb, x)) + 0.0
         x_fixed = np.where(fixed, x_new, 0.0)
-        # E's rows, and the active rows of G in descending |y|, pruned to a subset
-        # independent on the free variables when they outnumber those
-        cand = p + np.flatnonzero(active)
-        idx = np.concatenate([np.arange(p), cand[np.argsort(-np.abs(y[cand]), kind="stable")]])
-        if idx.size > free.size:
-            kept = np.arange(idx.size) < p
-            kept[_select_independent(B, idx, free)] = True
-            idx = idx[kept]
-        idx = np.sort(idx)  # the KKT system takes its rows in row order
+        # E's rows and the active rows of G, dependent or not, in row order
+        idx = np.concatenate([np.arange(p), p + np.flatnonzero(active)])
         rows = _take(B, idx)
         sol = _polish_step(P[np.ix_(free, free)], q[free] + P[free] @ x_fixed, rows[:, free],
                            c[idx] - rows @ x_fixed, np.concatenate([x[free], y[idx]]))
@@ -390,7 +386,6 @@ def _finish(P, q, B, c, p, lb, ub, x, y, active, at_lb, at_ub):
         drop_ub = at_ub & (y_bound < -y_tol)
         drop_lb = at_lb & (y_bound > y_tol)
         if not any(v.any() for v in (add, drop, add_ub, add_lb, drop_ub, drop_lb)):
-            _snap_to_tight_bounds(G, h, x_new)
             return x_new, y_new, y_bound
         active = (active | add) & ~drop
         at_ub = (at_ub | add_ub) & ~drop_ub
@@ -424,7 +419,7 @@ def _classify(P, q, E, b, G, h, lb, ub):
 def _dense_rows(A, idx):
     """Dense copy of the rows `idx` of the CSR matrix A, in the order of `idx`
     (repeats allowed): `A[idx].toarray()` without building the CSR slice.
-    A holds no duplicate entries, as every CSR this module builds."""
+    A holds no duplicate entries: `_block` sums them in every input CSR."""
     counts = A.indptr[idx + 1] - A.indptr[idx]
     # the positions in A.data of each picked row's entries, row after row
     pos = np.repeat(A.indptr[idx + 1] - np.cumsum(counts), counts) + np.arange(counts.sum())
@@ -436,36 +431,6 @@ def _dense_rows(A, idx):
 def _take(M, idx):
     """Dense copy of the rows `idx` of M, a dense array or a CSR matrix."""
     return M[idx] if isinstance(M, np.ndarray) else _dense_rows(M, idx)
-
-
-def _select_independent(A, idx, cols, tol=1e-8):
-    """Positions in `idx` of a maximal subset of those rows of A (dense or
-    CSR) independent on the columns `cols`. Greedy in the order of `idx`: a
-    row is kept when its component orthogonal to the rows kept before it has
-    norm above `tol` (relative to the row's norm). The rows are copied dense
-    cols.size at a time, and none once the kept rows span the space, so a
-    long candidate list never exists as one dense array."""
-    n = cols.size
-    basis = np.empty((n, n))  # orthonormal basis of the kept rows, in its first k rows
-    k = 0
-    keep = []
-    for start in range(0, idx.size, max(n, 1)):
-        rows = _take(A, idx[start:start + n])[:, cols]
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-        nonzero = np.flatnonzero(norms > 1e-14)
-        units = rows[nonzero] / norms[nonzero, None]
-        for i, v in zip((start + nonzero).tolist(), units):
-            B = basis[:k]
-            for _ in range(2):  # reorthogonalize for stability
-                v = v - B.T @ (B @ v)
-            nv = math.sqrt(v.dot(v))  # np.linalg.norm's own arithmetic
-            if nv > tol:
-                basis[k] = v / nv
-                keep.append(i)
-                k += 1
-                if k == n:  # the kept rows span the space: no later row is independent
-                    return keep
-    return keep
 
 
 def _polish_step(P, q, A, b, start):
@@ -498,14 +463,3 @@ def _polish_step(P, q, A, b, start):
         return None
     return sol
 
-
-def _snap_to_tight_bounds(G, h, x):
-    """Put x_j exactly at h / a (+ 0.0 turns a -0.0 into 0.0) wherever a row
-    a·x_j ≤ h of G with one nonzero is within FINISH_TOLERANCE of h, so a
-    variable at its bound carries no solver noise."""
-    r, cols = G.nonzero()
-    one = np.bincount(r, minlength=G.shape[0])[r] == 1
-    rows, cols = r[one], cols[one]
-    a, bound = (G @ np.ones(x.size))[rows], h[rows]  # a row's sum is its one nonzero
-    tight = np.abs(a * x[cols] - bound) <= FINISH_TOLERANCE * (1.0 + np.abs(bound))
-    x[cols[tight]] = bound[tight] / a[tight] + 0.0

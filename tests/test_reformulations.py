@@ -10,8 +10,12 @@ a solve.
 import numpy as np
 import pytest
 
+from quantfolio.exceptions import InfeasibleProblem
+from quantfolio.mean_risk import MeanRisk, optimize
 from quantfolio.measures import RiskMeasure
+from quantfolio.priors import Prior
 from quantfolio.reformulations import ProblemBuilder, reformulate_risk
+from quantfolio.solver import solve
 
 T, N, BETA = 6, 3, 0.9
 
@@ -101,3 +105,53 @@ def test_build_writes_blocks_in_order():
     np.testing.assert_array_equal(p.q, [2.0, -2.0, 0.0])
     np.testing.assert_array_equal(p.lb, [0.0, -1.0, -np.inf])
     np.testing.assert_array_equal(p.ub, [2.0, 2.0, 2.0])
+
+
+INF = np.inf
+
+
+@pytest.mark.parametrize("rows, lb, ub, G, status", [
+    # a > 0 tightens ub, a < 0 tightens lb; a zero limit gives 0.0, not -0.0
+    ([([0], [2.0], 1.0), ([1], [-4.0], 2.0), ([2], [-1.0], 0.0)],
+     [0.0, -0.5, 0.0], [0.5, 3.0, INF], None, "Optimal"),
+    # looser rows leave the bounds as they were
+    ([([0], [1.0], 5.0), ([1], [-1.0], 7.0), ([2], [1.0], INF)],
+     [0.0, -1.0, -INF], [3.0, 3.0, INF], None, "Optimal"),
+    # a two-variable row stays in G, between the rows that became bounds
+    ([([0], [2.0], 1.0), ([0, 2], [1.0, 1.0], 1.0), ([0], [4.0], 3.0)],
+     [0.0, -1.0, -INF], [0.5, 3.0, INF], [[1.0, 0.0, 1.0]], "Optimal"),
+    # h = −∞ admits no value
+    ([([2], [1.0], -INF)], [0.0, -1.0, -INF], [3.0, 3.0, -INF], None, "Infeasible"),
+    # a row that conflicts with the column's bound
+    ([([0], [-1.0], -4.0)], [4.0, -1.0, -INF], [3.0, 3.0, INF], None, "Infeasible"),
+], ids=["tighten", "looser", "two_variable", "minus_infinity", "conflict"])
+def test_build_turns_one_variable_rows_into_bounds(rows, lb, ub, G, status):
+    builder = ProblemBuilder()
+    x = builder.add_variables(3, lb=np.array([0.0, -1.0, -INF]), ub=np.array([3.0, 3.0, INF]))
+    for cols, M, rhs in rows:
+        builder.add_rows(x[cols], M, rhs)
+    problem = builder.build()
+    np.testing.assert_array_equal(problem.lb, lb)
+    np.testing.assert_array_equal(problem.ub, ub)
+    bounds = np.concatenate([problem.lb, problem.ub])
+    assert not np.signbit(bounds[bounds == 0.0]).any()
+    if G is None:
+        assert problem.G is None and problem.h is None
+    else:
+        np.testing.assert_array_equal(problem.G.toarray(), G)
+        np.testing.assert_array_equal(problem.h, [1.0])
+    res = solve(problem)
+    assert res.status == status
+    if status == "Infeasible":
+        assert res.iterations == 0
+
+
+def test_one_asset_linear_row_conflicting_with_its_bound_is_infeasible():
+    # w₀ ≥ 0.6 from `linear_A` against max_weights = 0.5: the builder's bound
+    # lb₀ = 0.6 exceeds ub₀, and `optimize` raises
+    rng = np.random.default_rng(0)
+    S = rng.normal(5e-4, 0.01, (60, 3))
+    prior = Prior(mu=S.mean(axis=0), sigma=np.cov(S, rowvar=False), scenarios=S)
+    model = MeanRisk(max_weights=0.5, linear_A=[[1.0, 0.0, 0.0]], linear_b=[0.6])
+    with pytest.raises(InfeasibleProblem):
+        optimize(model, prior)

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse
 
 import quantfolio.solver
@@ -14,7 +15,7 @@ from quantfolio.exceptions import QuantfolioError
 from quantfolio.mean_risk import MeanRisk, ObjectiveFunction, _assemble
 from quantfolio.measures import RiskMeasure
 from quantfolio.priors import Prior
-from quantfolio.solver import QpProblem, _dense_rows, _finish, _select_independent, solve
+from quantfolio.solver import QpProblem, _dense_rows, _finish, solve
 
 from conftest import block_residuals, random_psd
 from test_golden_weights import _cases, _prior
@@ -216,62 +217,6 @@ def test_problem_without_rows(P, q, status, x):
         np.testing.assert_allclose(res.x, x, atol=1e-8)
 
 
-def _select_independent_loop(rows, tol=1e-8):
-    """Reference: the row-by-row modified Gram-Schmidt the vectorised version replaced."""
-    basis: list[np.ndarray] = []
-    keep = []
-    for i, r in enumerate(rows):
-        nr = np.linalg.norm(r)
-        if nr <= 1e-14:
-            continue
-        v = r / nr
-        for _ in range(2):  # reorthogonalize for stability
-            for b in basis:
-                v = v - (v @ b) * b
-        nv = np.linalg.norm(v)
-        if nv > tol:
-            basis.append(v / nv)
-            keep.append(i)
-    return keep
-
-
-def _candidate_rows(kind, seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 12))
-    r = int(rng.integers(1, 3 * n))
-    if kind == "random":
-        return rng.normal(size=(r, n))
-    if kind == "rank_deficient":
-        rank = int(rng.integers(1, n))
-        return rng.normal(size=(r, rank)) @ rng.normal(size=(rank, n))
-    if kind == "duplicated":
-        base = rng.normal(size=(max(r // 2, 1), n))
-        rows = base[rng.integers(0, base.shape[0], r)]
-        rows[rng.random(r) < 0.2] = 0.0
-        return rows
-    # signed unit rows, as box and budget rows of the drawdown LPs look
-    return np.eye(n)[rng.integers(0, n, r)] * rng.choice([-1.0, 1.0], (r, 1))
-
-
-def _select(rows):
-    """`_select_independent` on every row of a dense array, in row order, on all columns."""
-    return _select_independent(scipy.sparse.csr_array(rows), np.arange(rows.shape[0]),
-                               np.arange(rows.shape[1]))
-
-
-@pytest.mark.parametrize("kind", ["random", "rank_deficient", "duplicated", "signed_unit"])
-def test_select_independent_matches_loop(kind):
-    for seed in range(100):
-        rows = _candidate_rows(kind, seed)
-        assert _select(rows) == _select_independent_loop(rows), seed
-
-
-def test_select_independent_skips_repeated_row():
-    # e1, e1, e2, e3: the repeat is dropped and the later independent rows kept
-    rows = np.eye(3)[[0, 0, 1, 2]]
-    assert _select(rows) == _select_independent_loop(rows) == [0, 2, 3]
-
-
 def _cdar_problem():
     """A CDaR LP at T=120, N=10: 359 chained drawdown rows over 251 columns."""
     rng = np.random.default_rng(0)
@@ -304,15 +249,65 @@ def test_dense_rows_matches_csr_slice(kind):
     assert np.array_equal(got, A[idx].toarray())
 
 
+@pytest.mark.parametrize("dense_cells", [1 << 16, 0], ids=["dense", "csr"])
+def test_csr_with_duplicate_entries_is_summed(dense_cells, monkeypatch):
+    # x₀ + x₁ ≤ 1 stored as four halves, two per column: each branch solves
+    # the summed row, as HiGHS does, and the caller's arrays keep their values
+    monkeypatch.setattr(quantfolio.solver, "IPM_DENSE_CELLS", dense_cells)
+    G = scipy.sparse.csr_array(([0.5, 0.5, 0.5, 0.5], [0, 0, 1, 1], [0, 4]), shape=(1, 2))
+    stored = [a.copy() for a in (G.data, G.indices, G.indptr)]
+    q = np.array([-1.0, -2.0])
+    res = solve(QpProblem(q=q, G=G, h=np.array([1.0]), lb=np.zeros(2)))
+    highs = scipy.optimize.linprog(q, A_ub=G, b_ub=[1.0], bounds=(0.0, None), method="highs")
+    assert (res.status, highs.status) == ("Optimal", 0)
+    assert abs(res.objective - highs.fun) <= 1e-8
+    np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-8)
+    for before, after in zip(stored, (G.data, G.indices, G.indptr)):
+        assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("dense_cells", [1 << 16, 0], ids=["dense", "csr"])
+def test_finish_solves_on_dependent_active_rows(dense_cells, monkeypatch):
+    # an LP whose vertex (0.6, 0, 0.5, 0) has a repeated equality row, a
+    # duplicated inequality row and a row equal to the sum of two others, all
+    # active: the finish sends the six rows to one KKT solve on the two free
+    # variables, and its point is the Optimal result
+    monkeypatch.setattr(quantfolio.solver, "IPM_DENSE_CELLS", dense_cells)
+    ra, rb = np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0, 0.0])
+    problem = QpProblem(q=np.array([-3.0, -2.0, -1.0, 0.0]),
+                        A_eq=np.ones((2, 4)), b_eq=np.array([1.1, 1.1]),
+                        G=np.array([ra, ra, rb, ra + rb]), h=np.array([0.6, 0.6, 0.5, 1.1]),
+                        lb=np.zeros(4))
+    polish_step, finish = quantfolio.solver._polish_step, quantfolio.solver._finish
+    shapes, finished = [], []
+
+    def recording_step(P, q, A, b, start):
+        shapes.append(A.shape)
+        return polish_step(P, q, A, b, start)
+
+    monkeypatch.setattr(quantfolio.solver, "_polish_step", recording_step)
+    monkeypatch.setattr(quantfolio.solver, "_finish",
+                        lambda *args: finished.append(finish(*args)) or finished[-1])
+    res = solve(problem)
+    highs = scipy.optimize.linprog(problem.q, A_ub=problem.G, b_ub=problem.h,
+                                   A_eq=problem.A_eq, b_eq=problem.b_eq, bounds=(0.0, None),
+                                   method="highs")
+    assert (res.status, highs.status) == ("Optimal", 0)
+    assert abs(res.objective - highs.fun) <= 1e-8 * max(1.0, abs(highs.fun))
+    assert shapes[-1] == (6, 2) and np.array_equal(res.x, finished[-1][0])
+    r_prim, r_dual, prim_scale, dual_scale = block_residuals(problem, res)
+    assert r_prim <= 1e-12 * prim_scale and r_dual <= 1e-12 * dual_scale
+    assert np.all(res.y_ineq >= 0.0)
+
+
 @pytest.mark.parametrize("case", ["maximize_ratio/variance", "maximize_ratio/variance/min_return",
                                   "minimize_risk/variance/named_cap", "minimize_risk/cvar",
                                   "maximize_return/cvar/cvar_cap"])
 def test_finish_puts_variables_exactly_on_their_bounds(case, monkeypatch):
     # long-only QPs and LPs with bounds active at the optimum: every variable
-    # the finish fixes at a bound (a nonzero bound multiplier) and every
-    # variable of a one-variable row of G that it keeps active (the
-    # homogenised bounds of MaximizeRatio) leaves it exactly at that bound,
-    # and never at -0.0
+    # the finish fixes at a bound (a nonzero bound multiplier) leaves it
+    # exactly at that bound, and never at -0.0. A one-variable row (such as
+    # the homogenised bounds of MaximizeRatio) is a bound already: G holds none
     objective, measure, cons, extra = _cases()[case]
     problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
     finished = []
@@ -322,13 +317,10 @@ def test_finish_puts_variables_exactly_on_their_bounds(case, monkeypatch):
     assert res.status == "Optimal"
     x = finished[-1][0]
     assert np.array_equal(res.x, x)  # the finished point is the one returned
+    if problem.G is not None:
+        assert np.all(np.count_nonzero(problem.G.toarray(), axis=1) != 1)
     at_bound = [(j, problem.ub[j] if y > 0 else problem.lb[j])
                 for j, y in enumerate(res.y_bound) if y != 0]
-    G = problem.G.toarray() if problem.G is not None else np.zeros((0, x.size))
-    for row, h, y in zip(G, problem.h if problem.G is not None else (), res.y_ineq):
-        if y != 0 and np.count_nonzero(row) == 1:
-            j = int(np.flatnonzero(row)[0])
-            at_bound.append((j, h / row[j]))
     assert at_bound
     for j, bound in at_bound:
         assert x[j] == bound and not np.signbit(x[j])
