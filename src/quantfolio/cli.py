@@ -442,9 +442,9 @@ def _load_series_file(path: str) -> dict:
                 f"input {path}, entry {label!r}: expected {{'name', 'returns'}}"
             )
         values = entry["returns"]
-        if any(isinstance(v, bool) for v in values):
-            raise MalformedCsv(f"input {path}, entry {label!r}: a return is a boolean")
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
+        if not all(type(v) in (int, float) for v in values):  # a bool is an int to isinstance
+            raise MalformedCsv(f"input {path}, entry {label!r}: a return is not a number")
+        if not all(math.isfinite(v) for v in values):
             raise MissingCell(f"input {path}, entry {label!r}: non-finite return value")
     return payload
 

@@ -312,7 +312,8 @@ class NestedClustersOptimization(BaseEstimator):
 class StackingOptimization(BaseEstimator):
     """Stacked allocation: out-of-sample base series feed the final stage.
 
-    `cv` is a SplitPlan or a config object with .plan(T). CPCV plans yield one
+    X is a ReturnsMatrix, whose dates place the out-of-sample blocks; `cv`
+    is a SplitPlan or a config object with .plan(T). CPCV plans yield one
     series per path; paths are averaged into a single out-of-sample series per
     base. The weights are sum_k c_k * w_k rescaled to sum to 1, where c are
     the final stage's weights (a MeanRisk() when `final_estimator` is None)
@@ -327,7 +328,8 @@ class StackingOptimization(BaseEstimator):
     def fit(self, X, factors=None):
         if not self.estimators:
             raise InvalidConfig("StackingOptimization needs at least one base estimator")
-        plan = self.cv if isinstance(self.cv, SplitPlan) else self.cv.plan(X.n_periods)
+        plan = (self.cv if isinstance(self.cv, SplitPlan)
+                else self.cv.plan(returns_values(X).shape[0]))
 
         oos_columns = []
         for result in cross_val_predict(list(self.estimators), X, plan, n_jobs=self.n_jobs):

@@ -250,6 +250,9 @@ def cross_val_predict(
     require_int("n_jobs", n_jobs)
     if n_jobs < 1:
         raise InvalidConfig(f"n_jobs must be >= 1, got {n_jobs}")
+    if not isinstance(X, ReturnsMatrix):
+        # the dates place the out-of-sample blocks
+        raise InvalidConfig(f"cross_val_predict needs a ReturnsMatrix, got {type(X).__name__}")
     if plan.n_splits == 0:
         raise EmptyCv("split plan is empty")
     single = not isinstance(allocator, list)

@@ -14,11 +14,10 @@ E is A_eq, and C is the rows of G with a finite h, then x_j ≤ ub_j and
 −x_j ≤ −lb_j for each finite bound, each with its own slack and dual. P and
 q are normalised by their largest entry. Each iteration factors the reduced
 KKT matrix [P + Gᵀ diag(z/s) G + D, Eᵀ; E, 0], D the bounds' z/s on the
-diagonal, regularised by ±IPM_REGULARIZATION (dense, (n + #E)²), once with
-LAPACK's `dgetrf`, and solves it for the predictor and the corrector with
-`dgetrs`. The bounds never exist as rows: their products with C are gathers
-and scatters. [E; G] is one matrix, dense up to IPM_DENSE_CELLS cells, where
-dense products cost less per call, and CSR above, where the long sparse row
+diagonal, once, and solves it for the predictor and the corrector. The
+bounds never exist as rows: their products with C are gathers and scatters.
+[E; G] is one matrix, dense up to IPM_DENSE_CELLS cells, where dense
+products cost less per call, and CSR above, where the long sparse row
 blocks of CVaR, MAD and drawdown LPs and caps make CSR products cheaper. The
 iterations stop at the relative tolerance IPM_TOLERANCE, at
 IPM_MAX_ITERATIONS, or at a non-finite iterate, without a floating-point
@@ -41,20 +40,24 @@ weights can be off by 1e-5). `_finish` fixes each variable it guesses at a
 bound exactly there (+0.0, never −0.0), makes one regularised KKT solve
 (`_polish_step`) on the free variables with E and every row of G it guesses
 active, in row order, and reads each bound's multiplier off the gradient.
-No row is pruned: [P + δI, Aᵀ; A, −δI] is quasi-definite, so it factors
-even when the rows are dependent (Vanderbei, SIAM J. Optim. 1995), and
-refinement against the unregularised system removes δ, as OSQP's polishing
-does (Stellato et al., Math. Prog. Comp. 2020). For up to FINISH_ROUNDS
-rounds a violated bound or row then joins the guess and one with a
-wrong-signed multiplier leaves it. The guess is the bounds and rows whose
-slack is below their dual (s < z), of a variable guessed at both bounds
-only the side with the larger dual; the solve refines from the interior
-point, so a direction the guess leaves free, such as the auxiliaries of a
-loose CVaR or MAD cap, keeps a feasible value. It calls LAPACK's
-`dgetrf`/`dgetrs` directly (the routines inside `lu_factor` and
-`lu_solve`, without their per-call checks) and gathers rows straight from
-the CSR arrays (`_dense_rows`), since on small problems Python calls cost
-more than arithmetic.
+No row is pruned, and refinement against the unregularised system removes
+the regularisation, as OSQP's polishing does (Stellato et al., Math. Prog.
+Comp. 2020). For up to FINISH_ROUNDS rounds a violated bound or row then
+joins the guess and one with a wrong-signed multiplier leaves it. The guess
+is the bounds and rows whose slack is below their dual (s < z), of a
+variable guessed at both bounds only the side with the larger dual; the
+solve refines from the interior point, so a direction the guess leaves
+free, such as the auxiliaries of a loose CVaR or MAD cap, keeps a feasible
+value. It gathers rows straight from the CSR arrays (`_dense_rows`), since
+on small problems Python calls cost more than arithmetic.
+
+The iteration and the finish share `_kkt_solver`, which builds
+[H + δI, Aᵀ; A, −δI] dense in LAPACK's column order, factors it once with
+`dgetrf` and solves with `dgetrs` (the routines inside `lu_factor` and
+`lu_solve`, without their per-call checks): the iteration on H = P +
+Gᵀ diag(z/s) G + D, E and IPM_REGULARIZATION, the finish on its free block
+of P, its active rows and FINISH_REGULARIZATION. The matrix is quasi-definite,
+so it factors even when the rows are dependent (Vanderbei, SIAM J. Optim. 1995).
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ POLISH_REFINE_STEPS = 8
 IPM_MAX_ITERATIONS = 100
 IPM_TOLERANCE = 1e-9  # relative, on the problem normalised by its largest P or q entry
 IPM_REGULARIZATION = 1e-12  # keeps the reduced KKT matrix nonsingular
+FINISH_REGULARIZATION = 1e-9  # the finish's δ, removed by its refinement
 # [E; G] is dense up to this many cells, else CSR. On capped variance QPs
 # (N = 20) the two cost the same near 60,000-90,000 cells of MAD rows, and CVaR
 # rows stay cheaper dense past 150,000; the CDaR LP at T = 120, N = 10 (90,360
@@ -222,25 +226,13 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
     P, q = P0 * scale, q0 * scale
     tol_prim = IPM_TOLERANCE * (1.0 + np.abs(c).max(initial=0.0))
     tol_dual = IPM_TOLERANCE * (1.0 + np.abs(q).max())
-    # the reduced KKT matrix [P + Cᵀ diag(w) C, Eᵀ; E, 0] but for its Cᵀ diag(w) C
-    # term, regularised by ±IPM_REGULARIZATION on its diagonal blocks
-    K0 = np.zeros((n + p, n + p))
-    K0[:n, :n] = P
-    K0[:n, n:] = E.T
-    K0[n:, :n] = E
-    K0[np.diag_indices(n + p)] += np.repeat([IPM_REGULARIZATION, -IPM_REGULARIZATION], [n, p])
 
     def factor(w):
-        """LU factors of the reduced KKT matrix at the weights w = z/s, or None."""
-        K = K0.copy()
-        if mg:
-            K[:n, :n] += gram(w[:mg])
-        D = np.zeros(n)
-        D[U] = w[mg:mg + U.size]
-        D[L] += w[mg + U.size:]
-        K.reshape(-1)[:n * (n + p + 1):n + p + 1] += D  # a view of the first n diagonal cells
-        lu, piv, info = scipy.linalg.lapack.dgetrf(K, overwrite_a=1)
-        return None if info != 0 else (lu, piv)
+        """`_kkt_solver` of [P + Cᵀ diag(w) C, Eᵀ; E, 0] at the weights w = z/s."""
+        H = P + gram(w[:mg]) if mg else P.copy()
+        H[U, U] += w[mg:mg + U.size]
+        H[L, L] += w[mg + U.size:]
+        return _kkt_solver(H, E, IPM_REGULARIZATION)
 
     def positive(v):
         """v shifted so that its smallest entry is 1, unless all of it is positive."""
@@ -256,10 +248,9 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
     with np.errstate(all="ignore"):  # a breakdown shows as a non-finite iterate instead
         # start: x minimises ½xᵀPx + qᵀx + ½|Cx − d|² on Ex = b; s = d − Cx and
         # z = −s, each shifted into the positive orthant
-        lu_piv = factor(np.ones(m))
-        if lu_piv is not None:
-            v[:n + p] = scipy.linalg.lapack.dgetrs(
-                *lu_piv, np.concatenate([plus_bounds_t(d, GT @ d[:mg]) - q, b]))[0]
+        kkt = factor(np.ones(m))
+        if kkt is not None:
+            v[:n + p] = kkt(np.concatenate([plus_bounds_t(d, GT @ d[:mg]) - q, b]))
             Cv = Cx(v[:n])
             v[n + p:] = np.concatenate([positive(Cv - d), positive(d - Cv)])
         for k in range(IPM_MAX_ITERATIONS + 1):
@@ -279,8 +270,8 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
             if converged or k == IPM_MAX_ITERATIONS:
                 break
             w = z / s
-            lu_piv = factor(w)
-            if lu_piv is None:
+            kkt = factor(w)
+            if kkt is None:
                 break
             r_e, r_i = r_p[:p], r_p[p:]
 
@@ -289,7 +280,7 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
                 complementarity target s∘z − r_c."""
                 t = (z * r_i - r_c) / s
                 rhs = np.concatenate([-r_d - plus_bounds_t(t, GT @ t[:mg]), -r_e])
-                dv = scipy.linalg.lapack.dgetrs(*lu_piv, rhs)[0]
+                dv = kkt(rhs)
                 Cdx = Cx(dv[:n])
                 return np.concatenate([dv, w * Cdx + t, -r_i - Cdx])
 
@@ -438,12 +429,31 @@ def _polish_step(P, q, A, b, start):
     (x, then the rows' multipliers) or None. P is the Hessian, zero for an LP.
     Refinement runs from `start` against the unregularised system, as
     products with P and A: a direction the rows leave free keeps its value."""
-    n, k = q.size, b.size
-    if n + k == 0:  # every variable fixed, and no row: nothing to solve
-        return start
-    delta = 1e-9
+    n = q.size
+    kkt = _kkt_solver(P, A, FINISH_REGULARIZATION)
+    if kkt is None:
+        return None
+
+    def residual(v):
+        """[−q; b] less the unregularised [P, Aᵀ; A, 0] times v."""
+        return np.concatenate([-q - P @ v[:n] - A.T @ v[n:], b - A @ v[:n]])
+
+    sol = start + kkt(residual(start))
+    for _ in range(POLISH_REFINE_STEPS):
+        sol = sol + kkt(residual(sol))
+    if not np.all(np.isfinite(sol[:n])):
+        return None
+    return sol
+
+
+def _kkt_solver(H, A, delta):
+    """v ↦ K⁻¹v for K = [H + δI, Aᵀ; A, −δI], H n×n and A k×n dense (n + k may
+    be 0), or None when K has a zero pivot."""
+    n, k = H.shape[0], A.shape[0]
+    if n + k == 0:  # nothing to solve, and dgetrf rejects a 0×0 matrix
+        return lambda v: v
     K = np.zeros((n + k, n + k), order="F")  # LAPACK's order: factored in place
-    K[:n, :n] = P
+    K[:n, :n] = H
     K[:n, n:] = A.T
     K[n:, :n] = A
     K[np.diag_indices(n + k)] += np.repeat([delta, -delta], [n, k])
@@ -451,15 +461,4 @@ def _polish_step(P, q, A, b, start):
     lu, piv, info = scipy.linalg.lapack.dgetrf(K, overwrite_a=1)
     if info != 0:  # a zero pivot: K is singular
         return None
-
-    def residual(v):
-        """[−q; b] less the unregularised [P, Aᵀ; A, 0] times v."""
-        return np.concatenate([-q - P @ v[:n] - A.T @ v[n:], b - A @ v[:n]])
-
-    sol = start + scipy.linalg.lapack.dgetrs(lu, piv, residual(start))[0]
-    for _ in range(POLISH_REFINE_STEPS):
-        sol = sol + scipy.linalg.lapack.dgetrs(lu, piv, residual(sol))[0]
-    if not np.all(np.isfinite(sol[:n])):
-        return None
-    return sol
-
+    return lambda v: scipy.linalg.lapack.dgetrs(lu, piv, v)[0]

@@ -326,20 +326,25 @@ def test_report_empty_inputs_is_config_error(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("text", [
-    '{"train": {"name": "x", "returns": [0.01, NaN]}}',
-    '{"train": {"name": "x", "returns": [0.01, true, false]}}',
-    None,
-    '{"train": {"name": "x", "returns": [0.01',
-    '{"train": [0.01, 0.02]}',
-], ids=["nonfinite", "boolean", "missing", "not_json", "entry_not_object"])
-def test_report_unusable_input_is_data_error(tmp_path, text):
+@pytest.mark.parametrize("text, message", [
+    ('{"train": {"name": "x", "returns": [0.01, NaN]}}', "non-finite return value"),
+    ('{"train": {"name": "x", "returns": [0.01, -Infinity]}}', "non-finite return value"),
+    ('{"train": {"name": "x", "returns": [0.01, true, false]}}', "a return is not a number"),
+    ('{"train": {"name": "x", "returns": [0.01, "0.02"]}}', "a return is not a number"),
+    ('{"train": {"name": "x", "returns": [0.01, null]}}', "a return is not a number"),
+    (None, "cannot read input"),
+    ('{"train": {"name": "x", "returns": [0.01', "is not valid JSON"),
+    ('{"train": [0.01, 0.02]}', "expected {'name', 'returns'}"),
+], ids=["nonfinite", "infinite", "boolean", "string", "null", "missing", "not_json",
+        "entry_not_object"])
+def test_report_unusable_input_is_data_error(tmp_path, capsys, text, message):
     # None: the input file does not exist
     path = tmp_path / "series.json"
     if text is not None:
         path.write_text(text)
     code, _ = run(tmp_path, "report", {"inputs": [str(path)]})
     assert code == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("inputs", ["o1/series.json", [1], [["a.json"]]])

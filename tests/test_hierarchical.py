@@ -410,6 +410,17 @@ def test_stacking_rejects_repeated_or_empty_names(rng, names):
         StackingOptimization(estimators, EqualWeighted(), walk_forward(60, 30, 15)).fit(X)
 
 
+def test_stacking_on_a_plain_array_is_config_error(rng):
+    # the dates of a ReturnsMatrix place the out-of-sample blocks, with a
+    # SplitPlan or with a config that plans from T
+    values = rng.normal(0, 0.01, (60, 2))
+    with pytest.raises(InvalidConfig, match="needs a ReturnsMatrix, got ndarray"):
+        StackingOptimization([("ew", EqualWeighted())], EqualWeighted(),
+                             walk_forward(60, 30, 15)).fit(values)
+    with pytest.raises(InvalidConfig, match="needs a ReturnsMatrix"):
+        StackingOptimization([("ew", EqualWeighted())], EqualWeighted()).fit(values)
+
+
 def test_estimator_wrappers_fit_predict(rng):
     X = make_returns(rng.normal(0.0005, 0.01, (130, 5)))
     for est in (EqualWeighted(), InverseVolatility(), HierarchicalRiskParity(),
