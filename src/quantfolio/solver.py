@@ -12,9 +12,10 @@ so results are bit-deterministic for fixed inputs.
 `_interior_point` runs a Mehrotra predictor-corrector on E x = b, C x ≤ d:
 E is A_eq, and C is the rows of G with a finite h, then x_j ≤ ub_j and
 −x_j ≤ −lb_j for each finite bound, each with its own slack and dual. P and
-q are normalised by their largest entry. Each iteration factors the reduced
-KKT matrix [P + Gᵀ diag(z/s) G + D, Eᵀ; E, 0], D the bounds' z/s on the
-diagonal, once, and solves it for the predictor and the corrector. The
+q are normalised by their largest entry. The iteration starts from x = 0,
+ν = 0, z = s = 1, with no start-up factorization, and each iteration factors
+the reduced KKT matrix [P + Gᵀ diag(z/s) G + D, Eᵀ; E, 0], D the bounds' z/s
+on the diagonal, once, and solves it for the predictor and the corrector. The
 bounds never exist as rows: their products with C are gathers and scatters.
 [E; G] is one matrix, dense up to IPM_DENSE_CELLS cells, where dense
 products cost less per call, and CSR above, where the long sparse row
@@ -194,7 +195,6 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
     p, mg = b.size, fin.size
     m = mg + U.size + L.size
     c = np.concatenate([b, h[fin], ub[U], -lb[L]])
-    d = c[p:]
     E = _take(E0, np.arange(p))
     if (p + mg) * n <= IPM_DENSE_CELLS:
         G = _take(G0, fin)
@@ -217,10 +217,6 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
         out[L] -= v[mg + U.size:]
         return out
 
-    def Cx(x):
-        """C x: the finite rows of G, x on U, −x on L."""
-        return np.concatenate([G @ x, x[U], -x[L]])
-
     largest = max(np.abs(P0).max(), np.abs(q0).max())
     scale = 1.0 / largest if largest > 0 else 1.0
     P, q = P0 * scale, q0 * scale
@@ -234,25 +230,13 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
         H[L, L] += w[mg + U.size:]
         return _kkt_solver(H, E, IPM_REGULARIZATION)
 
-    def positive(v):
-        """v shifted so that its smallest entry is 1, unless all of it is positive."""
-        t = -v.min() if v.size else -1.0
-        return v + (1.0 + t) if t >= -1e-8 * max(np.abs(v).max(initial=0.0), 1.0) else v
-
-    # the iterate v = (x, ν, z, s): ν are the duals of E, z those of the rows of C
+    # the iterate v = (x, ν, z, s), from x = 0, ν = 0, z = s = 1: ν are the
+    # duals of E, z those of the rows of C and s their slacks
     v = np.concatenate([np.zeros(n + p), np.ones(2 * m)])
-    k = 0
     # the iterate with the smallest residual in units of its tolerance, which
     # the result is taken from
     best, best_v = np.inf, v
     with np.errstate(all="ignore"):  # a breakdown shows as a non-finite iterate instead
-        # start: x minimises ½xᵀPx + qᵀx + ½|Cx − d|² on Ex = b; s = d − Cx and
-        # z = −s, each shifted into the positive orthant
-        kkt = factor(np.ones(m))
-        if kkt is not None:
-            v[:n + p] = kkt(np.concatenate([plus_bounds_t(d, GT @ d[:mg]) - q, b]))
-            Cv = Cx(v[:n])
-            v[n + p:] = np.concatenate([positive(Cv - d), positive(d - Cv)])
         for k in range(IPM_MAX_ITERATIONS + 1):
             x, dual, zs = v[:n], v[n:n + p + m], v[n + p:]
             z, s = zs[:m], zs[m:]
@@ -281,7 +265,8 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
                 t = (z * r_i - r_c) / s
                 rhs = np.concatenate([-r_d - plus_bounds_t(t, GT @ t[:mg]), -r_e])
                 dv = kkt(rhs)
-                Cdx = Cx(dv[:n])
+                dx = dv[:n]
+                Cdx = np.concatenate([G @ dx, dx[U], -dx[L]])  # C dx
                 return np.concatenate([dv, w * Cdx + t, -r_i - Cdx])
 
             def max_step(dv):

@@ -334,6 +334,17 @@ def test_cdar_lp_repeats_exactly():
     assert np.array_equal(first.x, second.x)
 
 
+def test_each_iteration_makes_one_factorization(monkeypatch):
+    # the interior point starts from x = 0, ν = 0, z = s = 1 with no start-up
+    # factorization, and factors its KKT matrix once per iteration
+    kkt_solver, factored = quantfolio.solver._kkt_solver, []
+    monkeypatch.setattr(quantfolio.solver, "_finish", lambda *args: None)
+    monkeypatch.setattr(quantfolio.solver, "_kkt_solver",
+                        lambda *args: factored.append(1) or kkt_solver(*args))
+    res = solve(_cdar_problem())
+    assert len(factored) == res.iterations
+
+
 def test_cdar_chained_block_shape_and_solve():
     # CDaR at T=300, N=5: the chained block has 3T − 1 = 899 rows over the
     # weights, T peaks, α and T auxiliaries; its peak rows hold N entries of
