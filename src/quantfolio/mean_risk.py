@@ -5,8 +5,8 @@ prior)`, `efficient_frontier(model, prior, size)` and `portfolio_risk(weights,
 model, prior)` take the model with a fitted prior and ignore its
 `prior_estimator`. Each objective is expressed as a QP/LP on the
 reformulation layer, with weight constraints, L1/L2 regularization and risk
-caps. All four share one assembly path; MaximizeRatio adds a scale column and
-homogenizes the same constraint rows.
+caps. All four share one assembly path; MaximizeRatio minimizes the same risk
+on homogenized rows and μᵀy = 1 (Charnes & Cooper, 1962).
 """
 from __future__ import annotations
 
@@ -226,11 +226,11 @@ def _assemble(model: MeanRisk, prior: Prior):
     prior, its weight columns and the ratio scale column.
 
     MaximizeRatio is solved homogenized over y = t·w with a scale column
-    t ≥ 0. Degree-1 measures: maximize mu'y subject to risk(y) <= 1 plus the
-    homogenized constraint cone. Variance / std dev: minimize y'Sigma y
-    subject to mu'y = 1 (classic tangency form, reported ratio is mean over
-    std dev). Recover w = y/t. The other objectives have no scale column
-    (t is None).
+    t ≥ 0, one form for every measure: the least risk(y), MinimizeRisk's
+    risk term, subject to the homogenized constraint cone and μᵀy = 1, μ
+    divided by its largest |entry|. Every measure is positively homogeneous,
+    so this maximizes mean over risk (over std dev for variance); w = y/t.
+    The other objectives have no scale column (t is None).
     """
     n = prior.n_assets
     lb, ub = _bounds(model, n, prior.assets)
@@ -250,26 +250,23 @@ def _assemble(model: MeanRisk, prior: Prior):
         w_idx = builder.add_variables(n, lb, ub)
         t = None
     _add_constraints(builder, model, prior, w_idx, lb, ub, t)
-    if not ratio:
+    if ratio:
+        # μ at unit scale: a raw 5e-4 (daily returns) stalls variance fits, doubles LP iterations
+        largest = np.abs(prior.mu).max()
+        builder.add_rows(w_idx, prior.mu / largest if largest > 0 else prior.mu, 1.0, eq=True)
+    else:
         _add_regularization(builder, model, w_idx, lb)
 
     neg_mu = (w_idx, -prior.mu)
-    if model.objective is ObjectiveFunction.MINIMIZE_RISK:
+    if model.objective in (ObjectiveFunction.MINIMIZE_RISK, ObjectiveFunction.MAXIMIZE_RATIO):
         _add_risk_cost(builder, model, prior, w_idx, 1.0)
     elif model.objective is ObjectiveFunction.MAXIMIZE_RETURN:
         builder.add_cost(neg_mu)
     elif model.objective is ObjectiveFunction.MAXIMIZE_UTILITY:
         builder.add_cost(neg_mu)
         _add_risk_cost(builder, model, prior, w_idx, model.risk_aversion)
-    elif not ratio:
-        raise InvalidConfig(f"unknown objective {model.objective!r}")
-    elif model.risk_measure in QUADRATIC_MEASURES:
-        builder.add_rows(w_idx, prior.mu, 1.0, eq=True)
-        builder.add_quadratic(w_idx, prior.sigma)
     else:
-        builder.add_rows(*reformulate_risk(builder, model.risk_measure, prior.scenarios, w_idx,
-                                           model.beta), 1.0)
-        builder.add_cost(neg_mu)
+        raise InvalidConfig(f"unknown objective {model.objective!r}")
     with np.errstate(over="ignore"):  # an overflowing coefficient is rejected below
         problem = builder.build()
     if not all(np.isfinite(M).all() for M in (problem.q, problem.P) if M is not None):
@@ -288,12 +285,12 @@ def optimize(model: MeanRisk, prior: Prior) -> np.ndarray:
     _raise_for_status(res, model, prior)
     if t is None:
         return res.x[w_idx].copy()
+    if res.objective <= 0.0:
+        # risk(y) ≤ 0 with μᵀy = 1: the ratio has no maximum
+        raise UnboundedProblem("objective unbounded over the feasible set: a feasible "
+                               "portfolio has a positive expected return and no positive risk")
     t_val = float(res.x[t])
     if not np.isfinite(t_val) or t_val <= 1e-12:
-        # the ratio LP's optimum is y = t = 0 when no portfolio earns a positive return
-        detail = _infeasible_detail(model, prior)
-        if detail:
-            raise InfeasibleProblem(f"constraint set is infeasible{detail}")
         raise SolverFailure("ratio homogenization degenerate: scale variable vanished")
     return (res.x[w_idx] / t_val).copy()
 

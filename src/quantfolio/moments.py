@@ -213,6 +213,8 @@ def denoise_rmt(est: MomentEstimate, passes: int = 2) -> MomentEstimate:
     so the covariance trace is preserved.
     """
     require_int("passes", passes)
+    if passes < 0:
+        raise InvalidConfig(f"passes must be >= 0, got {passes}")
     sigma = est.sigma
     N = sigma.shape[0]
     T = est.sample_size

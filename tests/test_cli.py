@@ -10,6 +10,7 @@ import pytest
 from quantfolio import cli, mean_risk
 from quantfolio.cli import main
 from quantfolio.exceptions import SolverFailure
+from quantfolio.measures import RiskMeasure
 
 DATA = resources.files("quantfolio").joinpath("data/sample_prices.csv")
 NS = "{http://www.w3.org/2000/svg}"
@@ -453,6 +454,36 @@ def test_stacking_config(tmp_path, short_prices_path):
     assert sum(weights.values()) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("measure", [m.value for m in RiskMeasure])
+def test_optimize_maximize_ratio_under_each_measure(tmp_path, prices_path, measure):
+    cfg = {"data": {"prices": prices_path},
+           "model": {"kind": "mean_risk", "objective": "maximize_ratio", "risk_measure": measure}}
+    code, out = run(tmp_path, "optimize", cfg)
+    assert code == 0
+    weights = json.loads((out / "weights.json").read_text())
+    assert sum(weights.values()) == pytest.approx(1.0, abs=1e-8)
+    assert all(v >= -1e-8 for v in weights.values())
+
+
+def test_optimize_maximize_ratio_where_every_asset_loses_is_solver_error(tmp_path, capsys,
+                                                                          prices_path):
+    # 120 days of four assets whose simple returns average below -5e-4
+    rng = np.random.default_rng(0)
+    returns = rng.normal(-2e-3, 0.01, (120, 4))
+    assert returns.mean(axis=0).max() < -5e-4
+    prices = 100.0 * np.vstack([np.ones(4), np.cumprod(1.0 + returns, axis=0)])
+    dates = [line.split(",")[0] for line in Path(prices_path).read_text().splitlines()[1:122]]
+    path = tmp_path / "losers.csv"
+    path.write_text("date,A,B,C,D\n" + "".join(
+        f"{d}," + ",".join(f"{p:.10f}" for p in row) + "\n" for d, row in zip(dates, prices)))
+    cfg = {"data": {"prices": str(path)}, "model": {"kind": "mean_risk",
+                                                    "objective": "maximize_ratio"}}
+    code, out = run(tmp_path, "optimize", cfg)
+    assert code == 4
+    assert "no feasible portfolio has a positive expected return" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def constant_column_path(tmp_path_factory, short_prices_path):
     """The short price file with AAPL's price frozen at its first value."""
@@ -487,6 +518,8 @@ CPCV = {"kind": "cpcv", "k": 4, "p": 2}
     ("optimize", {"model": {"kind": "hrp", "linkage": "complete"}}),
     ("optimize", {"model": {"kind": "mean_risk",
                             "prior": {"cov_estimator": "gerber", "gerber_c": 0}}}),
+    ("optimize", {"model": {"kind": "mean_risk",
+                            "prior": {"cov_estimator": "denoised", "rmt_passes": -1}}}),
     ("optimize", {"data": {"returns_kind": "weird"}}),
     ("frontier", {"model": {"kind": "mean_risk", "frontier_size": 0}}),
     ("backtest", {"cv": {"kind": "cpcv", "k": 1}}),
@@ -494,7 +527,7 @@ CPCV = {"kind": "cpcv", "k": 4, "p": 2}
     ("backtest", {"cv": {**CPCV, "purge_horizon": -1}}),
     ("backtest", {"cv": CPCV, "benchmarks": ["bogus"]}),
 ], ids=["cov_estimator", "halflife", "nco_k", "bl_tau", "hrp_beta", "objective", "linkage",
-        "gerber_c", "returns_kind", "frontier_size", "cpcv_k_one", "cpcv_k_above_T",
+        "gerber_c", "rmt_passes", "returns_kind", "frontier_size", "cpcv_k_one", "cpcv_k_above_T",
         "purge_horizon", "benchmark_kind"])
 def test_bad_hyper_parameter_is_config_error(tmp_path, short_prices_path, command, patch):
     cfg = {"data": {"prices": short_prices_path, **patch.get("data", {})},

@@ -32,7 +32,7 @@ from quantfolio.priors import EmpiricalPrior, fit_prior
 from quantfolio.reformulations import ProblemBuilder, reformulate_risk
 from quantfolio.solver import solve
 
-from conftest import make_prior, make_returns, random_psd
+from conftest import make_prior, make_returns, market_panel, random_psd
 
 LP_MEASURES = (
     RiskMeasure.MEAN_ABSOLUTE_DEVIATION,
@@ -188,6 +188,34 @@ def test_ratio_without_positive_return_is_infeasible(measure):
         model.fit(S)
     quoted = float(re.search(r"\(maximum (\S+)\)", str(exc.value)).group(1))
     assert quoted == pytest.approx(best, rel=1e-5)
+
+
+@pytest.mark.parametrize("measure", list(RiskMeasure))
+def test_ratio_with_a_riskless_winner_is_unbounded(measure):
+    # asset 2 gains in every scenario: on its own it has a positive mean, a
+    # negative CVaR and worst realization and no drawdown, so the ratio has no
+    # maximum; its MAD and variance are positive, and the ratio then has one
+    S = market_panel(250, 5, 0)
+    S[:, 2] = np.abs(S[:, 2]) + 1e-4
+    model = MeanRisk(objective=ObjectiveFunction.MAXIMIZE_RATIO, risk_measure=measure)
+    if measure in (RiskMeasure.CVAR, RiskMeasure.WORST_REALIZATION, RiskMeasure.CDAR,
+                   RiskMeasure.MAX_DRAWDOWN):
+        with pytest.raises(UnboundedProblem, match="objective unbounded"):
+            model.fit(S)
+    else:
+        w = model.fit(S).weights_
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert w.min() >= 0.0 and w[2] > 0.5
+
+
+def test_ratio_whose_scale_column_vanishes_is_a_solver_failure():
+    # with the box open on both sides, the least variance on μᵀy = 1 is a
+    # zero-cost long-short y (t = 0), which is no portfolio
+    X = make_returns(market_panel(250, 10, 0))
+    model = MeanRisk(objective=ObjectiveFunction.MAXIMIZE_RATIO, min_weights=-np.inf,
+                     max_weights=np.inf)
+    with pytest.raises(SolverFailure, match="scale variable vanished"):
+        model.fit(X)
 
 
 @pytest.mark.parametrize("objective", [ObjectiveFunction.MINIMIZE_RISK,

@@ -186,6 +186,12 @@ def test_denoise_rmt_keeps_planted_factor(rng):
     assert abs(top_after - top_before) / top_before < 0.05
 
 
+def test_denoise_rmt_rejects_negative_passes(rng):
+    # a negative count once ran no pass, as 0 does
+    with pytest.raises(InvalidConfig, match="passes must be >= 0"):
+        denoise_rmt(sample_moments(rng.normal(0, 0.01, (60, 4))), passes=-3)
+
+
 def test_estimators_produce_symmetric_psd(rng):
     R = rng.normal(0, 0.02, (80, 5))
     candidates = [

@@ -5,8 +5,8 @@ must reach that point, and so must the active-set finish started from a wrong
 set. Variance QPs with a CVaR or MAD cap take their cap from the measure's
 minimum, found by scipy's HiGHS on the assembled LP (as in
 `test_lp_oracle.py`), and from its value at the minimum-variance portfolio.
-Capped MaximizeRatio QPs on the golden prior are checked against SLSQP in
-weight space.
+Capped MaximizeRatio QPs on the golden prior and on market panels are checked
+against SLSQP in weight space.
 """
 
 import functools
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import quantfolio.mean_risk
 import quantfolio.solver
 from quantfolio.exceptions import InfeasibleProblem
 from quantfolio.mean_risk import MeanRisk, ObjectiveFunction, _assemble, optimize
@@ -191,28 +192,83 @@ def test_cap_below_the_measure_minimum_is_infeasible(measure):
         MeanRisk(risk_caps=[(measure, 0.9 * lowest)]).fit(X)
 
 
+def _slsqp_sharpe(prior, max_weights=1.0, cap=None):
+    """The largest Sharpe ratio over long-only weights below `max_weights`
+    with sum 1 and, given a (measure, bound) `cap`, that cap: an SLSQP solve
+    in weight space from equal weights."""
+    n = prior.mu.size
+    rows = [{"type": "eq", "fun": lambda v: v.sum() - 1.0}]
+    if cap is not None:
+        rows.append({"type": "ineq",
+                     "fun": lambda v: cap[1] - measure_value(prior.scenarios @ v, cap[0])})
+    slsqp = scipy.optimize.minimize(
+        lambda v: -_sharpe(prior, v), np.full(n, 1.0 / n), method="SLSQP",
+        bounds=[(0.0, max_weights)] * n, constraints=rows, options={"ftol": 1e-14, "maxiter": 1000})
+    assert slsqp.success, slsqp.message
+    return -slsqp.fun
+
+
+def _sharpe(prior, w):
+    return prior.mu @ w / np.sqrt(w @ prior.sigma @ w)
+
+
 @pytest.mark.parametrize("cap", [(RiskMeasure.CVAR, 1.2),
                                  (RiskMeasure.MEAN_ABSOLUTE_DEVIATION, 0.6)])
 def test_ratio_variance_with_cap_matches_slsqp(cap):
     # MaximizeRatio under variance with a binding cap, on the golden prior: the
-    # Sharpe ratio equals an SLSQP solve in weight space, from equal weights
+    # Sharpe ratio equals an SLSQP solve in weight space
     prior = _prior()
     w = optimize(MeanRisk(ObjectiveFunction.MAXIMIZE_RATIO, RiskMeasure.VARIANCE,
                           risk_caps=[cap]), prior)
-    n = w.size
-
-    def sharpe(v):
-        return prior.mu @ v / np.sqrt(v @ prior.sigma @ v)
-
-    slsqp = scipy.optimize.minimize(
-        lambda v: -sharpe(v), np.full(n, 1.0 / n), method="SLSQP", bounds=[(0.0, 1.0)] * n,
-        constraints=[{"type": "eq", "fun": lambda v: v.sum() - 1.0},
-                     {"type": "ineq",
-                      "fun": lambda v: cap[1] - measure_value(prior.scenarios @ v, cap[0])}],
-        options={"ftol": 1e-14, "maxiter": 1000})
-    assert slsqp.success, slsqp.message
     assert measure_value(prior.scenarios @ w, cap[0]) <= cap[1] * (1.0 + 1e-9)
-    assert sharpe(w) == pytest.approx(-slsqp.fun, rel=1e-9)
+    assert _sharpe(prior, w) == pytest.approx(_slsqp_sharpe(prior, cap=cap), rel=1e-9)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The result of every solve that `optimize` makes, in call order."""
+    results = []
+
+    def recorded(problem):
+        results.append(solve(problem))
+        return results[-1]
+
+    monkeypatch.setattr(quantfolio.mean_risk, "solve", recorded)
+    return results
+
+
+def test_capped_max_sharpe_grid_converges(solves):
+    # the tangency QP once kept its return row at the 5e-4 of daily returns
+    # and stalled: 13 of these 144 fits raised SolverFailure and 4 more took
+    # all IPM_MAX_ITERATIONS. Where no portfolio under the cap has a positive
+    # mean, the fit is infeasible
+    for N, T, seed in itertools.product((5, 10, 20), (120, 250, 500, 1000), range(4)):
+        X = _panel(T, N, seed)
+        for max_weights in (1.0, 0.5, 0.3):
+            solves.clear()
+            try:
+                MeanRisk(ObjectiveFunction.MAXIMIZE_RATIO, max_weights=max_weights).fit(X)
+            except InfeasibleProblem as exc:
+                assert "no feasible portfolio has a positive expected return" in str(exc)
+                continue
+            case = (T, N, seed, max_weights)
+            assert solves[0].status == "Optimal", case
+            assert solves[0].iterations < quantfolio.solver.IPM_MAX_ITERATIONS, case
+
+
+@pytest.mark.parametrize("T, N, seed, max_weights", [(500, 5, 2, 0.5), (250, 10, 0, 1.0),
+                                                     (120, 20, 0, 1.0)])
+def test_max_sharpe_cases_that_stalled_converge(solves, T, N, seed, max_weights):
+    # the first once raised SolverFailure after 89 iterations with a primal
+    # residual of 1.0, and the other two ran to IPM_MAX_ITERATIONS
+    model = MeanRisk(ObjectiveFunction.MAXIMIZE_RATIO, max_weights=max_weights).fit(
+        _panel(T, N, seed))
+    assert [r.status for r in solves] == ["Optimal"]
+    assert solves[0].iterations < quantfolio.solver.IPM_MAX_ITERATIONS
+    assert _sharpe(model.prior_, model.weights_) == pytest.approx(
+        _slsqp_sharpe(model.prior_, max_weights), rel=1e-9)
+    if (T, N, seed) == (500, 5, 2):
+        np.testing.assert_allclose(model.weights_, [0.5, 0.0, 0.5, 0.0, 0.0], rtol=0, atol=1e-10)
 
 
 def test_ratio_variance_with_cdar_cap_binds():
