@@ -34,7 +34,7 @@ from .exceptions import (
 from .measures import DEFAULT_BETA, QUADRATIC_MEASURES, RiskMeasure, check_beta, risk_of_weights
 from .priors import Prior, fit_prior
 from .reformulations import ProblemBuilder, reformulate_risk, require_epigraph
-from .solver import solve
+from .solver import EPS_ABS, solve
 
 
 class ObjectiveFunction(Enum):
@@ -285,8 +285,10 @@ def optimize(model: MeanRisk, prior: Prior) -> np.ndarray:
     _raise_for_status(res, model, prior)
     if t is None:
         return res.x[w_idx].copy()
-    if res.objective <= 0.0:
-        # risk(y) ≤ 0 with μᵀy = 1: the ratio has no maximum
+    if res.objective <= EPS_ABS * np.abs(problem.q).max():
+        # risk(y) ≤ 0 with μᵀy = 1, to the solver's absolute accuracy on the
+        # risk's linear term (a zero CDaR comes out as ±1e-27): the ratio has
+        # no maximum
         raise UnboundedProblem("objective unbounded over the feasible set: a feasible "
                                "portfolio has a positive expected return and no positive risk")
     t_val = float(res.x[t])

@@ -15,14 +15,29 @@ E is A_eq, and C is the rows of G with a finite h, then x_j ≤ ub_j and
 q are normalised by their largest entry. The iteration starts from x = 0,
 ν = 0, z = s = 1, with no start-up factorization, and each iteration factors
 the reduced KKT matrix [P + Gᵀ diag(z/s) G + D, Eᵀ; E, 0], D the bounds' z/s
-on the diagonal, once, and solves it for the predictor and the corrector. The
-bounds never exist as rows: their products with C are gathers and scatters.
-[E; G] is one matrix, dense up to IPM_DENSE_CELLS cells, where dense
-products cost less per call, and CSR above, where the long sparse row
-blocks of CVaR, MAD and drawdown LPs and caps make CSR products cheaper. The
-iterations stop at the relative tolerance IPM_TOLERANCE, at
-IPM_MAX_ITERATIONS, or at a non-finite iterate, without a floating-point
-warning.
+on the diagonal, once (`_kkt_factor`), and solves it for the predictor and
+the corrector. The bounds never exist as rows: their products with C are
+gathers and scatters. [E; G] is one matrix for the products, dense up to
+IPM_DENSE_CELLS cells, where dense products cost less per call, and CSR
+above, where the long sparse row blocks of CVaR, MAD and drawdown LPs and
+caps make CSR products cheaper. The iterations stop at the relative
+tolerance IPM_TOLERANCE, at IPM_MAX_ITERATIONS, or at a non-finite iterate,
+without a floating-point warning.
+
+`_kkt_factor` splits the columns once per solve. The core is the scenario
+auxiliaries of the epigraph blocks (drawdown peaks, CVaR and CDaR tails,
+MAD deviations, L1 epigraphs): the columns that P and E leave at zero and
+that G holds in no more rows than the median column. Ordered by the last
+row that holds them, their block of the matrix is banded, with
+half-bandwidth 2 for chained CDaR, 1 for max drawdown and 0 for CVaR and
+MAD. Each iteration factors it with a banded LU (`dgbtrf`) and eliminates it,
+which leaves a Schur complement on the border (the weights and the few
+scalars) with E (Gondzio, EJOR 2012, §5). The n×n matrix is never formed,
+and on a narrow band a factor costs O(T·N²) instead of O((T + N)³); a risk
+cap's row holds every auxiliary of its measure, and widens the band to all
+of them. A problem with no core, such as one with no G, factors the whole
+matrix dense. Either way δ = IPM_REGULARIZATION is on the same diagonal, so
+both factor the same matrix.
 
 The result is the best iterate (the smallest residual in units of its
 tolerance; a converged run's last), replaced by the finish from it when the
@@ -55,10 +70,11 @@ on small problems Python calls cost more than arithmetic.
 The iteration and the finish share `_kkt_solver`, which builds
 [H + δI, Aᵀ; A, −δI] dense in LAPACK's column order, factors it once with
 `dgetrf` and solves with `dgetrs` (the routines inside `lu_factor` and
-`lu_solve`, without their per-call checks): the iteration on H = P +
-Gᵀ diag(z/s) G + D, E and IPM_REGULARIZATION, the finish on its free block
-of P, its active rows and FINISH_REGULARIZATION. The matrix is quasi-definite,
-so it factors even when the rows are dependent (Vanderbei, SIAM J. Optim. 1995).
+`lu_solve`, without their per-call checks): the iteration on the border's
+Schur complement (or, with no core, H = P + Gᵀ diag(z/s) G + D), E and
+IPM_REGULARIZATION, the finish on its free block of P, its active rows and
+FINISH_REGULARIZATION. The matrix is quasi-definite, so it factors even when
+the rows are dependent (Vanderbei, SIAM J. Optim. 1995).
 """
 
 from __future__ import annotations
@@ -78,10 +94,10 @@ IPM_MAX_ITERATIONS = 100
 IPM_TOLERANCE = 1e-9  # relative, on the problem normalised by its largest P or q entry
 IPM_REGULARIZATION = 1e-12  # keeps the reduced KKT matrix nonsingular
 FINISH_REGULARIZATION = 1e-9  # the finish's δ, removed by its refinement
-# [E; G] is dense up to this many cells, else CSR. On capped variance QPs
-# (N = 20) the two cost the same near 60,000-90,000 cells of MAD rows, and CVaR
-# rows stay cheaper dense past 150,000; the CDaR LP at T = 120, N = 10 (90,360
-# cells) takes 20 ms on CSR and 33 ms dense
+# [E; G] is dense up to this many cells, else CSR, for the products with
+# x and the duals only: the factor reads G's pattern either way. A dense
+# product costs less per call on small blocks, a CSR one on the long sparse
+# row blocks of CVaR, MAD and drawdown LPs and caps
 IPM_DENSE_CELLS = 1 << 16
 FINISH_ROUNDS = 4
 # the finish corrects a larger bound or row violation or wrong-signed multiplier
@@ -153,13 +169,7 @@ def solve(problem: QpProblem) -> SolveResult:
             or np.any((lb == np.inf) | (ub == -np.inf) | (lb > ub))):
         return SolveResult(np.zeros(n), float("nan"), "Infeasible", 0, float("inf"), 0.0,
                            np.zeros(b.size), np.zeros(h.size), np.zeros(n))
-    return _interior_point((P + P.T) / 2, q, E, b, G, h, lb, ub)
-
-
-def _scale_rows(A, v):
-    """The CSR A with its row i multiplied by v[i], its pattern kept."""
-    return scipy.sparse.csr_array((A.data * np.repeat(v, np.diff(A.indptr)), A.indices,
-                                   A.indptr), shape=A.shape)
+    return _interior_point(P if problem.P is None else (P + P.T) / 2, q, E, b, G, h, lb, ub)
 
 
 def _kkt_residuals(P0, q0, B, c, p, lb, ub, x, y, y_bound):
@@ -200,16 +210,10 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
         G = _take(G0, fin)
         B = np.vstack([E, G])
         BT, GT = B.T, G.T
-
-        def gram(w):
-            return (GT * w) @ G
     else:
         G = scipy.sparse.csr_array(G0)[fin]
         B = scipy.sparse.vstack([scipy.sparse.csr_array(E), G], format="csr")
         BT, GT = B.T.tocsr(), G.T.tocsr()
-
-        def gram(w):
-            return (GT @ _scale_rows(G, w)).toarray()
 
     def plus_bounds_t(v, out):
         """out plus the bound rows' part of Cᵀv (v on the rows of C), in place."""
@@ -222,13 +226,7 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
     P, q = P0 * scale, q0 * scale
     tol_prim = IPM_TOLERANCE * (1.0 + np.abs(c).max(initial=0.0))
     tol_dual = IPM_TOLERANCE * (1.0 + np.abs(q).max())
-
-    def factor(w):
-        """`_kkt_solver` of [P + Cᵀ diag(w) C, Eᵀ; E, 0] at the weights w = z/s."""
-        H = P + gram(w[:mg]) if mg else P.copy()
-        H[U, U] += w[mg:mg + U.size]
-        H[L, L] += w[mg + U.size:]
-        return _kkt_solver(H, E, IPM_REGULARIZATION)
+    factor = _kkt_factor(P, E, G, U, L)[0]
 
     # the iterate v = (x, ν, z, s), from x = 0, ν = 0, z = s = 1: ν are the
     # duals of E, z those of the rows of C and s their slacks
@@ -429,6 +427,88 @@ def _polish_step(P, q, A, b, start):
     if not np.all(np.isfinite(sol[:n])):
         return None
     return sol
+
+
+def _kkt_factor(P, E, G, U, L):
+    """The interior point's factor of K = [H + δI, Eᵀ; E, −δI], δ =
+    IPM_REGULARIZATION and H = P + Gᵀ diag(w_G) G + D, at the weights w = z/s
+    on the rows of G (w_G), then on the bounds U and L, which D puts on the
+    diagonal. P and E are dense, G dense or CSR.
+
+    The core is the columns that P and E leave at zero and that G holds, in no
+    more of its rows than the median column: the scenario auxiliaries. Ordered
+    by the last row of G that holds them, ties by index, their block of H is
+    banded; a banded LU (`dgbtrf`) eliminates them, and `_kkt_solver` factors
+    the Schur complement on the other columns, the border, with E. H itself is
+    never formed. Returns (factor, kd): factor(w) is v ↦ K⁻¹v, or None at a
+    zero pivot, and kd the core's half-bandwidth, None when the core is empty
+    and factor(w) is `_kkt_solver` of H with E."""
+    n, mg = P.shape[0], G.shape[0]
+    core = np.zeros(0, dtype=int)
+    if mg:
+        Gs = scipy.sparse.csr_array(G)
+        count = np.bincount(Gs.indices, minlength=n)
+        core = np.flatnonzero(~P.any(axis=0) & ~E.any(axis=0) & (count > 0)
+                              & (count <= np.median(count)))
+    if not core.size:
+        G = G if isinstance(G, np.ndarray) else G.toarray()
+
+        def factor(w):
+            H = P + (G.T * w[:mg]) @ G if mg else P.copy()
+            H[U, U] += w[mg:mg + U.size]
+            H[L, L] += w[mg + U.size:]
+            return _kkt_solver(H, E, IPM_REGULARIZATION)
+        return factor, None
+
+    border = np.setdiff1d(np.arange(n), core)
+    last = np.full(n, -1)
+    np.maximum.at(last, Gs.indices, np.repeat(np.arange(mg), np.diff(Gs.indptr)))
+    core = core[np.argsort(last[core], kind="stable")]
+    nc, nb = core.size, border.size
+    Gb, Gc = Gs[:, border].toarray(), Gs[:, core]
+    GcT = Gc.T.tocsr()
+    # the core block's entry (i, j) is Σ_r G_ri G_rj w_r over the rows r holding
+    # both; `band` maps w_G to it in dgbtrf's storage, row 2kd + i − j of column
+    # j, below kd rows for the fill of the row interchanges
+    per_row = np.diff(Gc.indptr)
+    row = np.repeat(np.arange(mg), per_row)  # the row of each core entry
+    pairs = per_row[row]
+    a = np.repeat(np.arange(row.size), pairs)  # each core entry with each of its row's, b
+    b = np.repeat(Gc.indptr[row + 1] - np.cumsum(pairs), pairs) + np.arange(pairs.sum())
+    i, j = Gc.indices[a], Gc.indices[b]
+    kd = int(np.abs(i - j).max())
+    ldab = 3 * kd + 1
+    band = scipy.sparse.csr_array((Gc.data[a] * Gc.data[b], (2 * kd + i - j + ldab * j, row[a])),
+                                  shape=(ldab * nc, mg))
+    P_bb, E_b = P[np.ix_(border, border)], E[:, border]
+
+    def factor(w):
+        w_G, d = w[:mg], np.zeros(n)
+        d[U] = w[mg:mg + U.size]
+        d[L] += w[mg + U.size:]
+        ab = (band @ w_G).reshape((ldab, nc), order="F")
+        ab[2 * kd] += d[core] + IPM_REGULARIZATION
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, kd, kd, overwrite_ab=1)
+        if info != 0:
+            return None
+        wGb = w_G[:, None] * Gb
+        H_cb = GcT @ wGb  # the core's block of H with the border
+        X = scipy.linalg.lapack.dgbtrs(lu, kd, kd, H_cb, piv)[0]  # (H_cc + δI)⁻¹ H_cb
+        S = Gb.T @ wGb + P_bb - H_cb.T @ X  # the border's block of H less H_cbᵀ X
+        S[np.diag_indices(nb)] += d[border]
+        schur = _kkt_solver(S, E_b, IPM_REGULARIZATION)
+        if schur is None:
+            return None
+
+        def kkt(v):
+            y = scipy.linalg.lapack.dgbtrs(lu, kd, kd, v[core], piv)[0]
+            sol = schur(np.concatenate([v[border] - H_cb.T @ y, v[n:]]))
+            out = np.empty(v.size)
+            out[border], out[n:] = sol[:nb], sol[nb:]
+            out[core] = y - X @ sol[:nb]
+            return out
+        return kkt
+    return factor, kd
 
 
 def _kkt_solver(H, A, delta):

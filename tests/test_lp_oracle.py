@@ -4,7 +4,9 @@ interior point.
 Every golden case whose assembled problem has no quadratic term is an LP.
 HiGHS solves the same assembled `QpProblem` (its sparse `G`/`A_eq` as they
 are), so a disagreement points at the solver, not at the reformulation. One
-more LP comes from the packaged sample data: a point of a CVaR frontier.
+more LP comes from the packaged sample data, a point of a CVaR frontier, and
+four from a synthetic panel at T=1000, where the interior point eliminates
+thousands of scenario auxiliaries.
 The LPs of `STALLED` are checked the same way: each once ended in
 MaxIterations (or, with an infeasible cap, in SolverFailure) on the LP
 solver of the time.
@@ -60,10 +62,21 @@ def _sample_frontier_lp():
     return _assemble(replace(model, min_return=target), prior)[0]
 
 
+def _panel_lps():
+    """MinimizeRisk LPs at four years of daily returns (T=1000) on `market_panel`."""
+    lps = {}
+    for measure, N in ((M.CDAR, 20), (M.MAX_DRAWDOWN, 20), (M.CVAR, 50),
+                       (M.MEAN_ABSOLUTE_DEVIATION, 50)):
+        prior = fit_prior(None, market_panel(1000, N))
+        lps[f"panel_1000x{N}/minimize_risk/{measure.value}"] = _assemble(
+            MeanRisk(risk_measure=measure), prior)[0]
+    return lps
+
+
 LPS = _lps()
 INFEASIBLE = {"minimize_risk/cvar/infeasible_floor"}
 SAMPLE_FRONTIER_LP = "sample_data/cvar/frontier_target_11_of_12"
-PROBLEMS = {**LPS, SAMPLE_FRONTIER_LP: _sample_frontier_lp()}
+PROBLEMS = {**LPS, SAMPLE_FRONTIER_LP: _sample_frontier_lp(), **_panel_lps()}
 
 
 def _highs(problem):

@@ -132,8 +132,9 @@ def test_variance_with_binding_cap_is_optimal(seed, measure, objective, where):
     # the cap lies halfway between the measure's minimum and its value at the
     # minimum-variance portfolio, or at 1.001 times the minimum, so the problem
     # is strictly feasible. Near the minimum, the interior point's dual residual
-    # on seed 0 / MAD / MinimizeRisk stalls above its tolerance, and the solve
-    # is finished from its best iterate
+    # on seed 0 / MAD / MinimizeRisk can stall above its tolerance (whether it
+    # does turns on the summation order of the factor), and the solve is then
+    # finished from its best iterate
     X, var_min, lowest, at_min_variance = _capped_setup(seed, measure)
     cap = 0.5 * (lowest + at_min_variance) if where == "halfway" else 1.001 * lowest
     model = MeanRisk(objective=objective, risk_caps=[(measure, cap)]).fit(X)
@@ -145,16 +146,19 @@ def test_variance_with_binding_cap_is_optimal(seed, measure, objective, where):
 
 
 def test_stalled_run_without_the_finish_returns_its_best_iterate(monkeypatch):
-    # the near-minimum MAD cap of seed 0 / MinimizeRisk: the interior point
-    # stalls above its dual tolerance for all its iterations, but its best
-    # iterate meets EPS_ABS/EPS_REL, so even without the finish the result is
-    # Optimal, and that iterate
+    # the near-minimum MAD cap of seed 0 / MinimizeRisk under an IPM_TOLERANCE
+    # below the rounding of its residuals: the interior point stalls above its
+    # tolerance for all its iterations, but its best iterate meets
+    # EPS_ABS/EPS_REL, so even without the finish the result is Optimal, and
+    # that iterate. (At IPM_TOLERANCE itself it stalls or converges in 18
+    # iterations by the summation order of its factor.)
     mad = RiskMeasure.MEAN_ABSOLUTE_DEVIATION
     X, var_min, lowest, _ = _capped_setup(0, mad)
     cap = 1.001 * lowest
     prior = MeanRisk().fit(X).prior_
     problem, w_idx, _ = _assemble(MeanRisk(risk_caps=[(mad, cap)]), prior)
     monkeypatch.setattr(quantfolio.solver, "_finish", lambda *args: None)
+    monkeypatch.setattr(quantfolio.solver, "IPM_TOLERANCE", 1e-16)
     res = solve(problem)
     assert res.status == "Optimal"
     assert res.iterations == quantfolio.solver.IPM_MAX_ITERATIONS
