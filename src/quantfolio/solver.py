@@ -17,12 +17,12 @@ q are normalised by their largest entry. The iteration starts from x = 0,
 the reduced KKT matrix [P + Gᵀ diag(z/s) G + D, Eᵀ; E, 0], D the bounds' z/s
 on the diagonal, once (`_kkt_factor`), and solves it for the predictor and
 the corrector. The bounds never exist as rows: their products with C are
-gathers and scatters. [E; G] is one matrix for the products, dense up to
-IPM_DENSE_CELLS cells, where dense products cost less per call, and CSR
-above, where the long sparse row blocks of CVaR, MAD and drawdown LPs and
-caps make CSR products cheaper. The iterations stop at the relative
-tolerance IPM_TOLERANCE, at IPM_MAX_ITERATIONS, or at a non-finite iterate,
-without a floating-point warning.
+gathers and scatters. [E; G] is one CSR matrix for the products when G has
+rows, the long sparse row blocks of CVaR, MAD and drawdown LPs and caps;
+a problem with no G, such as a budget-and-box QP, keeps E alone dense. The
+iterations stop at the relative tolerance IPM_TOLERANCE, at
+IPM_MAX_ITERATIONS, or at a non-finite iterate, without a floating-point
+warning.
 
 `_kkt_factor` splits the columns once per solve. The core is the scenario
 auxiliaries of the epigraph blocks (drawdown peaks, CVaR and CDaR tails,
@@ -52,29 +52,32 @@ never loads it.
 
 The finish exists because an interior point is accurate only to its
 tolerance (along the flat directions of an ill-conditioned covariance its
-weights can be off by 1e-5). `_finish` fixes each variable it guesses at a
-bound exactly there (+0.0, never −0.0), makes one regularised KKT solve
-(`_polish_step`) on the free variables with E and every row of G it guesses
-active, in row order, and reads each bound's multiplier off the gradient.
-No row is pruned, and refinement against the unregularised system removes
-the regularisation, as OSQP's polishing does (Stellato et al., Math. Prog.
-Comp. 2020). For up to FINISH_ROUNDS rounds a violated bound or row then
-joins the guess and one with a wrong-signed multiplier leaves it. The guess
-is the bounds and rows whose slack is below their dual (s < z), of a
-variable guessed at both bounds only the side with the larger dual; the
-solve refines from the interior point, so a direction the guess leaves
-free, such as the auxiliaries of a loose CVaR or MAD cap, keeps a feasible
-value. It gathers rows straight from the CSR arrays (`_dense_rows`), since
-on small problems Python calls cost more than arithmetic.
+weights can be off by 1e-5). It guesses the rows of C active at the
+optimum: those whose slack is below their dual (s < z), of a variable
+guessed at both bounds only the side with the larger dual. `_finish` then
+solves on the interior point's own factor, once per round: a weight 1/δ on
+each guessed row and 0 on the others, δ = FINISH_REGULARIZATION, makes the
+reduced matrix that of [P, C_actᵀ; C_act, −δI] with E (and the iteration's
+IPM_REGULARIZATION), the rows' multipliers eliminated as the iteration
+eliminates them. Rows are not
+pruned, so dependent ones are fine, and the bounds of the variables it
+fixes are rows of the guess like any other. Refinement from the interior
+point against the unregularised system, with the iteration's products,
+removes the regularisation, as OSQP's polishing does (Stellato et al.,
+Math. Prog. Comp. 2020), and stops once a correction is below rounding;
+a direction the guess leaves free, such as the auxiliaries of a loose CVaR
+or MAD cap, keeps a feasible value. Each variable guessed at a bound is
+then set exactly there (+0.0, never −0.0), and its multiplier read off the
+gradient. For up to FINISH_ROUNDS rounds a violated row then joins the
+guess and one with a wrong-signed multiplier leaves it.
 
-The iteration and the finish share `_kkt_solver`, which builds
-[H + δI, Aᵀ; A, −δI] dense in LAPACK's column order, factors it once with
-`dgetrf` and solves with `dgetrs` (the routines inside `lu_factor` and
-`lu_solve`, without their per-call checks): the iteration on the border's
-Schur complement (or, with no core, H = P + Gᵀ diag(z/s) G + D), E and
-IPM_REGULARIZATION, the finish on its free block of P, its active rows and
-FINISH_REGULARIZATION. The matrix is quasi-definite, so it factors even when
-the rows are dependent (Vanderbei, SIAM J. Optim. 1995).
+`_kkt_solver` builds [H + δI, Aᵀ; A, −δI] dense in LAPACK's column order,
+factors it once with `dgetrf` and solves with `dgetrs` (the routines inside
+`lu_factor` and `lu_solve`, without their per-call checks), with A = E and
+δ = IPM_REGULARIZATION: H is the border's Schur complement, or, for a
+problem with no core, P + Gᵀ diag(w_G) G + D. The matrix is quasi-definite,
+so it factors even when the rows are dependent (Vanderbei, SIAM J. Optim.
+1995).
 """
 
 from __future__ import annotations
@@ -94,11 +97,6 @@ IPM_MAX_ITERATIONS = 100
 IPM_TOLERANCE = 1e-9  # relative, on the problem normalised by its largest P or q entry
 IPM_REGULARIZATION = 1e-12  # keeps the reduced KKT matrix nonsingular
 FINISH_REGULARIZATION = 1e-9  # the finish's δ, removed by its refinement
-# [E; G] is dense up to this many cells, else CSR, for the products with
-# x and the duals only: the factor reads G's pattern either way. A dense
-# product costs less per call on small blocks, a CSR one on the long sparse
-# row blocks of CVaR, MAD and drawdown LPs and caps
-IPM_DENSE_CELLS = 1 << 16
 FINISH_ROUNDS = 4
 # the finish corrects a larger bound or row violation or wrong-signed multiplier
 FINISH_TOLERANCE = 1e-12
@@ -205,15 +203,14 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
     p, mg = b.size, fin.size
     m = mg + U.size + L.size
     c = np.concatenate([b, h[fin], ub[U], -lb[L]])
-    E = _take(E0, np.arange(p))
-    if (p + mg) * n <= IPM_DENSE_CELLS:
-        G = _take(G0, fin)
-        B = np.vstack([E, G])
-        BT, GT = B.T, G.T
-    else:
+    E = E0 if isinstance(E0, np.ndarray) else E0.toarray()
+    if mg:
         G = scipy.sparse.csr_array(G0)[fin]
         B = scipy.sparse.vstack([scipy.sparse.csr_array(E), G], format="csr")
         BT, GT = B.T.tocsr(), G.T.tocsr()
+    else:
+        G = np.zeros((0, n))
+        B, BT, GT = E, E.T, G.T
 
     def plus_bounds_t(v, out):
         """out plus the bound rows' part of Cᵀv (v on the rows of C), in place."""
@@ -228,6 +225,22 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
     tol_dual = IPM_TOLERANCE * (1.0 + np.abs(q).max())
     factor = _kkt_factor(P, E, G, U, L)[0]
 
+    def residual(x, y):
+        """Px, then the residuals at x and the multipliers y = (ν, y_C) of the
+        rows of E and C: of stationarity, Px + q + Eᵀν + Cᵀy_C, and of the
+        rows, (E x − b, C x − d)."""
+        Px = P @ x
+        return (Px, Px + q + plus_bounds_t(y[p:], BT @ y[:p + mg]),
+                np.concatenate([B @ x, x[U], -x[L]]) - c)
+
+    def newton(kkt, w, t, r_d, r_e):
+        """The step (dx, dν, dy) on the stationarity and E residuals r_d and
+        r_e, with `kkt` the factor at the weights w of the rows of C, whose
+        multipliers it eliminates as dy = w∘C dx + t; then C dx."""
+        dv = kkt(np.concatenate([-r_d - plus_bounds_t(t, GT @ t[:mg]), -r_e]))
+        Cdx = np.concatenate([G @ dv[:n], dv[U], -dv[L]])
+        return np.concatenate([dv, w * Cdx + t]), Cdx
+
     # the iterate v = (x, ν, z, s), from x = 0, ν = 0, z = s = 1: ν are the
     # duals of E, z those of the rows of C and s their slacks
     v = np.concatenate([np.zeros(n + p), np.ones(2 * m)])
@@ -238,9 +251,7 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
         for k in range(IPM_MAX_ITERATIONS + 1):
             x, dual, zs = v[:n], v[n:n + p + m], v[n + p:]
             z, s = zs[:m], zs[m:]
-            Px = P @ x
-            r_d = Px + q + plus_bounds_t(z, BT @ dual[:p + mg])
-            r_p = np.concatenate([B @ x, x[U], -x[L]]) - c
+            Px, r_d, r_p = residual(x, dual)
             r_p[p:] += s
             gap = s @ z
             r_p_max, r_d_max = np.abs(r_p).max(initial=0.0), np.abs(r_d).max(initial=0.0)
@@ -260,12 +271,8 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
             def direction(r_c):
                 """Newton step (dx, dν, dz, ds) on the residuals, with the
                 complementarity target s∘z − r_c."""
-                t = (z * r_i - r_c) / s
-                rhs = np.concatenate([-r_d - plus_bounds_t(t, GT @ t[:mg]), -r_e])
-                dv = kkt(rhs)
-                dx = dv[:n]
-                Cdx = np.concatenate([G @ dx, dx[U], -dx[L]])  # C dx
-                return np.concatenate([dv, w * Cdx + t, -r_i - Cdx])
+                dv, Cdx = newton(kkt, w, (z * r_i - r_c) / s, r_d, r_e)
+                return np.concatenate([dv, -r_i - Cdx])
 
             def max_step(dv):
                 """Largest α ≤ 1 with z + α dz ≥ 0 and s + α ds ≥ 0 (z, s > 0)."""
@@ -286,35 +293,30 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
 
     rows_c = c[:p + mg]  # the right-hand side of the rows of B
 
-    def point(v):
+    def outcome(x, y):
         """x, the duals of the rows of B and the bound multipliers (> 0 at ub,
-        < 0 at lb) at the iterate v."""
-        return v[:n], v[n:n + p + mg], plus_bounds_t(v[n + p:n + p + m], np.zeros(n))
+        < 0 at lb) at x and y = (ν, y_C), then their unscaled residuals."""
+        y_rows, y_bound = y[:p + mg], plus_bounds_t(y[p:], np.zeros(n))
+        return (x, y_rows, y_bound) + _kkt_residuals(P0, q0, B, rows_c, p, lb, ub, x,
+                                                      y_rows / scale, y_bound / scale)
 
-    def residuals(x, y, y_bound):
-        return _kkt_residuals(P0, q0, B, rows_c, p, lb, ub, x, y / scale, y_bound / scale)
-
-    def finish(v):
-        """The finish from the iterate v on the bounds and rows whose slack is
-        below their dual: its (x, y, y_bound) followed by their residuals, or None."""
-        x, y, y_bound = point(v)
-        act = v[n + p + m:] < v[n + p:n + p + m]
-        at_ub, at_lb = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        at_ub[U[act[mg:mg + U.size]]] = True
-        at_lb[L[act[mg + U.size:]]] = True
-        # a variable guessed at both bounds keeps the side with the larger dual
-        both = at_ub & at_lb
-        at_ub[both] = y_bound[both] > 0.0
-        at_lb[both] = ~at_ub[both]
-        finished = _finish(P, q, B, rows_c, p, lb, ub, x, y, act[:mg], at_lb, at_ub)
-        return None if finished is None else finished + residuals(*finished)
-
-    # the best iterate (a converged run's last), or its finish when that is no worse
-    result = point(best_v)
-    result += residuals(*result)
-    finished = finish(best_v)
-    if finished is not None and max(finished[3:6]) <= max(result[3:6]) + 1e-12:
-        result = finished
+    # the best iterate (a converged run's last), or the finish from it when
+    # that is no worse. The finish guesses the rows of C whose slack is below
+    # their dual, and of a variable guessed at both bounds only the side with
+    # the larger dual
+    x, y = best_v[:n], best_v[n:n + p + m]
+    result = outcome(x, y)
+    act = best_v[n + p + m:] < y[p:]
+    at_ub, at_lb = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    at_ub[U[act[mg:mg + U.size]]] = True
+    at_lb[L[act[mg + U.size:]]] = True
+    act[mg:mg + U.size] &= ~(at_lb & (result[2] <= 0.0))[U]
+    act[mg + U.size:] &= ~(at_ub & (result[2] > 0.0))[L]
+    finished = _finish(factor, residual, newton, c, p, U, L, x, y, act)
+    if finished is not None:
+        finished = outcome(*finished)
+        if max(finished[3:6]) <= max(result[3:6]) + 1e-12:
+            result = finished
     x, y, y_bound, r_prim, r_dual, r_comp, prim_scale, dual_scale = result
     if (r_prim <= EPS_ABS + EPS_REL * prim_scale
             and max(r_dual, r_comp) <= EPS_ABS + EPS_REL * dual_scale):
@@ -328,42 +330,53 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
                        y_eq=y[:p] / scale, y_ineq=y_ineq, y_bound=y_bound / scale)
 
 
-def _finish(P, q, B, c, p, lb, ub, x, y, active, at_lb, at_ub):
-    """Active-set finish of an interior point (x, y) of the normalised problem
-    (P an n×n array, zero for an LP) on the rows B = [E; G] (the first p
-    equalities, right-hand side c) and lb ≤ x ≤ ub, from the guesses `at_lb`
-    and `at_ub` of the variables at a bound and `active` of the rows of G.
-    Returns (x, y, y_bound), y on the rows of B, or None."""
-    G, h = B[p:], c[p:]
+def _finish(factor, residual, newton, c, p, U, L, x, y, act):
+    """Active-set finish of an interior point (x, y) of the normalised problem,
+    y = (ν, y_C) the multipliers of E x = b and C x ≤ d (c = (b, d); C is the
+    rows of G, then U's upper bounds and L's lower ones), from the guess `act`
+    of the rows of C active at the optimum. `factor`, `residual` and `newton`
+    are the interior point's. Returns the finished (x, y), or None."""
+    n, m = x.size, act.size
+    iu, il = m - U.size - L.size, m - L.size  # where U's and then L's rows of C start
+    d, eps = c[p:], np.finfo(float).eps
     for _ in range(FINISH_ROUNDS):
-        fixed = at_lb | at_ub
-        free = np.flatnonzero(~fixed)
-        x_new = np.where(at_ub, ub, np.where(at_lb, lb, x)) + 0.0
-        x_fixed = np.where(fixed, x_new, 0.0)
-        # E's rows and the active rows of G, dependent or not, in row order
-        idx = np.concatenate([np.arange(p), p + np.flatnonzero(active)])
-        rows = _take(B, idx)
-        sol = _polish_step(P[np.ix_(free, free)], q[free] + P[free] @ x_fixed, rows[:, free],
-                           c[idx] - rows @ x_fixed, np.concatenate([x[free], y[idx]]))
-        if sol is None or not np.all(np.isfinite(sol)):
+        # the guessed rows weighted 1/δ, the others left out: `factor` then
+        # factors [P, C_actᵀ; C_act, −δI] with E, its rows' multipliers
+        # eliminated
+        w = np.where(act, 1.0 / FINISH_REGULARIZATION, 0.0)
+        kkt = factor(w)
+        if kkt is None:
             return None
-        x_new[free] = sol[:free.size]
-        y_new = np.zeros(y.size)
-        y_new[idx] = sol[free.size:]
-        y_bound = np.where(fixed, -(P @ x_new + q + B.T @ y_new), 0.0)
+        at_ub, at_lb = act[iu:il], act[il:]
+        fixed = np.concatenate([U[at_ub], L[at_lb]])
+        bound = np.concatenate([d[iu:il][at_ub], -d[il:][at_lb]])
+        x_new, y_new = x.copy(), y.copy()
+        x_new[fixed] = bound
+        y_new[p:][~act] = 0.0
+        # refinement against the unregularised system removes δ (OSQP's
+        # polishing), until a correction is below rounding
+        for _ in range(POLISH_REFINE_STEPS + 1):
+            _, r_d, r_p = residual(x_new, y_new)
+            dv = newton(kkt, w, w * r_p[p:], r_d, r_p[:p])[0]
+            x_new, y_new = x_new + dv[:n], y_new + dv[n:]
+            if np.abs(dv[:n]).max(initial=0.0) <= eps * np.abs(x_new).max(initial=0.0):
+                break
+        if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
+            return None
+        # each variable guessed at a bound exactly there (+0.0, never −0.0),
+        # and its multiplier read off the gradient
+        x_new[fixed] = bound
+        x_new += 0.0
+        y_new[p + iu:] = 0.0
+        _, r_d, r_p = residual(x_new, y_new)
+        y_new[p + iu:p + il][at_ub], y_new[p + il:][at_lb] = -r_d[U[at_ub]], r_d[L[at_lb]]
         tol = FINISH_TOLERANCE
-        y_tol = tol * max(1.0, np.abs(y_new).max(initial=0.0), np.abs(y_bound).max())
-        add = ~active & (G @ x_new - h > tol * (1.0 + np.abs(h)))
-        drop = active & (y_new[p:] < -y_tol)
-        add_ub = ~at_ub & (x_new - ub > tol * (1.0 + np.abs(ub)))
-        add_lb = ~at_lb & (lb - x_new > tol * (1.0 + np.abs(lb)))
-        drop_ub = at_ub & (y_bound < -y_tol)
-        drop_lb = at_lb & (y_bound > y_tol)
-        if not any(v.any() for v in (add, drop, add_ub, add_lb, drop_ub, drop_lb)):
-            return x_new, y_new, y_bound
-        active = (active | add) & ~drop
-        at_ub = (at_ub | add_ub) & ~drop_ub
-        at_lb = (at_lb | add_lb) & ~drop_lb
+        y_tol = tol * max(1.0, np.abs(y_new).max(initial=0.0))
+        add = ~act & (r_p[p:] > tol * (1.0 + np.abs(d)))
+        drop = act & (y_new[p:] < -y_tol)
+        if not (add.any() or drop.any()):
+            return x_new, y_new
+        act = (act | add) & ~drop
     return None
 
 
@@ -381,52 +394,14 @@ def _classify(P, q, E, b, G, h, lb, ub):
                               method="highs").status == 2:
         return "Infeasible"
     ub_rows = dict(A_ub=G, b_ub=np.zeros(h.size)) if h.size else {}
+    rows = np.vstack([P[P.any(axis=1)], E])  # Pd = 0 holds on P's zero rows
+    eq = dict(A_eq=rows, b_eq=np.zeros(rows.shape[0])) if rows.shape[0] else {}
     cone = np.column_stack([np.where(np.isfinite(lb), 0.0, -1.0),
                             np.where(np.isfinite(ub), 0.0, 1.0)])
-    ray = scipy.optimize.linprog(q, **ub_rows, A_eq=np.vstack([P, E]),
-                                 b_eq=np.zeros(n + b.size), bounds=cone, method="highs")
+    ray = scipy.optimize.linprog(q, **ub_rows, **eq, bounds=cone, method="highs")
     if ray.status == 0 and ray.fun < -EPS_INFEAS:
         return "Unbounded"
     return "MaxIterations"
-
-
-def _dense_rows(A, idx):
-    """Dense copy of the rows `idx` of the CSR matrix A, in the order of `idx`
-    (repeats allowed): `A[idx].toarray()` without building the CSR slice.
-    A holds no duplicate entries: `_block` sums them in every input CSR."""
-    counts = A.indptr[idx + 1] - A.indptr[idx]
-    # the positions in A.data of each picked row's entries, row after row
-    pos = np.repeat(A.indptr[idx + 1] - np.cumsum(counts), counts) + np.arange(counts.sum())
-    out = np.zeros((idx.size, A.shape[1]))
-    out[np.repeat(np.arange(idx.size), counts), A.indices[pos]] = A.data[pos]
-    return out
-
-
-def _take(M, idx):
-    """Dense copy of the rows `idx` of M, a dense array or a CSR matrix."""
-    return M[idx] if isinstance(M, np.ndarray) else _dense_rows(M, idx)
-
-
-def _polish_step(P, q, A, b, start):
-    """Equality-solve the KKT system on the rows A x = b; returns the solution
-    (x, then the rows' multipliers) or None. P is the Hessian, zero for an LP.
-    Refinement runs from `start` against the unregularised system, as
-    products with P and A: a direction the rows leave free keeps its value."""
-    n = q.size
-    kkt = _kkt_solver(P, A, FINISH_REGULARIZATION)
-    if kkt is None:
-        return None
-
-    def residual(v):
-        """[−q; b] less the unregularised [P, Aᵀ; A, 0] times v."""
-        return np.concatenate([-q - P @ v[:n] - A.T @ v[n:], b - A @ v[:n]])
-
-    sol = start + kkt(residual(start))
-    for _ in range(POLISH_REFINE_STEPS):
-        sol = sol + kkt(residual(sol))
-    if not np.all(np.isfinite(sol[:n])):
-        return None
-    return sol
 
 
 def _kkt_factor(P, E, G, U, L):

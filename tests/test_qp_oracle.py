@@ -167,28 +167,6 @@ def test_stalled_run_without_the_finish_returns_its_best_iterate(monkeypatch):
     assert w @ prior.sigma @ w >= var_min * (1.0 - 1e-9)
 
 
-@pytest.mark.parametrize("T, measure", [(250, RiskMeasure.CVAR),
-                                        (250, RiskMeasure.MEAN_ABSOLUTE_DEVIATION),
-                                        (100, RiskMeasure.CVAR)])
-def test_dense_and_csr_rows_reach_the_same_point(T, measure, monkeypatch):
-    # at T=250 the capped QP's rows [A_eq; G] exceed IPM_DENSE_CELLS, so the
-    # interior point runs on CSR rows, and at T=100 they do not; forced onto
-    # CSR rows and then onto dense rows it reaches the same finished point.
-    # At T=100 the CVaR case took 33 iterations on CSR rows and 16 on dense
-    # rows from a least-squares start
-    X, _, lowest, at_min_variance = _capped_setup(0, measure, T)
-    model = MeanRisk(risk_caps=[(measure, 0.5 * (lowest + at_min_variance))])
-    problem, _, _ = _assemble(model, MeanRisk().fit(X).prior_)
-    cells = (problem.A_eq.shape[0] + problem.G.shape[0]) * problem.dimensions()
-    assert (cells > quantfolio.solver.IPM_DENSE_CELLS) == (T == 250)
-    monkeypatch.setattr(quantfolio.solver, "IPM_DENSE_CELLS", 0)
-    csr = solve(problem)
-    monkeypatch.setattr(quantfolio.solver, "IPM_DENSE_CELLS", cells * 2)
-    dense = solve(problem)
-    assert csr.status == dense.status == "Optimal"
-    assert np.abs(csr.x - dense.x).max() <= 1e-9
-
-
 @pytest.mark.parametrize("measure", [RiskMeasure.CVAR, RiskMeasure.MEAN_ABSOLUTE_DEVIATION])
 def test_cap_below_the_measure_minimum_is_infeasible(measure):
     X, _, lowest, _ = _capped_setup(0, measure)
@@ -289,7 +267,7 @@ def test_ratio_variance_with_cdar_cap_binds():
 
 
 @pytest.mark.parametrize("change", ["missing_row", "extra_row"])
-def test_finish_corrects_a_wrong_active_set(change):
+def test_finish_corrects_a_wrong_active_set(change, monkeypatch):
     # the finish started from a wrong guess: a lower bound active at the
     # optimum left out (it is violated and joins), or the lower bound of a
     # positive weight put in (its multiplier has the wrong sign and it leaves)
@@ -306,9 +284,20 @@ def test_finish_corrects_a_wrong_active_set(change):
         lower[at_zero[0]] = False
     else:
         lower[positive[0]] = True
-    # the budget row is the one row, an equality (p = 1)
-    x, _, y_bound = _finish(problem.P, problem.q, problem.A_eq, problem.b_eq, 1, problem.lb,
-                            problem.ub, np.zeros(n), np.zeros(1), np.zeros(0, dtype=bool),
-                            lower, np.zeros(n, dtype=bool))
+    finished = []
+
+    def finish(factor, residual, newton, c, p, U, L, x, y, act):
+        # the rows of C are the n upper bounds, then the n lower ones; the
+        # budget row is the one row of E (p = 1). The finish starts from 0
+        assert (p, act.size) == (1, 2 * n)
+        guess = np.concatenate([np.zeros(n, dtype=bool), lower])
+        finished.append(_finish(factor, residual, newton, c, p, U, L, np.zeros(n),
+                                np.zeros(y.size), guess))
+        return finished[-1]
+
+    monkeypatch.setattr(quantfolio.solver, "_finish", finish)
+    solve(problem)
+    x, y = finished[0]
+    y_bound = y[1:n + 1] - y[n + 1:]
     np.testing.assert_allclose(x, x_star, rtol=0, atol=1e-9)
     assert np.all(y_bound <= 1e-12)  # lower-bound multipliers

@@ -15,8 +15,7 @@ from quantfolio.exceptions import QuantfolioError
 from quantfolio.mean_risk import MeanRisk, ObjectiveFunction, _assemble
 from quantfolio.measures import RiskMeasure
 from quantfolio.priors import Prior
-from quantfolio.solver import (QpProblem, _dense_rows, _finish, _kkt_factor, _kkt_solver,
-                               solve)
+from quantfolio.solver import QpProblem, _finish, _kkt_factor, _kkt_solver, solve
 
 from conftest import block_residuals, market_panel, random_psd
 from test_golden_weights import _cases, _prior
@@ -226,35 +225,9 @@ def _cdar_problem():
     return _assemble(MeanRisk(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CDAR), prior)[0]
 
 
-def _cdar_rows():
-    """The CSR rows [A_eq; G] of `_cdar_problem`, as the interior point keeps them."""
-    problem = _cdar_problem()
-    return scipy.sparse.vstack([problem.A_eq, problem.G], format="csr")
-
-
-@pytest.mark.parametrize("kind", ["empty_idx", "repeats", "empty_rows", "drawdown"])
-def test_dense_rows_matches_csr_slice(kind):
-    rng = np.random.default_rng(3)
-    if kind == "drawdown":
-        A = _cdar_rows()
-        idx = rng.integers(0, A.shape[0], 400)
-    else:
-        dense = rng.normal(size=(12, 7)) * (rng.random((12, 7)) < 0.4)
-        dense[[2, 5, 11]] = 0.0  # rows with no stored entry
-        A = scipy.sparse.csr_array(dense)
-        idx = {"empty_idx": np.array([], dtype=int),
-               "repeats": np.array([3, 3, 0, 7, 3, 11, 0]),
-               "empty_rows": np.array([2, 4, 5, 11, 1])}[kind]
-    got = _dense_rows(A, idx)
-    assert got.shape == (idx.size, A.shape[1])
-    assert np.array_equal(got, A[idx].toarray())
-
-
-@pytest.mark.parametrize("dense_cells", [1 << 16, 0], ids=["dense", "csr"])
-def test_csr_with_duplicate_entries_is_summed(dense_cells, monkeypatch):
-    # x₀ + x₁ ≤ 1 stored as four halves, two per column: each branch solves
-    # the summed row, as HiGHS does, and the caller's arrays keep their values
-    monkeypatch.setattr(quantfolio.solver, "IPM_DENSE_CELLS", dense_cells)
+def test_csr_with_duplicate_entries_is_summed():
+    # x₀ + x₁ ≤ 1 stored as four halves, two per column: the solve takes the
+    # summed row, as HiGHS does, and the caller's arrays keep their values
     G = scipy.sparse.csr_array(([0.5, 0.5, 0.5, 0.5], [0, 0, 1, 1], [0, 4]), shape=(1, 2))
     stored = [a.copy() for a in (G.data, G.indices, G.indptr)]
     q = np.array([-1.0, -2.0])
@@ -267,35 +240,34 @@ def test_csr_with_duplicate_entries_is_summed(dense_cells, monkeypatch):
         assert np.array_equal(before, after)
 
 
-@pytest.mark.parametrize("dense_cells", [1 << 16, 0], ids=["dense", "csr"])
-def test_finish_solves_on_dependent_active_rows(dense_cells, monkeypatch):
+def test_finish_solves_on_dependent_active_rows(monkeypatch):
     # an LP whose vertex (0.6, 0, 0.5, 0) has a repeated equality row, a
     # duplicated inequality row and a row equal to the sum of two others, all
-    # active: the finish sends the six rows to one KKT solve on the two free
-    # variables, and its point is the Optimal result
-    monkeypatch.setattr(quantfolio.solver, "IPM_DENSE_CELLS", dense_cells)
+    # active: the finish weights all four rows of G, dependent or not, in one
+    # factor of the interior point's matrix, and its point is the Optimal
+    # result
     ra, rb = np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0, 0.0])
     problem = QpProblem(q=np.array([-3.0, -2.0, -1.0, 0.0]),
                         A_eq=np.ones((2, 4)), b_eq=np.array([1.1, 1.1]),
                         G=np.array([ra, ra, rb, ra + rb]), h=np.array([0.6, 0.6, 0.5, 1.1]),
                         lb=np.zeros(4))
-    polish_step, finish = quantfolio.solver._polish_step, quantfolio.solver._finish
-    shapes, finished = [], []
+    weights, finished = [], []
 
-    def recording_step(P, q, A, b, start):
-        shapes.append(A.shape)
-        return polish_step(P, q, A, b, start)
+    def finish(factor, *args):
+        finished.append(_finish(lambda w: weights.append(w.copy()) or factor(w), *args))
+        return finished[-1]
 
-    monkeypatch.setattr(quantfolio.solver, "_polish_step", recording_step)
-    monkeypatch.setattr(quantfolio.solver, "_finish",
-                        lambda *args: finished.append(finish(*args)) or finished[-1])
+    monkeypatch.setattr(quantfolio.solver, "_finish", finish)
     res = solve(problem)
     highs = scipy.optimize.linprog(problem.q, A_ub=problem.G, b_ub=problem.h,
                                    A_eq=problem.A_eq, b_eq=problem.b_eq, bounds=(0.0, None),
                                    method="highs")
     assert (res.status, highs.status) == ("Optimal", 0)
     assert abs(res.objective - highs.fun) <= 1e-8 * max(1.0, abs(highs.fun))
-    assert shapes[-1] == (6, 2) and np.array_equal(res.x, finished[-1][0])
+    w = weights[-1]  # the rows of G, then the lower bounds of x₀ … x₃
+    assert np.all(w[:4] == 1.0 / quantfolio.solver.FINISH_REGULARIZATION)
+    assert np.array_equal(w[4:] != 0.0, [False, True, False, True])
+    assert np.array_equal(res.x, finished[-1][0])
     r_prim, r_dual, prim_scale, dual_scale = block_residuals(problem, res)
     assert r_prim <= 1e-12 * prim_scale and r_dual <= 1e-12 * dual_scale
     assert np.all(res.y_ineq >= 0.0)
@@ -346,18 +318,23 @@ def test_each_iteration_makes_one_factorization(monkeypatch):
     assert len(factored) == res.iterations
 
 
+def _cdar_prior(T, N):
+    """The prior of a CDaR LP at T scenarios of N assets."""
+    rng = np.random.default_rng(0)
+    S = rng.normal(5e-4, 0.01, (T, N)) + rng.normal(0.0, 0.01, (T, 1))
+    return Prior(mu=S.mean(axis=0), sigma=np.cov(S, rowvar=False), scenarios=S)
+
+
 def test_cdar_chained_block_shape_and_solve():
     # CDaR at T=300, N=5: the chained block has 3T − 1 = 899 rows over the
     # weights, T peaks, α and T auxiliaries; its peak rows hold N entries of
     # C_t and p_t, its chain rows p_{t−1} and p_t, its loss rows N entries and
-    # p_t, α and z_t. Assembly and the solve stay under 16 arrays of the n×n
-    # reduced KKT matrix's size (measured: 6.2; 7.3 while LAPACK copied a
-    # C-order KKT matrix at each factorisation, and 11.3 while the finish
-    # kept a dense unregularised copy of its KKT matrix for refinement)
+    # p_t, α and z_t. Assembly and the solve stay under 3 arrays of the n×n
+    # reduced KKT matrix's size (measured: 2.4, most of it the LP's zero P
+    # and its scaled copy; 3.7 while the finish gathered its active rows
+    # dense and factored its own (n + k)² matrix)
     T, N = 300, 5
-    rng = np.random.default_rng(0)
-    S = rng.normal(5e-4, 0.01, (T, N)) + rng.normal(0.0, 0.01, (T, 1))
-    prior = Prior(mu=S.mean(axis=0), sigma=np.cov(S, rowvar=False), scenarios=S)
+    prior = _cdar_prior(T, N)
     tracemalloc.start()
     try:
         problem, _, _ = _assemble(MeanRisk(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CDAR),
@@ -370,7 +347,25 @@ def test_cdar_chained_block_shape_and_solve():
     assert scipy.sparse.issparse(G) and G.shape == (3 * T - 1, N + 2 * T + 1) and n == G.shape[1]
     assert (G != 0).sum() == T * (N + 1) + 2 * (T - 1) + T * (N + 3)
     assert res.status == "Optimal"
-    assert peak < 16 * n * n * 8
+    assert peak < 3 * n * n * 8
+
+
+def test_cdar_solve_factors_no_more_than_the_border_with_e(monkeypatch):
+    # CDaR at T=300, N=5: the banded factor eliminates the T peaks and T
+    # auxiliaries, in the iterations and in the finish alike, so every dense
+    # factor is of the border (the N weights and α) with E's rows, never of
+    # the ≈ n + k rows of the finish's active set
+    T, N = 300, 5
+    problem, _, _ = _assemble(MeanRisk(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CDAR),
+                              _cdar_prior(T, N))
+    kkt_solver, sizes = quantfolio.solver._kkt_solver, []
+    monkeypatch.setattr(quantfolio.solver, "_kkt_solver",
+                        lambda H, A, delta: sizes.append(H.shape[0] + A.shape[0])
+                        or kkt_solver(H, A, delta))
+    res = solve(problem)
+    assert res.status == "Optimal"
+    assert len(sizes) > res.iterations  # the finish's factor too
+    assert max(sizes) <= N + 1 + problem.A_eq.shape[0]
 
 
 @pytest.mark.parametrize("n, k, lp", [(4, 0, False), (4, 3, False), (3, 5, True),
@@ -457,24 +452,21 @@ def test_kkt_factor_matches_a_dense_solve(name):
 def test_failed_finish_makes_at_most_finish_rounds_kkt_solves(monkeypatch):
     # the LP of the golden case minimize_risk/cvar/infeasible_floor: the
     # interior point ends unconverged, the finish from its best iterate fails,
-    # making no more KKT solves than it has correction rounds, and HiGHS
-    # classifies the LP
+    # factoring the interior point's matrix no more often than it has
+    # correction rounds, and HiGHS classifies the LP
     objective, measure, cons, extra = _cases()["minimize_risk/cvar/infeasible_floor"]
     problem, _, _ = _assemble(MeanRisk(objective, measure, **cons, **extra), _prior())
-    polish_step = quantfolio.solver._polish_step
-    finished, kkt_solves = [], []
+    finished, factored = [], []
 
-    def finish(*args):
-        finished.append(_finish(*args))
+    def finish(factor, *args):
+        finished.append(_finish(lambda w: factored.append(1) or factor(w), *args))
         return finished[-1]
 
     monkeypatch.setattr(quantfolio.solver, "_finish", finish)
-    monkeypatch.setattr(quantfolio.solver, "_polish_step",
-                        lambda *args: kkt_solves.append(1) or polish_step(*args))
     res = solve(problem)
     assert res.status == "Infeasible"
     assert finished == [None]
-    assert 1 <= len(kkt_solves) <= quantfolio.solver.FINISH_ROUNDS
+    assert 1 <= len(factored) <= quantfolio.solver.FINISH_ROUNDS
 
 
 @pytest.mark.parametrize("case", ["maximize_ratio/cvar/caps", "maximize_ratio/variance/short",
