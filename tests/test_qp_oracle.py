@@ -9,12 +9,14 @@ Capped MaximizeRatio QPs on the golden prior and on market panels are checked
 against SLSQP in weight space.
 """
 
+import dataclasses
 import functools
 import itertools
 
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 
 import quantfolio.mean_risk
 import quantfolio.solver
@@ -165,6 +167,24 @@ def test_stalled_run_without_the_finish_returns_its_best_iterate(monkeypatch):
     w = res.x[w_idx]
     assert measure_value(X.values @ w, mad) == pytest.approx(cap, rel=1e-6)
     assert w @ prior.sigma @ w >= var_min * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("T, measure", [(250, RiskMeasure.CVAR),
+                                        (250, RiskMeasure.MEAN_ABSOLUTE_DEVIATION),
+                                        (100, RiskMeasure.CVAR)])
+def test_dense_and_csr_rows_reach_the_same_point(T, measure):
+    # the capped QP's rows [A_eq; G] as assembled (G in CSR) and handed over
+    # as dense arrays: the interior point stacks them as CSR either way, and
+    # both reach the same finished point
+    X, _, lowest, at_min_variance = _capped_setup(0, measure, T)
+    model = MeanRisk(risk_caps=[(measure, 0.5 * (lowest + at_min_variance))])
+    problem, _, _ = _assemble(model, MeanRisk().fit(X).prior_)
+    assert scipy.sparse.issparse(problem.G)
+    A_eq = scipy.sparse.csr_array(problem.A_eq)
+    csr = solve(dataclasses.replace(problem, A_eq=A_eq))
+    dense = solve(dataclasses.replace(problem, A_eq=A_eq.toarray(), G=problem.G.toarray()))
+    assert csr.status == dense.status == "Optimal"
+    assert np.abs(csr.x - dense.x).max() <= 1e-9
 
 
 @pytest.mark.parametrize("measure", [RiskMeasure.CVAR, RiskMeasure.MEAN_ABSOLUTE_DEVIATION])

@@ -225,14 +225,24 @@ def _cdar_problem():
     return _assemble(MeanRisk(ObjectiveFunction.MINIMIZE_RISK, RiskMeasure.CDAR), prior)[0]
 
 
-def test_csr_with_duplicate_entries_is_summed():
+@pytest.mark.parametrize("budget", [True, False], ids=["dense", "csr"])
+def test_csr_with_duplicate_entries_is_summed(budget, monkeypatch):
     # x₀ + x₁ ≤ 1 stored as four halves, two per column: the solve takes the
-    # summed row, as HiGHS does, and the caller's arrays keep their values
+    # summed row, as HiGHS does, and the caller's arrays keep their values.
+    # With the budget x₀ + x₁ = 1, E holds both columns and the factor takes G
+    # dense; without it both columns are the core, eliminated from G's CSR
     G = scipy.sparse.csr_array(([0.5, 0.5, 0.5, 0.5], [0, 0, 1, 1], [0, 4]), shape=(1, 2))
     stored = [a.copy() for a in (G.data, G.indices, G.indptr)]
     q = np.array([-1.0, -2.0])
-    res = solve(QpProblem(q=q, G=G, h=np.array([1.0]), lb=np.zeros(2)))
-    highs = scipy.optimize.linprog(q, A_ub=G, b_ub=[1.0], bounds=(0.0, None), method="highs")
+    eq = dict(A_eq=np.ones((1, 2)), b_eq=np.array([1.0])) if budget else {}
+    kkt_factor, bandwidths = quantfolio.solver._kkt_factor, []
+    monkeypatch.setattr(quantfolio.solver, "_kkt_factor",
+                        lambda *args: bandwidths.append(kkt_factor(*args)[1])
+                        or kkt_factor(*args))
+    res = solve(QpProblem(q=q, G=G, h=np.array([1.0]), lb=np.zeros(2), **eq))
+    highs = scipy.optimize.linprog(q, A_ub=G, b_ub=[1.0], bounds=(0.0, None), method="highs",
+                                   **eq)
+    assert (bandwidths[0] is None) == budget
     assert (res.status, highs.status) == ("Optimal", 0)
     assert abs(res.objective - highs.fun) <= 1e-8
     np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-8)
@@ -240,17 +250,18 @@ def test_csr_with_duplicate_entries_is_summed():
         assert np.array_equal(before, after)
 
 
-def test_finish_solves_on_dependent_active_rows(monkeypatch):
+@pytest.mark.parametrize("rows", [np.asarray, scipy.sparse.csr_array], ids=["dense", "csr"])
+def test_finish_solves_on_dependent_active_rows(rows, monkeypatch):
     # an LP whose vertex (0.6, 0, 0.5, 0) has a repeated equality row, a
     # duplicated inequality row and a row equal to the sum of two others, all
-    # active: the finish weights all four rows of G, dependent or not, in one
-    # factor of the interior point's matrix, and its point is the Optimal
-    # result
+    # active, with its rows handed over dense or in CSR: the finish weights
+    # all four rows of G, dependent or not, in one factor of the interior
+    # point's matrix, and its point is the Optimal result
     ra, rb = np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0, 0.0])
     problem = QpProblem(q=np.array([-3.0, -2.0, -1.0, 0.0]),
-                        A_eq=np.ones((2, 4)), b_eq=np.array([1.1, 1.1]),
-                        G=np.array([ra, ra, rb, ra + rb]), h=np.array([0.6, 0.6, 0.5, 1.1]),
-                        lb=np.zeros(4))
+                        A_eq=rows(np.ones((2, 4))), b_eq=np.array([1.1, 1.1]),
+                        G=rows(np.array([ra, ra, rb, ra + rb])),
+                        h=np.array([0.6, 0.6, 0.5, 1.1]), lb=np.zeros(4))
     weights, finished = [], []
 
     def finish(factor, *args):
@@ -366,6 +377,60 @@ def test_cdar_solve_factors_no_more_than_the_border_with_e(monkeypatch):
     assert res.status == "Optimal"
     assert len(sizes) > res.iterations  # the finish's factor too
     assert max(sizes) <= N + 1 + problem.A_eq.shape[0]
+
+
+def _finish_problem(measure):
+    """A long-only MinimizeRisk problem whose interior point ends in the
+    finish: a variance QP with no G, a CVaR LP, or the CDaR LP at T=300."""
+    if measure is RiskMeasure.CDAR:
+        return _cdar_problem()
+    return _assemble(MeanRisk(ObjectiveFunction.MINIMIZE_RISK, measure), _prior())[0]
+
+
+def _recorded_solve(problem, monkeypatch):
+    """Solve `problem`, recording the `_kkt_factor` set-ups, every factor(w)
+    call, the finish's factor calls and, per finish round, its refinement
+    steps (its calls of `newton`)."""
+    kkt_factor, setups, factored, rounds = quantfolio.solver._kkt_factor, [], [], []
+
+    def setup(*args):
+        setups.append(1)
+        factor, kd = kkt_factor(*args)
+        return (lambda w: factored.append(1) or factor(w)), kd
+
+    def finish(factor, residual, newton, *args):
+        def round_factor(w):
+            rounds.append(0)
+            return factor(w)
+
+        def step(*b):
+            rounds[-1] += 1
+            return newton(*b)
+        return _finish(round_factor, residual, step, *args)
+
+    monkeypatch.setattr(quantfolio.solver, "_kkt_factor", setup)
+    monkeypatch.setattr(quantfolio.solver, "_finish", finish)
+    return solve(problem), setups, factored, rounds
+
+
+@pytest.mark.parametrize("measure", [RiskMeasure.VARIANCE, RiskMeasure.CVAR, RiskMeasure.CDAR])
+def test_kkt_factor_is_set_up_once_per_solve(measure, monkeypatch):
+    # the column split is made once per solve: the iterations factor once
+    # each, and the finish once per round, through the same set-up
+    res, setups, factored, rounds = _recorded_solve(_finish_problem(measure), monkeypatch)
+    assert res.status == "Optimal"
+    assert len(setups) == 1 and len(rounds) >= 1
+    assert len(factored) == res.iterations + len(rounds)
+
+
+@pytest.mark.parametrize("measure", [RiskMeasure.VARIANCE, RiskMeasure.CVAR, RiskMeasure.CDAR])
+def test_finish_refinement_stops_below_rounding(measure, monkeypatch):
+    # each round of the finish refines until a correction is below rounding,
+    # short of its cap of POLISH_REFINE_STEPS + 1 steps (measured: 5 steps for
+    # the variance QP, 3 for the CVaR LP, 2 for the CDaR LP)
+    res, _, _, rounds = _recorded_solve(_finish_problem(measure), monkeypatch)
+    assert res.status == "Optimal"
+    assert 1 <= min(rounds) and max(rounds) <= quantfolio.solver.POLISH_REFINE_STEPS
 
 
 @pytest.mark.parametrize("n, k, lp", [(4, 0, False), (4, 3, False), (3, 5, True),
