@@ -252,7 +252,7 @@ def _assemble(model: MeanRisk, prior: Prior):
     _add_constraints(builder, model, prior, w_idx, lb, ub, t)
     if ratio:
         # μ at unit scale: a raw 5e-4 (daily returns) stalls variance fits, doubles LP iterations
-        largest = np.abs(prior.mu).max()
+        largest = np.abs(prior.mu).max(initial=0.0)
         builder.add_rows(w_idx, prior.mu / largest if largest > 0 else prior.mu, 1.0, eq=True)
     else:
         _add_regularization(builder, model, w_idx, lb)

@@ -1,13 +1,15 @@
 """Convex QP and LP solver: an interior-point method with an active-set finish.
 
 `solve` takes a `QpProblem`, min ½xᵀPx + qᵀx s.t. A_eq x = b_eq, G x ≤ h,
-lb ≤ x ≤ ub, as it holds it; an LP is the case P = None, and an infinite h,
-lb or ub entry leaves that side open. It returns a `SolveResult` with
-unscaled residuals and one block of multipliers per block of constraints
-(Px + q + A_eqᵀy_eq + Gᵀy_ineq + y_bound = 0 at an optimum). A bound that
-admits no value (b_eq infinite, h = −∞, lb = +∞, ub = −∞ or lb > ub) makes
-the problem Infeasible before any iteration. Everything runs sequentially,
-so results are bit-deterministic for fixed inputs.
+lb ≤ x ≤ ub, as it holds it: P, A_eq and G each dense or `scipy.sparse`, and
+an infinite h, lb or ub entry leaves that side open. An LP is the case
+P = None, held as an empty n×n CSR matrix, so no LP has a dense n×n P. It
+returns a `SolveResult` with unscaled residuals and one block of multipliers
+per block of constraints (Px + q + A_eqᵀy_eq + Gᵀy_ineq + y_bound = 0 at an
+optimum). A bound that admits no value (b_eq infinite, h = −∞, lb = +∞,
+ub = −∞ or lb > ub) makes the problem Infeasible before any iteration.
+Everything runs sequentially, so results are bit-deterministic for fixed
+inputs.
 
 `_interior_point` runs a Mehrotra predictor-corrector on E x = b, C x ≤ d:
 E is A_eq, and C is the rows of G with a finite h, then x_j ≤ ub_j and
@@ -25,30 +27,33 @@ IPM_MAX_ITERATIONS, or at a non-finite iterate, without a floating-point
 warning.
 
 `_kkt_factor` splits the columns once per solve. The core is the scenario
-auxiliaries of the epigraph blocks (drawdown peaks, CVaR and CDaR tails,
-MAD deviations, L1 epigraphs): the columns that P and E leave at zero and
-that G holds in no more rows than the median column. Ordered by the last
-row that holds them, their block of the matrix is banded, with
-half-bandwidth 2 for chained CDaR, 1 for max drawdown and 0 for CVaR and
-MAD. Each iteration factors it with a banded LU (`dgbtrf`) and eliminates it,
-which leaves a Schur complement on the border (the weights and the few
-scalars) with E (Gondzio, EJOR 2012, §5). The n×n matrix is never formed,
-and on a narrow band a factor costs O(T·N²) instead of O((T + N)³); a risk
-cap's row holds every auxiliary of its measure, and widens the band to all
-of them. A problem with no core, such as one with no G, factors the whole
-matrix dense. Either way δ = IPM_REGULARIZATION is on the same diagonal, so
-both factor the same matrix.
+auxiliaries of the epigraph blocks (drawdown peaks, CVaR and CDaR tails, MAD
+deviations, L1 epigraphs): the columns that P and E leave at zero (P read,
+like G, in CSR) and that G holds in no more rows than the median column.
+Ordered by the last row that holds them, their block of the matrix is
+banded, with half-bandwidth 2 for chained CDaR, 1 for max drawdown and 0 for
+CVaR and MAD. Each iteration factors it with a banded LU (`dgbtrf`) and
+eliminates it, which leaves a Schur complement on the border (the weights
+and the few scalars) with E (Gondzio, EJOR 2012, §5). The n×n matrix is
+never formed, and on a narrow band a factor costs O(T·N²) instead of
+O((T + N)³); a risk cap's row holds every auxiliary of its measure, and
+widens the band to all of them. A problem with no core, such as one with no
+G, takes P and G dense and factors the whole matrix dense. Either way
+δ = IPM_REGULARIZATION is on the same diagonal, so both factor the same
+matrix.
 
 The result is the best iterate (the smallest residual in units of its
 tolerance; a converged run's last), replaced by the finish from it when the
 finish's primal, dual and complementarity residuals are no worse, up to
-1e-12. It is Optimal if its residuals meet EPS_ABS/EPS_REL. Otherwise two
-HiGHS LPs (scipy's `linprog`, given the bounds as `bounds=`) classify it: a
-phase-1 LP gives Infeasible, and a negative optimum of the recession LP
-min qᵀd s.t. Pd = 0, Ed = 0, Gd ≤ 0, d ≤ 0 where ub is finite, d ≥ 0 where
-lb is, |d| ≤ 1 gives Unbounded; anything else is MaxIterations.
-`scipy.optimize` is imported there, so a process that meets no such problem
-never loads it.
+1e-12. Its residuals are the iteration's own, unscaled: the largest
+violation of a row of E or C, the stationarity residual and complementarity
+|y ∘ r|∞ over those rows, each bound its own row. It is Optimal if they meet
+EPS_ABS/EPS_REL. Otherwise two HiGHS LPs (scipy's `linprog`, given the
+bounds as `bounds=`) classify it: a phase-1 LP gives Infeasible, and a
+negative optimum of the recession LP min qᵀd s.t. Pd = 0, Ed = 0, Gd ≤ 0,
+d ≤ 0 where ub is finite, d ≥ 0 where lb is, |d| ≤ 1 gives Unbounded;
+anything else is MaxIterations. `scipy.optimize` is imported there, so a
+process that meets no such problem never loads it.
 
 The finish exists because an interior point is accurate only to its
 tolerance (along the flat directions of an ill-conditioned covariance its
@@ -106,12 +111,13 @@ FINISH_TOLERANCE = 1e-12
 class QpProblem:
     """min ½xᵀPx + qᵀx s.t. A_eq x = b_eq, G x ≤ h, lb ≤ x ≤ ub.
 
-    `A_eq` and `G` may be dense 2-D arrays or `scipy.sparse` matrices; a
-    None block has no rows, and a None bound vector leaves that side open.
+    `P`, `A_eq` and `G` may each be a dense 2-D array or a `scipy.sparse`
+    matrix; P = None is an LP, a None block of rows has no rows, and a None
+    bound vector leaves that side open.
     """
 
     q: np.ndarray
-    P: np.ndarray | None = None
+    P: np.ndarray | scipy.sparse.sparray | None = None
     A_eq: np.ndarray | scipy.sparse.sparray | None = None
     b_eq: np.ndarray | None = None
     G: np.ndarray | scipy.sparse.sparray | None = None
@@ -140,27 +146,28 @@ class SolveResult:
     y_bound: np.ndarray = field(default=None, repr=False)
 
 
-def _block(M, rhs, n):
-    """A block of rows as a float array or a CSR matrix, with its right-hand
-    side; no block is a (0, n) array. Duplicate CSR entries are summed, on a
-    copy, as products with the matrix sum them."""
+def _block(M, n):
+    """M as a float array or a CSR matrix; None is a (0, n) array, a block of
+    no rows. Duplicate CSR entries are summed, on a copy, as products with the
+    matrix sum them."""
     if M is None:
-        return np.zeros((0, n)), np.zeros(0)
+        return np.zeros((0, n))
     M = (M.tocsr().astype(float, copy=False) if scipy.sparse.issparse(M)
          else np.atleast_2d(np.asarray(M, dtype=float)))
     if scipy.sparse.issparse(M) and not M.has_canonical_format:
         M = M.copy()
         M.sum_duplicates()
-    return M, np.asarray(rhs, dtype=float).ravel()
+    return M
 
 
 def solve(problem: QpProblem) -> SolveResult:
     """Solve a QP/LP; non-optimal outcomes are returned in-band via `status`."""
     n = problem.dimensions()
     q = np.asarray(problem.q, dtype=float).ravel()
-    P = np.zeros((n, n)) if problem.P is None else np.asarray(problem.P, dtype=float)
-    E, b = _block(problem.A_eq, problem.b_eq, n)
-    G, h = _block(problem.G, problem.h, n)
+    P = scipy.sparse.csr_array((n, n)) if problem.P is None else _block(problem.P, n)
+    E, G = _block(problem.A_eq, n), _block(problem.G, n)
+    b = np.zeros(0) if problem.A_eq is None else np.asarray(problem.b_eq, dtype=float).ravel()
+    h = np.zeros(0) if problem.G is None else np.asarray(problem.h, dtype=float).ravel()
     lb = np.full(n, -np.inf) if problem.lb is None else np.asarray(problem.lb, dtype=float)
     ub = np.full(n, np.inf) if problem.ub is None else np.asarray(problem.ub, dtype=float)
     if (np.isinf(b).any() or (h == -np.inf).any()
@@ -168,27 +175,6 @@ def solve(problem: QpProblem) -> SolveResult:
         return SolveResult(np.zeros(n), float("nan"), "Infeasible", 0, float("inf"), 0.0,
                            np.zeros(b.size), np.zeros(h.size), np.zeros(n))
     return _interior_point(P if problem.P is None else (P + P.T) / 2, q, E, b, G, h, lb, ub)
-
-
-def _kkt_residuals(P0, q0, B, c, p, lb, ub, x, y, y_bound):
-    """Unscaled residuals of (x, y, y_bound) on the rows B = [E; G] (the first
-    p equalities, right-hand side c) and lb ≤ x ≤ ub: primal (the largest
-    violation), dual (|P₀x + q₀ + Bᵀy + y_bound|∞), complementarity (the
-    largest |multiplier| times the distance to its nearer bound) and the
-    magnitudes their tolerances scale by."""
-    Bx, Px = B @ x, P0 @ x
-    ATy = B.T @ y + y_bound
-    r = Bx - c
-    r_prim = max(np.abs(r[:p]).max(initial=0.0), r[p:].max(initial=0.0),
-                 (lb - x).max(initial=0.0), (x - ub).max(initial=0.0))
-    held = y_bound != 0
-    near = np.minimum(np.abs(ub - x), np.abs(x - lb))[held]
-    r_comp = max(np.abs(y * r).max(initial=0.0), np.abs(y_bound[held] * near).max(initial=0.0))
-    bounded = np.isfinite(lb) | np.isfinite(ub)
-    dual_scale = max(np.abs(Px).max(initial=0.0), np.abs(ATy).max(initial=0.0),
-                     np.abs(q0).max(initial=0.0))
-    return (r_prim, np.abs(Px + q0 + ATy).max(initial=0.0), r_comp,
-            max(np.abs(Bx).max(initial=0.0), np.abs(x[bounded]).max(initial=0.0)), dual_scale)
 
 
 def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
@@ -218,11 +204,12 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
         out[L] -= v[mg + U.size:]
         return out
 
-    largest = max(np.abs(P0).max(), np.abs(q0).max())
+    entries = P0.data if scipy.sparse.issparse(P0) else P0
+    largest = max(np.abs(entries).max(initial=0.0), np.abs(q0).max(initial=0.0))
     scale = 1.0 / largest if largest > 0 else 1.0
     P, q = P0 * scale, q0 * scale
     tol_prim = IPM_TOLERANCE * (1.0 + np.abs(c).max(initial=0.0))
-    tol_dual = IPM_TOLERANCE * (1.0 + np.abs(q).max())
+    tol_dual = IPM_TOLERANCE * (1.0 + np.abs(q).max(initial=0.0))
     factor = _kkt_factor(P, E, G, U, L)[0]
 
     def residual(x, y):
@@ -291,14 +278,19 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
                 break
             v = step
 
-    rows_c = c[:p + mg]  # the right-hand side of the rows of B
-
     def outcome(x, y):
-        """x, the duals of the rows of B and the bound multipliers (> 0 at ub,
-        < 0 at lb) at x and y = (ν, y_C), then their unscaled residuals."""
-        y_rows, y_bound = y[:p + mg], plus_bounds_t(y[p:], np.zeros(n))
-        return (x, y_rows, y_bound) + _kkt_residuals(P0, q0, B, rows_c, p, lb, ub, x,
-                                                      y_rows / scale, y_bound / scale)
+        """x and y = (ν, y_C), then their unscaled residuals: primal (the
+        largest violation of a row of E or C), dual (|P₀x + q₀ + Eᵀν + Cᵀy_C|∞,
+        from the normalised one), complementarity (|y ∘ r|∞ over the rows,
+        r their residuals) and the magnitudes their tolerances scale by
+        (|E x|, |C x| and |P₀x|, |Eᵀν + Cᵀy_C|, |q₀|)."""
+        Px, r_d, r_p = residual(x, y)
+        r_prim = max(np.abs(r_p[:p]).max(initial=0.0), r_p[p:].max(initial=0.0))
+        dual_scale = max(np.abs(Px).max(initial=0.0), np.abs(r_d - Px - q).max(initial=0.0),
+                         np.abs(q).max(initial=0.0))
+        return (x, y, r_prim, np.abs(r_d).max(initial=0.0) / scale,
+                np.abs(y * r_p).max(initial=0.0) / scale, np.abs(r_p + c).max(initial=0.0),
+                dual_scale / scale)
 
     # the best iterate (a converged run's last), or the finish from it when
     # that is no worse. The finish guesses the rows of C whose slack is below
@@ -307,27 +299,29 @@ def _interior_point(P0, q0, E0, b, G0, h, lb, ub):
     x, y = best_v[:n], best_v[n:n + p + m]
     result = outcome(x, y)
     act = best_v[n + p + m:] < y[p:]
+    y_bound = plus_bounds_t(y[p:], np.zeros(n))
     at_ub, at_lb = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     at_ub[U[act[mg:mg + U.size]]] = True
     at_lb[L[act[mg + U.size:]]] = True
-    act[mg:mg + U.size] &= ~(at_lb & (result[2] <= 0.0))[U]
-    act[mg + U.size:] &= ~(at_ub & (result[2] > 0.0))[L]
+    act[mg:mg + U.size] &= ~(at_lb & (y_bound <= 0.0))[U]
+    act[mg + U.size:] &= ~(at_ub & (y_bound > 0.0))[L]
     finished = _finish(factor, residual, newton, c, p, U, L, x, y, act)
     if finished is not None:
         finished = outcome(*finished)
-        if max(finished[3:6]) <= max(result[3:6]) + 1e-12:
+        if max(finished[2:5]) <= max(result[2:5]) + 1e-12:
             result = finished
-    x, y, y_bound, r_prim, r_dual, r_comp, prim_scale, dual_scale = result
+    x, y, r_prim, r_dual, r_comp, prim_scale, dual_scale = result
     if (r_prim <= EPS_ABS + EPS_REL * prim_scale
             and max(r_dual, r_comp) <= EPS_ABS + EPS_REL * dual_scale):
         status = "Optimal"
     else:
-        status = _classify(P, q, E, b, G, rows_c[p:], lb, ub)
+        status = _classify(P, q, E, b, G, c[p:p + mg], lb, ub)
     objective = float(0.5 * x @ P0 @ x + q0 @ x) if status == "Optimal" else float("nan")
     y_ineq = np.zeros(h.size)
-    y_ineq[fin] = y[p:] / scale
+    y_ineq[fin] = y[p:p + mg] / scale
     return SolveResult(x, objective, status, k, float(r_prim), float(r_dual),
-                       y_eq=y[:p] / scale, y_ineq=y_ineq, y_bound=y_bound / scale)
+                       y_eq=y[:p] / scale, y_ineq=y_ineq,
+                       y_bound=plus_bounds_t(y[p:], np.zeros(n)) / scale)
 
 
 def _finish(factor, residual, newton, c, p, U, L, x, y, act):
@@ -394,7 +388,8 @@ def _classify(P, q, E, b, G, h, lb, ub):
                               method="highs").status == 2:
         return "Infeasible"
     ub_rows = dict(A_ub=G, b_ub=np.zeros(h.size)) if h.size else {}
-    rows = np.vstack([P[P.any(axis=1)], E])  # Pd = 0 holds on P's zero rows
+    Ps = scipy.sparse.csr_array(P)
+    rows = scipy.sparse.vstack([Ps[np.diff(Ps.indptr) > 0], E])  # Pd = 0 holds on P's zero rows
     eq = dict(A_eq=rows, b_eq=np.zeros(rows.shape[0])) if rows.shape[0] else {}
     cone = np.column_stack([np.where(np.isfinite(lb), 0.0, -1.0),
                             np.where(np.isfinite(ub), 0.0, 1.0)])
@@ -408,7 +403,7 @@ def _kkt_factor(P, E, G, U, L):
     """The interior point's factor of K = [H + δI, Eᵀ; E, −δI], δ =
     IPM_REGULARIZATION and H = P + Gᵀ diag(w_G) G + D, at the weights w = z/s
     on the rows of G (w_G), then on the bounds U and L, which D puts on the
-    diagonal. P and E are dense, G dense or CSR.
+    diagonal. E is dense, P and G dense or CSR.
 
     The core is the columns that P and E leave at zero and that G holds, in no
     more of its rows than the median column: the scenario auxiliaries. Ordered
@@ -421,12 +416,12 @@ def _kkt_factor(P, E, G, U, L):
     n, mg = P.shape[0], G.shape[0]
     core = np.zeros(0, dtype=int)
     if mg:
-        Gs = scipy.sparse.csr_array(G)
+        Ps, Gs = scipy.sparse.csr_array(P), scipy.sparse.csr_array(G)
         count = np.bincount(Gs.indices, minlength=n)
-        core = np.flatnonzero(~P.any(axis=0) & ~E.any(axis=0) & (count > 0)
-                              & (count <= np.median(count)))
+        core = np.flatnonzero((np.bincount(Ps.indices, minlength=n) == 0) & ~E.any(axis=0)
+                              & (count > 0) & (count <= np.median(count)))
     if not core.size:
-        G = G if isinstance(G, np.ndarray) else G.toarray()
+        P, G = (M if isinstance(M, np.ndarray) else M.toarray() for M in (P, G))
 
         def factor(w):
             H = P + (G.T * w[:mg]) @ G if mg else P.copy()
@@ -455,7 +450,7 @@ def _kkt_factor(P, E, G, U, L):
     ldab = 3 * kd + 1
     band = scipy.sparse.csr_array((Gc.data[a] * Gc.data[b], (2 * kd + i - j + ldab * j, row[a])),
                                   shape=(ldab * nc, mg))
-    P_bb, E_b = P[np.ix_(border, border)], E[:, border]
+    P_bb, E_b = Ps[border][:, border].toarray(), E[:, border]
 
     def factor(w):
         w_G, d = w[:mg], np.zeros(n)

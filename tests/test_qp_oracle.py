@@ -173,15 +173,16 @@ def test_stalled_run_without_the_finish_returns_its_best_iterate(monkeypatch):
                                         (250, RiskMeasure.MEAN_ABSOLUTE_DEVIATION),
                                         (100, RiskMeasure.CVAR)])
 def test_dense_and_csr_rows_reach_the_same_point(T, measure):
-    # the capped QP's rows [A_eq; G] as assembled (G in CSR) and handed over
-    # as dense arrays: the interior point stacks them as CSR either way, and
-    # both reach the same finished point
+    # the capped QP's rows [A_eq; G] as assembled (G in CSR) with P in CSR,
+    # and all three handed over as dense arrays: the interior point stacks the
+    # rows as CSR either way, the banded factor reads P's border block from
+    # either form, and both reach the same finished point
     X, _, lowest, at_min_variance = _capped_setup(0, measure, T)
     model = MeanRisk(risk_caps=[(measure, 0.5 * (lowest + at_min_variance))])
     problem, _, _ = _assemble(model, MeanRisk().fit(X).prior_)
     assert scipy.sparse.issparse(problem.G)
     A_eq = scipy.sparse.csr_array(problem.A_eq)
-    csr = solve(dataclasses.replace(problem, A_eq=A_eq))
+    csr = solve(dataclasses.replace(problem, A_eq=A_eq, P=scipy.sparse.csr_array(problem.P)))
     dense = solve(dataclasses.replace(problem, A_eq=A_eq.toarray(), G=problem.G.toarray()))
     assert csr.status == dense.status == "Optimal"
     assert np.abs(csr.x - dense.x).max() <= 1e-9

@@ -11,8 +11,8 @@ import scipy.optimize
 import scipy.sparse
 
 import quantfolio.solver
-from quantfolio.exceptions import QuantfolioError
-from quantfolio.mean_risk import MeanRisk, ObjectiveFunction, _assemble
+from quantfolio.exceptions import InfeasibleProblem, QuantfolioError
+from quantfolio.mean_risk import MeanRisk, ObjectiveFunction, _assemble, optimize
 from quantfolio.measures import RiskMeasure
 from quantfolio.priors import Prior
 from quantfolio.solver import QpProblem, _finish, _kkt_factor, _kkt_solver, solve
@@ -217,6 +217,18 @@ def test_problem_without_rows(P, q, status, x):
         np.testing.assert_allclose(res.x, x, atol=1e-8)
 
 
+def test_problem_without_variables():
+    # no variable at all: the solve is Optimal at x = [], a variance fit over
+    # no assets returns no weights, and a ratio fit has no portfolio with a
+    # positive mean
+    res = solve(QpProblem(q=np.zeros(0)))
+    assert res.status == "Optimal" and res.x.shape == (0,)
+    prior = Prior(mu=np.zeros(0), sigma=np.zeros((0, 0)), scenarios=np.zeros((5, 0)))
+    assert optimize(MeanRisk(budget=0.0), prior).shape == (0,)
+    with pytest.raises(InfeasibleProblem, match="positive expected return"):
+        optimize(MeanRisk(ObjectiveFunction.MAXIMIZE_RATIO, budget=0.0), prior)
+
+
 def _cdar_problem():
     """A CDaR LP at T=120, N=10: 359 chained drawdown rows over 251 columns."""
     rng = np.random.default_rng(0)
@@ -340,10 +352,10 @@ def test_cdar_chained_block_shape_and_solve():
     # CDaR at T=300, N=5: the chained block has 3T − 1 = 899 rows over the
     # weights, T peaks, α and T auxiliaries; its peak rows hold N entries of
     # C_t and p_t, its chain rows p_{t−1} and p_t, its loss rows N entries and
-    # p_t, α and z_t. Assembly and the solve stay under 3 arrays of the n×n
-    # reduced KKT matrix's size (measured: 2.4, most of it the LP's zero P
-    # and its scaled copy; 3.7 while the finish gathered its active rows
-    # dense and factored its own (n + k)² matrix)
+    # p_t, α and z_t. Assembly and the solve stay under 1 array of the n×n
+    # reduced KKT matrix's size, as the LP's P is an empty sparse matrix and
+    # nothing n×n is formed (measured: 0.37; a dense zero P and its scaled
+    # copy alone would be 2)
     T, N = 300, 5
     prior = _cdar_prior(T, N)
     tracemalloc.start()
@@ -358,7 +370,7 @@ def test_cdar_chained_block_shape_and_solve():
     assert scipy.sparse.issparse(G) and G.shape == (3 * T - 1, N + 2 * T + 1) and n == G.shape[1]
     assert (G != 0).sum() == T * (N + 1) + 2 * (T - 1) + T * (N + 3)
     assert res.status == "Optimal"
-    assert peak < 3 * n * n * 8
+    assert peak < 1 * n * n * 8
 
 
 def test_cdar_solve_factors_no_more_than_the_border_with_e(monkeypatch):
@@ -621,8 +633,8 @@ def test_block_multipliers_are_stationary_and_signed(name):
 
 
 def test_dense_budget_and_box_problem_needs_no_sparse_matrix(monkeypatch):
-    # a dense QpProblem under the dense cell count: no scipy.sparse matrix is
-    # built on the way to its optimum, and with no G its KKT factor has no core
+    # a dense QpProblem whose G has no rows: no scipy.sparse matrix is built
+    # on the way to its optimum, and with no G its KKT factor has no core
     def refuse(*args, **kwargs):
         raise AssertionError("a scipy.sparse matrix was built")
 
